@@ -16,9 +16,6 @@ EPOCHS_FINETUNE = 6
 LR_MULTITASK = 5e-5
 LR_FINETUNE = 5e-6
 
-# Default batch sizes of the two shipped source families.
-SOURCE_FAMILY_BATCH_SIZES = (16, 40)
-
 # Member-selection thresholds: keep models whose dev accuracy (percent) is
 # strictly above these.
 MEMBER_THRESHOLDS = {
@@ -27,20 +24,9 @@ MEMBER_THRESHOLDS = {
     "qa": 83.0,
 }
 
-# Reference ensemble sizes (configurable; QA = 10 CV members plus 7 plain
-# ones).
-MEMBER_COUNTS = {
-    "mednli": 4,
-    "rqe": 14,
-    "qa_cv": 10,
-    "qa_plain": 7,
-}
-
 CV_FOLDS = 5
 
 NEGATIVES_PER_POSITIVE = 2
-PAGE_QA_TRAIN_COUNT = 27391
-PAGE_QA_EVAL_COUNT = 2936
 
 DEV_RESHUFFLE_QUESTIONS = 25
 DEV_RESHUFFLE_TAGGED_QUESTIONS = 25

@@ -9,20 +9,30 @@ texts share, absolute and relative) followed by a signed hashed bag of
 side-tagged unigrams and bigrams plus overlap unigrams. The statistics
 slots make lexical match directly visible to a linear model; the hashed
 bag carries the lexicalized content. The bag portion is L2-normalized.
+
+There is one featurization path: `featurize_pairs` maps a list of pairs to
+an (n, dim) matrix. It hashes each distinct token once per call and counts
+the signed bag a chunk of rows at a time; bag entries are integer counts,
+so the result does not depend on summation order. `FeatureCache` stores
+those matrices for one pipeline stage, keyed by sample content, and hands
+training and prediction a dataset's matrix in sample order; mini-batches
+are then row selections of it.
 """
 from __future__ import annotations
 
 import hashlib
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, SamplePair
 
 _WORD = re.compile(r"[a-z0-9]+")
 
 N_STATS = 2  # leading dense slots: bounded overlap count, overlap fraction
+CHUNK_ROWS = 256  # rows whose hashed bags are counted together
 
 
 @dataclass(frozen=True)
@@ -47,76 +57,136 @@ def _words(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-def pair_tokens(text_a: str, text_b: str) -> list[str]:
-    """Deterministic token stream for one pair."""
-    a = _words(text_a)
-    b = _words(text_b)
+def _pair_tokens(a: list[str], b: list[str], overlap: set[str]) -> list[str]:
+    """Token stream of one pair, from the words of each side and their overlap."""
     tokens = [f"a:{w}" for w in a]
     tokens += [f"a:{u}_{v}" for u, v in zip(a, a[1:])]
     tokens += [f"b:{w}" for w in b]
     tokens += [f"b:{u}_{v}" for u, v in zip(b, b[1:])]
-    overlap = sorted(set(a) & set(b))
-    tokens += [f"o:{w}" for w in overlap]
+    tokens += [f"o:{w}" for w in sorted(overlap)]
     return tokens
 
 
-def featurize(text_a: str, text_b: str, source: SourceSpec) -> np.ndarray:
-    """Map a text pair to a dense vector of length source.dim.
+def _digest(hasher, token: str) -> bytes:
+    """The keyed hasher's digest of one token; copying skips re-keying."""
+    h = hasher.copy()
+    h.update(token.encode("utf-8"))
+    return h.digest()
+
+
+def featurize_pairs(pairs: Sequence[tuple[str, str]], source: SourceSpec) -> np.ndarray:
+    """Map text pairs to an (n, source.dim) matrix, one row per pair in order.
 
     Deterministic for (texts, source); different featurizer seeds place the
     same tokens in different buckets with different signs. The two leading
-    slots are overlap statistics shared by all sources.
+    columns are overlap statistics shared by all sources.
     """
-    a_words = set(_words(text_a))
-    b_words = set(_words(text_b))
-    overlap = len(a_words & b_words)
-    vec = np.zeros(source.dim, dtype=np.float64)
-    vec[0] = np.tanh(overlap / 4.0)
-    vec[1] = overlap / (1.0 + min(len(a_words), len(b_words)))
-
-    key = int(source.featurizer_seed).to_bytes(8, "little", signed=False)
     n_buckets = source.dim - N_STATS
-    bag = np.zeros(n_buckets, dtype=np.float64)
-    for token in pair_tokens(text_a, text_b):
-        digest = hashlib.blake2b(token.encode("utf-8"), key=key, digest_size=8).digest()
-        value = int.from_bytes(digest, "little")
-        sign = 1.0 if value & 1 else -1.0
-        bag[(value >> 1) % n_buckets] += sign
-    norm = float(np.linalg.norm(bag))
-    if norm > 0:
-        bag /= norm
-    vec[N_STATS:] = bag
-    return vec
+    key = int(source.featurizer_seed).to_bytes(8, "little", signed=False)
+    hasher = hashlib.blake2b(key=key, digest_size=8)
+    out = np.zeros((len(pairs), source.dim), dtype=np.float64)
+    # Token -> signed bucket code, sign * (bucket + 1); lives for this call only.
+    codes: dict[str, int] = {}
+    for start in range(0, len(pairs), CHUNK_ROWS):
+        chunk = pairs[start : start + CHUNK_ROWS]
+        overlaps, smaller, lengths, tokens = [], [], [], []
+        for text_a, text_b in chunk:
+            a, b = _words(text_a), _words(text_b)
+            a_set, b_set = set(a), set(b)
+            overlap = a_set & b_set
+            overlaps.append(len(overlap))
+            smaller.append(min(len(a_set), len(b_set)))
+            row_tokens = _pair_tokens(a, b, overlap)
+            lengths.append(len(row_tokens))
+            tokens += row_tokens
+        new = list(set(tokens).difference(codes))
+        if new:
+            # Each token's 64-bit little-endian digest: low bit is the sign, the rest the bucket.
+            values = np.frombuffer(b"".join([_digest(hasher, t) for t in new]), dtype="<u8")
+            buckets = ((values >> np.uint64(1)) % np.uint64(n_buckets)).astype(np.intp) + 1
+            codes.update(zip(new, np.where(values & np.uint64(1), buckets, -buckets).tolist()))
+        rows = len(chunk)
+        overlap_counts = np.array(overlaps, dtype=np.float64)
+        block = out[start : start + rows]
+        block[:, 0] = np.tanh(overlap_counts / 4.0)
+        block[:, 1] = overlap_counts / (1.0 + np.array(smaller, dtype=np.float64))
+        signed = np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        flat = np.repeat(np.arange(rows) * n_buckets - 1, lengths) + np.abs(signed)
+        counts = np.bincount(
+            flat, weights=np.sign(signed).astype(np.float64), minlength=rows * n_buckets
+        )
+        # bincount returns integers when there is no token at all.
+        bag = counts.astype(np.float64, copy=False).reshape(rows, n_buckets)
+        norms = np.sqrt(np.einsum("ij,ij->i", bag, bag))
+        norms[norms == 0] = 1.0  # an empty bag stays all zeros
+        bag /= norms[:, None]
+        block[:, N_STATS:] = bag
+    return out
+
+
+def featurize(text_a: str, text_b: str, source: SourceSpec) -> np.ndarray:
+    """Feature vector of length source.dim for one text pair."""
+    return featurize_pairs([(text_a, text_b)], source)[0]
 
 
 def featurize_dataset(dataset: Dataset, source: SourceSpec) -> np.ndarray:
     """Feature matrix (n_samples x dim) for a whole dataset, in sample order."""
-    mat = np.zeros((len(dataset), source.dim), dtype=np.float64)
-    for row, sample in enumerate(dataset):
-        mat[row] = featurize(sample.text_a, sample.text_b, source)
-    return mat
+    return featurize_pairs([(s.text_a, s.text_b) for s in dataset], source)
+
+
+def _content_key(sample: SamplePair) -> bytes:
+    """128-bit digest of (id, text_a, text_b); unlike the texts, it is small to keep.
+
+    The two length prefixes make the concatenation unambiguous.
+    """
+    content = f"{len(sample.id)}:{len(sample.text_a)}:{sample.id}{sample.text_a}{sample.text_b}"
+    return hashlib.blake2b(content.encode("utf-8", "surrogatepass"), digest_size=16).digest()
 
 
 class FeatureCache:
-    """Memoizes per-(source, dataset) feature vectors within one process.
+    """Feature matrices for one pipeline stage, per source.
 
-    Assumes sample ids are stable identifiers of their texts, which the
-    pipeline guarantees (transforms change targets, never texts; derived
-    samples get fresh ids).
+    Rows are keyed by sample content (id, text_a, text_b), so train, dev and
+    eval splits of one dataset never share a row unless their samples are
+    the same, while reloaded copies of a split and subsets of it (CV folds)
+    reuse the stored rows. Each row is featurized once. Create one cache per
+    stage; it keeps every matrix it has built until it is dropped.
     """
 
     def __init__(self):
-        self._store: dict[tuple[str, int, int, str], dict[str, np.ndarray]] = {}
+        # source key -> (row blocks, first global row of each block, content key -> global row)
+        self._stores: dict[tuple, tuple[list[np.ndarray], list[int], dict[bytes, int]]] = {}
 
-    def lookup(self, dataset: Dataset, source: SourceSpec) -> dict[str, np.ndarray]:
-        """Map sample id -> feature vector for the dataset under the source."""
-        key = (source.name, source.featurizer_seed, source.dim, dataset.name)
-        cached = self._store.get(key)
-        if cached is not None and all(s.id in cached for s in dataset):
-            return cached
-        table = dict(cached) if cached else {}
-        for sample in dataset:
-            if sample.id not in table:
-                table[sample.id] = featurize(sample.text_a, sample.text_b, source)
-        self._store[key] = table
-        return table
+    def lookup(self, dataset: Dataset, source: SourceSpec) -> np.ndarray:
+        """The dataset's (n, dim) feature matrix under the source, in sample order.
+
+        Read-only. A dataset whose rows were featurized together, in this
+        order, gets a view of the stored block rather than a copy.
+        """
+        blocks, starts, where = self._stores.setdefault(
+            (source.name, source.featurizer_seed, source.dim), ([], [], {})
+        )
+        keys = [_content_key(s) for s in dataset]
+        missing = [i for i, k in enumerate(keys) if k not in where]
+        if missing:
+            first = starts[-1] + len(blocks[-1]) if blocks else 0
+            pairs = [(dataset.samples[i].text_a, dataset.samples[i].text_b) for i in missing]
+            block = featurize_pairs(pairs, source)
+            block.flags.writeable = False
+            blocks.append(block)
+            starts.append(first)
+            where.update((keys[i], first + r) for r, i in enumerate(missing))
+        rows = np.fromiter((where[k] for k in keys), dtype=np.intp, count=len(keys))
+        if not len(rows):
+            return np.zeros((0, source.dim), dtype=np.float64)
+        block_of = np.searchsorted(starts, rows, side="right") - 1
+        local = rows - np.asarray(starts, dtype=np.intp)[block_of]
+        if (block_of == block_of[0]).all() and (np.diff(local) == 1).all():
+            return blocks[block_of[0]][local[0] : local[0] + len(rows)]
+        out = np.empty((len(rows), source.dim), dtype=np.float64)
+        for b, block in enumerate(blocks):
+            mask = block_of == b
+            if mask.any():
+                out[mask] = block[local[mask]]
+        out.flags.writeable = False
+        return out

@@ -134,9 +134,6 @@ def rank_answers(question_id: str, outputs: Iterable[tuple[str, int, float]]) ->
     return RankedAnswerList(question_id=question_id, answers=answers)
 
 
-NLI_LABELS = ("entailment", "neutral", "contradiction")
-
-
 def mednli_constrained_decode(prob_matrix: Sequence[Sequence[float]]) -> tuple[int, int, int]:
     """Assign the three hypotheses of one premise exactly one label each.
 

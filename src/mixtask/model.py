@@ -75,6 +75,7 @@ class TrainingBatch:
     labels: Optional[np.ndarray] = None  # (B,) int, classification
     targets: Optional[np.ndarray] = None  # (B,) float, regression
     dataset_name: str = ""
+    sample_ids: tuple[str, ...] = ()  # ids of the rows, for audit
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -52,10 +52,17 @@ from .inference import (
     select_members,
 )
 from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive
-from .model import Checkpoint, load_checkpoint, save_checkpoint
-from .scheduler import MiniBatch, MixtureConfig, build_epoch, partition_batches, save_plan
+from .model import Checkpoint, ToyModel, load_checkpoint, save_checkpoint
+from .scheduler import MixtureConfig, save_plan
 from .seeding import derive_seed
-from .training import TaskData, TrainConfig, dev_metric, fine_tune_task, train_multitask
+from .training import (
+    TaskData,
+    TrainConfig,
+    build_member_epoch_plan,
+    dev_metric,
+    fine_tune_task,
+    train_multitask,
+)
 
 SCHEMA_VERSION = 1
 
@@ -505,20 +512,6 @@ def stage_schedule(cfg: PipelineConfig, out_dir: Path) -> None:
     _update_run_manifest(out_dir, cfg, "schedule", {"plans": sorted(plans)})
 
 
-def build_member_epoch_plan(tasks: list[TaskData], train_cfg: TrainConfig, epoch: int):
-    """The exact plan the trainer would execute for this epoch."""
-    run_seed = train_cfg.mixture.seed
-    partition_seed = derive_seed(run_seed, "epoch-shuffle", epoch)
-    in_batches: list[MiniBatch] = []
-    ext_pool: list[MiniBatch] = []
-    for task in tasks:
-        batches = partition_batches(
-            task.train, train_cfg.mixture.batch_size_for(task.name), partition_seed
-        )
-        (in_batches if task.train.role == "in_domain" else ext_pool).extend(batches)
-    return build_epoch(in_batches, ext_pool, train_cfg.mixture.alpha, seed=run_seed, epoch_index=epoch)
-
-
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
     """Train one multi-task model per member (base members and CV folds)."""
     stage_dir = out_dir / "train"
@@ -613,13 +606,12 @@ def _model_for(out_dir: Path, member_id: str, task_name: str, needed_by: str) ->
     return load_checkpoint(out_dir / "train" / meta["checkpoint"])
 
 
-def _predict_dataset(ckpt: Checkpoint, dataset: Dataset, cache: FeatureCache) -> dict[str, object]:
-    features = cache.lookup(dataset, ckpt.model.source)
-    mat = np.stack([features[s.id] for s in dataset])
+def _predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) -> dict[str, object]:
+    """Per-sample predictions from the dataset's feature matrix (rows in sample order)."""
     if dataset.task_kind.is_classification:
-        probs = ckpt.model.class_probs(mat, dataset.head_group)
+        probs = model.class_probs(features, dataset.head_group)
         return {s.id: probs[i] for i, s in enumerate(dataset)}
-    scores = ckpt.model.reg_scores(mat, dataset.head_group)
+    scores = model.reg_scores(features, dataset.head_group)
     return {s.id: float(scores[i]) for i, s in enumerate(dataset)}
 
 
@@ -646,19 +638,18 @@ def stage_predict(cfg: PipelineConfig, out_dir: Path) -> None:
             if member["fold"] is not None and task_name != cfg.cv_task:
                 continue  # CV members only serve their own task's ensemble
             ckpt = _model_for(out_dir, member_id, task_name, "predict")
+            model, source = ckpt.model, ckpt.model.source
             dev_set = bundle.get("dev")
             if member["fold"] is not None:
                 _, dev_set = _load_fold(out_dir, cfg, member["fold"], "predict")
             if dev_set is None:
                 raise PipelineStageError("predict", f"task {task_name!r} lacks a dev split")
-            metric = 100.0 * dev_metric(
-                ckpt.model, dev_set, cache.lookup(dev_set, ckpt.model.source)
-            )
+            metric = 100.0 * dev_metric(model, dev_set, cache.lookup(dev_set, source))
             ps = PredictionSet(
                 model_id=member_id,
                 task=task_name,
                 kind=eval_set.task_kind.kind,
-                predictions=_predict_dataset(ckpt, eval_set, cache),
+                predictions=_predict_dataset(model, eval_set, cache.lookup(eval_set, source)),
                 dev_metric=metric,
             )
             filename = f"{member_id}__{task_name}.jsonl"
@@ -985,7 +976,9 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
                     model_id=member["member_id"],
                     task=task_name,
                     kind="classification",
-                    predictions=_predict_dataset(result.best, eval_set, cache),
+                    predictions=_predict_dataset(
+                        result.best.model, eval_set, cache.lookup(eval_set, entry.spec)
+                    ),
                     dev_metric=100.0 * result.best.selection_value,
                 )
             )

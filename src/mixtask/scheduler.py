@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
+
+import numpy as np
 
 from .data import Dataset, TaskKind
 from .seeding import derive_rng
@@ -19,16 +22,23 @@ from .seeding import derive_rng
 
 @dataclass(frozen=True)
 class MiniBatch:
-    """An ordered slice of one dataset's sample ids."""
+    """An ordered slice of one dataset's sample ids.
+
+    rows holds the samples' positions in the dataset, in the same order, so
+    a batch's features are a row selection of the dataset's feature matrix.
+    """
 
     dataset_name: str
     sample_ids: tuple[str, ...]
     task_kind: TaskKind
     head_group: str
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.sample_ids:
             raise ValueError("mini-batch must be non-empty")
+        if self.rows is not None and len(self.rows) != len(self.sample_ids):
+            raise ValueError("mini-batch rows must match its sample ids")
 
     def __len__(self) -> int:
         return len(self.sample_ids)
@@ -85,6 +95,7 @@ class EpochPlan:
 def partition_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> list[MiniBatch]:
     """Shuffle a dataset's samples and chunk them into mini-batches.
 
+    Each batch carries its samples' ids and their positions in the dataset.
     Batch count is ceil(|D| / batch_size); the final partial batch is kept.
     Deterministic given seed.
     """
@@ -95,17 +106,16 @@ def partition_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> list[
     rng = derive_rng(seed, "partition", dataset.name)
     order = rng.permutation(len(dataset))
     ids = [dataset.samples[int(i)].id for i in order]
-    batches = []
-    for start in range(0, len(ids), batch_size):
-        batches.append(
-            MiniBatch(
-                dataset_name=dataset.name,
-                sample_ids=tuple(ids[start : start + batch_size]),
-                task_kind=dataset.task_kind,
-                head_group=dataset.head_group,
-            )
+    return [
+        MiniBatch(
+            dataset_name=dataset.name,
+            sample_ids=tuple(ids[start : start + batch_size]),
+            task_kind=dataset.task_kind,
+            head_group=dataset.head_group,
+            rows=order[start : start + batch_size],
         )
-    return batches
+        for start in range(0, len(ids), batch_size)
+    ]
 
 
 def _sample_external(pool: list[MiniBatch], count: int, rng) -> list[MiniBatch]:

@@ -6,6 +6,11 @@ After every epoch the in-domain development sets are evaluated; the
 checkpoint returned is the one maximizing the selection metric (unweighted
 mean of per-dataset dev metrics: accuracy for classification, sign-accuracy
 for regression).
+
+Each dataset's features are one matrix in sample order, taken from the
+stage's FeatureCache, and its labels or targets one array; a mini-batch is a
+row selection of both. The trainer runs the plans of build_member_epoch_plan,
+the same planner the schedule stage writes to disk for audit.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from .corpus import gold_binary_label
 from .data import Dataset
 from .featurize import FeatureCache, SourceSpec
 from .model import Checkpoint, ToyModel, TrainingBatch, grad_step
-from .scheduler import MiniBatch, MixtureConfig, build_epoch, partition_batches
+from .scheduler import EpochPlan, MiniBatch, MixtureConfig, build_epoch, partition_batches
 from .seeding import derive_seed
 
 
@@ -40,7 +45,6 @@ class TrainConfig:
     lr_finetune: float = 5e-6
     epochs_finetune: int = 6
     mixture: MixtureConfig = field(default_factory=MixtureConfig)
-    selection_metric: str = "mean_dev"
     hidden_dim: int = 32
 
     def __post_init__(self):
@@ -48,8 +52,6 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
         if self.epochs_finetune < 0:
             raise ValueError("epochs_finetune must be >= 0")
-        if self.selection_metric != "mean_dev":
-            raise ValueError(f"unknown selection metric {self.selection_metric!r}")
 
 
 @dataclass
@@ -59,15 +61,17 @@ class TrainResult:
     initial_metrics: dict
 
 
-def dev_metric(model: ToyModel, dataset: Dataset, features: dict[str, np.ndarray]) -> float:
-    """Accuracy for classification, sign-accuracy for regression, in [0, 1]."""
-    mat = np.stack([features[s.id] for s in dataset])
+def dev_metric(model: ToyModel, dataset: Dataset, features: np.ndarray) -> float:
+    """Accuracy for classification, sign-accuracy for regression, in [0, 1].
+
+    features is the dataset's feature matrix, one row per sample in order.
+    """
     if dataset.task_kind.is_classification:
-        probs = model.class_probs(mat, dataset.head_group)
+        probs = model.class_probs(features, dataset.head_group)
         predicted = probs.argmax(axis=1)
         gold = np.array([s.label for s in dataset])
     else:
-        scores = model.reg_scores(mat, dataset.head_group)
+        scores = model.reg_scores(features, dataset.head_group)
         predicted = (scores >= 0).astype(int)
         gold = np.array([gold_binary_label(s) for s in dataset])
     return float((predicted == gold).mean())
@@ -87,34 +91,57 @@ def _head_specs(tasks: list[TaskData]) -> dict:
     return specs
 
 
-def _make_training_batch(
-    batch: MiniBatch, dataset: Dataset, features: dict[str, np.ndarray]
-) -> TrainingBatch:
-    by_id = {s.id: s for s in dataset}
-    samples = [by_id[i] for i in batch.sample_ids]
-    mat = np.stack([features[s.id] for s in samples])
-    if batch.task_kind.is_classification:
-        return TrainingBatch(
-            features=mat,
-            head_group=batch.head_group,
-            task_kind=batch.task_kind,
-            labels=np.array([s.label for s in samples]),
-            dataset_name=batch.dataset_name,
+def build_member_epoch_plan(
+    tasks: list[TaskData], train_cfg: TrainConfig, epoch: int
+) -> EpochPlan:
+    """The mini-batch sequence the trainer executes in this epoch.
+
+    Every dataset is re-divided into fresh shuffled mini-batches; in-domain
+    batches all run, external ones are sampled by the mixture ratio.
+    """
+    run_seed = train_cfg.mixture.seed
+    partition_seed = derive_seed(run_seed, "epoch-shuffle", epoch)
+    in_batches: list[MiniBatch] = []
+    ext_pool: list[MiniBatch] = []
+    for task in tasks:
+        batches = partition_batches(
+            task.train, train_cfg.mixture.batch_size_for(task.name), partition_seed
         )
-    return TrainingBatch(
-        features=mat,
-        head_group=batch.head_group,
-        task_kind=batch.task_kind,
-        targets=np.array([s.target_score for s in samples], dtype=np.float64),
-        dataset_name=batch.dataset_name,
+        (in_batches if task.train.role == "in_domain" else ext_pool).extend(batches)
+    return build_epoch(
+        in_batches, ext_pool, train_cfg.mixture.alpha, seed=run_seed, epoch_index=epoch
     )
 
 
-def _eval_in_domain(model, tasks, cache: FeatureCache) -> tuple[dict, float]:
-    metrics = {}
-    for task in tasks:
-        if task.train.role == "in_domain" and task.dev is not None:
-            metrics[task.name] = dev_metric(model, task.dev, cache.lookup(task.dev, model.source))
+def _supervision(dataset: Dataset) -> np.ndarray:
+    """Labels (classification) or target scores (regression), in sample order."""
+    if dataset.task_kind.is_classification:
+        return np.array([s.label for s in dataset])
+    return np.array([s.target_score for s in dataset], dtype=np.float64)
+
+
+def _make_training_batch(
+    batch: MiniBatch, features: np.ndarray, supervision: np.ndarray
+) -> TrainingBatch:
+    """Select the batch's rows from its dataset's features and supervision."""
+    if batch.rows is None:
+        raise ValueError(f"mini-batch of {batch.dataset_name!r} carries no row positions")
+    rows = batch.rows
+    gold = supervision[rows]
+    classification = batch.task_kind.is_classification
+    return TrainingBatch(
+        features=features[rows],
+        head_group=batch.head_group,
+        task_kind=batch.task_kind,
+        labels=gold if classification else None,
+        targets=None if classification else gold,
+        dataset_name=batch.dataset_name,
+        sample_ids=batch.sample_ids,
+    )
+
+
+def _eval_in_domain(model, dev_sets: list[tuple[str, Dataset, np.ndarray]]) -> tuple[dict, float]:
+    metrics = {name: dev_metric(model, dev, features) for name, dev, features in dev_sets}
     selection = float(np.mean(list(metrics.values())))
     return metrics, selection
 
@@ -133,7 +160,6 @@ def train_multitask(
     in-domain task with a dev split.
     """
     in_domain = [t for t in tasks if t.train.role == "in_domain"]
-    external = [t for t in tasks if t.train.role == "external"]
     if not in_domain:
         raise ValueError("need at least one in-domain task")
     if not any(t.dev is not None for t in in_domain):
@@ -144,39 +170,23 @@ def train_multitask(
     model = ToyModel.create(source, _head_specs(tasks), config.hidden_dim, run_seed)
 
     features = {t.name: cache.lookup(t.train, source) for t in tasks}
-    initial_metrics, _ = _eval_in_domain(model, in_domain, cache)
+    supervision = {t.name: _supervision(t.train) for t in tasks}
+    dev_sets = [
+        (t.name, t.dev, cache.lookup(t.dev, source)) for t in in_domain if t.dev is not None
+    ]
+    initial_metrics, _ = _eval_in_domain(model, dev_sets)
 
     history: list[dict] = []
     best: Optional[Checkpoint] = None
     for epoch in range(1, config.mixture.max_epoch + 1):
-        partition_seed = derive_seed(run_seed, "epoch-shuffle", epoch)
-        in_batches: list[MiniBatch] = []
-        for task in in_domain:
-            in_batches.extend(
-                partition_batches(
-                    task.train, config.mixture.batch_size_for(task.name), partition_seed
-                )
-            )
-        ext_pool: list[MiniBatch] = []
-        for task in external:
-            ext_pool.extend(
-                partition_batches(
-                    task.train, config.mixture.batch_size_for(task.name), partition_seed
-                )
-            )
-        plan = build_epoch(
-            in_batches, ext_pool, config.mixture.alpha, seed=run_seed, epoch_index=epoch
-        )
-
-        datasets_by_name = {t.name: t.train for t in tasks}
+        plan = build_member_epoch_plan(tasks, config, epoch)
         epoch_loss = 0.0
         for batch in plan.batches:
-            tb = _make_training_batch(
-                batch, datasets_by_name[batch.dataset_name], features[batch.dataset_name]
-            )
+            name = batch.dataset_name
+            tb = _make_training_batch(batch, features[name], supervision[name])
             epoch_loss += grad_step(model, tb, config.lr_multitask)
 
-        metrics, selection = _eval_in_domain(model, in_domain, cache)
+        metrics, selection = _eval_in_domain(model, dev_sets)
         history.append(
             {
                 "epoch": epoch,
@@ -223,6 +233,7 @@ def fine_tune_task(
     source = checkpoint.model.source
     run_seed = checkpoint.seeds.get("run", 0)
     features = cache.lookup(task.train, source)
+    supervision = _supervision(task.train)
     dev_features = cache.lookup(task.dev, source)
 
     model = checkpoint.model.copy()
@@ -232,7 +243,7 @@ def fine_tune_task(
     for epoch in range(1, config.epochs_finetune + 1):
         seed = derive_seed(run_seed, "finetune", task.name, epoch)
         for batch in partition_batches(task.train, config.mixture.batch_size_for(task.name), seed):
-            tb = _make_training_batch(batch, task.train, features)
+            tb = _make_training_batch(batch, features, supervision)
             grad_step(model, tb, config.lr_finetune)
         metric = dev_metric(model, task.dev, dev_features)
         if metric > best_metric:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,32 @@ def test_members_trained_base_plus_cv(toy_run_dir):
     assert {m for m in members if "-cv" in m} == {
         f"family_{f}-cv{j}" for f in "ab" for j in range(5)
     }
+
+
+def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, monkeypatch):
+    from mixtask import training
+    from mixtask.pipeline import _member_tasks, _member_train_config
+    from mixtask.scheduler import load_plan
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    real_step = training.grad_step
+    roster = cfg.member_plan()
+    for member in (roster[0], roster[-1]):  # a base member and a CV fold member
+        seen = []
+
+        def recording_step(model, batch, learning_rate):
+            seen.append({"dataset": batch.dataset_name, "sample_ids": list(batch.sample_ids)})
+            return real_step(model, batch, learning_rate)
+
+        monkeypatch.setattr(training, "grad_step", recording_step)
+        train_cfg = _member_train_config(cfg, member)
+        one_epoch = replace(train_cfg, mixture=replace(train_cfg.mixture, max_epoch=1))
+        tasks = _member_tasks(cfg, toy_run_dir, member, "test")
+        training.train_multitask(tasks, member["source"].spec, one_epoch)
+        plan = load_plan(toy_run_dir / "schedule" / f"{member['member_id']}__epoch1.jsonl")
+        assert seen and seen == [
+            {"dataset": row["dataset"], "sample_ids": row["sample_ids"]} for row in plan
+        ]
 
 
 def test_cv_members_join_only_their_task_ensemble(toy_run_dir):
