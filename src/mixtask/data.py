@@ -268,15 +268,14 @@ class ManifestEntry:
     path: str
     dev_path: Optional[str] = None
     eval_path: Optional[str] = None
-    recipe: Optional[str] = None
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Parse a dataset manifest: one INI section per dataset.
 
     Required keys per section: task_kind, role, head_group, path.
-    Optional: dev_path, eval_path, recipe. Relative paths resolve against
-    the manifest's directory.
+    Optional: dev_path, eval_path. Relative paths resolve against the
+    manifest's directory; other keys are ignored.
     """
     path = Path(path)
     parser = configparser.ConfigParser()
@@ -306,7 +305,6 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                 path=resolve(sec["path"].strip()),
                 dev_path=resolve(sec.get("dev_path", "").strip() or None),
                 eval_path=resolve(sec.get("eval_path", "").strip() or None),
-                recipe=sec.get("recipe", "").strip() or None,
             )
         )
     return entries

@@ -182,7 +182,6 @@ class EnsembleOutput:
     label: int
     score: float
     question_id: Optional[str] = None
-    rank: Optional[int] = None
 
 
 def combine_predictions(members: Sequence[PredictionSet]) -> dict[str, EnsembleOutput]:
@@ -271,7 +270,6 @@ def save_ensemble_outputs(outputs: Iterable[EnsembleOutput], path: str | Path) -
                         "label": out.label,
                         "score": out.score,
                         "question_id": out.question_id,
-                        "rank": out.rank,
                     },
                     sort_keys=True,
                 )

@@ -1,18 +1,25 @@
 """End-to-end workflow orchestration.
 
 Stages: ingest -> transform -> split -> schedule -> train -> finetune ->
-predict -> ensemble -> rank -> evaluate. Each stage reads the previous
-stage's artifacts from the output directory and writes its own, so any
-stage can be re-run independently. Every artifact is reproducible from
+predict -> ensemble -> rank -> evaluate. Each stage reads earlier stages'
+artifacts from the output directory and writes its own, so any stage can be
+re-run independently. A stage reads each upstream artifact once; members
+share one in-memory SplitView of the split files and CV folds. run_stage
+writes each stage's index.json and updates run_manifest.json. Checkpoints
+resolve through indexes: a (member, task) model is the one the finetune
+index lists, else the member's checkpoint in the train index, never a file
+merely present on disk. Every artifact is reproducible from
 (config, master seed): stage seeds derive hierarchically per
 (stage, dataset, member, fold), and no output embeds timestamps or
 absolute paths.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -52,7 +59,7 @@ from .inference import (
     select_members,
 )
 from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive
-from .model import Checkpoint, ToyModel, load_checkpoint, save_checkpoint
+from .model import ToyModel, load_checkpoint, save_checkpoint
 from .scheduler import MixtureConfig, save_plan
 from .seeding import derive_seed
 from .training import (
@@ -241,17 +248,6 @@ class PipelineConfig:
 # -- artifact helpers ----------------------------------------------------------
 
 
-def _write_index(out: Path, stage: str, cfg: PipelineConfig, payload: dict) -> None:
-    index = {
-        "schema_version": SCHEMA_VERSION,
-        "stage": stage,
-        "config_hash": cfg.config_hash,
-        "master_seed": cfg.master_seed,
-    }
-    index.update(payload)
-    (out / "index.json").write_text(json.dumps(index, sort_keys=True, indent=2), encoding="utf-8")
-
-
 def _read_index(out_dir: Path, stage: str, needed_by: str) -> dict:
     path = out_dir / stage / "index.json"
     if not path.exists():
@@ -259,6 +255,15 @@ def _read_index(out_dir: Path, stage: str, needed_by: str) -> dict:
             needed_by, f"missing {stage} artifacts at {path.name}; run the {stage} stage first"
         )
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2), encoding="utf-8")
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    with path.open("r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _save_datasets(
@@ -282,61 +287,90 @@ def _save_datasets(
     return entries
 
 
+def _load_file(path: Path, name: str, entry: dict) -> Dataset:
+    """One dataset file, typed by its index entry."""
+    kind = TaskKind.parse(entry["task_kind"])
+    return load_dataset(path, name, kind, entry["role"], entry["head_group"])
+
+
 def _load_datasets(out_dir: Path, stage: str, needed_by: str) -> dict[str, dict[str, Dataset]]:
+    """Every dataset split listed by a stage's index, by name and split."""
     index = _read_index(out_dir, stage, needed_by)
-    bundles: dict[str, dict[str, Dataset]] = {}
-    for name, entry in index["datasets"].items():
-        bundle = {}
-        for split, filename in entry["splits"].items():
-            bundle[split] = load_dataset(
-                out_dir / stage / filename,
-                name=name,
-                task_kind=TaskKind.parse(entry["task_kind"]),
-                role=entry["role"],
-                head_group=entry["head_group"],
-            )
-        bundles[name] = bundle
-    return bundles
-
-
-def _update_run_manifest(out_dir: Path, cfg: PipelineConfig, stage: str, info: dict) -> None:
-    path = out_dir / "run_manifest.json"
-    manifest = (
-        json.loads(path.read_text(encoding="utf-8"))
-        if path.exists()
-        else {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": cfg.config_hash,
-            "master_seed": cfg.master_seed,
-            "config": cfg.raw,
-            "stages": {},
+    return {
+        name: {
+            split: _load_file(out_dir / stage / filename, name, entry)
+            for split, filename in entry["splits"].items()
         }
-    )
-    manifest["stages"][stage] = info
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")
+        for name, entry in index["datasets"].items()
+    }
+
+
+class SplitView:
+    """The split stage's datasets and CV folds, as one stage sees them.
+
+    The split index is read once, and each file at most once, when first
+    needed; every member's task list is built from the loaded datasets, so
+    members share one Dataset object per file.
+    """
+
+    def __init__(self, cfg: PipelineConfig, out_dir: Path, needed_by: str):
+        self.index = _read_index(out_dir, "split", needed_by)
+        self._dir = out_dir / "split"
+        self._cv_task = cfg.cv_task
+        self._folds = {meta["fold"]: meta for meta in self.index["folds"]}
+        self._loaded: dict[str, Dataset] = {}
+        missing = set(range(cfg.cv_folds)) - set(self._folds) if cfg.cv_enabled else set()
+        if missing:
+            raise PipelineStageError(needed_by, f"fold {min(missing)} missing from split artifacts")
+
+    def _file(self, name: str, filename: str) -> Dataset:
+        if filename not in self._loaded:
+            entry = self.index["datasets"][name]
+            self._loaded[filename] = _load_file(self._dir / filename, name, entry)
+        return self._loaded[filename]
+
+    def split(self, name: str, split: str) -> Optional[Dataset]:
+        filename = self.index["datasets"][name]["splits"].get(split)
+        return None if filename is None else self._file(name, filename)
+
+    def eval_set(self, name: str) -> Optional[Dataset]:
+        """The split a task is evaluated on: eval, or dev when eval is absent or empty."""
+        return self.split(name, "eval") or self.split(name, "dev")
+
+    def member_tasks(self, member: dict) -> list[TaskData]:
+        """Task list for one member: standard splits, with the CV task's
+        train/dev replaced by the member's fold."""
+        tasks = []
+        for name in sorted(self.index["datasets"]):
+            if member["fold"] is not None and name == self._cv_task:
+                fold = self._folds[member["fold"]]
+                train, dev = (self._file(name, fold[part]) for part in ("train", "dev"))
+                tasks.append(TaskData(train, dev))
+            else:
+                tasks.append(TaskData(self.split(name, "train"), self.split(name, "dev")))
+        return tasks
 
 
 # -- stages ---------------------------------------------------------------------
 
+# A stage writes its artifacts under out_dir/<stage> and returns
+# (index payload, run-manifest summary).
+StageResult = tuple[dict, dict]
 
-def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> None:
+
+def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Load and validate every manifest dataset; write normalized copies."""
-    stage_dir = out_dir / "ingest"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     try:
         bundles = load_manifest_datasets(cfg.manifest_path)
     except Exception as exc:
         raise PipelineStageError("ingest", str(exc)) from exc
-    entries = _save_datasets(stage_dir, bundles)
-    _write_index(stage_dir, "ingest", cfg, {"datasets": entries})
-    _update_run_manifest(out_dir, cfg, "ingest", {"datasets": sorted(entries)})
+    entries = _save_datasets(out_dir / "ingest", bundles)
+    return {"datasets": entries}, {"datasets": sorted(entries)}
 
 
-def stage_transform(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_transform(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Apply per-dataset score transforms and negative sampling."""
     bundles = _load_datasets(out_dir, "ingest", "transform")
-    stage_dir = out_dir / "transform"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     notes = {}
     for name, ops in sorted(cfg.transforms.items()):
         if name not in bundles:
@@ -359,11 +393,8 @@ def stage_transform(cfg: PipelineConfig, out_dir: Path) -> None:
                 ]
             else:
                 raise PipelineStageError("transform", f"unknown transform {op!r} for {name!r}")
-    entries = _save_datasets(stage_dir, bundles)
-    _write_index(stage_dir, "transform", cfg, {"datasets": entries, "applied": notes})
-    _update_run_manifest(out_dir, cfg, "transform", {"applied": notes})
-
-
+    entries = _save_datasets(out_dir / "transform", bundles)
+    return {"datasets": entries, "applied": notes}, {"applied": notes}
 def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Dataset]) -> dict[str, Dataset]:
     recipe = cfg.split_recipes.get(name, "none")
     if recipe == "none":
@@ -400,11 +431,10 @@ def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Datase
     raise PipelineStageError("split", f"unknown split recipe {recipe!r} for {name!r}")
 
 
-def stage_split(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_split(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Apply the named split recipes and emit cross-validation folds."""
     bundles = _load_datasets(out_dir, "transform", "split")
     stage_dir = out_dir / "split"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     try:
         bundles = {name: _apply_split_recipe(cfg, name, b) for name, b in bundles.items()}
     except ValueError as exc:
@@ -430,117 +460,63 @@ def stage_split(cfg: PipelineConfig, out_dir: Path) -> None:
             folds_meta.append(
                 {"fold": j, "train": f"folds/{train_file}", "dev": f"folds/{dev_file}"}
             )
-    _write_index(stage_dir, "split", cfg, {"datasets": entries, "folds": folds_meta})
-    _update_run_manifest(
-        out_dir,
-        cfg,
-        "split",
+    return (
+        {"datasets": entries, "folds": folds_meta},
         {"recipes": cfg.split_recipes, "folds": len(folds_meta)},
     )
 
 
-def _load_fold(out_dir: Path, cfg: PipelineConfig, fold: int, needed_by: str) -> tuple[Dataset, Dataset]:
-    index = _read_index(out_dir, "split", needed_by)
-    meta = index["datasets"][cfg.cv_task]
-    folds = {f["fold"]: f for f in index["folds"]}
-    if fold not in folds:
-        raise PipelineStageError(needed_by, f"fold {fold} missing from split artifacts")
-    kind = TaskKind.parse(meta["task_kind"])
-    train = load_dataset(
-        out_dir / "split" / folds[fold]["train"],
-        name=cfg.cv_task, task_kind=kind, role=meta["role"], head_group=meta["head_group"],
-    )
-    dev = load_dataset(
-        out_dir / "split" / folds[fold]["dev"],
-        name=cfg.cv_task, task_kind=kind, role=meta["role"], head_group=meta["head_group"],
-    )
-    return train, dev
-
-
-def _member_tasks(
-    cfg: PipelineConfig, out_dir: Path, member: dict, needed_by: str
-) -> list[TaskData]:
-    """Task list for one member: standard splits, with the CV task's train/dev
-    replaced by the member's fold."""
-    bundles = _load_datasets(out_dir, "split", needed_by)
-    tasks = []
-    for name in sorted(bundles):
-        bundle = bundles[name]
-        train = bundle["train"]
-        dev = bundle.get("dev")
-        if member["fold"] is not None and name == cfg.cv_task:
-            train, dev = _load_fold(out_dir, cfg, member["fold"], needed_by)
-        tasks.append(TaskData(train=train, dev=dev))
-    return tasks
-
-
 def _member_train_config(cfg: PipelineConfig, member: dict) -> TrainConfig:
-    run_seed = derive_seed(cfg.master_seed, "train", member["member_id"])
-    mixture = MixtureConfig(
-        alpha=cfg.mixture.alpha,
+    """The shared training config with the member's batch size and run seed."""
+    mixture = replace(
+        cfg.mixture,
         batch_size=cfg.batch_size_for_source(member["source"]),
-        max_epoch=cfg.mixture.max_epoch,
-        seed=run_seed,
+        seed=derive_seed(cfg.master_seed, "train", member["member_id"]),
     )
-    return TrainConfig(
-        lr_multitask=cfg.train.lr_multitask,
-        lr_finetune=cfg.train.lr_finetune,
-        epochs_finetune=cfg.train.epochs_finetune,
-        mixture=mixture,
-        hidden_dim=cfg.train.hidden_dim,
-    )
+    return replace(cfg.train, mixture=mixture)
 
 
-def stage_schedule(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_schedule(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Emit first-epoch plans per member for audit and replay."""
-    stage_dir = out_dir / "schedule"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    view = SplitView(cfg, out_dir, "schedule")
     plans = {}
     for member in cfg.member_plan():
-        tasks = _member_tasks(cfg, out_dir, member, "schedule")
         train_cfg = _member_train_config(cfg, member)
-        plan = build_member_epoch_plan(tasks, train_cfg, epoch=1)
+        plan = build_member_epoch_plan(view.member_tasks(member), train_cfg, epoch=1)
         filename = f"{member['member_id']}__epoch1.jsonl"
-        save_plan(plan, stage_dir / filename)
+        save_plan(plan, out_dir / "schedule" / filename)
         plans[member["member_id"]] = {
             "file": filename,
             "length": len(plan),
             "n_in_domain": plan.n_in_domain,
             "n_external": plan.n_external,
         }
-    _write_index(stage_dir, "schedule", cfg, {"plans": plans})
-    _update_run_manifest(out_dir, cfg, "schedule", {"plans": sorted(plans)})
+    return {"plans": plans}, {"plans": sorted(plans)}
 
 
-def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_train(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Train one multi-task model per member (base members and CV folds)."""
+    view = SplitView(cfg, out_dir, "train")
     stage_dir = out_dir / "train"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     cache = FeatureCache()
     members_meta = {}
     for member in cfg.member_plan():
         member_id = member["member_id"]
-        tasks = _member_tasks(cfg, out_dir, member, "train")
         train_cfg = _member_train_config(cfg, member)
         try:
-            result = train_multitask(tasks, member["source"].spec, train_cfg, cache=cache)
+            result = train_multitask(
+                view.member_tasks(member), member["source"].spec, train_cfg, cache=cache
+            )
         except (ValueError, FloatingPointError) as exc:
             raise PipelineStageError("train", f"member {member_id}: {exc}") from exc
         result.best.config_hash = cfg.config_hash
         ckpt_file = f"{member_id}__multitask.json"
         save_checkpoint(result.best, stage_dir / ckpt_file)
         history_file = f"{member_id}__history.json"
-        (stage_dir / history_file).write_text(
-            json.dumps(
-                {
-                    "member": member_id,
-                    "initial_metrics": result.initial_metrics,
-                    "history": result.history,
-                },
-                sort_keys=True,
-                indent=2,
-            ),
-            encoding="utf-8",
+        _write_json(
+            stage_dir / history_file,
+            {"member": member_id, "initial_metrics": result.initial_metrics,
+             "history": result.history},
         )
         members_meta[member_id] = {
             "checkpoint": ckpt_file,
@@ -550,8 +526,7 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
             "source": member["source"].spec.name,
             "fold": member["fold"],
         }
-    _write_index(stage_dir, "train", cfg, {"members": members_meta})
-    _update_run_manifest(out_dir, cfg, "train", {"members": sorted(members_meta)})
+    return {"members": members_meta}, {"members": sorted(members_meta)}
 
 
 def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) -> list[TaskData]:
@@ -562,20 +537,17 @@ def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) 
     return [t for t in tasks if t.train.role == "in_domain" and t.dev is not None]
 
 
-def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Per-task fine-tuning from each member's best multi-task checkpoint."""
-    train_index = _read_index(out_dir, "train", "finetune")
-    stage_dir = out_dir / "finetune"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    trained = _read_index(out_dir, "train", "finetune")["members"]
+    view = SplitView(cfg, out_dir, "finetune")
     cache = FeatureCache()
     finetuned = {}
     for member in cfg.member_plan():
         member_id = member["member_id"]
-        meta = train_index["members"][member_id]
-        ckpt = load_checkpoint(out_dir / "train" / meta["checkpoint"])
-        tasks = _member_tasks(cfg, out_dir, member, "finetune")
-        for task in _finetune_targets(cfg, member, tasks):
-            train_cfg = _member_train_config(cfg, member)
+        ckpt = load_checkpoint(out_dir / "train" / trained[member_id]["checkpoint"])
+        train_cfg = _member_train_config(cfg, member)
+        for task in _finetune_targets(cfg, member, view.member_tasks(member)):
             try:
                 tuned = fine_tune_task(ckpt, task, train_cfg, cache=cache)
             except (ValueError, FloatingPointError) as exc:
@@ -583,27 +555,13 @@ def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> None:
                     "finetune", f"member {member_id}, task {task.name}: {exc}"
                 ) from exc
             filename = f"{member_id}__ft__{task.name}.json"
-            save_checkpoint(tuned, stage_dir / filename)
+            save_checkpoint(tuned, out_dir / "finetune" / filename)
             finetuned[f"{member_id}/{task.name}"] = {
                 "checkpoint": filename,
                 "dev_metric": tuned.dev_metrics[task.name],
                 "epoch": tuned.epoch,
             }
-    _write_index(stage_dir, "finetune", cfg, {"finetuned": finetuned})
-    _update_run_manifest(out_dir, cfg, "finetune", {"finetuned": sorted(finetuned)})
-
-
-def _model_for(out_dir: Path, member_id: str, task_name: str, needed_by: str) -> Checkpoint:
-    """The fine-tuned checkpoint for (member, task) when present, else the
-    member's multi-task checkpoint."""
-    ft_path = out_dir / "finetune" / f"{member_id}__ft__{task_name}.json"
-    if ft_path.exists():
-        return load_checkpoint(ft_path)
-    train_index = _read_index(out_dir, "train", needed_by)
-    meta = train_index["members"].get(member_id)
-    if meta is None:
-        raise PipelineStageError(needed_by, f"no trained checkpoint for member {member_id}")
-    return load_checkpoint(out_dir / "train" / meta["checkpoint"])
+    return {"finetuned": finetuned}, {"finetuned": sorted(finetuned)}
 
 
 def _predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) -> dict[str, object]:
@@ -615,48 +573,51 @@ def _predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) ->
     return {s.id: float(scores[i]) for i, s in enumerate(dataset)}
 
 
-def stage_predict(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Every member predicts every in-domain task's eval split.
 
-    The member's dev metric (percent) for the task is recorded alongside,
-    measured on the member's own dev split (its fold for CV members).
+    A member's model for a task is the fine-tuned checkpoint the finetune
+    index lists for (member, task), else the member's multi-task checkpoint
+    from the train index. The member's dev metric (percent) for the task is
+    recorded alongside, measured on the member's own dev split (its fold for
+    CV members).
     """
-    bundles = _load_datasets(out_dir, "split", "predict")
-    stage_dir = out_dir / "predict"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    view = SplitView(cfg, out_dir, "predict")
+    trained = _read_index(out_dir, "train", "predict")["members"]
+    finetuned = _read_index(out_dir, "finetune", "predict")["finetuned"]
     cache = FeatureCache()
     files = {}
-    for task_name in sorted(bundles):
-        bundle = bundles[task_name]
-        if bundle["train"].role != "in_domain":
-            continue
-        eval_set = bundle.get("eval") or bundle.get("dev")
+    for task_name, entry in sorted(view.index["datasets"].items()):
+        eval_set = view.eval_set(task_name) if entry["role"] == "in_domain" else None
         if eval_set is None:
             continue
         for member in cfg.member_plan():
             member_id = member["member_id"]
             if member["fold"] is not None and task_name != cfg.cv_task:
                 continue  # CV members only serve their own task's ensemble
-            ckpt = _model_for(out_dir, member_id, task_name, "predict")
-            model, source = ckpt.model, ckpt.model.source
-            dev_set = bundle.get("dev")
-            if member["fold"] is not None:
-                _, dev_set = _load_fold(out_dir, cfg, member["fold"], "predict")
+            key = f"{member_id}/{task_name}"
+            if key in finetuned:
+                ckpt_path = out_dir / "finetune" / finetuned[key]["checkpoint"]
+            elif member_id in trained:
+                ckpt_path = out_dir / "train" / trained[member_id]["checkpoint"]
+            else:
+                raise PipelineStageError("predict", f"no trained checkpoint for member {member_id}")
+            model = load_checkpoint(ckpt_path).model
+            dev_set = next(t.dev for t in view.member_tasks(member) if t.name == task_name)
             if dev_set is None:
                 raise PipelineStageError("predict", f"task {task_name!r} lacks a dev split")
-            metric = 100.0 * dev_metric(model, dev_set, cache.lookup(dev_set, source))
+            metric = 100.0 * dev_metric(model, dev_set, cache.lookup(dev_set, model.source))
             ps = PredictionSet(
                 model_id=member_id,
                 task=task_name,
                 kind=eval_set.task_kind.kind,
-                predictions=_predict_dataset(model, eval_set, cache.lookup(eval_set, source)),
+                predictions=_predict_dataset(model, eval_set, cache.lookup(eval_set, model.source)),
                 dev_metric=metric,
             )
             filename = f"{member_id}__{task_name}.jsonl"
-            save_prediction_set(ps, stage_dir / filename)
-            files[f"{member_id}/{task_name}"] = {"file": filename, "dev_metric": metric}
-    _write_index(stage_dir, "predict", cfg, {"predictions": files})
-    _update_run_manifest(out_dir, cfg, "predict", {"predictions": sorted(files)})
+            save_prediction_set(ps, out_dir / "predict" / filename)
+            files[key] = {"file": filename, "dev_metric": metric}
+    return {"predictions": files}, {"predictions": sorted(files)}
 
 
 def _constrained_triples_pass(
@@ -679,33 +640,21 @@ def _constrained_triples_pass(
         mean_probs /= mean_probs.sum(axis=1, keepdims=True)
         assignment = mednli_constrained_decode(mean_probs)
         for row, sample_id in enumerate(group_ids):
-            old = outputs[sample_id]
-            outputs[sample_id] = EnsembleOutput(
-                sample_id=sample_id,
-                label=int(assignment[row]),
-                score=old.score,
-                question_id=old.question_id,
-            )
+            outputs[sample_id] = replace(outputs[sample_id], label=int(assignment[row]))
     return outputs
 
 
-def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Select members by dev-metric threshold and combine their predictions."""
-    predict_index = _read_index(out_dir, "predict", "ensemble")
-    bundles = _load_datasets(out_dir, "split", "ensemble")
-    stage_dir = out_dir / "ensemble"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    predictions = _read_index(out_dir, "predict", "ensemble")["predictions"]
+    view = SplitView(cfg, out_dir, "ensemble")
     ensembles_meta = {}
-    tasks = sorted({key.split("/", 1)[1] for key in predict_index["predictions"]})
-    for task_name in tasks:
-        sets = []
-        for key in sorted(predict_index["predictions"]):
-            member_id, t = key.split("/", 1)
-            if t != task_name:
-                continue
-            sets.append(
-                load_prediction_set(out_dir / "predict" / predict_index["predictions"][key]["file"])
-            )
+    for task_name in sorted({key.split("/", 1)[1] for key in predictions}):
+        sets = [
+            load_prediction_set(out_dir / "predict" / predictions[key]["file"])
+            for key in sorted(predictions)
+            if key.split("/", 1)[1] == task_name
+        ]
         threshold = cfg.thresholds.get(task_name, 0.0)
         try:
             members = select_members(sets, threshold)
@@ -713,8 +662,7 @@ def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> None:
             raise PipelineStageError("ensemble", f"task {task_name}: {exc}") from exc
         outputs = combine_predictions(members)
 
-        bundle = bundles[task_name]
-        eval_set = bundle.get("eval") or bundle.get("dev")
+        eval_set = view.eval_set(task_name)
         by_id = {s.id: s for s in eval_set}
         for sample_id, out in outputs.items():
             out.question_id = by_id[sample_id].question_id if sample_id in by_id else None
@@ -722,7 +670,9 @@ def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> None:
             outputs = _constrained_triples_pass(outputs, members, eval_set)
 
         filename = f"{task_name}.jsonl"
-        save_ensemble_outputs((outputs[i] for i in sorted(outputs)), stage_dir / filename)
+        save_ensemble_outputs(
+            (outputs[i] for i in sorted(outputs)), out_dir / "ensemble" / filename
+        )
         selected_ids = {ps.model_id for ps in members}
         ensembles_meta[task_name] = {
             "file": filename,
@@ -730,44 +680,30 @@ def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> None:
             "dropped": sorted(ps.model_id for ps in sets if ps.model_id not in selected_ids),
             "threshold": threshold,
         }
-    _write_index(stage_dir, "ensemble", cfg, {"ensembles": ensembles_meta})
-    _update_run_manifest(
-        out_dir, cfg, "ensemble",
+    return (
+        {"ensembles": ensembles_meta},
         {t: m["members"] for t, m in ensembles_meta.items()},
     )
 
 
-def _load_ensemble_outputs(out_dir: Path, task_name: str, needed_by: str) -> dict[str, dict]:
-    index = _read_index(out_dir, "ensemble", needed_by)
-    if task_name not in index["ensembles"]:
-        raise PipelineStageError(needed_by, f"no ensemble outputs for task {task_name!r}")
-    path = out_dir / "ensemble" / index["ensembles"][task_name]["file"]
-    outputs = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                outputs[rec["sample_id"]] = rec
-    return outputs
-
-
-def stage_rank(cfg: PipelineConfig, out_dir: Path) -> None:
+def stage_rank(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Order each ranking task's answers per question: positives first."""
-    stage_dir = out_dir / "rank"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    ensembles = _read_index(out_dir, "ensemble", "rank")["ensembles"]
     rank_meta = {}
     for task_name in cfg.ranking_tasks:
-        outputs = _load_ensemble_outputs(out_dir, task_name, "rank")
+        if task_name not in ensembles:
+            raise PipelineStageError("rank", f"no ensemble outputs for task {task_name!r}")
+        records = _read_jsonl(out_dir / "ensemble" / ensembles[task_name]["file"])
+        outputs = {rec["sample_id"]: rec for rec in records}
         by_question: dict[str, list] = {}
-        for sample_id in sorted(outputs):
-            rec = outputs[sample_id]
+        for sample_id, rec in sorted(outputs.items()):
             if rec.get("question_id") is None:
                 raise PipelineStageError("rank", f"sample {sample_id!r} lacks a question id")
             by_question.setdefault(rec["question_id"], []).append(
                 (sample_id, rec["label"], rec["score"])
             )
         filename = f"{task_name}.jsonl"
-        with (stage_dir / filename).open("w", encoding="utf-8") as fh:
+        with (out_dir / "rank" / filename).open("w", encoding="utf-8") as fh:
             for question_id in sorted(by_question):
                 ranked = rank_answers(question_id, by_question[question_id])
                 for position, answer in enumerate(ranked.answers, start=1):
@@ -785,8 +721,7 @@ def stage_rank(cfg: PipelineConfig, out_dir: Path) -> None:
                         + "\n"
                     )
         rank_meta[task_name] = {"file": filename, "n_questions": len(by_question)}
-    _write_index(stage_dir, "rank", cfg, {"rankings": rank_meta})
-    _update_run_manifest(out_dir, cfg, "rank", {"rankings": sorted(rank_meta)})
+    return {"rankings": rank_meta}, {"rankings": sorted(rank_meta)}
 
 
 def _gold_positions(samples: list) -> dict[str, dict[str, int]]:
@@ -802,29 +737,21 @@ def _gold_positions(samples: list) -> dict[str, dict[str, int]]:
     return positions
 
 
-def stage_evaluate(cfg: PipelineConfig, out_dir: Path, quiet: bool = False) -> dict[str, EvalReport]:
-    """Score every task's ensemble outputs against gold; write reports."""
-    bundles = _load_datasets(out_dir, "split", "evaluate")
-    ensemble_index = _read_index(out_dir, "ensemble", "evaluate")
+def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+    """Score every task's ensemble outputs against gold; write and print reports."""
+    view = SplitView(cfg, out_dir, "evaluate")
+    ensembles = _read_index(out_dir, "ensemble", "evaluate")["ensembles"]
+    rankings = _read_index(out_dir, "rank", "evaluate")["rankings"]
     stage_dir = out_dir / "evaluate"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, EvalReport] = {}
-    for task_name in sorted(ensemble_index["ensembles"]):
-        bundle = bundles[task_name]
-        eval_set = bundle.get("eval") or bundle.get("dev")
-        outputs = _load_ensemble_outputs(out_dir, task_name, "evaluate")
-
+    for task_name in sorted(ensembles):
+        eval_set = view.eval_set(task_name)
         if task_name in cfg.ranking_tasks:
-            rank_index = _read_index(out_dir, "rank", "evaluate")
-            path = out_dir / "rank" / rank_index["rankings"][task_name]["file"]
             scored: dict[str, list] = {}
-            with path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = json.loads(line)
-                        scored.setdefault(rec["question_id"], []).append(
-                            (rec["sample_id"], rec["label"], rec["score"])
-                        )
+            for rec in _read_jsonl(out_dir / "rank" / rankings[task_name]["file"]):
+                scored.setdefault(rec["question_id"], []).append(
+                    (rec["sample_id"], rec["label"], rec["score"])
+                )
             gold_labels = {}
             gold_correct = {}
             for s in eval_set:
@@ -835,6 +762,8 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path, quiet: bool = False) -> d
                 task_name, scored, gold_correct, _gold_positions(eval_set.samples), gold_labels
             )
         else:
+            records = _read_jsonl(out_dir / "ensemble" / ensembles[task_name]["file"])
+            outputs = {rec["sample_id"]: rec for rec in records}
             predicted, gold = [], []
             for s in eval_set:
                 if s.id not in outputs:
@@ -854,20 +783,13 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path, quiet: bool = False) -> d
                 n_samples=len(predicted),
             )
         reports[task_name] = report
-        (stage_dir / f"{task_name}.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2), encoding="utf-8"
-        )
-        if not quiet:
-            print(report.table())
-            print()
+        _write_json(stage_dir / f"{task_name}.json", report.to_dict())
+        print(report.table())
+        print()
     summary = {t: {"accuracy": r.accuracy, "precision": r.precision, "mrr": r.mrr,
                    "spearman": r.spearman} for t, r in reports.items()}
-    (stage_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2), encoding="utf-8"
-    )
-    _write_index(stage_dir, "evaluate", cfg, {"reports": sorted(reports)})
-    _update_run_manifest(out_dir, cfg, "evaluate", {"reports": sorted(reports)})
-    return reports
+    _write_json(stage_dir / "summary.json", summary)
+    return {"reports": sorted(reports)}, {"reports": sorted(reports)}
 
 
 _STAGE_FUNCS = {
@@ -885,22 +807,46 @@ _STAGE_FUNCS = {
 
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
+    """Run one stage: create its directory, let it write its artifacts, then
+    write its index.json and record its summary in run_manifest.json."""
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
-    _STAGE_FUNCS[name](cfg, Path(out_dir))
+    out_dir = Path(out_dir)
+    stage_dir = out_dir / name
+    stage_dir.mkdir(parents=True, exist_ok=True)
+    payload, summary = _STAGE_FUNCS[name](cfg, out_dir)
+    index = {
+        "schema_version": SCHEMA_VERSION,
+        "stage": name,
+        "config_hash": cfg.config_hash,
+        "master_seed": cfg.master_seed,
+        **payload,
+    }
+    _write_json(stage_dir / "index.json", index)
+    manifest_path = out_dir / "run_manifest.json"
+    manifest = (
+        json.loads(manifest_path.read_text(encoding="utf-8"))
+        if manifest_path.exists()
+        else {
+            "schema_version": SCHEMA_VERSION,
+            "config_hash": cfg.config_hash,
+            "master_seed": cfg.master_seed,
+            "config": cfg.raw,
+            "stages": {},
+        }
+    )
+    manifest["stages"][name] = summary
+    _write_json(manifest_path, manifest)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path, quiet: bool = False) -> Path:
-    """Execute every stage in order; returns the artifact directory."""
+    """Execute every stage in order; returns the artifact directory. quiet
+    silences the progress lines and the evaluate tables."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in STAGES:
-        if not quiet:
+    with contextlib.redirect_stdout(io.StringIO()) if quiet else contextlib.nullcontext():
+        for name in STAGES:
             print(f"[{name}] running")
-        if name == "evaluate":
-            stage_evaluate(cfg, out_dir, quiet=quiet)
-        else:
-            _STAGE_FUNCS[name](cfg, out_dir)
+            run_stage(name, cfg, out_dir)
     return out_dir
 
 
@@ -950,37 +896,35 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
             )
     work = out_dir / "trained_members"
     for stage in ("ingest", "transform", "split"):
-        _STAGE_FUNCS[stage](cfg, work)
-    bundles = _load_datasets(work, "split", "experiment")
+        run_stage(stage, cfg, work)
+    view = SplitView(cfg, work, "experiment")
     task_name = next(
-        (n for n in sorted(bundles)
-         if bundles[n]["train"].role == "in_domain" and bundles[n]["train"].task_kind.is_classification),
+        (n for n, entry in sorted(view.index["datasets"].items())
+         if entry["role"] == "in_domain" and TaskKind.parse(entry["task_kind"]).is_classification),
         None,
     )
     if task_name is None:
         raise PipelineStageError("experiment", "no in-domain classification task to compare on")
-    eval_set = bundles[task_name].get("eval") or bundles[task_name].get("dev")
+    eval_set = view.eval_set(task_name)
     gold = {s.id: s.label for s in eval_set}
 
     cache = FeatureCache()
     families: dict[str, list[PredictionSet]] = {}
-    for entry in cfg.sources:
-        members = []
-        for i in range(entry.members):
-            member = {"member_id": f"{entry.spec.name}-m{i}", "source": entry, "fold": None}
-            tasks = _member_tasks(cfg, work, member, "experiment")
-            train_cfg = _member_train_config(cfg, member)
-            result = train_multitask(tasks, entry.spec, train_cfg, cache=cache)
-            members.append(
-                PredictionSet(
-                    model_id=member["member_id"],
-                    task=task_name,
-                    kind="classification",
-                    predictions=_predict_dataset(
-                        result.best.model, eval_set, cache.lookup(eval_set, entry.spec)
-                    ),
-                    dev_metric=100.0 * result.best.selection_value,
-                )
+    for member in cfg.member_plan():
+        if member["fold"] is not None:
+            continue
+        spec = member["source"].spec
+        train_cfg = _member_train_config(cfg, member)
+        result = train_multitask(view.member_tasks(member), spec, train_cfg, cache=cache)
+        families.setdefault(spec.name, []).append(
+            PredictionSet(
+                model_id=member["member_id"],
+                task=task_name,
+                kind="classification",
+                predictions=_predict_dataset(
+                    result.best.model, eval_set, cache.lookup(eval_set, spec)
+                ),
+                dev_metric=100.0 * result.best.selection_value,
             )
-        families[entry.spec.name] = members
+        )
     return summarize_trials([compare_groupings(families, gold, trial=0)])

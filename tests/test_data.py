@@ -118,7 +118,8 @@ def test_manifest_parses_sections_and_resolves_paths(tmp_path):
         "role = in_domain\n"
         "head_group = shared\n"
         "path = train.jsonl\n"
-        "dev_path = dev.jsonl\n",
+        "dev_path = dev.jsonl\n"
+        "recipe = merge_dev\n",  # splits come from the pipeline config; ignored here
         encoding="utf-8",
     )
     entries = read_manifest(tmp_path / "m.ini")

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import mixtask
 from mixtask.pipeline import (
     STAGES,
     PipelineConfig,
@@ -80,12 +83,13 @@ def test_members_trained_base_plus_cv(toy_run_dir):
 
 def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, monkeypatch):
     from mixtask import training
-    from mixtask.pipeline import _member_tasks, _member_train_config
+    from mixtask.pipeline import SplitView, _member_train_config
     from mixtask.scheduler import load_plan
 
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     real_step = training.grad_step
     roster = cfg.member_plan()
+    view = SplitView(cfg, toy_run_dir, "test")
     for member in (roster[0], roster[-1]):  # a base member and a CV fold member
         seen = []
 
@@ -96,12 +100,37 @@ def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, mo
         monkeypatch.setattr(training, "grad_step", recording_step)
         train_cfg = _member_train_config(cfg, member)
         one_epoch = replace(train_cfg, mixture=replace(train_cfg.mixture, max_epoch=1))
-        tasks = _member_tasks(cfg, toy_run_dir, member, "test")
+        tasks = view.member_tasks(member)
         training.train_multitask(tasks, member["source"].spec, one_epoch)
         plan = load_plan(toy_run_dir / "schedule" / f"{member['member_id']}__epoch1.jsonl")
         assert seen and seen == [
             {"dataset": row["dataset"], "sample_ids": row["sample_ids"]} for row in plan
         ]
+
+
+def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypatch):
+    from mixtask import pipeline
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    current, loads = [None], []
+    real_run_stage, real_load = pipeline.run_stage, pipeline.load_dataset
+
+    def recording_run_stage(name, *args):
+        current[0] = name
+        return real_run_stage(name, *args)
+
+    def recording_load(path, *args, **kwargs):
+        loads.append((current[0], Path(path).relative_to(tmp_path).as_posix()))
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(pipeline, "load_dataset", recording_load)
+    pipeline.run_pipeline(cfg, tmp_path / "run", quiet=True)
+    repeated = sorted(load for load, n in Counter(loads).items() if n > 1)
+    assert not repeated, f"{len(repeated)} (stage, file) pairs loaded twice: {repeated[:5]}"
+    readers = ("transform", "split", "schedule", "train", "finetune", "predict", "ensemble",
+               "evaluate")
+    assert {stage for stage, _ in loads} == set(readers)
 
 
 def test_cv_members_join_only_their_task_ensemble(toy_run_dir):
@@ -191,8 +220,12 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
 
 
 def run_cli(*args):
+    """Run the CLI of the mixtask package these tests import."""
+    src = str(Path(mixtask.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "mixtask", *args], capture_output=True, text=True
+        [sys.executable, "-m", "mixtask", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

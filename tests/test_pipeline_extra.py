@@ -1,13 +1,21 @@
 """Pipeline behaviors needing their own configs: pure-CV ensembles, the
-trained-members experiment, and roster-growth seed stability."""
+trained-members experiment, roster-growth seed stability, and re-runs
+under a changed config."""
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from mixtask.model import load_checkpoint
-from mixtask.pipeline import PipelineConfig, run_multisource_experiment, run_pipeline, run_stage
+from mixtask.pipeline import (
+    STAGES,
+    PipelineConfig,
+    run_multisource_experiment,
+    run_pipeline,
+    run_stage,
+)
 
 
 def write_config(path: Path, raw: dict) -> PipelineConfig:
@@ -92,3 +100,31 @@ def test_adding_members_never_perturbs_existing_ones(toy_corpus_dir, tmp_path):
         ckpt = load_checkpoint(out / "train" / "family_a-m0__multitask.json")
         weights[tag] = ckpt.model.enc_weights
     assert np.array_equal(weights["small"], weights["large"])
+
+
+def test_rerun_without_cv_finetuning_ignores_stale_checkpoints(
+    toy_corpus_dir, toy_run_dir, tmp_path
+):
+    """Re-running finetune onward with cv.finetune_members off leaves the CV
+    members' earlier fine-tuned checkpoints on disk; predict must resolve
+    models through the finetune index and match a clean run."""
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
+    raw["cv"]["finetune_members"] = False
+    cfg = write_config(tmp_path / "no_cv_finetune.yaml", raw)
+
+    rerun = tmp_path / "rerun"
+    shutil.copytree(toy_run_dir, rerun)
+    for stage in STAGES[STAGES.index("finetune"):]:
+        run_stage(stage, cfg, rerun)
+    assert any("-cv" in p.name for p in (rerun / "finetune").glob("*__ft__*.json"))
+
+    clean = tmp_path / "clean"
+    run_pipeline(cfg, clean, quiet=True)
+    for stage in ("predict", "ensemble"):
+        names = sorted(p.name for p in (clean / stage).iterdir())
+        assert names == sorted(p.name for p in (rerun / stage).iterdir())
+        for name in names:
+            assert (rerun / stage / name).read_bytes() == (clean / stage / name).read_bytes(), (
+                f"{stage}/{name} differs from a clean run"
+            )
