@@ -14,18 +14,22 @@ There is one featurization path: `featurize_pairs` maps a list of pairs to
 an (n, dim) matrix. It hashes each distinct token once per call and counts
 the signed bag a chunk of rows at a time; bag entries are integer counts,
 so the result does not depend on summation order. `FeatureCache` stores
-those matrices for one pipeline stage, keyed by sample content, and hands
-training and prediction a dataset's matrix in sample order; mini-batches
-are then row selections of it.
+those matrices per source, keyed by sample content, and hands training and
+prediction a dataset's matrix in sample order; mini-batches are then row
+selections of it. A cache can be saved as one .npy matrix plus its row keys
+per source and loaded again, so the rows one pipeline stage built serve the
+stages after it: each row of a run is featurized once.
 """
 from __future__ import annotations
 
 import hashlib
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .data import Dataset, SamplePair
 
@@ -33,6 +37,7 @@ _WORD = re.compile(r"[a-z0-9]+")
 
 N_STATS = 2  # leading dense slots: bounded overlap count, overlap fraction
 CHUNK_ROWS = 256  # rows whose hashed bags are counted together
+KEY_BYTES = 16  # size of a row's content key
 
 
 @dataclass(frozen=True)
@@ -140,22 +145,103 @@ def _content_key(sample: SamplePair) -> bytes:
     The two length prefixes make the concatenation unambiguous.
     """
     content = f"{len(sample.id)}:{len(sample.text_a)}:{sample.id}{sample.text_a}{sample.text_b}"
-    return hashlib.blake2b(content.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+    return hashlib.blake2b(content.encode("utf-8", "surrogatepass"), digest_size=KEY_BYTES).digest()
+
+
+def _load_npy(path: Path) -> np.ndarray:
+    """np.load without pickles; a malformed or truncated file is a ValueError naming it."""
+    try:
+        return np.load(path, allow_pickle=False)
+    except (EOFError, ValueError) as exc:
+        raise ValueError(f"{path.name}: {exc}") from exc
+
+
+def _read_blocks(path: Path, block_rows: list[int], rows: int, dim: int) -> list[np.ndarray]:
+    """The row blocks of a matrix file that `FeatureCache.save` wrote, read one by one."""
+    with path.open("rb") as fh:
+        try:
+            version = npy_format.read_magic(fh)
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+        except (EOFError, ValueError) as exc:
+            raise ValueError(f"{path.name}: {exc}") from exc
+        if (version, fortran_order, dtype, shape, sum(block_rows)) != (
+            (1, 0), False, np.float64, (rows, dim), rows
+        ):
+            raise ValueError(f"{path.name} holds {dtype} {shape}, expected float64 {(rows, dim)}")
+        blocks = []
+        for n in block_rows:
+            block = np.fromfile(fh, dtype=np.float64, count=n * dim)
+            if block.size != n * dim:
+                raise ValueError(f"{path.name} is truncated")
+            block = block.reshape(n, dim)
+            block.flags.writeable = False
+            blocks.append(block)
+    return blocks
 
 
 class FeatureCache:
-    """Feature matrices for one pipeline stage, per source.
+    """Feature matrices per source, keyed by sample content.
 
     Rows are keyed by sample content (id, text_a, text_b), so train, dev and
     eval splits of one dataset never share a row unless their samples are
     the same, while reloaded copies of a split and subsets of it (CV folds)
-    reuse the stored rows. Each row is featurized once. Create one cache per
-    stage; it keeps every matrix it has built until it is dropped.
+    reuse the stored rows. Each row is featurized once. A cache keeps every
+    matrix it has built until it is dropped; `save` writes it out and `load`
+    opens a saved one, which then featurizes only rows it does not hold.
     """
 
     def __init__(self):
         # source key -> (row blocks, first global row of each block, content key -> global row)
         self._stores: dict[tuple, tuple[list[np.ndarray], list[int], dict[bytes, int]]] = {}
+
+    def save(self, directory: Path) -> dict[str, dict]:
+        """Write each source's rows as <name>.npy, an (rows, dim) float64 matrix,
+        and their 16-byte content keys in row order as <name>.keys.npy.
+
+        Blocks are written one after another behind one .npy header, so
+        saving holds no second copy of the rows. Returns, per source name,
+        its featurizer seed, dim, row count, file names and rows per block.
+        """
+        directory.mkdir(parents=True, exist_ok=True)
+        entries = {}
+        for (name, seed, dim), (blocks, _, where) in sorted(self._stores.items()):
+            matrix, keys = f"{name}.npy", f"{name}.keys.npy"
+            header = {"descr": npy_format.dtype_to_descr(np.dtype(np.float64)),
+                      "fortran_order": False, "shape": (len(where), dim)}
+            with (directory / matrix).open("wb") as fh:
+                npy_format.write_array_header_1_0(fh, header)
+                for block in blocks:
+                    block.tofile(fh)
+            key_rows = np.frombuffer(b"".join(where), dtype=np.uint8).reshape(-1, KEY_BYTES)
+            np.save(directory / keys, key_rows, allow_pickle=False)
+            entries[name] = {"featurizer_seed": seed, "dim": dim, "rows": len(where),
+                             "matrix": matrix, "keys": keys, "blocks": [len(b) for b in blocks]}
+        return entries
+
+    @classmethod
+    def load(cls, directory: Path, entries: dict[str, dict]) -> "FeatureCache":
+        """A cache seeded with the saved stores `entries` lists (as `save` returns them).
+
+        Reads only the listed files, without pickles, and keeps each block
+        read-only. The matrix is read back block by block, so the loaded
+        store has the block layout it was saved with. Raises ValueError when
+        a file is malformed or truncated, or when its shape, the key count
+        and the entry disagree; OSError when a file is missing.
+        """
+        cache = cls()
+        for name, entry in sorted(entries.items()):
+            rows = entry["rows"]
+            blocks = _read_blocks(directory / entry["matrix"], entry["blocks"], rows, entry["dim"])
+            keys = _load_npy(directory / entry["keys"])
+            if keys.dtype != np.uint8 or keys.shape != (rows, KEY_BYTES):
+                raise ValueError(f"{entry['keys']} holds {keys.dtype} {keys.shape} for {rows} rows")
+            flat = keys.tobytes()
+            where = {flat[r * KEY_BYTES : (r + 1) * KEY_BYTES]: r for r in range(rows)}
+            if len(where) != rows:
+                raise ValueError(f"{entry['keys']} repeats a key")
+            starts = [sum(entry["blocks"][:b]) for b in range(len(blocks))]
+            cache._stores[(name, entry["featurizer_seed"], entry["dim"])] = (blocks, starts, where)
+        return cache
 
     def lookup(self, dataset: Dataset, source: SourceSpec) -> np.ndarray:
         """The dataset's (n, dim) feature matrix under the source, in sample order.

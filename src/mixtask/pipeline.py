@@ -8,7 +8,10 @@ share one in-memory SplitView of the split files and CV folds. run_stage
 writes each stage's index.json and updates run_manifest.json. Checkpoints
 resolve through indexes: a (member, task) model is the one the finetune
 index lists, else the member's checkpoint in the train index, never a file
-merely present on disk. Every artifact is reproducible from
+merely present on disk. Each row is featurized once per run: train saves
+its FeatureCache under train/features/, and finetune and predict open it
+through the train index, so they featurize only rows train never saw.
+Every artifact is reproducible from
 (config, master seed): stage seeds derive hierarchically per
 (stage, dataset, member, fold), and no output embeds timestamps or
 absolute paths.
@@ -337,18 +340,43 @@ class SplitView:
         """The split a task is evaluated on: eval, or dev when eval is absent or empty."""
         return self.split(name, "eval") or self.split(name, "dev")
 
+    def member_split(self, member: dict, name: str, split: str) -> Optional[Dataset]:
+        """A member's train or dev split of one task: the member's fold for the
+        CV task of a CV member, else the standard split."""
+        if member["fold"] is not None and name == self._cv_task:
+            return self._file(name, self._folds[member["fold"]][split])
+        return self.split(name, split)
+
     def member_tasks(self, member: dict) -> list[TaskData]:
-        """Task list for one member: standard splits, with the CV task's
-        train/dev replaced by the member's fold."""
-        tasks = []
-        for name in sorted(self.index["datasets"]):
-            if member["fold"] is not None and name == self._cv_task:
-                fold = self._folds[member["fold"]]
-                train, dev = (self._file(name, fold[part]) for part in ("train", "dev"))
-                tasks.append(TaskData(train, dev))
-            else:
-                tasks.append(TaskData(self.split(name, "train"), self.split(name, "dev")))
-        return tasks
+        """Task list for one member, every task's train and dev split."""
+        return [
+            TaskData(*(self.member_split(member, name, split) for split in ("train", "dev")))
+            for name in sorted(self.index["datasets"])
+        ]
+
+
+def _open_features(
+    cfg: PipelineConfig, train_index: dict, out_dir: Path, needed_by: str
+) -> FeatureCache:
+    """The train stage's feature store for the configured sources, through the
+    train index. Files the index does not list are never read."""
+    saved = train_index.get("features", {})
+    entries = {}
+    for spec in (entry.spec for entry in cfg.sources):
+        entry = saved.get(spec.name, {})
+        if (entry.get("featurizer_seed"), entry.get("dim")) != (spec.featurizer_seed, spec.dim):
+            raise PipelineStageError(
+                needed_by,
+                f"the train index lists no features for source {spec.name!r} with featurizer "
+                f"seed {spec.featurizer_seed} and dim {spec.dim}; re-run train",
+            )
+        entries[spec.name] = entry
+    try:
+        return FeatureCache.load(out_dir / "train" / "features", entries)
+    except (KeyError, OSError, ValueError) as exc:
+        raise PipelineStageError(
+            needed_by, f"unreadable train features: {type(exc).__name__}: {exc}; re-run train"
+        ) from exc
 
 
 # -- stages ---------------------------------------------------------------------
@@ -526,7 +554,8 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> StageResult:
             "source": member["source"].spec.name,
             "fold": member["fold"],
         }
-    return {"members": members_meta}, {"members": sorted(members_meta)}
+    features = cache.save(stage_dir / "features")
+    return {"members": members_meta, "features": features}, {"members": sorted(members_meta)}
 
 
 def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) -> list[TaskData]:
@@ -539,9 +568,10 @@ def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) 
 
 def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     """Per-task fine-tuning from each member's best multi-task checkpoint."""
-    trained = _read_index(out_dir, "train", "finetune")["members"]
+    train_index = _read_index(out_dir, "train", "finetune")
+    trained = train_index["members"]
     view = SplitView(cfg, out_dir, "finetune")
-    cache = FeatureCache()
+    cache = _open_features(cfg, train_index, out_dir, "finetune")
     finetuned = {}
     for member in cfg.member_plan():
         member_id = member["member_id"]
@@ -583,9 +613,10 @@ def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     CV members).
     """
     view = SplitView(cfg, out_dir, "predict")
-    trained = _read_index(out_dir, "train", "predict")["members"]
+    train_index = _read_index(out_dir, "train", "predict")
+    trained = train_index["members"]
     finetuned = _read_index(out_dir, "finetune", "predict")["finetuned"]
-    cache = FeatureCache()
+    cache = _open_features(cfg, train_index, out_dir, "predict")
     files = {}
     for task_name, entry in sorted(view.index["datasets"].items()):
         eval_set = view.eval_set(task_name) if entry["role"] == "in_domain" else None
@@ -603,7 +634,7 @@ def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
             else:
                 raise PipelineStageError("predict", f"no trained checkpoint for member {member_id}")
             model = load_checkpoint(ckpt_path).model
-            dev_set = next(t.dev for t in view.member_tasks(member) if t.name == task_name)
+            dev_set = view.member_split(member, task_name, "dev")
             if dev_set is None:
                 raise PipelineStageError("predict", f"task {task_name!r} lacks a dev split")
             metric = 100.0 * dev_metric(model, dev_set, cache.lookup(dev_set, model.source))

@@ -8,7 +8,7 @@ mean of per-dataset dev metrics: accuracy for classification, sign-accuracy
 for regression).
 
 Each dataset's features are one matrix in sample order, taken from the
-stage's FeatureCache, and its labels or targets one array; a mini-batch is a
+caller's FeatureCache, and its labels or targets one array; a mini-batch is a
 row selection of both. The trainer runs the plans of build_member_epoch_plan,
 the same planner the schedule stage writes to disk for audit.
 """

@@ -246,6 +246,8 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 
         watched = ("predict", "ensemble", "rank", "evaluate")
         assert tree_bytes(runs[0], watched) == tree_bytes(runs[1], watched)
+        features = tree_bytes(runs[0], ("train/features",))
+        assert features and features == tree_bytes(runs[1], ("train/features",))
 
 
 def test_criterion_9_multisource_advantage():

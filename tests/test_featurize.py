@@ -182,3 +182,52 @@ def test_split_reusing_a_train_id_gets_its_own_features():
     dev_mat = cache.lookup(dev, src)
     assert np.array_equal(dev_mat[0], featurize("dev premise words", "dev hypothesis", src))
     assert not np.array_equal(dev_mat[0], train_mat[-1])
+
+
+def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeypatch):
+    src = SourceSpec("fam", 7, 64)
+    train = make_dataset(40, name="shared")
+    dev = train.with_samples(  # reuses a train id with other texts
+        [SamplePair(id="s0003", text_a="dev premise words", text_b="dev hypothesis", label=0)]
+    )
+    fold = train.with_samples(train.samples[25:] + train.samples[:10])  # a reordered subset
+    cache = FeatureCache()
+    cache.lookup(train, src)
+    cache.lookup(dev, src)
+    entries = cache.save(tmp_path)
+    assert entries == {"fam": {"featurizer_seed": 7, "dim": 64, "rows": 41,
+                               "matrix": "fam.npy", "keys": "fam.keys.npy", "blocks": [40, 1]}}
+
+    def no_featurizing(pairs, source):
+        raise AssertionError(f"featurized {len(pairs)} rows")
+
+    monkeypatch.setattr(featurize_module, "featurize_pairs", no_featurizing)
+    loaded = FeatureCache.load(tmp_path, entries)
+    monkeypatch.undo()
+    for ds in (train, fold, dev):
+        got = loaded.lookup(ds, src)
+        assert not got.flags.writeable
+        assert got.tobytes() == featurize_dataset(ds, src).tobytes()
+
+    # A loaded store grows on a miss and can be saved over the files it came from.
+    extra = make_dataset(3, name="extra", seed=1).with_samples(
+        [SamplePair(id=f"e{i}", text_a=f"new words {i}", text_b="more", label=1) for i in range(3)]
+    )
+    loaded.lookup(extra, src)
+    resaved = FeatureCache.load(tmp_path, loaded.save(tmp_path))
+    for ds in (train, extra):
+        assert resaved.lookup(ds, src).tobytes() == featurize_dataset(ds, src).tobytes()
+
+
+def test_loading_a_store_checks_keys_against_rows(tmp_path):
+    src = SourceSpec("fam", 7, 16)
+    cache = FeatureCache()
+    cache.lookup(make_dataset(5, name="d"), src)
+    entries = cache.save(tmp_path)
+    keys = np.load(tmp_path / "fam.keys.npy")
+    np.save(tmp_path / "fam.keys.npy", keys[:-1])
+    with pytest.raises(ValueError, match=r"uint8 \(4, 16\) for 5 rows"):
+        FeatureCache.load(tmp_path, entries)
+    np.save(tmp_path / "fam.keys.npy", keys[[0, 1, 2, 3, 0]])
+    with pytest.raises(ValueError, match="repeats a key"):
+        FeatureCache.load(tmp_path, entries)

@@ -266,3 +266,88 @@ def test_cli_experiment_noise_mode(tmp_path):
     assert "mixed-source wins" in proc.stdout
     report = json.loads((tmp_path / "exp" / "experiment_report.json").read_text())
     assert report["n_trials"] == 3
+
+
+def _copy_run(toy_run_dir, tmp_path):
+    import shutil
+
+    run = tmp_path / "run"
+    shutil.copytree(toy_run_dir, run)
+    return run
+
+
+def test_predict_loads_no_train_split(toy_corpus_dir, toy_run_dir, tmp_path, monkeypatch):
+    from mixtask import pipeline
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    loads, real_load = [], pipeline.load_dataset
+
+    def recording_load(path, *args, **kwargs):
+        loads.append(Path(path).name)
+        return real_load(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_dataset", recording_load)
+    run_stage("predict", cfg, run)
+    assert loads and not [name for name in loads if name.endswith("__train.jsonl")]
+
+
+def test_finetune_and_predict_featurize_only_eval_rows(
+    toy_corpus_dir, toy_run_dir, tmp_path, monkeypatch
+):
+    import importlib
+
+    featurize_module = importlib.import_module("mixtask.featurize")
+    run = _copy_run(toy_run_dir, tmp_path)
+    # A file the train index does not list is never read.
+    (run / "train" / "features" / "unlisted.npy").write_bytes(b"not an array")
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    featurized, real = {}, featurize_module.featurize_pairs
+    for stage in ("finetune", "predict"):
+        rows = featurized.setdefault(stage, [])
+
+        def counting(pairs, source):
+            rows.extend((source.name, pair) for pair in pairs)
+            return real(pairs, source)
+
+        monkeypatch.setattr(featurize_module, "featurize_pairs", counting)
+        run_stage(stage, cfg, run)
+    assert featurized["finetune"] == []
+
+    datasets = read_index(run, "split")["datasets"]
+    eval_pairs = set()
+    for entry in datasets.values():
+        if entry["role"] == "in_domain" and "eval" in entry["splits"]:
+            lines = (run / "split" / entry["splits"]["eval"]).read_text().splitlines()
+            eval_pairs.update((row["text_a"], row["text_b"]) for row in map(json.loads, lines))
+    predicted = featurized["predict"]
+    assert predicted and len(set(predicted)) == len(predicted)
+    assert {pair for _, pair in predicted} <= eval_pairs
+
+
+@pytest.mark.parametrize("stage, damage", [
+    ("finetune", "truncate_matrix"),
+    ("predict", "delete_keys"),
+    ("finetune", "drop_a_key"),
+    ("predict", "other_seed"),
+])
+def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
+                                                 stage, damage):
+    import numpy as np
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    features = run / "train" / "features"
+    if damage == "truncate_matrix":
+        matrix = features / "family_a.npy"
+        matrix.write_bytes(matrix.read_bytes()[:-100])
+    elif damage == "delete_keys":
+        (features / "family_b.keys.npy").unlink()
+    elif damage == "drop_a_key":
+        np.save(features / "family_a.keys.npy", np.load(features / "family_a.keys.npy")[1:])
+    else:
+        index = read_index(run, "train")
+        index["features"]["family_b"]["featurizer_seed"] += 1
+        (run / "train" / "index.json").write_text(json.dumps(index))
+    with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] .*re-run train"):
+        run_stage(stage, cfg, run)
