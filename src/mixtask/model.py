@@ -6,10 +6,18 @@ cross-entropy; regression heads produce a scalar score and train with
 squared error. Datasets that share a head group literally share the same
 head parameters. Gradients are computed analytically and updates are plain
 SGD on the summed batch loss.
+
+A model owns one flat float64 gradient buffer per head group, created on the
+group's first step and laid out [d_enc_w | d_enc_b | d_head_w | d_head_b];
+backprop writes the four gradients into views of it and reuses its
+activation arrays in place. A step checks the whole buffer for non-finite
+values once, scales it by the learning rate once, then subtracts each view
+from its parameter.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -103,6 +111,8 @@ class ToyModel:
         self.enc_weights = enc_weights
         self.enc_bias = enc_bias
         self.heads = heads
+        # head group -> (flat gradient buffer, its four gradient views)
+        self._grads: dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]] = {}
 
     @classmethod
     def create(
@@ -165,6 +175,22 @@ class ToyModel:
         scores = self.reg_scores(batch.features, batch.head_group)
         return float(((batch.targets - scores) ** 2).sum())
 
+    def _grad_buffer(self, head_group: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The head group's flat gradient buffer and its views
+        (d_enc_w, d_enc_b, d_head_w, d_head_b), made on first use."""
+        entry = self._grads.get(head_group)
+        if entry is None:
+            head = self._head(head_group)
+            shapes = [p.shape for p in (self.enc_weights, self.enc_bias, head.weights, head.bias)]
+            sizes = [math.prod(shape) for shape in shapes]
+            buffer = np.empty(sum(sizes), dtype=np.float64)
+            views, start = [], 0
+            for shape, size in zip(shapes, sizes):
+                views.append(buffer[start : start + size].reshape(shape))
+                start += size
+            entry = self._grads[head_group] = (buffer, tuple(views))
+        return entry
+
     def loss_and_grads(self, batch: TrainingBatch):
         """Summed batch loss plus gradients for the encoder and the batch's head.
 
@@ -173,31 +199,45 @@ class ToyModel:
           regression      dS = 2 (s - y)
         then dHead = A^T dU, dA = dU W_head^T, dZ = dA (1 - A^2),
         dEnc = X^T dZ.
+
+        The gradients returned are views of the head group's gradient buffer:
+        they stay valid until the next step on that head group overwrites
+        them.
         """
         head = self._head(batch.head_group)
+        _, (d_enc_w, d_enc_b, d_head_w, d_head_b) = self._grad_buffer(batch.head_group)
         X = batch.features
         # Non-finite values surface as the explicit checks in grad_step, not
         # as numpy warnings mid-backprop.
         with np.errstate(over="ignore", invalid="ignore"):
-            Z = X @ self.enc_weights + self.enc_bias
-            A = np.tanh(Z)
+            A = X @ self.enc_weights
+            A += self.enc_bias
+            np.tanh(A, out=A)
+            dU = A @ head.weights
+            dU += head.bias
             if batch.task_kind.is_classification:
-                U = A @ head.weights + head.bias
-                P = softmax(U)
-                picked = P[np.arange(len(batch)), batch.labels]
-                loss = float(-np.log(np.maximum(picked, LOG_EPS)).sum())
-                dU = P.copy()
-                dU[np.arange(len(batch)), batch.labels] -= 1.0
+                # softmax in place, then P - onehot(y) in place
+                dU -= dU.max(axis=1, keepdims=True)
+                np.exp(dU, out=dU)
+                dU /= dU.sum(axis=1, keepdims=True)
+                rows = np.arange(len(batch))
+                picked = dU[rows, batch.labels]
+                np.maximum(picked, LOG_EPS, out=picked)
+                loss = -float(np.log(picked, out=picked).sum())
+                dU[rows, batch.labels] -= 1.0
             else:
-                S = (A @ head.weights + head.bias)[:, 0]
-                loss = float(((batch.targets - S) ** 2).sum())
-                dU = (2.0 * (S - batch.targets))[:, None]
-            d_head_w = A.T @ dU
-            d_head_b = dU.sum(axis=0)
-            dA = dU @ head.weights.T
-            dZ = dA * (1.0 - A * A)
-            d_enc_w = X.T @ dZ
-            d_enc_b = dZ.sum(axis=0)
+                dS = dU[:, 0]
+                dS -= batch.targets
+                loss = float(np.square(dS).sum())
+                dU *= 2.0
+            np.matmul(A.T, dU, out=d_head_w)
+            dU.sum(axis=0, out=d_head_b)
+            dZ = dU @ head.weights.T
+            np.multiply(A, A, out=A)
+            np.subtract(1.0, A, out=A)
+            dZ *= A
+            np.matmul(X.T, dZ, out=d_enc_w)
+            dZ.sum(axis=0, out=d_enc_b)
         return loss, d_enc_w, d_enc_b, d_head_w, d_head_b
 
     def copy(self) -> "ToyModel":
@@ -214,25 +254,29 @@ def grad_step(model: ToyModel, batch: TrainingBatch, learning_rate: float) -> fl
     """One SGD step on the summed batch loss, in place.
 
     Only the encoder and the batch's head group change. Returns the
-    pre-step batch loss; aborts on a non-finite loss or gradient.
+    pre-step batch loss. The loss, then the head group's whole gradient
+    buffer, is checked for non-finite values before any parameter changes;
+    the step aborts on either. The buffer is then scaled by the learning
+    rate once and each gradient view subtracted from its parameter.
     """
     loss, d_enc_w, d_enc_b, d_head_w, d_head_b = model.loss_and_grads(batch)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise FloatingPointError(
             f"non-finite loss {loss} on dataset {batch.dataset_name!r} "
             f"(head {batch.head_group!r}, batch of {len(batch)})"
         )
-    for grad in (d_enc_w, d_enc_b, d_head_w, d_head_b):
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError(
-                f"non-finite gradient on dataset {batch.dataset_name!r} "
-                f"(head {batch.head_group!r})"
-            )
+    buffer, _ = model._grad_buffer(batch.head_group)
+    if not np.isfinite(buffer).all():
+        raise FloatingPointError(
+            f"non-finite gradient on dataset {batch.dataset_name!r} "
+            f"(head {batch.head_group!r})"
+        )
+    buffer *= learning_rate
     head = model.heads[batch.head_group]
-    model.enc_weights -= learning_rate * d_enc_w
-    model.enc_bias -= learning_rate * d_enc_b
-    head.weights -= learning_rate * d_head_w
-    head.bias -= learning_rate * d_head_b
+    model.enc_weights -= d_enc_w
+    model.enc_bias -= d_enc_b
+    head.weights -= d_head_w
+    head.bias -= d_head_b
     return loss
 
 

@@ -22,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -69,6 +70,7 @@ from .training import (
     TaskData,
     TrainConfig,
     build_member_epoch_plan,
+    dev_gold,
     dev_metric,
     fine_tune_task,
     train_multitask,
@@ -637,7 +639,8 @@ def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
             dev_set = view.member_split(member, task_name, "dev")
             if dev_set is None:
                 raise PipelineStageError("predict", f"task {task_name!r} lacks a dev split")
-            metric = 100.0 * dev_metric(model, dev_set, cache.lookup(dev_set, model.source))
+            dev_features = cache.lookup(dev_set, model.source)
+            metric = 100.0 * dev_metric(model, dev_set, dev_features, dev_gold(dev_set))
             ps = PredictionSet(
                 model_id=member_id,
                 task=task_name,
@@ -838,13 +841,19 @@ _STAGE_FUNCS = {
 
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
-    """Run one stage: create its directory, let it write its artifacts, then
-    write its index.json and record its summary in run_manifest.json."""
+    """Run one stage: empty its directory, let it write its artifacts, then
+    write its index.json and record its summary in run_manifest.json.
+
+    The stage directory is removed first, so a re-run never leaves files of
+    an earlier run of the stage behind; no stage reads its own directory.
+    """
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
     out_dir = Path(out_dir)
     stage_dir = out_dir / name
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    if stage_dir.exists():
+        shutil.rmtree(stage_dir)
+    stage_dir.mkdir(parents=True)
     payload, summary = _STAGE_FUNCS[name](cfg, out_dir)
     index = {
         "schema_version": SCHEMA_VERSION,

@@ -105,7 +105,8 @@ def partition_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> list[
         raise ValueError("batch_size must be >= 1")
     rng = derive_rng(seed, "partition", dataset.name)
     order = rng.permutation(len(dataset))
-    ids = [dataset.samples[int(i)].id for i in order]
+    samples = dataset.samples
+    ids = [samples[i].id for i in order.tolist()]
     return [
         MiniBatch(
             dataset_name=dataset.name,

@@ -61,19 +61,27 @@ class TrainResult:
     initial_metrics: dict
 
 
-def dev_metric(model: ToyModel, dataset: Dataset, features: np.ndarray) -> float:
+def dev_gold(dataset: Dataset) -> np.ndarray:
+    """The classes dev_metric compares predictions with, in sample order:
+    labels for classification, gold_binary_label for regression."""
+    if dataset.task_kind.is_classification:
+        return np.array([s.label for s in dataset])
+    return np.array([gold_binary_label(s) for s in dataset])
+
+
+def dev_metric(model: ToyModel, dataset: Dataset, features: np.ndarray, gold: np.ndarray) -> float:
     """Accuracy for classification, sign-accuracy for regression, in [0, 1].
 
-    features is the dataset's feature matrix, one row per sample in order.
+    features is the dataset's feature matrix, one row per sample in order,
+    and gold its dev_gold array; callers that evaluate one dataset often
+    build gold once.
     """
     if dataset.task_kind.is_classification:
         probs = model.class_probs(features, dataset.head_group)
         predicted = probs.argmax(axis=1)
-        gold = np.array([s.label for s in dataset])
     else:
         scores = model.reg_scores(features, dataset.head_group)
         predicted = (scores >= 0).astype(int)
-        gold = np.array([gold_binary_label(s) for s in dataset])
     return float((predicted == gold).mean())
 
 
@@ -140,8 +148,12 @@ def _make_training_batch(
     )
 
 
-def _eval_in_domain(model, dev_sets: list[tuple[str, Dataset, np.ndarray]]) -> tuple[dict, float]:
-    metrics = {name: dev_metric(model, dev, features) for name, dev, features in dev_sets}
+def _eval_in_domain(
+    model, dev_sets: list[tuple[str, Dataset, np.ndarray, np.ndarray]]
+) -> tuple[dict, float]:
+    metrics = {
+        name: dev_metric(model, dev, features, gold) for name, dev, features, gold in dev_sets
+    }
     selection = float(np.mean(list(metrics.values())))
     return metrics, selection
 
@@ -172,7 +184,9 @@ def train_multitask(
     features = {t.name: cache.lookup(t.train, source) for t in tasks}
     supervision = {t.name: _supervision(t.train) for t in tasks}
     dev_sets = [
-        (t.name, t.dev, cache.lookup(t.dev, source)) for t in in_domain if t.dev is not None
+        (t.name, t.dev, cache.lookup(t.dev, source), dev_gold(t.dev))
+        for t in in_domain
+        if t.dev is not None
     ]
     initial_metrics, _ = _eval_in_domain(model, dev_sets)
 
@@ -235,17 +249,18 @@ def fine_tune_task(
     features = cache.lookup(task.train, source)
     supervision = _supervision(task.train)
     dev_features = cache.lookup(task.dev, source)
+    gold = dev_gold(task.dev)
 
     model = checkpoint.model.copy()
     best_model = model.copy()
-    best_metric = dev_metric(model, task.dev, dev_features)
+    best_metric = dev_metric(model, task.dev, dev_features, gold)
     best_epoch = 0
     for epoch in range(1, config.epochs_finetune + 1):
         seed = derive_seed(run_seed, "finetune", task.name, epoch)
         for batch in partition_batches(task.train, config.mixture.batch_size_for(task.name), seed):
             tb = _make_training_batch(batch, features, supervision)
             grad_step(model, tb, config.lr_finetune)
-        metric = dev_metric(model, task.dev, dev_features)
+        metric = dev_metric(model, task.dev, dev_features, gold)
         if metric > best_metric:
             best_metric = metric
             best_model = model.copy()

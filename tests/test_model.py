@@ -184,13 +184,47 @@ def test_grad_step_touches_only_encoder_and_batch_head():
     assert np.array_equal(model.heads["reg"].bias, before.heads["reg"].bias)
 
 
-def test_grad_step_aborts_on_nonfinite():
+def params_of(model):
+    """The model's own arrays: (enc_weights, enc_bias, {group: (weights, bias)})."""
+    return (
+        model.enc_weights,
+        model.enc_bias,
+        {g: (h.weights, h.bias) for g, h in model.heads.items()},
+    )
+
+
+def params_bytes(params):
+    enc_w, enc_b, heads = params
+    arrays = [enc_w, enc_b] + [a for _, pair in sorted(heads.items()) for a in pair]
+    return [a.tobytes() for a in arrays]
+
+
+def test_grad_step_aborts_on_nonfinite(monkeypatch):
     rng = np.random.default_rng(12)
     model = random_model(rng)
+    before = params_bytes(params_of(model))
     batch = random_batch(rng, model, "reg")
     batch.targets = np.array([np.inf] * len(batch))
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
         grad_step(model, batch, 0.01)
+    assert params_bytes(params_of(model)) == before
+
+    # one non-finite value confined to one gradient, the loss and the other
+    # gradients finite: the head weights' (NaN), then the encoder bias' (inf)
+    real_loss_and_grads = ToyModel.loss_and_grads
+    for position, value in ((3, np.nan), (2, np.inf)):
+
+        def poisoned(self, batch, position=position, value=value):
+            out = real_loss_and_grads(self, batch)
+            out[position].flat[0] = value
+            return out
+
+        monkeypatch.setattr(ToyModel, "loss_and_grads", poisoned)
+        model = random_model(rng)
+        before = params_bytes(params_of(model))
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            grad_step(model, random_batch(rng, model, "cls"), 0.01)
+        assert params_bytes(params_of(model)) == before
 
 
 def test_shared_head_group_is_one_parameter_set():
@@ -225,3 +259,92 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded.model.enc_weights, model.enc_weights)
     assert np.array_equal(loaded.model.heads["cls"].weights, model.heads["cls"].weights)
     assert loaded.model.source == model.source
+
+
+# -- bit-exactness against the per-array formulation -------------------------------
+
+
+def reference_step(params, batch, learning_rate):
+    """The per-array SGD step that the flat gradient buffer replaced, kept as
+    an oracle: a fresh array for every intermediate, one finiteness check and
+    one scaled update per gradient. params is (enc_weights, enc_bias,
+    {group: (weights, bias)}), updated in place; returns the batch loss."""
+    enc_w, enc_b, heads = params
+    head_w, head_b = heads[batch.head_group]
+    X = batch.features
+    Z = X @ enc_w + enc_b
+    A = np.tanh(Z)
+    if batch.task_kind.is_classification:
+        U = A @ head_w + head_b
+        shifted = U - U.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        P = exp / exp.sum(axis=-1, keepdims=True)
+        picked = P[np.arange(len(batch)), batch.labels]
+        loss = float(-np.log(np.maximum(picked, 1e-12)).sum())
+        dU = P.copy()
+        dU[np.arange(len(batch)), batch.labels] -= 1.0
+    else:
+        S = (A @ head_w + head_b)[:, 0]
+        loss = float(((batch.targets - S) ** 2).sum())
+        dU = (2.0 * (S - batch.targets))[:, None]
+    d_head_w = A.T @ dU
+    d_head_b = dU.sum(axis=0)
+    dA = dU @ head_w.T
+    dZ = dA * (1.0 - A * A)
+    d_enc_w = X.T @ dZ
+    d_enc_b = dZ.sum(axis=0)
+    assert np.isfinite(loss)
+    for grad in (d_enc_w, d_enc_b, d_head_w, d_head_b):
+        assert np.all(np.isfinite(grad))
+    enc_w -= learning_rate * d_enc_w
+    enc_b -= learning_rate * d_enc_b
+    head_w -= learning_rate * d_head_w
+    head_b -= learning_rate * d_head_b
+    return loss
+
+
+def test_grad_step_is_bit_identical_to_the_per_array_step():
+    """Mixed steps over a 3-class, a 2-class and a regression head group that
+    share one encoder, batch sizes 16, 20 and 1: every loss and every
+    parameter byte equals the per-array oracle, for the model and for a copy
+    taken mid-run and stepped alongside it."""
+    rng = np.random.default_rng(14)
+    kinds = {
+        "nli": TaskKind.parse("classification:3"),
+        "rqe": TaskKind.parse("classification:2"),
+        "qa": REG,
+    }
+    model = ToyModel.create(SourceSpec("fam", 3, 40), kinds, hidden=12, run_seed=5)
+    dim = model.enc_weights.shape[0]
+
+    def batch_for(group, size):
+        feats = rng.normal(0, 1, size=(size, dim))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        kind = kinds[group]
+        if kind.is_classification:
+            return TrainingBatch(features=feats, head_group=group, task_kind=kind,
+                                 labels=rng.integers(0, kind.num_classes, size=size))
+        return TrainingBatch(features=feats, head_group=group, task_kind=kind,
+                             targets=rng.uniform(-1, 1, size=size))
+
+    def snapshot(model):
+        enc_w, enc_b, heads = params_of(model)
+        return enc_w.copy(), enc_b.copy(), {g: (w.copy(), b.copy()) for g, (w, b) in heads.items()}
+
+    runs = [(model, snapshot(model))]
+    steps = 0
+    for step in range(240):
+        if step == 120:
+            runs.append((model.copy(), snapshot(model)))
+        for run_model, params in runs:
+            group = ("nli", "rqe", "qa")[int(rng.integers(3))]
+            size = (16, 20, 1)[step % 3]
+            batch = batch_for(group, size)
+            expected = reference_step(params, batch, 0.02)
+            assert grad_step(run_model, batch, 0.02) == expected
+            assert params_bytes(params_of(run_model)) == params_bytes(params), f"step {step}"
+            steps += 1
+    assert steps >= 200
+    # the runs stayed in tanh's active range and diverged after the copy
+    assert np.abs(model.enc_weights).max() < 10
+    assert not np.array_equal(runs[1][0].enc_weights, model.enc_weights)

@@ -105,9 +105,10 @@ def test_adding_members_never_perturbs_existing_ones(toy_corpus_dir, tmp_path):
 def test_rerun_without_cv_finetuning_ignores_stale_checkpoints(
     toy_corpus_dir, toy_run_dir, tmp_path
 ):
-    """Re-running finetune onward with cv.finetune_members off leaves the CV
-    members' earlier fine-tuned checkpoints on disk; predict must resolve
-    models through the finetune index and match a clean run."""
+    """Re-running finetune onward with cv.finetune_members off removes the CV
+    members' earlier fine-tuned checkpoints; a stale one put back by hand is
+    still ignored, because predict resolves models through the finetune
+    index, and the run matches a clean one."""
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
     raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
     raw["cv"]["finetune_members"] = False
@@ -115,9 +116,13 @@ def test_rerun_without_cv_finetuning_ignores_stale_checkpoints(
 
     rerun = tmp_path / "rerun"
     shutil.copytree(toy_run_dir, rerun)
-    for stage in STAGES[STAGES.index("finetune"):]:
+    stale = sorted(p for p in (toy_run_dir / "finetune").glob("*__ft__*.json") if "-cv" in p.name)
+    assert stale
+    run_stage("finetune", cfg, rerun)
+    assert not any("-cv" in p.name for p in (rerun / "finetune").glob("*__ft__*.json"))
+    shutil.copy(stale[0], rerun / "finetune" / stale[0].name)
+    for stage in STAGES[STAGES.index("predict"):]:
         run_stage(stage, cfg, rerun)
-    assert any("-cv" in p.name for p in (rerun / "finetune").glob("*__ft__*.json"))
 
     clean = tmp_path / "clean"
     run_pipeline(cfg, clean, quiet=True)

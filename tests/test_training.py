@@ -103,14 +103,14 @@ def test_fine_tune_zero_epochs_returns_input():
 
 
 def test_fine_tune_never_below_input_metric():
-    from mixtask.training import dev_metric
+    from mixtask.training import dev_gold, dev_metric
     from mixtask.featurize import FeatureCache
 
     task = nli_task(seed=10)
     src = SourceSpec("fam", 5, 64)
     cache = FeatureCache()
     ckpt = train_multitask([task], src, quick_config(epochs=3), cache=cache).best
-    input_metric = dev_metric(ckpt.model, task.dev, cache.lookup(task.dev, src))
+    input_metric = dev_metric(ckpt.model, task.dev, cache.lookup(task.dev, src), dev_gold(task.dev))
     tuned = fine_tune_task(ckpt, task, quick_config(), cache=cache)
     assert tuned.dev_metrics[task.name] >= input_metric
 
