@@ -7,18 +7,26 @@ squared error. Datasets that share a head group literally share the same
 head parameters. Gradients are computed analytically and updates are plain
 SGD on the summed batch loss.
 
-A model owns one flat float64 gradient buffer per head group, created on the
-group's first step and laid out [d_enc_w | d_enc_b | d_head_w | d_head_b];
-backprop writes the four gradients into views of it and reuses its
-activation arrays in place. A step checks the whole buffer for non-finite
-values once, scales it by the learning rate once, then subtracts each view
-from its parameter.
+A model keeps all its parameters in one contiguous float64 vector, laid out
+[enc_w | enc_b | head_w | head_b per head group, groups in sorted order].
+enc_weights, enc_bias and each head's weights and bias are views of it that
+can be updated in place but never rebound, so they cannot detach from the
+vector. A copy is one copy of the vector, and a checkpoint is the vector as
+one .npy file; its layout (source, hidden size, head kinds and shapes) and
+its provenance live in the stage index entry that lists the file.
+
+A model also owns one flat float64 gradient buffer per head group, created
+on the group's first step and laid out [d_enc_w | d_enc_b | d_head_w |
+d_head_b]; backprop writes the four gradients into views of it and reuses
+its activation arrays in place. A step checks the whole buffer for
+non-finite values once, scales it by the learning rate once, then subtracts
+its encoder part and its head part from the two matching contiguous slices
+of the parameter vector.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -57,20 +65,47 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-@dataclass
-class Head:
-    """One answer module: h x C softmax head or h x 1 linear head."""
+def _views(vector: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of a flat vector, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[start : start + size].reshape(shape))
+        start += size
+    return views
 
-    kind: str  # CLASSIFICATION | REGRESSION
-    weights: np.ndarray  # (hidden, C) or (hidden, 1)
-    bias: np.ndarray  # (C,) or (1,)
+
+class _FixedViews:
+    """The attributes named in _fixed are bound once. Rebinding one raises;
+    in-place updates (a[...] = x, a -= x) are fine."""
+
+    _fixed: frozenset = frozenset()
+
+    def __setattr__(self, name, value):
+        current = self.__dict__.get(name)
+        if name in self._fixed and current is not None and value is not current:
+            raise AttributeError(
+                f"{name} is a view of the model's parameter vector; update it in place"
+            )
+        object.__setattr__(self, name, value)
+
+
+class Head(_FixedViews):
+    """One answer module: h x C softmax head or h x 1 linear head. weights
+    and bias are views of the model's parameter vector; span is their slice
+    of it."""
+
+    _fixed = frozenset({"weights", "bias"})
+
+    def __init__(self, kind: str, weights: np.ndarray, bias: np.ndarray, span: slice):
+        self.kind = kind  # CLASSIFICATION | REGRESSION
+        self.weights = weights  # (hidden, C) or (hidden, 1)
+        self.bias = bias  # (C,) or (1,)
+        self.span = span
 
     @property
     def num_classes(self) -> Optional[int]:
         return self.weights.shape[1] if self.kind == CLASSIFICATION else None
-
-    def copy(self) -> "Head":
-        return Head(self.kind, self.weights.copy(), self.bias.copy())
 
 
 @dataclass
@@ -89,28 +124,55 @@ class TrainingBatch:
         return self.features.shape[0]
 
 
-class ToyModel:
+class ToyModel(_FixedViews):
     """Shared encoder + per-head-group answer layers.
 
     The encoder (dim x hidden linear layer + tanh) is initialized
     deterministically from the source's featurizer seed, standing in for
     pretrained weights; answer heads are initialized uniform in
     [-HEAD_INIT_SCALE, HEAD_INIT_SCALE] from the run seed.
+
+    head_outputs maps each head group to (kind, output count); params is the
+    flat parameter vector in layout order, which the model then owns (a new,
+    uninitialized one when None).
     """
+
+    _fixed = frozenset({"params", "enc_weights", "enc_bias"})
 
     def __init__(
         self,
         source: SourceSpec,
         hidden: int,
-        enc_weights: np.ndarray,
-        enc_bias: np.ndarray,
-        heads: dict[str, Head],
+        head_outputs: dict[str, tuple[str, int]],
+        params: Optional[np.ndarray] = None,
     ):
+        groups = sorted(head_outputs)
+        shapes = [(source.dim, hidden), (hidden,)]
+        for group in groups:
+            outputs = head_outputs[group][1]
+            shapes += [(hidden, outputs), (outputs,)]
+        size = sum(math.prod(shape) for shape in shapes)
+        if params is None:
+            params = np.empty(size)
+        if params.dtype != np.float64 or params.shape != (size,):
+            raise ValueError(
+                f"parameter vector is {params.dtype} {params.shape}; the layout needs "
+                f"float64 ({size},)"
+            )
         self.source = source
         self.hidden = hidden
-        self.enc_weights = enc_weights
-        self.enc_bias = enc_bias
-        self.heads = heads
+        self.params = params
+        self._head_outputs = head_outputs
+        views = _views(params, shapes)
+        self.enc_weights, self.enc_bias = views[:2]
+        self._enc_size = self.enc_weights.size + self.enc_bias.size
+        self.heads = {}
+        start = self._enc_size
+        for i, group in enumerate(groups, start=1):
+            weights, bias = views[2 * i], views[2 * i + 1]
+            stop = start + weights.size + bias.size
+            self.heads[group] = Head(head_outputs[group][0], weights, bias, slice(start, stop))
+            start = stop
         # head group -> (flat gradient buffer, its four gradient views)
         self._grads: dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]] = {}
 
@@ -122,21 +184,40 @@ class ToyModel:
         hidden: int = 32,
         run_seed: int = 0,
     ) -> "ToyModel":
+        head_outputs = {
+            group: (kind.kind, kind.num_classes if kind.is_classification else 1)
+            for group, kind in head_specs.items()
+        }
+        model = cls(source, hidden, head_outputs)
         # Inputs are L2-normalized, so Var(x @ W) = sigma^2; unit sigma keeps
         # the tanh layer in its active range.
         enc_rng = derive_rng(source.featurizer_seed, "encoder", source.name, hidden)
-        enc_weights = enc_rng.normal(0.0, 1.0, size=(source.dim, hidden))
-        enc_bias = enc_rng.normal(0.0, 0.01, size=hidden)
-        heads = {}
-        for group, kind in head_specs.items():
-            out_dim = kind.num_classes if kind.is_classification else 1
+        model.enc_weights[...] = enc_rng.normal(0.0, 1.0, size=(source.dim, hidden))
+        model.enc_bias[...] = enc_rng.normal(0.0, 0.01, size=hidden)
+        for group, head in model.heads.items():
             head_rng = derive_rng(run_seed, "head", group)
-            heads[group] = Head(
-                kind=kind.kind,
-                weights=head_rng.uniform(-HEAD_INIT_SCALE, HEAD_INIT_SCALE, size=(hidden, out_dim)),
-                bias=head_rng.uniform(-HEAD_INIT_SCALE, HEAD_INIT_SCALE, size=out_dim),
-            )
-        return cls(source, hidden, enc_weights, enc_bias, heads)
+            for arr in (head.weights, head.bias):
+                arr[...] = head_rng.uniform(-HEAD_INIT_SCALE, HEAD_INIT_SCALE, size=arr.shape)
+        return model
+
+    @property
+    def layout(self) -> dict:
+        """What a checkpoint's index entry records to rebuild the model
+        around its parameter vector."""
+        return {
+            "schema_version": CHECKPOINT_SCHEMA,
+            "source": {
+                "name": self.source.name,
+                "featurizer_seed": self.source.featurizer_seed,
+                "dim": self.source.dim,
+            },
+            "hidden": self.hidden,
+            "heads": {
+                group: {"kind": head.kind, "weights": list(head.weights.shape),
+                        "bias": list(head.bias.shape)}
+                for group, head in sorted(self.heads.items())
+            },
+        }
 
     # -- forward ------------------------------------------------------------
 
@@ -182,13 +263,8 @@ class ToyModel:
         if entry is None:
             head = self._head(head_group)
             shapes = [p.shape for p in (self.enc_weights, self.enc_bias, head.weights, head.bias)]
-            sizes = [math.prod(shape) for shape in shapes]
-            buffer = np.empty(sum(sizes), dtype=np.float64)
-            views, start = [], 0
-            for shape, size in zip(shapes, sizes):
-                views.append(buffer[start : start + size].reshape(shape))
-                start += size
-            entry = self._grads[head_group] = (buffer, tuple(views))
+            buffer = np.empty(sum(math.prod(shape) for shape in shapes))
+            entry = self._grads[head_group] = (buffer, tuple(_views(buffer, shapes)))
         return entry
 
     def loss_and_grads(self, batch: TrainingBatch):
@@ -241,13 +317,7 @@ class ToyModel:
         return loss, d_enc_w, d_enc_b, d_head_w, d_head_b
 
     def copy(self) -> "ToyModel":
-        return ToyModel(
-            source=self.source,
-            hidden=self.hidden,
-            enc_weights=self.enc_weights.copy(),
-            enc_bias=self.enc_bias.copy(),
-            heads={g: h.copy() for g, h in self.heads.items()},
-        )
+        return ToyModel(self.source, self.hidden, self._head_outputs, self.params.copy())
 
 
 def grad_step(model: ToyModel, batch: TrainingBatch, learning_rate: float) -> float:
@@ -257,9 +327,10 @@ def grad_step(model: ToyModel, batch: TrainingBatch, learning_rate: float) -> fl
     pre-step batch loss. The loss, then the head group's whole gradient
     buffer, is checked for non-finite values before any parameter changes;
     the step aborts on either. The buffer is then scaled by the learning
-    rate once and each gradient view subtracted from its parameter.
+    rate once; its encoder part and its head part are subtracted from the
+    matching slices of the parameter vector.
     """
-    loss, d_enc_w, d_enc_b, d_head_w, d_head_b = model.loss_and_grads(batch)
+    loss = model.loss_and_grads(batch)[0]
     if not math.isfinite(loss):
         raise FloatingPointError(
             f"non-finite loss {loss} on dataset {batch.dataset_name!r} "
@@ -272,17 +343,15 @@ def grad_step(model: ToyModel, batch: TrainingBatch, learning_rate: float) -> fl
             f"(head {batch.head_group!r})"
         )
     buffer *= learning_rate
-    head = model.heads[batch.head_group]
-    model.enc_weights -= d_enc_w
-    model.enc_bias -= d_enc_b
-    head.weights -= d_head_w
-    head.bias -= d_head_b
+    params, enc = model.params, model._enc_size
+    params[:enc] -= buffer[:enc]
+    params[model.heads[batch.head_group].span] -= buffer[enc:]
     return loss
 
 
 # -- checkpoints -------------------------------------------------------------
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 @dataclass
@@ -298,70 +367,36 @@ class Checkpoint:
     seeds: dict = field(default_factory=dict)
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    model = ckpt.model
-    payload = {
-        "schema_version": CHECKPOINT_SCHEMA,
-        "source": {
-            "name": model.source.name,
-            "featurizer_seed": model.source.featurizer_seed,
-            "dim": model.source.dim,
-        },
-        "hidden": model.hidden,
-        "encoder": {
-            "weights": model.enc_weights.tolist(),
-            "bias": model.enc_bias.tolist(),
-        },
-        "heads": {
-            group: {
-                "kind": head.kind,
-                "weights": head.weights.tolist(),
-                "bias": head.bias.tolist(),
-            }
-            for group, head in sorted(model.heads.items())
-        },
-        "provenance": {
-            "stage": ckpt.stage,
-            "epoch": ckpt.epoch,
-            "dev_metrics": ckpt.dev_metrics,
-            "selection_value": ckpt.selection_value,
-            "config_hash": ckpt.config_hash,
-            "seeds": ckpt.seeds,
-        },
-    }
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> dict:
+    """Write the model's parameter vector to path as one .npy file and
+    return the index entry that lists it: the file name, the model's layout
+    and the checkpoint's provenance."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema_version") != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema: {payload.get('schema_version')}")
-    src = payload["source"]
-    source = SourceSpec(src["name"], src["featurizer_seed"], src["dim"])
-    heads = {
-        group: Head(
-            kind=rec["kind"],
-            weights=np.asarray(rec["weights"], dtype=np.float64),
-            bias=np.asarray(rec["bias"], dtype=np.float64),
-        )
-        for group, rec in payload["heads"].items()
+    with path.open("wb") as fh:
+        np.save(fh, ckpt.model.params)
+    return {
+        "checkpoint": path.name,
+        "layout": ckpt.model.layout,
+        "provenance": {f.name: getattr(ckpt, f.name) for f in fields(ckpt) if f.name != "model"},
     }
+
+
+def load_checkpoint(path: str | Path, entry: dict) -> Checkpoint:
+    """Rebuild a checkpoint from its .npy file and the index entry that lists
+    it. Raises ValueError when the entry has no layout of this schema or the
+    vector does not fit it, and OSError, EOFError or ValueError when the
+    file is missing or truncated."""
+    layout = entry.get("layout") or {}
+    if layout.get("schema_version") != CHECKPOINT_SCHEMA:
+        raise ValueError(f"the index entry has no schema-{CHECKPOINT_SCHEMA} checkpoint layout")
+    src = layout["source"]
     model = ToyModel(
-        source=source,
-        hidden=payload["hidden"],
-        enc_weights=np.asarray(payload["encoder"]["weights"], dtype=np.float64),
-        enc_bias=np.asarray(payload["encoder"]["bias"], dtype=np.float64),
-        heads=heads,
+        SourceSpec(src["name"], src["featurizer_seed"], src["dim"]),
+        layout["hidden"],
+        {group: (rec["kind"], rec["bias"][0]) for group, rec in layout["heads"].items()},
+        np.load(path, allow_pickle=False),
     )
-    prov = payload["provenance"]
-    return Checkpoint(
-        model=model,
-        stage=prov["stage"],
-        epoch=prov["epoch"],
-        dev_metrics=prov["dev_metrics"],
-        selection_value=prov["selection_value"],
-        config_hash=prov["config_hash"],
-        seeds=prov["seeds"],
-    )
+    if model.layout != layout:
+        raise ValueError("the index entry's checkpoint layout is inconsistent")
+    return Checkpoint(model=model, **entry["provenance"])

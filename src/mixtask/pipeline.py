@@ -22,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -63,7 +64,7 @@ from .inference import (
     select_members,
 )
 from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive
-from .model import ToyModel, load_checkpoint, save_checkpoint
+from .model import Checkpoint, ToyModel, load_checkpoint, save_checkpoint
 from .scheduler import MixtureConfig, save_plan
 from .seeding import derive_seed
 from .training import (
@@ -259,7 +260,12 @@ def _read_index(out_dir: Path, stage: str, needed_by: str) -> dict:
         raise PipelineStageError(
             needed_by, f"missing {stage} artifacts at {path.name}; run the {stage} stage first"
         )
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PipelineStageError(
+            needed_by, f"unreadable {stage}/{path.name}: {exc}; re-run {stage}"
+        ) from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -378,6 +384,19 @@ def _open_features(
     except (KeyError, OSError, ValueError) as exc:
         raise PipelineStageError(
             needed_by, f"unreadable train features: {type(exc).__name__}: {exc}; re-run train"
+        ) from exc
+
+
+def _open_checkpoint(out_dir: Path, stage: str, entry: dict, needed_by: str) -> Checkpoint:
+    """The checkpoint a train or finetune index entry lists, read through that
+    entry. A missing, truncated or mismatched file fails with "re-run <stage>"."""
+    try:
+        return load_checkpoint(out_dir / stage / entry["checkpoint"], entry)
+    except (EOFError, KeyError, OSError, ValueError) as exc:
+        raise PipelineStageError(
+            needed_by,
+            f"unreadable {stage} checkpoint {entry.get('checkpoint')!r}: "
+            f"{type(exc).__name__}: {exc}; re-run {stage}",
         ) from exc
 
 
@@ -540,22 +559,14 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> StageResult:
         except (ValueError, FloatingPointError) as exc:
             raise PipelineStageError("train", f"member {member_id}: {exc}") from exc
         result.best.config_hash = cfg.config_hash
-        ckpt_file = f"{member_id}__multitask.json"
-        save_checkpoint(result.best, stage_dir / ckpt_file)
+        checkpoint = save_checkpoint(result.best, stage_dir / f"{member_id}__multitask.npy")
         history_file = f"{member_id}__history.json"
         _write_json(
             stage_dir / history_file,
             {"member": member_id, "initial_metrics": result.initial_metrics,
              "history": result.history},
         )
-        members_meta[member_id] = {
-            "checkpoint": ckpt_file,
-            "history": history_file,
-            "best_epoch": result.best.epoch,
-            "selection_value": result.best.selection_value,
-            "source": member["source"].spec.name,
-            "fold": member["fold"],
-        }
+        members_meta[member_id] = {**checkpoint, "history": history_file, "fold": member["fold"]}
     features = cache.save(stage_dir / "features")
     return {"members": members_meta, "features": features}, {"members": sorted(members_meta)}
 
@@ -577,7 +588,7 @@ def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     finetuned = {}
     for member in cfg.member_plan():
         member_id = member["member_id"]
-        ckpt = load_checkpoint(out_dir / "train" / trained[member_id]["checkpoint"])
+        ckpt = _open_checkpoint(out_dir, "train", trained[member_id], "finetune")
         train_cfg = _member_train_config(cfg, member)
         for task in _finetune_targets(cfg, member, view.member_tasks(member)):
             try:
@@ -586,13 +597,9 @@ def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                 raise PipelineStageError(
                     "finetune", f"member {member_id}, task {task.name}: {exc}"
                 ) from exc
-            filename = f"{member_id}__ft__{task.name}.json"
-            save_checkpoint(tuned, out_dir / "finetune" / filename)
-            finetuned[f"{member_id}/{task.name}"] = {
-                "checkpoint": filename,
-                "dev_metric": tuned.dev_metrics[task.name],
-                "epoch": tuned.epoch,
-            }
+            finetuned[f"{member_id}/{task.name}"] = save_checkpoint(
+                tuned, out_dir / "finetune" / f"{member_id}__ft__{task.name}.npy"
+            )
     return {"finetuned": finetuned}, {"finetuned": sorted(finetuned)}
 
 
@@ -630,12 +637,12 @@ def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                 continue  # CV members only serve their own task's ensemble
             key = f"{member_id}/{task_name}"
             if key in finetuned:
-                ckpt_path = out_dir / "finetune" / finetuned[key]["checkpoint"]
+                stage, entry = "finetune", finetuned[key]
             elif member_id in trained:
-                ckpt_path = out_dir / "train" / trained[member_id]["checkpoint"]
+                stage, entry = "train", trained[member_id]
             else:
                 raise PipelineStageError("predict", f"no trained checkpoint for member {member_id}")
-            model = load_checkpoint(ckpt_path).model
+            model = _open_checkpoint(out_dir, stage, entry, "predict").model
             dev_set = view.member_split(member, task_name, "dev")
             if dev_set is None:
                 raise PipelineStageError("predict", f"task {task_name!r} lacks a dev split")
@@ -798,10 +805,17 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> StageResult:
         else:
             records = _read_jsonl(out_dir / "ensemble" / ensembles[task_name]["file"])
             outputs = {rec["sample_id"]: rec for rec in records}
+            eval_ids = {s.id for s in eval_set}
+            missing, foreign = eval_ids - outputs.keys(), outputs.keys() - eval_ids
+            if missing or foreign or len(records) != len(outputs):
+                raise PipelineStageError(
+                    "evaluate",
+                    f"task {task_name}: the ensemble outputs miss {len(missing)} eval samples, "
+                    f"name {len(foreign)} samples outside the eval set and repeat "
+                    f"{len(records) - len(outputs)}; re-run ensemble",
+                )
             predicted, gold = [], []
             for s in eval_set:
-                if s.id not in outputs:
-                    continue
                 predicted.append(outputs[s.id]["label"])
                 gold.append(
                     s.label if eval_set.task_kind.is_classification else gold_binary_label(s)
@@ -862,7 +876,11 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
         "master_seed": cfg.master_seed,
         **payload,
     }
-    _write_json(stage_dir / "index.json", index)
+    # written whole under a temporary name, then renamed: a reader never
+    # sees a half-written index
+    partial = stage_dir / "index.json.partial"
+    _write_json(partial, index)
+    os.replace(partial, stage_dir / "index.json")
     manifest_path = out_dir / "run_manifest.json"
     manifest = (
         json.loads(manifest_path.read_text(encoding="utf-8"))

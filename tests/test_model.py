@@ -30,11 +30,11 @@ def random_model(rng, dim=6, hidden=4, heads=("cls", "reg"), n_classes=3):
     model = ToyModel.create(SourceSpec("fam", int(rng.integers(1e6)), dim), specs,
                             hidden=hidden, run_seed=int(rng.integers(1e6)))
     # spread the weights out so gradients are exercised away from init
-    model.enc_weights = rng.normal(0, 1.0, size=model.enc_weights.shape)
-    model.enc_bias = rng.normal(0, 0.5, size=model.enc_bias.shape)
+    model.enc_weights[...] = rng.normal(0, 1.0, size=model.enc_weights.shape)
+    model.enc_bias[...] = rng.normal(0, 0.5, size=model.enc_bias.shape)
     for head in model.heads.values():
-        head.weights = rng.normal(0, 0.8, size=head.weights.shape)
-        head.bias = rng.normal(0, 0.3, size=head.bias.shape)
+        head.weights[...] = rng.normal(0, 0.8, size=head.weights.shape)
+        head.bias[...] = rng.normal(0, 0.3, size=head.bias.shape)
     return model
 
 
@@ -252,13 +252,74 @@ def test_checkpoint_round_trip(tmp_path):
     ckpt = Checkpoint(model=model, stage="multitask", epoch=4,
                       dev_metrics={"t": 0.75}, selection_value=0.75,
                       config_hash="abc", seeds={"run": 9})
-    save_checkpoint(ckpt, tmp_path / "ck.json")
-    loaded = load_checkpoint(tmp_path / "ck.json")
+    entry = save_checkpoint(ckpt, tmp_path / "ck.npy")
+    loaded = load_checkpoint(tmp_path / "ck.npy", entry)
     assert loaded.epoch == 4 and loaded.stage == "multitask"
     assert loaded.dev_metrics == {"t": 0.75}
     assert np.array_equal(loaded.model.enc_weights, model.enc_weights)
     assert np.array_equal(loaded.model.heads["cls"].weights, model.heads["cls"].weights)
     assert loaded.model.source == model.source
+
+
+THREE_HEADS = {
+    "nli": TaskKind.parse("classification:3"),
+    "rqe": TaskKind.parse("classification:2"),
+    "qa": REG,
+}
+
+
+def test_checkpoint_is_one_npy_file_that_reloads_the_same_bytes(tmp_path):
+    rng = np.random.default_rng(15)
+    model = ToyModel.create(SourceSpec("fam", 3, 10), THREE_HEADS, hidden=5, run_seed=2)
+    model.params[...] = rng.normal(0, 1, size=model.params.shape)
+    path = tmp_path / "m__multitask.npy"
+    entry = save_checkpoint(Checkpoint(model=model, stage="multitask", epoch=2), path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert entry["checkpoint"] == path.name
+    assert entry["layout"]["heads"]["nli"] == {"kind": "classification", "weights": [5, 3],
+                                               "bias": [3]}
+    assert entry["provenance"]["epoch"] == 2
+    loaded = load_checkpoint(path, entry).model
+    assert loaded.params.tobytes() == model.params.tobytes()
+    for group, head in model.heads.items():
+        assert loaded.heads[group].kind == head.kind
+        assert loaded.heads[group].weights.tobytes() == head.weights.tobytes()
+        assert loaded.heads[group].bias.tobytes() == head.bias.tobytes()
+    assert loaded.enc_weights.tobytes() == model.enc_weights.tobytes()
+    assert loaded.enc_bias.tobytes() == model.enc_bias.tobytes()
+    assert loaded.source == model.source and loaded.hidden == model.hidden
+
+
+def test_parameters_are_views_of_one_vector_that_cannot_be_rebound():
+    model = ToyModel.create(SourceSpec("fam", 3, 10), THREE_HEADS, hidden=5, run_seed=2)
+    arrays = [model.enc_weights, model.enc_bias]
+    arrays += [a for _, head in sorted(model.heads.items()) for a in (head.weights, head.bias)]
+    assert all(a.base is model.params for a in arrays)
+    assert np.concatenate([a.ravel() for a in arrays]).tobytes() == model.params.tobytes()
+    head = model.heads["nli"]
+    for owner, name in ((model, "params"), (model, "enc_weights"), (model, "enc_bias"),
+                        (head, "weights"), (head, "bias")):
+        with pytest.raises(AttributeError, match="update it in place"):
+            setattr(owner, name, getattr(owner, name).copy())
+    model.enc_weights *= 2.0  # in place: the view stays bound
+    assert model.enc_weights.base is model.params
+
+
+def test_copy_shares_no_memory_and_steps_independently():
+    rng = np.random.default_rng(16)
+    model = ToyModel.create(SourceSpec("fam", 3, 10), THREE_HEADS, hidden=5, run_seed=2)
+    before = model.params.copy()
+    twin = model.copy()
+    assert not np.shares_memory(twin.params, model.params)
+    assert twin.params.tobytes() == model.params.tobytes()
+    for group in ("nli", "rqe", "qa"):
+        assert not np.shares_memory(twin.heads[group].weights, model.heads[group].weights)
+    kind = THREE_HEADS["nli"]
+    batch = TrainingBatch(features=rng.normal(0, 1, size=(4, 10)), head_group="nli",
+                          task_kind=kind, labels=rng.integers(0, 3, size=4))
+    grad_step(twin, batch, 0.5)
+    assert not np.array_equal(twin.params, before)
+    assert model.params.tobytes() == before.tobytes()
 
 
 # -- bit-exactness against the per-array formulation -------------------------------

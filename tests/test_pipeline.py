@@ -351,3 +351,72 @@ def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tm
         (run / "train" / "index.json").write_text(json.dumps(index))
     with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] .*re-run train"):
         run_stage(stage, cfg, run)
+
+
+@pytest.mark.parametrize("stage, damage", [
+    ("finetune", "truncate"),
+    ("predict", "delete"),
+    ("finetune", "one_value_short"),
+    ("predict", "float32"),
+    ("finetune", "schema_1_entry"),
+])
+def test_damaged_checkpoint_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
+                                              stage, damage):
+    """Finetune reads train checkpoints and predict fine-tuned ones; either
+    fails tagged, naming the stage to re-run, on a bad file or entry."""
+    import numpy as np
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    producer = "train" if stage == "finetune" else "finetune"
+    index = read_index(run, producer)
+    entries = index["members" if producer == "train" else "finetuned"]
+    key = sorted(entries)[0]
+    path = run / producer / entries[key]["checkpoint"]
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[:-8])
+    elif damage == "delete":
+        path.unlink()
+    elif damage == "one_value_short":
+        np.save(path, np.load(path)[:-1])
+    elif damage == "float32":
+        np.save(path, np.load(path).astype(np.float32))
+    else:
+        # a train index entry as written before checkpoints were .npy vectors
+        entries[key] = {"checkpoint": f"{key}__multitask.json", "history": f"{key}__history.json",
+                        "best_epoch": 1, "selection_value": 0.5, "source": "family_a",
+                        "fold": None}
+        (run / producer / "index.json").write_text(json.dumps(index))
+    with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] .*re-run {producer}$"):
+        run_stage(stage, cfg, run)
+
+
+def test_truncated_index_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path):
+    # indexes are written whole and renamed into place: no partial file is left
+    assert not list(toy_run_dir.glob("*/index.json.partial"))
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    index = run / "train" / "index.json"
+    index.write_bytes(index.read_bytes()[:-40])
+    with pytest.raises(PipelineStageError, match=r"^\[finetune\] .*re-run train$"):
+        run_stage("finetune", cfg, run)
+
+
+@pytest.mark.parametrize("damage", ["drop_one", "foreign_id", "repeat_one"])
+def test_evaluate_refuses_a_partial_ensemble(toy_corpus_dir, toy_run_dir, tmp_path, damage):
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    task = next(t for t in read_index(run, "ensemble")["ensembles"] if t not in cfg.ranking_tasks)
+    path = run / "ensemble" / f"{task}.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "drop_one":
+        lines = lines[1:]
+    elif damage == "foreign_id":
+        record = json.loads(lines[0])
+        record["sample_id"] = "not-an-eval-sample"
+        lines[0] = json.dumps(record) + "\n"
+    else:
+        lines.append(lines[0])
+    path.write_text("".join(lines))
+    with pytest.raises(PipelineStageError, match=rf"^\[evaluate\] task {task}: .*re-run ensemble$"):
+        run_stage("evaluate", cfg, run)

@@ -97,7 +97,8 @@ def test_adding_members_never_perturbs_existing_ones(toy_corpus_dir, tmp_path):
         out = tmp_path / tag
         for stage in ("ingest", "transform", "split", "train"):
             run_stage(stage, cfg, out)
-        ckpt = load_checkpoint(out / "train" / "family_a-m0__multitask.json")
+        entry = json.loads((out / "train" / "index.json").read_text())["members"]["family_a-m0"]
+        ckpt = load_checkpoint(out / "train" / entry["checkpoint"], entry)
         weights[tag] = ckpt.model.enc_weights
     assert np.array_equal(weights["small"], weights["large"])
 
@@ -116,10 +117,10 @@ def test_rerun_without_cv_finetuning_ignores_stale_checkpoints(
 
     rerun = tmp_path / "rerun"
     shutil.copytree(toy_run_dir, rerun)
-    stale = sorted(p for p in (toy_run_dir / "finetune").glob("*__ft__*.json") if "-cv" in p.name)
+    stale = sorted(p for p in (toy_run_dir / "finetune").glob("*__ft__*.npy") if "-cv" in p.name)
     assert stale
     run_stage("finetune", cfg, rerun)
-    assert not any("-cv" in p.name for p in (rerun / "finetune").glob("*__ft__*.json"))
+    assert not any("-cv" in p.name for p in (rerun / "finetune").glob("*__ft__*.npy"))
     shutil.copy(stale[0], rerun / "finetune" / stale[0].name)
     for stage in STAGES[STAGES.index("predict"):]:
         run_stage(stage, cfg, rerun)
