@@ -4,18 +4,23 @@ Datasets are collections of text pairs, each carrying either a class label
 (classification tasks) or a real-valued target score (regression / ranking
 tasks). Files are JSON-Lines, one sample per line; a plain-text manifest
 (INI sections) declares the datasets of a run.
+
+This module also holds the one codec for every artifact the pipeline
+writes: JSON-Lines records (`write_jsonl`, `read_jsonl`) and indented JSON
+documents (`write_json`, `read_json`), both with sorted keys.
 """
 from __future__ import annotations
 
 import configparser
 import json
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class DatasetFormatError(ValueError):
-    """Raised when a dataset file or record violates the documented schema."""
+    """Raised when a dataset or artifact file or record violates the documented schema."""
 
 
 CLASSIFICATION = "classification"
@@ -186,6 +191,53 @@ class Dataset:
         )
 
 
+# -- artifact codec --------------------------------------------------------------
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSON-Lines file.
+
+    Raises DatasetFormatError naming path:line for invalid JSON or a line
+    that is not a JSON object, and OSError when the file cannot be read.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise DatasetFormatError(f"{path}:{line_no}: record must be a JSON object")
+            yield line_no, obj
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as indented sorted-key JSON under a temporary name, then
+    rename it into place, so a reader never sees a half-written file."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(json.dumps(obj, sort_keys=True, indent=2), encoding="utf-8")
+    os.replace(partial, path)
+
+
+def read_json(path: str | Path):
+    """A JSON document; ValueError when it is not valid JSON."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def _parse_record(obj: dict, line_no: int, path: str) -> SamplePair:
     try:
         sample = SamplePair(
@@ -214,25 +266,6 @@ def _parse_record(obj: dict, line_no: int, path: str) -> SamplePair:
     return sample
 
 
-def load_samples(path: str | Path) -> list[SamplePair]:
-    """Read a JSON-Lines sample file, reporting the line number of any bad record."""
-    samples = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DatasetFormatError(f"{path}:{line_no}: record must be a JSON object")
-            samples.append(_parse_record(obj, line_no, str(path)))
-    return samples
-
-
 def load_dataset(
     path: str | Path,
     name: str,
@@ -245,16 +278,12 @@ def load_dataset(
     Raises DatasetFormatError on malformed records (with line number),
     duplicate ids, or label/task mismatches.
     """
-    samples = load_samples(path)
+    samples = [_parse_record(obj, line_no, str(path)) for line_no, obj in read_jsonl(path)]
     return Dataset(name=name, task_kind=task_kind, role=role, head_group=head_group, samples=samples)
 
 
 def save_samples(samples: Iterable[SamplePair], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps(s.to_record(), sort_keys=True) + "\n")
+    write_jsonl(path, (s.to_record() for s in samples))
 
 
 @dataclass

@@ -20,9 +20,7 @@ Two member pools are supported:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -262,8 +260,3 @@ def summarize_trials(trials: list[TrialResult]) -> ExperimentReport:
         mean_single_improvement=float(np.mean(single_improvements)),
     )
 
-
-def save_report(report: ExperimentReport, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2), encoding="utf-8")

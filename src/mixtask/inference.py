@@ -9,7 +9,6 @@ score (regression).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .data import read_jsonl, write_jsonl
 from .model import LOG_EPS
 
 PROB_SUM_TOL = 1e-6
@@ -216,40 +216,31 @@ def combine_predictions(members: Sequence[PredictionSet]) -> dict[str, EnsembleO
 
 
 def save_prediction_set(ps: PredictionSet, path: str | Path) -> None:
-    """JSON-Lines: one record per sample with model_id and probs or score."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "model_id": ps.model_id,
-            "task": ps.task,
-            "kind": ps.kind,
-            "dev_metric": ps.dev_metric,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for sample_id in sorted(ps.predictions):
-            rec = {"model_id": ps.model_id, "sample_id": sample_id}
-            if ps.kind == "classification":
-                rec["probs"] = [float(p) for p in ps.predictions[sample_id]]
-            else:
-                rec["score"] = float(ps.predictions[sample_id])
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """JSON-Lines: a header with the set's metadata, then one record per
+    sample with model_id and probs or score."""
+    header = {"model_id": ps.model_id, "task": ps.task, "kind": ps.kind,
+              "dev_metric": ps.dev_metric}
+    if ps.kind == "classification":
+        key, value = "probs", lambda v: [float(p) for p in v]
+    else:
+        key, value = "score", float
+    records = ({"model_id": ps.model_id, "sample_id": i, key: value(ps.predictions[i])}
+               for i in sorted(ps.predictions))
+    write_jsonl(path, itertools.chain([header], records))
 
 
 def load_prediction_set(path: str | Path) -> PredictionSet:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines:
+    records = [rec for _, rec in read_jsonl(path)]
+    if not records:
         raise ValueError(f"{path}: empty prediction file")
-    header = lines[0]
+    header = records[0]
     ps = PredictionSet(
         model_id=header["model_id"],
         task=header["task"],
         kind=header["kind"],
         dev_metric=header.get("dev_metric"),
     )
-    for rec in lines[1:]:
+    for rec in records[1:]:
         if "probs" in rec:
             ps.predictions[rec["sample_id"]] = np.asarray(rec["probs"], dtype=np.float64)
         else:
@@ -259,19 +250,8 @@ def load_prediction_set(path: str | Path) -> PredictionSet:
 
 
 def save_ensemble_outputs(outputs: Iterable[EnsembleOutput], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for out in outputs:
-            fh.write(
-                json.dumps(
-                    {
-                        "sample_id": out.sample_id,
-                        "label": out.label,
-                        "score": out.score,
-                        "question_id": out.question_id,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {"sample_id": out.sample_id, "label": out.label, "score": out.score,
+         "question_id": out.question_id}
+        for out in outputs
+    ))

@@ -5,7 +5,9 @@ predict -> ensemble -> rank -> evaluate. Each stage reads earlier stages'
 artifacts from the output directory and writes its own, so any stage can be
 re-run independently. A stage reads each upstream artifact once; members
 share one in-memory SplitView of the split files and CV folds. run_stage
-writes each stage's index.json and updates run_manifest.json. Checkpoints
+writes each stage's index.json and updates run_manifest.json. Files are
+written and read through the codec in data.py; an unreadable upstream
+artifact fails the reading stage with "re-run <producer>". Checkpoints
 resolve through indexes: a (member, task) model is the one the finetune
 index lists, else the member's checkpoint in the train index, never a file
 merely present on disk. Each row is featurized once per run: train saves
@@ -22,7 +24,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,13 +43,22 @@ from .corpus import (
     random_split,
     rqe_shuffle_split,
 )
-from .data import Dataset, TaskKind, load_dataset, load_manifest_datasets, save_samples
+from .data import (
+    Dataset,
+    TaskKind,
+    load_dataset,
+    load_manifest_datasets,
+    read_json,
+    read_jsonl,
+    save_samples,
+    write_json,
+    write_jsonl,
+)
 from .experiment import (
     ExperimentReport,
     NoiseModelConfig,
     compare_groupings,
     run_noise_model_experiment,
-    save_report,
     summarize_trials,
 )
 from .featurize import FeatureCache, SourceSpec
@@ -254,27 +264,26 @@ class PipelineConfig:
 # -- artifact helpers ----------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _reading(needed_by: str, what: str, remedy: str):
+    """Turn a failed read of an upstream artifact into a tagged error that
+    names the artifact and the remedy, usually "re-run <producer>"."""
+    try:
+        yield
+    except (EOFError, KeyError, OSError, ValueError) as exc:
+        raise PipelineStageError(
+            needed_by, f"unreadable {what}: {type(exc).__name__}: {exc}; {remedy}"
+        ) from exc
+
+
 def _read_index(out_dir: Path, stage: str, needed_by: str) -> dict:
     path = out_dir / stage / "index.json"
     if not path.exists():
         raise PipelineStageError(
             needed_by, f"missing {stage} artifacts at {path.name}; run the {stage} stage first"
         )
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise PipelineStageError(
-            needed_by, f"unreadable {stage}/{path.name}: {exc}; re-run {stage}"
-        ) from exc
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2), encoding="utf-8")
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    with path.open("r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    with _reading(needed_by, f"{stage}/{path.name}", f"re-run {stage}"):
+        return read_json(path)
 
 
 def _save_datasets(
@@ -307,13 +316,14 @@ def _load_file(path: Path, name: str, entry: dict) -> Dataset:
 def _load_datasets(out_dir: Path, stage: str, needed_by: str) -> dict[str, dict[str, Dataset]]:
     """Every dataset split listed by a stage's index, by name and split."""
     index = _read_index(out_dir, stage, needed_by)
-    return {
-        name: {
-            split: _load_file(out_dir / stage / filename, name, entry)
-            for split, filename in entry["splits"].items()
+    with _reading(needed_by, f"{stage} datasets", f"re-run {stage}"):
+        return {
+            name: {
+                split: _load_file(out_dir / stage / filename, name, entry)
+                for split, filename in entry["splits"].items()
+            }
+            for name, entry in index["datasets"].items()
         }
-        for name, entry in index["datasets"].items()
-    }
 
 
 class SplitView:
@@ -327,6 +337,7 @@ class SplitView:
     def __init__(self, cfg: PipelineConfig, out_dir: Path, needed_by: str):
         self.index = _read_index(out_dir, "split", needed_by)
         self._dir = out_dir / "split"
+        self._needed_by = needed_by
         self._cv_task = cfg.cv_task
         self._folds = {meta["fold"]: meta for meta in self.index["folds"]}
         self._loaded: dict[str, Dataset] = {}
@@ -337,7 +348,8 @@ class SplitView:
     def _file(self, name: str, filename: str) -> Dataset:
         if filename not in self._loaded:
             entry = self.index["datasets"][name]
-            self._loaded[filename] = _load_file(self._dir / filename, name, entry)
+            with _reading(self._needed_by, f"split/{filename}", "re-run split"):
+                self._loaded[filename] = _load_file(self._dir / filename, name, entry)
         return self._loaded[filename]
 
     def split(self, name: str, split: str) -> Optional[Dataset]:
@@ -379,25 +391,15 @@ def _open_features(
                 f"seed {spec.featurizer_seed} and dim {spec.dim}; re-run train",
             )
         entries[spec.name] = entry
-    try:
+    with _reading(needed_by, "train features", "re-run train"):
         return FeatureCache.load(out_dir / "train" / "features", entries)
-    except (KeyError, OSError, ValueError) as exc:
-        raise PipelineStageError(
-            needed_by, f"unreadable train features: {type(exc).__name__}: {exc}; re-run train"
-        ) from exc
 
 
 def _open_checkpoint(out_dir: Path, stage: str, entry: dict, needed_by: str) -> Checkpoint:
     """The checkpoint a train or finetune index entry lists, read through that
     entry. A missing, truncated or mismatched file fails with "re-run <stage>"."""
-    try:
+    with _reading(needed_by, f"{stage} checkpoint {entry.get('checkpoint')!r}", f"re-run {stage}"):
         return load_checkpoint(out_dir / stage / entry["checkpoint"], entry)
-    except (EOFError, KeyError, OSError, ValueError) as exc:
-        raise PipelineStageError(
-            needed_by,
-            f"unreadable {stage} checkpoint {entry.get('checkpoint')!r}: "
-            f"{type(exc).__name__}: {exc}; re-run {stage}",
-        ) from exc
 
 
 # -- stages ---------------------------------------------------------------------
@@ -561,7 +563,7 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> StageResult:
         result.best.config_hash = cfg.config_hash
         checkpoint = save_checkpoint(result.best, stage_dir / f"{member_id}__multitask.npy")
         history_file = f"{member_id}__history.json"
-        _write_json(
+        write_json(
             stage_dir / history_file,
             {"member": member_id, "initial_metrics": result.initial_metrics,
              "history": result.history},
@@ -580,7 +582,12 @@ def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) 
 
 
 def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> StageResult:
-    """Per-task fine-tuning from each member's best multi-task checkpoint."""
+    """Per-task fine-tuning from each member's best multi-task checkpoint.
+
+    Only models that fine-tuning changed are saved and listed: when no epoch
+    beats the input's dev metric, the (member, task) gets no file and no
+    index entry, and predict uses the member's train checkpoint.
+    """
     train_index = _read_index(out_dir, "train", "finetune")
     trained = train_index["members"]
     view = SplitView(cfg, out_dir, "finetune")
@@ -597,6 +604,8 @@ def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                 raise PipelineStageError(
                     "finetune", f"member {member_id}, task {task.name}: {exc}"
                 ) from exc
+            if tuned.epoch == 0:
+                continue
             finetuned[f"{member_id}/{task.name}"] = save_checkpoint(
                 tuned, out_dir / "finetune" / f"{member_id}__ft__{task.name}.npy"
             )
@@ -691,11 +700,12 @@ def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     view = SplitView(cfg, out_dir, "ensemble")
     ensembles_meta = {}
     for task_name in sorted({key.split("/", 1)[1] for key in predictions}):
-        sets = [
-            load_prediction_set(out_dir / "predict" / predictions[key]["file"])
-            for key in sorted(predictions)
-            if key.split("/", 1)[1] == task_name
-        ]
+        with _reading("ensemble", f"{task_name} prediction sets", "re-run predict"):
+            sets = [
+                load_prediction_set(out_dir / "predict" / predictions[key]["file"])
+                for key in sorted(predictions)
+                if key.split("/", 1)[1] == task_name
+            ]
         threshold = cfg.thresholds.get(task_name, 0.0)
         try:
             members = select_members(sets, threshold)
@@ -734,33 +744,23 @@ def stage_rank(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     for task_name in cfg.ranking_tasks:
         if task_name not in ensembles:
             raise PipelineStageError("rank", f"no ensemble outputs for task {task_name!r}")
-        records = _read_jsonl(out_dir / "ensemble" / ensembles[task_name]["file"])
-        outputs = {rec["sample_id"]: rec for rec in records}
         by_question: dict[str, list] = {}
-        for sample_id, rec in sorted(outputs.items()):
-            if rec.get("question_id") is None:
-                raise PipelineStageError("rank", f"sample {sample_id!r} lacks a question id")
-            by_question.setdefault(rec["question_id"], []).append(
-                (sample_id, rec["label"], rec["score"])
-            )
+        with _reading("rank", f"{task_name} ensemble outputs", "re-run ensemble"):
+            path = out_dir / "ensemble" / ensembles[task_name]["file"]
+            outputs = {rec["sample_id"]: rec for _, rec in read_jsonl(path)}
+            for sample_id, rec in sorted(outputs.items()):
+                if rec.get("question_id") is None:
+                    raise PipelineStageError("rank", f"sample {sample_id!r} lacks a question id")
+                by_question.setdefault(rec["question_id"], []).append(
+                    (sample_id, rec["label"], rec["score"])
+                )
         filename = f"{task_name}.jsonl"
-        with (out_dir / "rank" / filename).open("w", encoding="utf-8") as fh:
-            for question_id in sorted(by_question):
-                ranked = rank_answers(question_id, by_question[question_id])
-                for position, answer in enumerate(ranked.answers, start=1):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "question_id": question_id,
-                                "sample_id": answer.answer_id,
-                                "label": answer.label,
-                                "score": answer.score,
-                                "rank": position,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+        ranked = (rank_answers(q, by_question[q]) for q in sorted(by_question))
+        write_jsonl(out_dir / "rank" / filename, (
+            {"question_id": r.question_id, "sample_id": a.answer_id, "label": a.label,
+             "score": a.score, "rank": position}
+            for r in ranked for position, a in enumerate(r.answers, start=1)
+        ))
         rank_meta[task_name] = {"file": filename, "n_questions": len(by_question)}
     return {"rankings": rank_meta}, {"rankings": sorted(rank_meta)}
 
@@ -789,22 +789,25 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> StageResult:
         eval_set = view.eval_set(task_name)
         if task_name in cfg.ranking_tasks:
             scored: dict[str, list] = {}
-            for rec in _read_jsonl(out_dir / "rank" / rankings[task_name]["file"]):
-                scored.setdefault(rec["question_id"], []).append(
-                    (rec["sample_id"], rec["label"], rec["score"])
-                )
-            gold_labels = {}
-            gold_correct = {}
+            with _reading("evaluate", f"{task_name} rankings", "re-run rank"):
+                for _, rec in read_jsonl(out_dir / "rank" / rankings[task_name]["file"]):
+                    scored.setdefault(rec["question_id"], []).append(
+                        (rec["sample_id"], rec["label"], rec["score"])
+                    )
+            gold_labels, gold_correct = {}, {}
             for s in eval_set:
-                gold_labels.setdefault(s.question_id, {})[s.id] = gold_binary_label(s)
-                if gold_binary_label(s):
+                label = gold_binary_label(s)
+                gold_labels.setdefault(s.question_id, {})[s.id] = label
+                if label:
                     gold_correct.setdefault(s.question_id, set()).add(s.id)
             report = build_ranking_report(
                 task_name, scored, gold_correct, _gold_positions(eval_set.samples), gold_labels
             )
         else:
-            records = _read_jsonl(out_dir / "ensemble" / ensembles[task_name]["file"])
-            outputs = {rec["sample_id"]: rec for rec in records}
+            with _reading("evaluate", f"{task_name} ensemble outputs", "re-run ensemble"):
+                path = out_dir / "ensemble" / ensembles[task_name]["file"]
+                records = [rec for _, rec in read_jsonl(path)]
+                outputs = {rec["sample_id"]: rec for rec in records}
             eval_ids = {s.id for s in eval_set}
             missing, foreign = eval_ids - outputs.keys(), outputs.keys() - eval_ids
             if missing or foreign or len(records) != len(outputs):
@@ -814,16 +817,10 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                     f"name {len(foreign)} samples outside the eval set and repeat "
                     f"{len(records) - len(outputs)}; re-run ensemble",
                 )
-            predicted, gold = [], []
-            for s in eval_set:
-                predicted.append(outputs[s.id]["label"])
-                gold.append(
-                    s.label if eval_set.task_kind.is_classification else gold_binary_label(s)
-                )
-            binary = (
-                eval_set.task_kind.kind == "regression"
-                or eval_set.task_kind.num_classes == 2
-            )
+            predicted = [outputs[s.id]["label"] for s in eval_set]
+            gold = dev_gold(eval_set)
+            kind = eval_set.task_kind
+            binary = not kind.is_classification or kind.num_classes == 2
             report = EvalReport(
                 task=task_name,
                 accuracy=accuracy(predicted, gold),
@@ -831,12 +828,12 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                 n_samples=len(predicted),
             )
         reports[task_name] = report
-        _write_json(stage_dir / f"{task_name}.json", report.to_dict())
+        write_json(stage_dir / f"{task_name}.json", report.to_dict())
         print(report.table())
         print()
     summary = {t: {"accuracy": r.accuracy, "precision": r.precision, "mrr": r.mrr,
                    "spearman": r.spearman} for t, r in reports.items()}
-    _write_json(stage_dir / "summary.json", summary)
+    write_json(stage_dir / "summary.json", summary)
     return {"reports": sorted(reports)}, {"reports": sorted(reports)}
 
 
@@ -858,43 +855,30 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
     """Run one stage: empty its directory, let it write its artifacts, then
     write its index.json and record its summary in run_manifest.json.
 
-    The stage directory is removed first, so a re-run never leaves files of
-    an earlier run of the stage behind; no stage reads its own directory.
+    The run manifest is read before anything is written, so an unreadable
+    one fails the stage with the stage directory untouched. The stage
+    directory is removed next, so a re-run never leaves files of an earlier
+    run of the stage behind; no stage reads its own directory. The index and
+    the manifest are written whole and renamed into place.
     """
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
     out_dir = Path(out_dir)
+    header = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash,
+              "master_seed": cfg.master_seed}
+    manifest_path = out_dir / "run_manifest.json"
+    # every stage rewrites the manifest, so no single stage re-run mends it
+    with _reading(name, manifest_path.name, "delete it and re-run the pipeline"):
+        manifest = (read_json(manifest_path) if manifest_path.exists()
+                    else {**header, "config": cfg.raw, "stages": {}})
+        summaries = manifest["stages"]
     stage_dir = out_dir / name
     if stage_dir.exists():
         shutil.rmtree(stage_dir)
     stage_dir.mkdir(parents=True)
-    payload, summary = _STAGE_FUNCS[name](cfg, out_dir)
-    index = {
-        "schema_version": SCHEMA_VERSION,
-        "stage": name,
-        "config_hash": cfg.config_hash,
-        "master_seed": cfg.master_seed,
-        **payload,
-    }
-    # written whole under a temporary name, then renamed: a reader never
-    # sees a half-written index
-    partial = stage_dir / "index.json.partial"
-    _write_json(partial, index)
-    os.replace(partial, stage_dir / "index.json")
-    manifest_path = out_dir / "run_manifest.json"
-    manifest = (
-        json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest_path.exists()
-        else {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": cfg.config_hash,
-            "master_seed": cfg.master_seed,
-            "config": cfg.raw,
-            "stages": {},
-        }
-    )
-    manifest["stages"][name] = summary
-    _write_json(manifest_path, manifest)
+    payload, summaries[name] = _STAGE_FUNCS[name](cfg, out_dir)
+    write_json(stage_dir / "index.json", {**header, "stage": name, **payload})
+    write_json(manifest_path, manifest)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path, quiet: bool = False) -> Path:
@@ -939,7 +923,7 @@ def run_multisource_experiment(
         report = _trained_experiment(cfg, out_dir)
     else:
         raise PipelineStageError("experiment", f"unknown mode {mode!r}")
-    save_report(report, out_dir / "experiment_report.json")
+    write_json(out_dir / "experiment_report.json", report.to_dict())
     return report
 
 

@@ -8,7 +8,6 @@ sequence shuffled. alpha = 0 reduces to plain in-domain training.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, TaskKind
+from .data import Dataset, TaskKind, read_jsonl, write_jsonl
 from .seeding import derive_rng
 
 
@@ -164,30 +163,12 @@ def build_epoch(
 
 def save_plan(plan: EpochPlan, path: str | Path) -> None:
     """Write a plan as JSON-Lines: one batch per line with its position."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for position, batch in enumerate(plan.batches):
-            fh.write(
-                json.dumps(
-                    {
-                        "position": position,
-                        "dataset": batch.dataset_name,
-                        "sample_ids": list(batch.sample_ids),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (
+        {"position": i, "dataset": batch.dataset_name, "sample_ids": list(batch.sample_ids)}
+        for i, batch in enumerate(plan.batches)
+    ))
 
 
 def load_plan(path: str | Path) -> list[dict]:
     """Read back a plan audit file as a list of {position, dataset, sample_ids}."""
-    rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    rows.sort(key=lambda r: r["position"])
-    return rows
+    return sorted((rec for _, rec in read_jsonl(path)), key=lambda r: r["position"])

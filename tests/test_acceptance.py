@@ -224,7 +224,7 @@ def test_criterion_7_gradient_correctness():
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path):
-    with criterion(8, "toy pipeline twice: byte-identical predictions and reports, < 2 min/run"):
+    with criterion(8, "toy pipeline twice: byte-identical predictions, reports and indexes, < 2 min/run"):
         corpus = tmp_path / "corpus"
         write_toy_corpus(corpus, seed=7)
         cfg = PipelineConfig.from_file(corpus / "config.yaml")
@@ -248,6 +248,13 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         assert tree_bytes(runs[0], watched) == tree_bytes(runs[1], watched)
         features = tree_bytes(runs[0], ("train/features",))
         assert features and features == tree_bytes(runs[1], ("train/features",))
+
+        def indexes_and_manifest(root):
+            paths = [*root.glob("*/index.json"), root / "run_manifest.json"]
+            return {str(path.relative_to(root)): path.read_bytes() for path in paths}
+
+        recorded = indexes_and_manifest(runs[0])
+        assert len(recorded) == 11 and recorded == indexes_and_manifest(runs[1])
 
 
 def test_criterion_9_multisource_advantage():

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from mixtask import data
 from mixtask.data import (
     Dataset,
     DatasetFormatError,
@@ -135,3 +137,42 @@ def test_manifest_missing_key_rejected(tmp_path):
     (tmp_path / "m.ini").write_text("[x]\nrole = in_domain\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="task_kind"):
         read_manifest(tmp_path / "m.ini")
+
+
+# -- artifact codec ----------------------------------------------------------------
+
+
+def test_jsonl_reader_skips_blank_lines_and_numbers_every_line(tmp_path):
+    (tmp_path / "r.jsonl").write_text('{"a": 1}\n\n   \n{"b": 2}\n', encoding="utf-8")
+    assert list(data.read_jsonl(tmp_path / "r.jsonl")) == [(1, {"a": 1}), (4, {"b": 2})]
+
+
+@pytest.mark.parametrize("line, problem", [
+    ('{"a": 1', r"invalid JSON \("),
+    ("[1, 2]", "record must be a JSON object"),
+    ('"text"', "record must be a JSON object"),
+])
+def test_jsonl_reader_names_path_and_line(tmp_path, line, problem):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a": 1}\n\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:3: {problem}"):
+        list(data.read_jsonl(path))
+
+
+def test_jsonl_writer_writes_one_sorted_dump_per_record(tmp_path):
+    records = [{"b": 1, "a": [0.1, None, 1e-300]}, {"z": "\u00e9", "y": {"d": 2, "c": 1}}, {}]
+    path = tmp_path / "new_dir" / "w.jsonl"
+    data.write_jsonl(path, iter(records))
+    expected = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert [rec for _, rec in data.read_jsonl(path)] == records
+
+
+def test_json_writer_renames_a_whole_file_into_place(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("an older document", encoding="utf-8")
+    doc = {"b": [1, 2.5], "a": None}
+    data.write_json(path, doc)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=2)
+    assert data.read_json(path) == doc
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]

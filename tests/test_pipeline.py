@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -392,8 +393,8 @@ def test_damaged_checkpoint_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_p
 
 
 def test_truncated_index_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path):
-    # indexes are written whole and renamed into place: no partial file is left
-    assert not list(toy_run_dir.glob("*/index.json.partial"))
+    # JSON documents are written whole and renamed into place: no partial file is left
+    assert not list(toy_run_dir.rglob("*.partial"))
     run = _copy_run(toy_run_dir, tmp_path)
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     index = run / "train" / "index.json"
@@ -420,3 +421,52 @@ def test_evaluate_refuses_a_partial_ensemble(toy_corpus_dir, toy_run_dir, tmp_pa
     path.write_text("".join(lines))
     with pytest.raises(PipelineStageError, match=rf"^\[evaluate\] task {task}: .*re-run ensemble$"):
         run_stage("evaluate", cfg, run)
+
+
+@pytest.mark.parametrize("stage, producer, artifact", [
+    ("ensemble", "predict", "predict/family_a-m0__toy_nli.jsonl"),
+    ("rank", "ensemble", "ensemble/toy_qa.jsonl"),
+    ("evaluate", "rank", "rank/toy_qa.jsonl"),
+    ("train", "split", "split/toy_nli__train.jsonl"),
+])
+def test_truncated_upstream_artifact_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
+                                                       stage, producer, artifact):
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    path = run / artifact
+    path.write_bytes(path.read_bytes()[:-40])
+    with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] .*re-run {producer}$"):
+        run_stage(stage, cfg, run)
+
+
+def test_unreadable_run_manifest_fails_before_the_stage_writes(toy_corpus_dir, toy_run_dir,
+                                                               tmp_path):
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    manifest = run / "run_manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:-40])
+
+    def rank_files():
+        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in (run / "rank").iterdir()}
+
+    before = rank_files()
+    with pytest.raises(PipelineStageError,
+                       match=r"^\[rank\] unreadable run_manifest\.json: .*; delete it and re-run"):
+        run_stage("rank", cfg, run)
+    assert rank_files() == before
+    # the remedy the message names works
+    manifest.unlink()
+    mixtask.run_pipeline(cfg, run, quiet=True)
+    assert set(json.loads(manifest.read_text())["stages"]) == set(STAGES)
+
+
+def test_finetune_writes_only_models_it_changed(toy_run_dir):
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    trained = {digest(p) for p in (toy_run_dir / "train").glob("*.npy")}
+    tuned = sorted((toy_run_dir / "finetune").glob("*.npy"))
+    assert tuned and not [p.name for p in tuned if digest(p) in trained]
+    entries = read_index(toy_run_dir, "finetune")["finetuned"]
+    assert len(entries) == len(tuned)
+    assert all(entry["provenance"]["epoch"] >= 1 for entry in entries.values())
