@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+
+from .corpus import gold_binary_label
+from .data import SamplePair
 
 
 def accuracy(predicted: Sequence[int], gold: Sequence[int]) -> float:
@@ -163,6 +166,27 @@ class EvalReport:
         ]
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
+
+
+def ranking_gold(samples: Iterable[SamplePair]) -> tuple[dict, dict, dict]:
+    """build_ranking_report's gold arguments for a ranking task's samples:
+    (gold_correct, gold_positions, gold_labels). gold_labels holds each
+    answer's gold_binary_label, gold_correct each question's correct answer
+    ids, and gold_positions the total gold order per question: by relevance
+    descending, then rank, over the answers that carry both."""
+    gold_correct, gold_labels, ranked = {}, {}, {}
+    for s in samples:
+        label = gold_binary_label(s)
+        gold_labels.setdefault(s.question_id, {})[s.id] = label
+        if label:
+            gold_correct.setdefault(s.question_id, set()).add(s.id)
+        if s.question_id is not None and s.gold_relevance is not None and s.gold_rank is not None:
+            ranked.setdefault(s.question_id, []).append(s)
+    gold_positions = {}
+    for question_id, answers in ranked.items():
+        answers.sort(key=lambda s: (-s.gold_relevance, s.gold_rank))
+        gold_positions[question_id] = {s.id: pos for pos, s in enumerate(answers, start=1)}
+    return gold_correct, gold_positions, gold_labels
 
 
 def build_ranking_report(

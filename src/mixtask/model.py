@@ -103,10 +103,6 @@ class Head(_FixedViews):
         self.bias = bias  # (C,) or (1,)
         self.span = span
 
-    @property
-    def num_classes(self) -> Optional[int]:
-        return self.weights.shape[1] if self.kind == CLASSIFICATION else None
-
 
 @dataclass
 class TrainingBatch:

@@ -3,20 +3,18 @@
 Stages: ingest -> transform -> split -> schedule -> train -> finetune ->
 predict -> ensemble -> rank -> evaluate. Each stage reads earlier stages'
 artifacts from the output directory and writes its own, so any stage can be
-re-run independently. A stage reads each upstream artifact once; members
-share one in-memory SplitView of the split files and CV folds. run_stage
-writes each stage's index.json and updates run_manifest.json. Files are
-written and read through the codec in data.py; an unreadable upstream
-artifact fails the reading stage with "re-run <producer>". Checkpoints
-resolve through indexes: a (member, task) model is the one the finetune
-index lists, else the member's checkpoint in the train index, never a file
-merely present on disk. Each row is featurized once per run: train saves
-its FeatureCache under train/features/, and finetune and predict open it
-through the train index, so they featurize only rows train never saw.
-Every artifact is reproducible from
-(config, master seed): stage seeds derive hierarchically per
-(stage, dataset, member, fold), and no output embeds timestamps or
-absolute paths.
+re-run independently. run_stage hands each stage a StageRun, its only
+reader of upstream artifacts: each upstream index and dataset file is read
+once, and an unreadable one fails the stage with "re-run <producer>".
+run_stage writes the stage's index.json, whose "inputs" hold the sha256 of
+each upstream index read; a reader refuses an index whose inputs no longer
+match. Files go through the codec in data.py. A (member, task) model is the
+checkpoint the finetune index lists, else the member's train checkpoint,
+never a file merely present on disk. Each row is featurized once per run:
+finetune and predict open train's FeatureCache through the train index.
+Every artifact is reproducible from (config, master seed): stage seeds
+derive hierarchically per (stage, dataset, member, fold), and no output
+embeds timestamps or absolute paths.
 """
 from __future__ import annotations
 
@@ -36,7 +34,6 @@ from . import defaults
 from .corpus import (
     apply_qa_modified_scores,
     cv_folds,
-    gold_binary_label,
     mednli_merge_dev,
     medquad_negative_sample,
     qa_dev_reshuffle,
@@ -73,7 +70,7 @@ from .inference import (
     save_prediction_set,
     select_members,
 )
-from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive
+from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive, ranking_gold
 from .model import Checkpoint, ToyModel, load_checkpoint, save_checkpoint
 from .scheduler import MixtureConfig, save_plan
 from .seeding import derive_seed
@@ -264,28 +261,6 @@ class PipelineConfig:
 # -- artifact helpers ----------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _reading(needed_by: str, what: str, remedy: str):
-    """Turn a failed read of an upstream artifact into a tagged error that
-    names the artifact and the remedy, usually "re-run <producer>"."""
-    try:
-        yield
-    except (EOFError, KeyError, OSError, ValueError) as exc:
-        raise PipelineStageError(
-            needed_by, f"unreadable {what}: {type(exc).__name__}: {exc}; {remedy}"
-        ) from exc
-
-
-def _read_index(out_dir: Path, stage: str, needed_by: str) -> dict:
-    path = out_dir / stage / "index.json"
-    if not path.exists():
-        raise PipelineStageError(
-            needed_by, f"missing {stage} artifacts at {path.name}; run the {stage} stage first"
-        )
-    with _reading(needed_by, f"{stage}/{path.name}", f"re-run {stage}"):
-        return read_json(path)
-
-
 def _save_datasets(
     stage_dir: Path, bundles: dict[str, dict[str, Dataset]]
 ) -> dict[str, dict]:
@@ -307,54 +282,79 @@ def _save_datasets(
     return entries
 
 
-def _load_file(path: Path, name: str, entry: dict) -> Dataset:
-    """One dataset file, typed by its index entry."""
-    kind = TaskKind.parse(entry["task_kind"])
-    return load_dataset(path, name, kind, entry["role"], entry["head_group"])
-
-
-def _load_datasets(out_dir: Path, stage: str, needed_by: str) -> dict[str, dict[str, Dataset]]:
-    """Every dataset split listed by a stage's index, by name and split."""
-    index = _read_index(out_dir, stage, needed_by)
-    with _reading(needed_by, f"{stage} datasets", f"re-run {stage}"):
-        return {
-            name: {
-                split: _load_file(out_dir / stage / filename, name, entry)
-                for split, filename in entry["splits"].items()
-            }
-            for name, entry in index["datasets"].items()
-        }
-
-
-class SplitView:
-    """The split stage's datasets and CV folds, as one stage sees them.
-
-    The split index is read once, and each file at most once, when first
-    needed; every member's task list is built from the loaded datasets, so
-    members share one Dataset object per file.
+class StageRun:
+    """One run of one stage: `dir`, where it writes, and the only reader of
+    upstream artifacts. Each index and dataset file is read at most once, so
+    members share one Dataset per file. `inputs` maps each index read to the
+    sha256 of its bytes; a failed read fails the stage with "re-run <producer>".
     """
 
-    def __init__(self, cfg: PipelineConfig, out_dir: Path, needed_by: str):
-        self.index = _read_index(out_dir, "split", needed_by)
-        self._dir = out_dir / "split"
-        self._needed_by = needed_by
-        self._cv_task = cfg.cv_task
-        self._folds = {meta["fold"]: meta for meta in self.index["folds"]}
-        self._loaded: dict[str, Dataset] = {}
-        missing = set(range(cfg.cv_folds)) - set(self._folds) if cfg.cv_enabled else set()
-        if missing:
-            raise PipelineStageError(needed_by, f"fold {min(missing)} missing from split artifacts")
+    def __init__(self, cfg: PipelineConfig, out_dir: Path, stage: str):
+        self.cfg = cfg
+        self.out_dir = out_dir
+        self.stage = stage
+        self.dir = out_dir / stage
+        self.inputs: dict[str, str] = {}
+        self._indexes: dict[str, dict] = {}
+        self._datasets: dict[tuple[str, str], Dataset] = {}
 
-    def _file(self, name: str, filename: str) -> Dataset:
-        if filename not in self._loaded:
-            entry = self.index["datasets"][name]
-            with _reading(self._needed_by, f"split/{filename}", "re-run split"):
-                self._loaded[filename] = _load_file(self._dir / filename, name, entry)
-        return self._loaded[filename]
+    def error(self, message: str) -> PipelineStageError:
+        return PipelineStageError(self.stage, message)
+
+    @contextlib.contextmanager
+    def reading(self, what: str, producer: str = "", remedy: str = ""):
+        """Turn a failed read of an upstream artifact into a tagged error that
+        names the artifact and the remedy, "re-run <producer>" by default."""
+        try:
+            yield
+        except (EOFError, KeyError, OSError, ValueError) as exc:
+            remedy = remedy or f"re-run {producer}"
+            raise self.error(f"unreadable {what}: {type(exc).__name__}: {exc}; {remedy}") from exc
+
+    def _digest(self, producer: str) -> str:
+        with self.reading(f"{producer}/index.json", producer):
+            return hashlib.sha256((self.out_dir / producer / "index.json").read_bytes()).hexdigest()
+
+    def index(self, producer: str) -> dict:
+        """A producer's index.json, checked against the upstream indexes it
+        lists as its inputs."""
+        if producer not in self._indexes:
+            with self.reading(f"{producer}/index.json", producer):
+                index = read_json(self.out_dir / producer / "index.json")
+            for upstream, digest in sorted(index.get("inputs", {}).items()):
+                if self._digest(upstream) != digest:
+                    raise self.error(f"{producer}/index.json was built from another "
+                                     f"{upstream}/index.json; re-run {producer}")
+            self._indexes[producer] = index
+            self.inputs[producer] = self._digest(producer)
+        return self._indexes[producer]
+
+    def _dataset(self, producer: str, name: str, filename: str) -> Dataset:
+        """One dataset file a producer's index lists, typed by its entry."""
+        if (producer, filename) not in self._datasets:
+            entry = self.index(producer)["datasets"][name]
+            with self.reading(f"{producer}/{filename}", producer):
+                kind = TaskKind.parse(entry["task_kind"])
+                self._datasets[producer, filename] = load_dataset(
+                    self.out_dir / producer / filename, name, kind, entry["role"],
+                    entry["head_group"],
+                )
+        return self._datasets[producer, filename]
+
+    def bundles(self, producer: str) -> dict[str, dict[str, Dataset]]:
+        """Every dataset split a producer's index lists, by name and split."""
+        with self.reading(f"{producer} datasets", producer):
+            return {
+                name: {
+                    split: self._dataset(producer, name, filename)
+                    for split, filename in entry["splits"].items()
+                }
+                for name, entry in self.index(producer)["datasets"].items()
+            }
 
     def split(self, name: str, split: str) -> Optional[Dataset]:
-        filename = self.index["datasets"][name]["splits"].get(split)
-        return None if filename is None else self._file(name, filename)
+        filename = self.index("split")["datasets"][name]["splits"].get(split)
+        return None if filename is None else self._dataset("split", name, filename)
 
     def eval_set(self, name: str) -> Optional[Dataset]:
         """The split a task is evaluated on: eval, or dev when eval is absent or empty."""
@@ -363,69 +363,89 @@ class SplitView:
     def member_split(self, member: dict, name: str, split: str) -> Optional[Dataset]:
         """A member's train or dev split of one task: the member's fold for the
         CV task of a CV member, else the standard split."""
-        if member["fold"] is not None and name == self._cv_task:
-            return self._file(name, self._folds[member["fold"]][split])
+        if member["fold"] is not None and name == self.cfg.cv_task:
+            with self.reading(f"fold {member['fold']} of split/index.json", "split"):
+                fold = {meta["fold"]: meta for meta in self.index("split")["folds"]}[member["fold"]]
+            return self._dataset("split", name, fold[split])
         return self.split(name, split)
 
     def member_tasks(self, member: dict) -> list[TaskData]:
         """Task list for one member, every task's train and dev split."""
         return [
             TaskData(*(self.member_split(member, name, split) for split in ("train", "dev")))
-            for name in sorted(self.index["datasets"])
+            for name in sorted(self.index("split")["datasets"])
         ]
 
+    def features(self) -> FeatureCache:
+        """The train stage's feature store for the configured sources, through
+        the train index. Files the index does not list are never read."""
+        saved = self.index("train").get("features", {})
+        entries = {}
+        for spec in (entry.spec for entry in self.cfg.sources):
+            entry = saved.get(spec.name, {})
+            if (entry.get("featurizer_seed"), entry.get("dim")) != (spec.featurizer_seed, spec.dim):
+                raise self.error(
+                    f"the train index lists no features for source {spec.name!r} with featurizer "
+                    f"seed {spec.featurizer_seed} and dim {spec.dim}; re-run train"
+                )
+            entries[spec.name] = entry
+        with self.reading("train features", "train"):
+            return FeatureCache.load(self.out_dir / "train" / "features", entries)
 
-def _open_features(
-    cfg: PipelineConfig, train_index: dict, out_dir: Path, needed_by: str
-) -> FeatureCache:
-    """The train stage's feature store for the configured sources, through the
-    train index. Files the index does not list are never read."""
-    saved = train_index.get("features", {})
-    entries = {}
-    for spec in (entry.spec for entry in cfg.sources):
-        entry = saved.get(spec.name, {})
-        if (entry.get("featurizer_seed"), entry.get("dim")) != (spec.featurizer_seed, spec.dim):
-            raise PipelineStageError(
-                needed_by,
-                f"the train index lists no features for source {spec.name!r} with featurizer "
-                f"seed {spec.featurizer_seed} and dim {spec.dim}; re-run train",
-            )
-        entries[spec.name] = entry
-    with _reading(needed_by, "train features", "re-run train"):
-        return FeatureCache.load(out_dir / "train" / "features", entries)
+    def checkpoint(self, member_id: str, task: Optional[str] = None) -> Checkpoint:
+        """A member's model: for a task, the fine-tuned checkpoint the finetune
+        index lists for (member, task), else the member's multi-task
+        checkpoint from the train index; never a file merely present on disk."""
+        finetuned = self.index("finetune")["finetuned"] if task is not None else {}
+        producer, entry = "finetune", finetuned.get(f"{member_id}/{task}")
+        if entry is None:
+            producer, entry = "train", self.index("train")["members"].get(member_id)
+        if entry is None:
+            raise self.error(f"no trained checkpoint for member {member_id}; re-run train")
+        with self.reading(f"{producer} checkpoint {entry.get('checkpoint')!r}", producer):
+            return load_checkpoint(self.out_dir / producer / entry["checkpoint"], entry)
 
+    def records(self, producer: str, filename: str) -> list[dict]:
+        """Every record of one JSON-Lines file a producer wrote."""
+        with self.reading(f"{producer}/{filename}", producer):
+            return [rec for _, rec in read_jsonl(self.out_dir / producer / filename)]
 
-def _open_checkpoint(out_dir: Path, stage: str, entry: dict, needed_by: str) -> Checkpoint:
-    """The checkpoint a train or finetune index entry lists, read through that
-    entry. A missing, truncated or mismatched file fails with "re-run <stage>"."""
-    with _reading(needed_by, f"{stage} checkpoint {entry.get('checkpoint')!r}", f"re-run {stage}"):
-        return load_checkpoint(out_dir / stage / entry["checkpoint"], entry)
+    def prediction_set(self, filename: str) -> PredictionSet:
+        with self.reading(f"predict/{filename}", "predict"):
+            return load_prediction_set(self.out_dir / "predict" / filename)
 
 
 # -- stages ---------------------------------------------------------------------
 
-# A stage writes its artifacts under out_dir/<stage> and returns
+# A stage writes its artifacts under run.dir and returns
 # (index payload, run-manifest summary).
 StageResult = tuple[dict, dict]
 
 
-def stage_ingest(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_ingest(run: StageRun) -> StageResult:
     """Load and validate every manifest dataset; write normalized copies."""
     try:
-        bundles = load_manifest_datasets(cfg.manifest_path)
+        bundles = load_manifest_datasets(run.cfg.manifest_path)
     except Exception as exc:
-        raise PipelineStageError("ingest", str(exc)) from exc
-    entries = _save_datasets(out_dir / "ingest", bundles)
+        raise run.error(str(exc)) from exc
+    entries = _save_datasets(run.dir, bundles)
     return {"datasets": entries}, {"datasets": sorted(entries)}
 
 
-def stage_transform(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def _check_names(run: StageRun, kind: str, known, **config_entries) -> None:
+    """Fail on a config key or entry that names no dataset or task the stage has."""
+    for key, names in config_entries.items():
+        unknown = sorted(set(names) - set(known))
+        if unknown:
+            raise run.error(f"unknown {kind} {unknown[0]!r} in {key}")
+
+
+def stage_transform(run: StageRun) -> StageResult:
     """Apply per-dataset score transforms and negative sampling."""
-    bundles = _load_datasets(out_dir, "ingest", "transform")
+    cfg, bundles = run.cfg, run.bundles("ingest")
+    _check_names(run, "dataset", bundles, transforms=cfg.transforms)
     notes = {}
     for name, ops in sorted(cfg.transforms.items()):
-        if name not in bundles:
-            raise PipelineStageError("transform", f"unknown dataset {name!r} in transforms")
         for op in ops:
             if op == "rescore_relevance":
                 bundles[name] = {
@@ -443,9 +463,11 @@ def stage_transform(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                     f"{result.n_negatives} negatives, {result.deficient_pages} deficient pages"
                 ]
             else:
-                raise PipelineStageError("transform", f"unknown transform {op!r} for {name!r}")
-    entries = _save_datasets(out_dir / "transform", bundles)
+                raise run.error(f"unknown transform {op!r} for {name!r}")
+    entries = _save_datasets(run.dir, bundles)
     return {"datasets": entries, "applied": notes}, {"applied": notes}
+
+
 def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Dataset]) -> dict[str, Dataset]:
     recipe = cfg.split_recipes.get(name, "none")
     if recipe == "none":
@@ -482,26 +504,27 @@ def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Datase
     raise PipelineStageError("split", f"unknown split recipe {recipe!r} for {name!r}")
 
 
-def stage_split(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_split(run: StageRun) -> StageResult:
     """Apply the named split recipes and emit cross-validation folds."""
-    bundles = _load_datasets(out_dir, "transform", "split")
-    stage_dir = out_dir / "split"
+    cfg, bundles = run.cfg, run.bundles("transform")
+    _check_names(run, "dataset", bundles, splits=cfg.split_recipes,
+                 random_split=cfg.random_split_counts)
     try:
         bundles = {name: _apply_split_recipe(cfg, name, b) for name, b in bundles.items()}
     except ValueError as exc:
-        raise PipelineStageError("split", str(exc)) from exc
-    entries = _save_datasets(stage_dir, bundles)
+        raise run.error(str(exc)) from exc
+    entries = _save_datasets(run.dir, bundles)
 
     folds_meta = []
     if cfg.cv_enabled:
         if cfg.cv_task not in bundles:
-            raise PipelineStageError("split", f"cv task {cfg.cv_task!r} not in manifest")
+            raise run.error(f"cv task {cfg.cv_task!r} not in manifest")
         bundle = bundles[cfg.cv_task]
         pool_samples = list(bundle["train"].samples) + list(
             bundle["dev"].samples if "dev" in bundle else []
         )
         pool = bundle["train"].with_samples(pool_samples)
-        fold_dir = stage_dir / "folds"
+        fold_dir = run.dir / "folds"
         fold_dir.mkdir(exist_ok=True)
         for j, (train, dev) in enumerate(cv_folds(pool, cfg.cv_folds)):
             train_file = f"{cfg.cv_task}__fold{j}__train.jsonl"
@@ -527,15 +550,14 @@ def _member_train_config(cfg: PipelineConfig, member: dict) -> TrainConfig:
     return replace(cfg.train, mixture=mixture)
 
 
-def stage_schedule(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_schedule(run: StageRun) -> StageResult:
     """Emit first-epoch plans per member for audit and replay."""
-    view = SplitView(cfg, out_dir, "schedule")
     plans = {}
-    for member in cfg.member_plan():
-        train_cfg = _member_train_config(cfg, member)
-        plan = build_member_epoch_plan(view.member_tasks(member), train_cfg, epoch=1)
+    for member in run.cfg.member_plan():
+        train_cfg = _member_train_config(run.cfg, member)
+        plan = build_member_epoch_plan(run.member_tasks(member), train_cfg, epoch=1)
         filename = f"{member['member_id']}__epoch1.jsonl"
-        save_plan(plan, out_dir / "schedule" / filename)
+        save_plan(plan, run.dir / filename)
         plans[member["member_id"]] = {
             "file": filename,
             "length": len(plan),
@@ -545,31 +567,29 @@ def stage_schedule(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     return {"plans": plans}, {"plans": sorted(plans)}
 
 
-def stage_train(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_train(run: StageRun) -> StageResult:
     """Train one multi-task model per member (base members and CV folds)."""
-    view = SplitView(cfg, out_dir, "train")
-    stage_dir = out_dir / "train"
     cache = FeatureCache()
     members_meta = {}
-    for member in cfg.member_plan():
+    for member in run.cfg.member_plan():
         member_id = member["member_id"]
-        train_cfg = _member_train_config(cfg, member)
+        train_cfg = _member_train_config(run.cfg, member)
         try:
             result = train_multitask(
-                view.member_tasks(member), member["source"].spec, train_cfg, cache=cache
+                run.member_tasks(member), member["source"].spec, train_cfg, cache=cache
             )
         except (ValueError, FloatingPointError) as exc:
-            raise PipelineStageError("train", f"member {member_id}: {exc}") from exc
-        result.best.config_hash = cfg.config_hash
-        checkpoint = save_checkpoint(result.best, stage_dir / f"{member_id}__multitask.npy")
+            raise run.error(f"member {member_id}: {exc}") from exc
+        result.best.config_hash = run.cfg.config_hash
+        checkpoint = save_checkpoint(result.best, run.dir / f"{member_id}__multitask.npy")
         history_file = f"{member_id}__history.json"
         write_json(
-            stage_dir / history_file,
+            run.dir / history_file,
             {"member": member_id, "initial_metrics": result.initial_metrics,
              "history": result.history},
         )
         members_meta[member_id] = {**checkpoint, "history": history_file, "fold": member["fold"]}
-    features = cache.save(stage_dir / "features")
+    features = cache.save(run.dir / "features")
     return {"members": members_meta, "features": features}, {"members": sorted(members_meta)}
 
 
@@ -581,33 +601,28 @@ def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) 
     return [t for t in tasks if t.train.role == "in_domain" and t.dev is not None]
 
 
-def stage_finetune(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_finetune(run: StageRun) -> StageResult:
     """Per-task fine-tuning from each member's best multi-task checkpoint.
 
     Only models that fine-tuning changed are saved and listed: when no epoch
     beats the input's dev metric, the (member, task) gets no file and no
     index entry, and predict uses the member's train checkpoint.
     """
-    train_index = _read_index(out_dir, "train", "finetune")
-    trained = train_index["members"]
-    view = SplitView(cfg, out_dir, "finetune")
-    cache = _open_features(cfg, train_index, out_dir, "finetune")
+    cache = run.features()
     finetuned = {}
-    for member in cfg.member_plan():
+    for member in run.cfg.member_plan():
         member_id = member["member_id"]
-        ckpt = _open_checkpoint(out_dir, "train", trained[member_id], "finetune")
-        train_cfg = _member_train_config(cfg, member)
-        for task in _finetune_targets(cfg, member, view.member_tasks(member)):
+        ckpt = run.checkpoint(member_id)
+        train_cfg = _member_train_config(run.cfg, member)
+        for task in _finetune_targets(run.cfg, member, run.member_tasks(member)):
             try:
                 tuned = fine_tune_task(ckpt, task, train_cfg, cache=cache)
             except (ValueError, FloatingPointError) as exc:
-                raise PipelineStageError(
-                    "finetune", f"member {member_id}, task {task.name}: {exc}"
-                ) from exc
+                raise run.error(f"member {member_id}, task {task.name}: {exc}") from exc
             if tuned.epoch == 0:
                 continue
             finetuned[f"{member_id}/{task.name}"] = save_checkpoint(
-                tuned, out_dir / "finetune" / f"{member_id}__ft__{task.name}.npy"
+                tuned, run.dir / f"{member_id}__ft__{task.name}.npy"
             )
     return {"finetuned": finetuned}, {"finetuned": sorted(finetuned)}
 
@@ -621,7 +636,7 @@ def _predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) ->
     return {s.id: float(scores[i]) for i, s in enumerate(dataset)}
 
 
-def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_predict(run: StageRun) -> StageResult:
     """Every member predicts every in-domain task's eval split.
 
     A member's model for a task is the fine-tuned checkpoint the finetune
@@ -630,31 +645,20 @@ def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     recorded alongside, measured on the member's own dev split (its fold for
     CV members).
     """
-    view = SplitView(cfg, out_dir, "predict")
-    train_index = _read_index(out_dir, "train", "predict")
-    trained = train_index["members"]
-    finetuned = _read_index(out_dir, "finetune", "predict")["finetuned"]
-    cache = _open_features(cfg, train_index, out_dir, "predict")
+    cache = run.features()
     files = {}
-    for task_name, entry in sorted(view.index["datasets"].items()):
-        eval_set = view.eval_set(task_name) if entry["role"] == "in_domain" else None
+    for task_name, entry in sorted(run.index("split")["datasets"].items()):
+        eval_set = run.eval_set(task_name) if entry["role"] == "in_domain" else None
         if eval_set is None:
             continue
-        for member in cfg.member_plan():
+        for member in run.cfg.member_plan():
             member_id = member["member_id"]
-            if member["fold"] is not None and task_name != cfg.cv_task:
+            if member["fold"] is not None and task_name != run.cfg.cv_task:
                 continue  # CV members only serve their own task's ensemble
-            key = f"{member_id}/{task_name}"
-            if key in finetuned:
-                stage, entry = "finetune", finetuned[key]
-            elif member_id in trained:
-                stage, entry = "train", trained[member_id]
-            else:
-                raise PipelineStageError("predict", f"no trained checkpoint for member {member_id}")
-            model = _open_checkpoint(out_dir, stage, entry, "predict").model
-            dev_set = view.member_split(member, task_name, "dev")
+            model = run.checkpoint(member_id, task_name).model
+            dev_set = run.member_split(member, task_name, "dev")
             if dev_set is None:
-                raise PipelineStageError("predict", f"task {task_name!r} lacks a dev split")
+                raise run.error(f"task {task_name!r} lacks a dev split")
             dev_features = cache.lookup(dev_set, model.source)
             metric = 100.0 * dev_metric(model, dev_set, dev_features, dev_gold(dev_set))
             ps = PredictionSet(
@@ -665,8 +669,8 @@ def stage_predict(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                 dev_metric=metric,
             )
             filename = f"{member_id}__{task_name}.jsonl"
-            save_prediction_set(ps, out_dir / "predict" / filename)
-            files[key] = {"file": filename, "dev_metric": metric}
+            save_prediction_set(ps, run.dir / filename)
+            files[f"{member_id}/{task_name}"] = {"file": filename, "dev_metric": metric}
     return {"predictions": files}, {"predictions": sorted(files)}
 
 
@@ -694,26 +698,27 @@ def _constrained_triples_pass(
     return outputs
 
 
-def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_ensemble(run: StageRun) -> StageResult:
     """Select members by dev-metric threshold and combine their predictions."""
-    predictions = _read_index(out_dir, "predict", "ensemble")["predictions"]
-    view = SplitView(cfg, out_dir, "ensemble")
+    cfg, predictions = run.cfg, run.index("predict")["predictions"]
+    tasks = sorted({key.split("/", 1)[1] for key in predictions})
+    _check_names(run, "task", tasks, thresholds=cfg.thresholds,
+                 constrained_triples=cfg.constrained_triple_tasks)
     ensembles_meta = {}
-    for task_name in sorted({key.split("/", 1)[1] for key in predictions}):
-        with _reading("ensemble", f"{task_name} prediction sets", "re-run predict"):
-            sets = [
-                load_prediction_set(out_dir / "predict" / predictions[key]["file"])
-                for key in sorted(predictions)
-                if key.split("/", 1)[1] == task_name
-            ]
+    for task_name in tasks:
+        sets = [
+            run.prediction_set(predictions[key]["file"])
+            for key in sorted(predictions)
+            if key.split("/", 1)[1] == task_name
+        ]
         threshold = cfg.thresholds.get(task_name, 0.0)
         try:
             members = select_members(sets, threshold)
         except ValueError as exc:
-            raise PipelineStageError("ensemble", f"task {task_name}: {exc}") from exc
+            raise run.error(f"task {task_name}: {exc}") from exc
         outputs = combine_predictions(members)
 
-        eval_set = view.eval_set(task_name)
+        eval_set = run.eval_set(task_name)
         by_id = {s.id: s for s in eval_set}
         for sample_id, out in outputs.items():
             out.question_id = by_id[sample_id].question_id if sample_id in by_id else None
@@ -721,9 +726,7 @@ def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> StageResult:
             outputs = _constrained_triples_pass(outputs, members, eval_set)
 
         filename = f"{task_name}.jsonl"
-        save_ensemble_outputs(
-            (outputs[i] for i in sorted(outputs)), out_dir / "ensemble" / filename
-        )
+        save_ensemble_outputs((outputs[i] for i in sorted(outputs)), run.dir / filename)
         selected_ids = {ps.model_id for ps in members}
         ensembles_meta[task_name] = {
             "file": filename,
@@ -737,26 +740,26 @@ def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     )
 
 
-def stage_rank(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_rank(run: StageRun) -> StageResult:
     """Order each ranking task's answers per question: positives first."""
-    ensembles = _read_index(out_dir, "ensemble", "rank")["ensembles"]
+    ensembles = run.index("ensemble")["ensembles"]
     rank_meta = {}
-    for task_name in cfg.ranking_tasks:
+    for task_name in run.cfg.ranking_tasks:
         if task_name not in ensembles:
-            raise PipelineStageError("rank", f"no ensemble outputs for task {task_name!r}")
+            raise run.error(f"no ensemble outputs for task {task_name!r}")
         by_question: dict[str, list] = {}
-        with _reading("rank", f"{task_name} ensemble outputs", "re-run ensemble"):
-            path = out_dir / "ensemble" / ensembles[task_name]["file"]
-            outputs = {rec["sample_id"]: rec for _, rec in read_jsonl(path)}
+        source = ensembles[task_name]["file"]
+        with run.reading(f"ensemble/{source}", "ensemble"):
+            outputs = {rec["sample_id"]: rec for rec in run.records("ensemble", source)}
             for sample_id, rec in sorted(outputs.items()):
                 if rec.get("question_id") is None:
-                    raise PipelineStageError("rank", f"sample {sample_id!r} lacks a question id")
+                    raise run.error(f"sample {sample_id!r} lacks a question id")
                 by_question.setdefault(rec["question_id"], []).append(
                     (sample_id, rec["label"], rec["score"])
                 )
         filename = f"{task_name}.jsonl"
         ranked = (rank_answers(q, by_question[q]) for q in sorted(by_question))
-        write_jsonl(out_dir / "rank" / filename, (
+        write_jsonl(run.dir / filename, (
             {"question_id": r.question_id, "sample_id": a.answer_id, "label": a.label,
              "score": a.score, "rank": position}
             for r in ranked for position, a in enumerate(r.answers, start=1)
@@ -765,54 +768,31 @@ def stage_rank(cfg: PipelineConfig, out_dir: Path) -> StageResult:
     return {"rankings": rank_meta}, {"rankings": sorted(rank_meta)}
 
 
-def _gold_positions(samples: list) -> dict[str, dict[str, int]]:
-    """Total gold order per question: by relevance descending, then rank."""
-    per_question: dict[str, list] = {}
-    for s in samples:
-        if s.question_id is not None and s.gold_relevance is not None and s.gold_rank is not None:
-            per_question.setdefault(s.question_id, []).append(s)
-    positions = {}
-    for question_id, members in per_question.items():
-        members.sort(key=lambda s: (-s.gold_relevance, s.gold_rank))
-        positions[question_id] = {s.id: pos for pos, s in enumerate(members, start=1)}
-    return positions
-
-
-def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> StageResult:
+def stage_evaluate(run: StageRun) -> StageResult:
     """Score every task's ensemble outputs against gold; write and print reports."""
-    view = SplitView(cfg, out_dir, "evaluate")
-    ensembles = _read_index(out_dir, "ensemble", "evaluate")["ensembles"]
-    rankings = _read_index(out_dir, "rank", "evaluate")["rankings"]
-    stage_dir = out_dir / "evaluate"
+    ensembles = run.index("ensemble")["ensembles"]
+    rankings = run.index("rank")["rankings"]
     reports: dict[str, EvalReport] = {}
     for task_name in sorted(ensembles):
-        eval_set = view.eval_set(task_name)
-        if task_name in cfg.ranking_tasks:
+        eval_set = run.eval_set(task_name)
+        if task_name in run.cfg.ranking_tasks:
             scored: dict[str, list] = {}
-            with _reading("evaluate", f"{task_name} rankings", "re-run rank"):
-                for _, rec in read_jsonl(out_dir / "rank" / rankings[task_name]["file"]):
+            filename = rankings[task_name]["file"]
+            with run.reading(f"rank/{filename}", "rank"):
+                for rec in run.records("rank", filename):
                     scored.setdefault(rec["question_id"], []).append(
                         (rec["sample_id"], rec["label"], rec["score"])
                     )
-            gold_labels, gold_correct = {}, {}
-            for s in eval_set:
-                label = gold_binary_label(s)
-                gold_labels.setdefault(s.question_id, {})[s.id] = label
-                if label:
-                    gold_correct.setdefault(s.question_id, set()).add(s.id)
-            report = build_ranking_report(
-                task_name, scored, gold_correct, _gold_positions(eval_set.samples), gold_labels
-            )
+            report = build_ranking_report(task_name, scored, *ranking_gold(eval_set))
         else:
-            with _reading("evaluate", f"{task_name} ensemble outputs", "re-run ensemble"):
-                path = out_dir / "ensemble" / ensembles[task_name]["file"]
-                records = [rec for _, rec in read_jsonl(path)]
+            filename = ensembles[task_name]["file"]
+            records = run.records("ensemble", filename)
+            with run.reading(f"ensemble/{filename}", "ensemble"):
                 outputs = {rec["sample_id"]: rec for rec in records}
             eval_ids = {s.id for s in eval_set}
             missing, foreign = eval_ids - outputs.keys(), outputs.keys() - eval_ids
             if missing or foreign or len(records) != len(outputs):
-                raise PipelineStageError(
-                    "evaluate",
+                raise run.error(
                     f"task {task_name}: the ensemble outputs miss {len(missing)} eval samples, "
                     f"name {len(foreign)} samples outside the eval set and repeat "
                     f"{len(records) - len(outputs)}; re-run ensemble",
@@ -828,12 +808,12 @@ def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> StageResult:
                 n_samples=len(predicted),
             )
         reports[task_name] = report
-        write_json(stage_dir / f"{task_name}.json", report.to_dict())
+        write_json(run.dir / f"{task_name}.json", report.to_dict())
         print(report.table())
         print()
     summary = {t: {"accuracy": r.accuracy, "precision": r.precision, "mrr": r.mrr,
                    "spearman": r.spearman} for t, r in reports.items()}
-    write_json(stage_dir / "summary.json", summary)
+    write_json(run.dir / "summary.json", summary)
     return {"reports": sorted(reports)}, {"reports": sorted(reports)}
 
 
@@ -867,17 +847,18 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
     header = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash,
               "master_seed": cfg.master_seed}
     manifest_path = out_dir / "run_manifest.json"
+    run = StageRun(cfg, out_dir, name)
     # every stage rewrites the manifest, so no single stage re-run mends it
-    with _reading(name, manifest_path.name, "delete it and re-run the pipeline"):
+    with run.reading(manifest_path.name, remedy="delete it and re-run the pipeline"):
         manifest = (read_json(manifest_path) if manifest_path.exists()
                     else {**header, "config": cfg.raw, "stages": {}})
         summaries = manifest["stages"]
-    stage_dir = out_dir / name
-    if stage_dir.exists():
-        shutil.rmtree(stage_dir)
-    stage_dir.mkdir(parents=True)
-    payload, summaries[name] = _STAGE_FUNCS[name](cfg, out_dir)
-    write_json(stage_dir / "index.json", {**header, "stage": name, **payload})
+    if run.dir.exists():
+        shutil.rmtree(run.dir)
+    run.dir.mkdir(parents=True)
+    payload, summaries[name] = _STAGE_FUNCS[name](run)
+    inputs = {"inputs": run.inputs} if run.inputs else {}
+    write_json(run.dir / "index.json", {**header, "stage": name, **payload, **inputs})
     write_json(manifest_path, manifest)
 
 
@@ -939,15 +920,15 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
     work = out_dir / "trained_members"
     for stage in ("ingest", "transform", "split"):
         run_stage(stage, cfg, work)
-    view = SplitView(cfg, work, "experiment")
+    run = StageRun(cfg, work, "experiment")
     task_name = next(
-        (n for n, entry in sorted(view.index["datasets"].items())
+        (n for n, entry in sorted(run.index("split")["datasets"].items())
          if entry["role"] == "in_domain" and TaskKind.parse(entry["task_kind"]).is_classification),
         None,
     )
     if task_name is None:
         raise PipelineStageError("experiment", "no in-domain classification task to compare on")
-    eval_set = view.eval_set(task_name)
+    eval_set = run.eval_set(task_name)
     gold = {s.id: s.label for s in eval_set}
 
     cache = FeatureCache()
@@ -957,7 +938,7 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
             continue
         spec = member["source"].spec
         train_cfg = _member_train_config(cfg, member)
-        result = train_multitask(view.member_tasks(member), spec, train_cfg, cache=cache)
+        result = train_multitask(run.member_tasks(member), spec, train_cfg, cache=cache)
         families.setdefault(spec.name, []).append(
             PredictionSet(
                 model_id=member["member_id"],

@@ -76,7 +76,6 @@ class EpochPlan:
     """The ordered mini-batch sequence of one training epoch."""
 
     batches: list[MiniBatch]
-    epoch_index: int = 0
     n_in_domain: int = 0
     n_external: int = 0
 
@@ -156,9 +155,7 @@ def build_epoch(
     combined = list(in_domain_batches) + chosen
     order = rng.permutation(len(combined))
     batches = [combined[int(i)] for i in order]
-    return EpochPlan(
-        batches=batches, epoch_index=epoch_index, n_in_domain=n, n_external=n_external
-    )
+    return EpochPlan(batches=batches, n_in_domain=n, n_external=n_external)
 
 
 def save_plan(plan: EpochPlan, path: str | Path) -> None:

@@ -9,6 +9,7 @@ from mixtask.metrics import (
     mrr,
     precision_positive,
     rank_correlation,
+    ranking_gold,
     spearman_on_positives,
 )
 
@@ -206,6 +207,21 @@ def test_build_ranking_report_shapes():
     assert "undefined" not in (payload["accuracy"], payload["mrr"])
     table = report.table()
     assert "accuracy" in table and "spearman" in table
+
+
+def test_ranking_gold_orders_answers_by_relevance_then_rank():
+    from mixtask.data import SamplePair
+
+    def answer(sample_id, question_id, relevance, rank):
+        return SamplePair(id=sample_id, text_a="q", text_b="a", target_score=0.0,
+                          question_id=question_id, gold_relevance=relevance, gold_rank=rank)
+
+    samples = [answer("a", "q1", 2, 1), answer("b", "q1", 4, 2), answer("c", "q1", 4, 1),
+               answer("d", "q2", 3, 1), answer("e", "q2", None, None)]
+    gold_correct, gold_positions, gold_labels = ranking_gold(samples)
+    assert gold_correct == {"q1": {"b", "c"}, "q2": {"d"}}
+    assert gold_positions == {"q1": {"c": 1, "b": 2, "a": 3}, "q2": {"d": 1}}
+    assert gold_labels == {"q1": {"a": 0, "b": 1, "c": 1}, "q2": {"d": 1, "e": 0}}
 
 
 def test_report_carries_undefined_explicitly():

@@ -84,13 +84,13 @@ def test_members_trained_base_plus_cv(toy_run_dir):
 
 def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, monkeypatch):
     from mixtask import training
-    from mixtask.pipeline import SplitView, _member_train_config
+    from mixtask.pipeline import StageRun, _member_train_config
     from mixtask.scheduler import load_plan
 
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     real_step = training.grad_step
     roster = cfg.member_plan()
-    view = SplitView(cfg, toy_run_dir, "test")
+    view = StageRun(cfg, toy_run_dir, "test")
     for member in (roster[0], roster[-1]):  # a base member and a CV fold member
         seen = []
 
@@ -113,8 +113,9 @@ def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypat
     from mixtask import pipeline
 
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
-    current, loads = [None], []
+    current, loads, index_reads = [None], [], []
     real_run_stage, real_load = pipeline.run_stage, pipeline.load_dataset
+    real_read_json = pipeline.read_json
 
     def recording_run_stage(name, *args):
         current[0] = name
@@ -124,14 +125,63 @@ def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypat
         loads.append((current[0], Path(path).relative_to(tmp_path).as_posix()))
         return real_load(path, *args, **kwargs)
 
+    def recording_read_json(path):
+        if Path(path).name == "index.json":
+            index_reads.append((current[0], Path(path).parent.name))
+        return real_read_json(path)
+
     monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
     monkeypatch.setattr(pipeline, "load_dataset", recording_load)
-    pipeline.run_pipeline(cfg, tmp_path / "run", quiet=True)
+    monkeypatch.setattr(pipeline, "read_json", recording_read_json)
+    run = tmp_path / "run"
+    pipeline.run_pipeline(cfg, run, quiet=True)
     repeated = sorted(load for load, n in Counter(loads).items() if n > 1)
     assert not repeated, f"{len(repeated)} (stage, file) pairs loaded twice: {repeated[:5]}"
     readers = ("transform", "split", "schedule", "train", "finetune", "predict", "ensemble",
                "evaluate")
     assert {stage for stage, _ in loads} == set(readers)
+
+    repeated = sorted(read for read, n in Counter(index_reads).items() if n > 1)
+    assert not repeated, f"(stage, upstream index) pairs read twice: {repeated}"
+    for stage in STAGES:
+        # each index records exactly the upstream indexes its stage read
+        read = {producer for reader, producer in index_reads if reader == stage}
+        assert set(read_index(run, stage).get("inputs", {})) == read, stage
+    assert {reader for reader, _ in index_reads} == set(STAGES[1:])
+
+
+def test_only_stage_run_reads_artifacts():
+    """Every call in pipeline.py to an artifact reader sits inside a StageRun
+    method, apart from run_stage's read of the run manifest."""
+    import ast
+    import inspect
+
+    from mixtask import pipeline
+
+    readers = {"read_json", "read_jsonl", "load_dataset", "load_checkpoint",
+               "load_prediction_set"}
+
+    def reader_name(call):
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in readers:
+            return func.id
+        if isinstance(func, ast.Attribute):
+            if func.attr in readers:
+                return func.attr
+            if func.attr == "load" and getattr(func.value, "id", None) == "FeatureCache":
+                return "FeatureCache.load"
+        return None
+
+    calls = []
+    for node in ast.parse(inspect.getsource(pipeline)).body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and reader_name(call):
+                calls.append((getattr(node, "name", None), reader_name(call)))
+    outside = [call for call in calls if call[0] != "StageRun"]
+    assert outside == [("run_stage", "read_json")]
+    assert {name for owner, name in calls if owner == "StageRun"} == readers | {
+        "FeatureCache.load"
+    }
 
 
 def test_cv_members_join_only_their_task_ensemble(toy_run_dir):
@@ -436,6 +486,49 @@ def test_truncated_upstream_artifact_is_a_tagged_error(toy_corpus_dir, toy_run_d
     path = run / artifact
     path.write_bytes(path.read_bytes()[:-40])
     with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] .*re-run {producer}$"):
+        run_stage(stage, cfg, run)
+
+
+@pytest.mark.parametrize("rerun, seed, stage, producer", [
+    ("split", 8, "predict", "train"),
+    ("predict", 8, "rank", "ensemble"),
+])
+def test_stage_refuses_an_index_built_from_another_upstream(toy_corpus_dir, toy_run_dir, tmp_path,
+                                                            rerun, seed, stage, producer):
+    """Re-running one stage under another seed leaves the indexes built from
+    its old output behind; a later stage that reads them fails."""
+    import yaml
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    raw = {**yaml.safe_load((toy_corpus_dir / "config.yaml").read_text()), "master_seed": seed}
+    run_stage(rerun, PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir), run)
+    assert read_index(run, rerun)["master_seed"] == seed
+    with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] {producer}/index\.json was "
+                       rf"built from another {rerun}/index\.json; re-run {producer}$"):
+        run_stage(stage, cfg, run)
+
+
+@pytest.mark.parametrize("stage, key, typo", [
+    ("split", "splits", "toy_rqee"),
+    ("split", "random_split", "toy_pagez"),
+    ("ensemble", "thresholds", "toy_nil"),
+    ("ensemble", "constrained_triples", "toy_nil"),
+])
+def test_config_name_matching_nothing_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
+                                                        stage, key, typo):
+    import yaml
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    if key == "constrained_triples":
+        raw[key].append(typo)
+    else:
+        raw[key][typo] = next(iter(raw[key].values()))
+    cfg = PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+    kind = "dataset" if stage == "split" else "task"
+    message = rf"^\[{stage}\] unknown {kind} '{typo}' in {key}$"
+    with pytest.raises(PipelineStageError, match=message):
         run_stage(stage, cfg, run)
 
 

@@ -127,10 +127,21 @@ def test_rerun_without_cv_finetuning_ignores_stale_checkpoints(
 
     clean = tmp_path / "clean"
     run_pipeline(cfg, clean, quiet=True)
+
+    def without_inputs(path):
+        # the rerun's train index was built under the other config, so the
+        # digests of the indexes each stage read legitimately differ
+        index = json.loads(path.read_text())
+        assert index.pop("inputs")
+        return index
+
     for stage in ("predict", "ensemble"):
         names = sorted(p.name for p in (clean / stage).iterdir())
         assert names == sorted(p.name for p in (rerun / stage).iterdir())
         for name in names:
+            if name == "index.json":
+                assert without_inputs(rerun / stage / name) == without_inputs(clean / stage / name)
+                continue
             assert (rerun / stage / name).read_bytes() == (clean / stage / name).read_bytes(), (
                 f"{stage}/{name} differs from a clean run"
             )
