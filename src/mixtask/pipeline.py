@@ -21,16 +21,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
-from . import defaults
+from .config import PipelineConfig
 from .corpus import (
     apply_qa_modified_scores,
     cv_folds,
@@ -58,7 +56,7 @@ from .experiment import (
     run_noise_model_experiment,
     summarize_trials,
 )
-from .featurize import FeatureCache, SourceSpec
+from .featurize import FeatureCache
 from .inference import (
     EnsembleOutput,
     PredictionSet,
@@ -72,14 +70,12 @@ from .inference import (
 )
 from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive, ranking_gold
 from .model import Checkpoint, ToyModel, load_checkpoint, save_checkpoint
-from .scheduler import MixtureConfig, save_plan
+from .scheduler import save_plan
 from .seeding import derive_seed
 from .training import (
     TaskData,
-    TrainConfig,
     build_member_epoch_plan,
     dev_gold,
-    dev_metric,
     fine_tune_task,
     train_multitask,
 )
@@ -108,156 +104,6 @@ class PipelineStageError(RuntimeError):
         self.stage = stage
 
 
-@dataclass
-class SourceEntry:
-    spec: SourceSpec
-    members: int = 1
-    batch_size: Optional[int] = None
-
-
-@dataclass
-class PipelineConfig:
-    """Parsed and validated run configuration."""
-
-    master_seed: int
-    manifest_path: Path
-    mixture: MixtureConfig
-    train: TrainConfig
-    sources: list[SourceEntry]
-    transforms: dict[str, list[str]] = field(default_factory=dict)
-    negatives_per_positive: int = defaults.NEGATIVES_PER_POSITIVE
-    split_recipes: dict[str, str] = field(default_factory=dict)
-    random_split_counts: dict[str, dict] = field(default_factory=dict)
-    reshuffle_dev_questions: int = defaults.DEV_RESHUFFLE_QUESTIONS
-    reshuffle_tagged_questions: int = defaults.DEV_RESHUFFLE_TAGGED_QUESTIONS
-    reshuffle_tag: str = "alexa"
-    cv_enabled: bool = False
-    cv_task: str = ""
-    cv_folds: int = defaults.CV_FOLDS
-    cv_finetune_members: bool = True
-    thresholds: dict[str, float] = field(default_factory=dict)
-    ranking_tasks: list[str] = field(default_factory=list)
-    constrained_triple_tasks: list[str] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
-
-    @property
-    def config_hash(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True)
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-        return cls.from_dict(raw, base_dir=path.parent)
-
-    @classmethod
-    def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "PipelineConfig":
-        base_dir = base_dir or Path(".")
-        if "master_seed" not in raw:
-            raise ValueError("config requires master_seed")
-        if "manifest" not in raw:
-            raise ValueError("config requires a manifest path")
-        manifest_path = Path(raw["manifest"])
-        if not manifest_path.is_absolute():
-            manifest_path = base_dir / manifest_path
-        if not manifest_path.exists():
-            raise FileNotFoundError(f"manifest not found: {manifest_path}")
-
-        mix = raw.get("mixture", {})
-        mixture = MixtureConfig(
-            alpha=float(mix.get("alpha", defaults.MIXTURE_RATIO)),
-            batch_size=mix.get("batch_size", 16),
-            max_epoch=int(mix.get("max_epoch", defaults.EPOCHS_MULTITASK)),
-            seed=int(raw["master_seed"]),
-        )
-        tr = raw.get("train", {})
-        train = TrainConfig(
-            lr_multitask=float(tr.get("lr_multitask", defaults.LR_MULTITASK)),
-            lr_finetune=float(tr.get("lr_finetune", defaults.LR_FINETUNE)),
-            epochs_finetune=int(tr.get("epochs_finetune", defaults.EPOCHS_FINETUNE)),
-            mixture=mixture,
-            hidden_dim=int(tr.get("hidden_dim", defaults.HIDDEN_DIM)),
-        )
-        sources = []
-        for i, src in enumerate(raw.get("sources", [])):
-            name = src["name"]
-            sources.append(
-                SourceEntry(
-                    spec=SourceSpec(
-                        name=name,
-                        featurizer_seed=int(src.get("featurizer_seed", derive_seed(0, "source", name))),
-                        dim=int(src.get("dim", defaults.FEATURE_DIM)),
-                    ),
-                    members=int(src.get("members", 1)),
-                    batch_size=int(src["batch_size"]) if "batch_size" in src else None,
-                )
-            )
-        if not sources:
-            raise ValueError("config requires at least one source family")
-        if len({s.spec.name for s in sources}) != len(sources):
-            raise ValueError("source names must be unique")
-        if len({s.spec.featurizer_seed for s in sources}) != len(sources):
-            raise ValueError("distinct sources require distinct featurizer seeds")
-
-        cv = raw.get("cv", {})
-        cv_enabled = bool(cv.get("enabled", False))
-        cv_folds_n = int(cv.get("folds", defaults.CV_FOLDS))
-        if cv_enabled and cv_folds_n < 2:
-            raise ValueError("cv fold count must be >= 2")
-        if cv_enabled and not cv.get("task"):
-            raise ValueError("cv requires a task name")
-
-        reshuffle = raw.get("reshuffle", {})
-        return cls(
-            master_seed=int(raw["master_seed"]),
-            manifest_path=manifest_path,
-            mixture=mixture,
-            train=train,
-            sources=sources,
-            transforms={k: list(v) for k, v in (raw.get("transforms") or {}).items()},
-            negatives_per_positive=int(
-                (raw.get("negatives") or {}).get("per_positive", defaults.NEGATIVES_PER_POSITIVE)
-            ),
-            split_recipes=dict(raw.get("splits") or {}),
-            random_split_counts=dict(raw.get("random_split") or {}),
-            reshuffle_dev_questions=int(
-                reshuffle.get("dev_questions", defaults.DEV_RESHUFFLE_QUESTIONS)
-            ),
-            reshuffle_tagged_questions=int(
-                reshuffle.get("tagged_questions", defaults.DEV_RESHUFFLE_TAGGED_QUESTIONS)
-            ),
-            reshuffle_tag=str(reshuffle.get("tag", "alexa")),
-            cv_enabled=cv_enabled,
-            cv_task=str(cv.get("task", "")),
-            cv_folds=cv_folds_n,
-            cv_finetune_members=bool(cv.get("finetune_members", True)),
-            thresholds={k: float(v) for k, v in (raw.get("thresholds") or {}).items()},
-            ranking_tasks=list(raw.get("ranking") or []),
-            constrained_triple_tasks=list(raw.get("constrained_triples") or []),
-            raw=raw,
-        )
-
-    def batch_size_for_source(self, entry: SourceEntry) -> int | dict:
-        return entry.batch_size if entry.batch_size is not None else self.mixture.batch_size
-
-    def member_plan(self) -> list[dict]:
-        """Deterministic member roster: base members, then CV fold members."""
-        plan = []
-        for entry in self.sources:
-            for i in range(entry.members):
-                plan.append({"member_id": f"{entry.spec.name}-m{i}", "source": entry, "fold": None})
-        if self.cv_enabled:
-            for entry in self.sources:
-                for j in range(self.cv_folds):
-                    plan.append(
-                        {"member_id": f"{entry.spec.name}-cv{j}", "source": entry, "fold": j}
-                    )
-        return plan
-
-
 # -- artifact helpers ----------------------------------------------------------
 
 
@@ -284,8 +130,8 @@ def _save_datasets(
 
 class StageRun:
     """One run of one stage: `dir`, where it writes, and the only reader of
-    upstream artifacts. Each index and dataset file is read at most once, so
-    members share one Dataset per file. `inputs` maps each index read to the
+    upstream artifacts. Each index, dataset file and checkpoint is read at most
+    once, so members share one Dataset per file. `inputs` maps each index read to the
     sha256 of its bytes; a failed read fails the stage with "re-run <producer>".
     """
 
@@ -297,6 +143,7 @@ class StageRun:
         self.inputs: dict[str, str] = {}
         self._indexes: dict[str, dict] = {}
         self._datasets: dict[tuple[str, str], Dataset] = {}
+        self._checkpoints: dict[tuple[str, str], Checkpoint] = {}
 
     def error(self, message: str) -> PipelineStageError:
         return PipelineStageError(self.stage, message)
@@ -402,13 +249,29 @@ class StageRun:
             producer, entry = "train", self.index("train")["members"].get(member_id)
         if entry is None:
             raise self.error(f"no trained checkpoint for member {member_id}; re-run train")
-        with self.reading(f"{producer} checkpoint {entry.get('checkpoint')!r}", producer):
-            return load_checkpoint(self.out_dir / producer / entry["checkpoint"], entry)
+        key = (producer, entry.get("checkpoint"))
+        if key not in self._checkpoints:
+            with self.reading(f"{producer} checkpoint {key[1]!r}", producer):
+                self._checkpoints[key] = load_checkpoint(self.out_dir / producer / key[1], entry)
+        return self._checkpoints[key]
 
-    def records(self, producer: str, filename: str) -> list[dict]:
-        """Every record of one JSON-Lines file a producer wrote."""
+    def records_by_sample(self, producer: str, filename: str, task: str,
+                          expected: Optional[set] = None) -> dict[str, dict]:
+        """The records of one per-sample JSON-Lines file a producer wrote, by
+        sample id. Fails with "re-run <producer>" when a sample id repeats or,
+        given the expected ids, when one is missing or foreign."""
         with self.reading(f"{producer}/{filename}", producer):
-            return [rec for _, rec in read_jsonl(self.out_dir / producer / filename)]
+            records = [rec for _, rec in read_jsonl(self.out_dir / producer / filename)]
+            by_id = {rec["sample_id"]: rec for rec in records}
+        expected = by_id.keys() if expected is None else expected
+        missing, foreign = expected - by_id.keys(), by_id.keys() - expected
+        if missing or foreign or len(records) != len(by_id):
+            raise self.error(
+                f"task {task}: {producer}/{filename} misses {len(missing)} eval samples, names "
+                f"{len(foreign)} samples outside the eval set and repeats "
+                f"{len(records) - len(by_id)}; re-run {producer}"
+            )
+        return by_id
 
     def prediction_set(self, filename: str) -> PredictionSet:
         with self.reading(f"predict/{filename}", "predict"):
@@ -540,21 +403,11 @@ def stage_split(run: StageRun) -> StageResult:
     )
 
 
-def _member_train_config(cfg: PipelineConfig, member: dict) -> TrainConfig:
-    """The shared training config with the member's batch size and run seed."""
-    mixture = replace(
-        cfg.mixture,
-        batch_size=cfg.batch_size_for_source(member["source"]),
-        seed=derive_seed(cfg.master_seed, "train", member["member_id"]),
-    )
-    return replace(cfg.train, mixture=mixture)
-
-
 def stage_schedule(run: StageRun) -> StageResult:
     """Emit first-epoch plans per member for audit and replay."""
     plans = {}
     for member in run.cfg.member_plan():
-        train_cfg = _member_train_config(run.cfg, member)
+        train_cfg = run.cfg.member_train_config(member)
         plan = build_member_epoch_plan(run.member_tasks(member), train_cfg, epoch=1)
         filename = f"{member['member_id']}__epoch1.jsonl"
         save_plan(plan, run.dir / filename)
@@ -573,7 +426,7 @@ def stage_train(run: StageRun) -> StageResult:
     members_meta = {}
     for member in run.cfg.member_plan():
         member_id = member["member_id"]
-        train_cfg = _member_train_config(run.cfg, member)
+        train_cfg = run.cfg.member_train_config(member)
         try:
             result = train_multitask(
                 run.member_tasks(member), member["source"].spec, train_cfg, cache=cache
@@ -613,7 +466,7 @@ def stage_finetune(run: StageRun) -> StageResult:
     for member in run.cfg.member_plan():
         member_id = member["member_id"]
         ckpt = run.checkpoint(member_id)
-        train_cfg = _member_train_config(run.cfg, member)
+        train_cfg = run.cfg.member_train_config(member)
         for task in _finetune_targets(run.cfg, member, run.member_tasks(member)):
             try:
                 tuned = fine_tune_task(ckpt, task, train_cfg, cache=cache)
@@ -642,8 +495,8 @@ def stage_predict(run: StageRun) -> StageResult:
     A member's model for a task is the fine-tuned checkpoint the finetune
     index lists for (member, task), else the member's multi-task checkpoint
     from the train index. The member's dev metric (percent) for the task is
-    recorded alongside, measured on the member's own dev split (its fold for
-    CV members).
+    recorded alongside, from the checkpoint's provenance: measured at the
+    selected epoch on the member's own dev split (its fold for CV members).
     """
     cache = run.features()
     files = {}
@@ -655,12 +508,10 @@ def stage_predict(run: StageRun) -> StageResult:
             member_id = member["member_id"]
             if member["fold"] is not None and task_name != run.cfg.cv_task:
                 continue  # CV members only serve their own task's ensemble
-            model = run.checkpoint(member_id, task_name).model
-            dev_set = run.member_split(member, task_name, "dev")
-            if dev_set is None:
+            ckpt = run.checkpoint(member_id, task_name)
+            if task_name not in ckpt.dev_metrics:
                 raise run.error(f"task {task_name!r} lacks a dev split")
-            dev_features = cache.lookup(dev_set, model.source)
-            metric = 100.0 * dev_metric(model, dev_set, dev_features, dev_gold(dev_set))
+            model, metric = ckpt.model, 100.0 * ckpt.dev_metrics[task_name]
             ps = PredictionSet(
                 model_id=member_id,
                 task=task_name,
@@ -749,8 +600,8 @@ def stage_rank(run: StageRun) -> StageResult:
             raise run.error(f"no ensemble outputs for task {task_name!r}")
         by_question: dict[str, list] = {}
         source = ensembles[task_name]["file"]
+        outputs = run.records_by_sample("ensemble", source, task_name)
         with run.reading(f"ensemble/{source}", "ensemble"):
-            outputs = {rec["sample_id"]: rec for rec in run.records("ensemble", source)}
             for sample_id, rec in sorted(outputs.items()):
                 if rec.get("question_id") is None:
                     raise run.error(f"sample {sample_id!r} lacks a question id")
@@ -775,28 +626,20 @@ def stage_evaluate(run: StageRun) -> StageResult:
     reports: dict[str, EvalReport] = {}
     for task_name in sorted(ensembles):
         eval_set = run.eval_set(task_name)
+        eval_ids = {s.id for s in eval_set}
         if task_name in run.cfg.ranking_tasks:
             scored: dict[str, list] = {}
             filename = rankings[task_name]["file"]
+            ranked = run.records_by_sample("rank", filename, task_name, eval_ids)
             with run.reading(f"rank/{filename}", "rank"):
-                for rec in run.records("rank", filename):
+                for rec in ranked.values():
                     scored.setdefault(rec["question_id"], []).append(
                         (rec["sample_id"], rec["label"], rec["score"])
                     )
             report = build_ranking_report(task_name, scored, *ranking_gold(eval_set))
         else:
-            filename = ensembles[task_name]["file"]
-            records = run.records("ensemble", filename)
-            with run.reading(f"ensemble/{filename}", "ensemble"):
-                outputs = {rec["sample_id"]: rec for rec in records}
-            eval_ids = {s.id for s in eval_set}
-            missing, foreign = eval_ids - outputs.keys(), outputs.keys() - eval_ids
-            if missing or foreign or len(records) != len(outputs):
-                raise run.error(
-                    f"task {task_name}: the ensemble outputs miss {len(missing)} eval samples, "
-                    f"name {len(foreign)} samples outside the eval set and repeat "
-                    f"{len(records) - len(outputs)}; re-run ensemble",
-                )
+            outputs = run.records_by_sample("ensemble", ensembles[task_name]["file"], task_name,
+                                            eval_ids)
             predicted = [outputs[s.id]["label"] for s in eval_set]
             gold = dev_gold(eval_set)
             kind = eval_set.task_kind
@@ -937,7 +780,7 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
         if member["fold"] is not None:
             continue
         spec = member["source"].spec
-        train_cfg = _member_train_config(cfg, member)
+        train_cfg = cfg.member_train_config(member)
         result = train_multitask(run.member_tasks(member), spec, train_cfg, cache=cache)
         families.setdefault(spec.name, []).append(
             PredictionSet(

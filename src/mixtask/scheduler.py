@@ -43,16 +43,19 @@ class MiniBatch:
         return len(self.sample_ids)
 
 
+BATCH_SIZE = 16
+
+
 @dataclass(frozen=True)
 class MixtureConfig:
     """Knobs of the epoch planner.
 
     batch_size may be a single int or a per-dataset mapping; unmapped
-    datasets fall back to the "*" entry or 16.
+    datasets fall back to the "*" entry or BATCH_SIZE.
     """
 
     alpha: float = 0.5
-    batch_size: int | dict = 16
+    batch_size: int | dict = BATCH_SIZE
     max_epoch: int = 20
     seed: int = 0
 
@@ -68,7 +71,7 @@ class MixtureConfig:
     def batch_size_for(self, dataset_name: str) -> int:
         if isinstance(self.batch_size, int):
             return self.batch_size
-        return self.batch_size.get(dataset_name, self.batch_size.get("*", 16))
+        return self.batch_size.get(dataset_name, self.batch_size.get("*", BATCH_SIZE))
 
 
 @dataclass

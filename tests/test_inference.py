@@ -269,7 +269,7 @@ def test_select_members_requires_dev_metric():
 
 
 def test_published_thresholds_available_as_defaults():
-    from mixtask.defaults import MEMBER_THRESHOLDS
+    from mixtask.config import MEMBER_THRESHOLDS
 
     assert MEMBER_THRESHOLDS == {"mednli": 87.7, "rqe": 83.5, "qa": 83.0}
 

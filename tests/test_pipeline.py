@@ -84,7 +84,7 @@ def test_members_trained_base_plus_cv(toy_run_dir):
 
 def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, monkeypatch):
     from mixtask import training
-    from mixtask.pipeline import StageRun, _member_train_config
+    from mixtask.pipeline import StageRun
     from mixtask.scheduler import load_plan
 
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
@@ -99,7 +99,7 @@ def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, mo
             return real_step(model, batch, learning_rate)
 
         monkeypatch.setattr(training, "grad_step", recording_step)
-        train_cfg = _member_train_config(cfg, member)
+        train_cfg = cfg.member_train_config(member)
         one_epoch = replace(train_cfg, mixture=replace(train_cfg.mixture, max_epoch=1))
         tasks = view.member_tasks(member)
         training.train_multitask(tasks, member["source"].spec, one_epoch)
@@ -267,6 +267,74 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
         PipelineConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("threshold",), {"toy_nli": 40.0}, "unknown key 'threshold' in config"),
+    (("mixture", "max_epochs"), 3, "unknown key 'max_epochs' in mixture"),
+    (("train", "lr_multitsk"), 0.1, "unknown key 'lr_multitsk' in train"),
+    (("sources", 0, "member"), 2, r"unknown key 'member' in sources\[0\]"),
+    (("negatives", "per_positve"), 3, "unknown key 'per_positve' in negatives"),
+    (("random_split", "toy_pages", "eval_cuont"), 9,
+     r"unknown key 'eval_cuont' in random_split\.toy_pages"),
+    (("reshuffle", "dev_question"), 5, "unknown key 'dev_question' in reshuffle"),
+    (("cv", "fold"), 3, "unknown key 'fold' in cv"),
+    (("mixture",), 16, "mixture must be a mapping, not int"),
+    (("sources", 1), "family_b", r"sources\[1\] must be a mapping, not str"),
+    (("thresholds",), 40.0, "thresholds must be a mapping, not float"),
+    (("sources", 0, "name"), None, r"sources\[0\] requires a name"),
+])
+def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
+    """A key no section declares, a section that is not a mapping, and a
+    source without a name each fail parsing (value None deletes the key)."""
+    import yaml
+
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+
+
+def test_minimal_config_takes_each_default_from_its_one_declaration(toy_corpus_dir):
+    from mixtask import config
+    from mixtask.featurize import SourceSpec
+    from mixtask.scheduler import MixtureConfig
+    from mixtask.seeding import derive_seed
+    from mixtask.training import TrainConfig
+
+    raw = {"master_seed": 3, "manifest": "manifest.ini", "sources": [{"name": "fam"}]}
+    cfg = PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+    assert cfg.mixture == MixtureConfig(seed=3)
+    assert cfg.train == replace(TrainConfig(), mixture=MixtureConfig(seed=3))
+    assert cfg.sources == [config.SourceEntry(SourceSpec("fam", derive_seed(0, "source", "fam")))]
+    assert (cfg.negatives_per_positive, cfg.cv_folds) == (config.NEGATIVES_PER_POSITIVE,
+                                                         config.CV_FOLDS)
+    assert (cfg.reshuffle_dev_questions, cfg.reshuffle_tagged_questions) == (
+        config.DEV_RESHUFFLE_QUESTIONS, config.DEV_RESHUFFLE_TAGGED_QUESTIONS)
+    assert cfg.thresholds == {} and not cfg.cv_enabled
+
+
+def test_only_the_config_module_imports_yaml():
+    import ast
+
+    importers = set()
+    for path in Path(mixtask.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "yaml" for name in names):
+                importers.add(path.name)
+    assert importers == {"config.py"}
+
+
 # -- command line ----------------------------------------------------------------
 
 
@@ -306,6 +374,21 @@ def test_cli_stage_without_inputs_fails_with_tag(tmp_path):
 def test_cli_unknown_config_fails(tmp_path):
     proc = run_cli("run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o"))
     assert proc.returncode != 0
+
+
+def test_cli_run_with_a_misspelled_key_exits_2(toy_corpus_dir, tmp_path, capsys):
+    import yaml
+
+    from mixtask import cli
+
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
+    raw["train"]["lr_multitsk"] = raw["train"].pop("lr_multitask")
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "[run] unknown key 'lr_multitsk' in train\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_experiment_noise_mode(tmp_path):
@@ -471,6 +554,49 @@ def test_evaluate_refuses_a_partial_ensemble(toy_corpus_dir, toy_run_dir, tmp_pa
     path.write_text("".join(lines))
     with pytest.raises(PipelineStageError, match=rf"^\[evaluate\] task {task}: .*re-run ensemble$"):
         run_stage("evaluate", cfg, run)
+
+
+@pytest.mark.parametrize("stage, producer, damage", [
+    ("evaluate", "rank", "drop_one"),
+    ("evaluate", "rank", "foreign_id"),
+    ("rank", "ensemble", "repeat_one"),
+])
+def test_ranking_records_must_cover_their_samples_once(toy_corpus_dir, toy_run_dir, tmp_path,
+                                                       stage, producer, damage):
+    """Evaluate checks the rank file against the eval set, and rank refuses
+    an ensemble file that repeats a sample."""
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    task = cfg.ranking_tasks[0]
+    path = run / producer / f"{task}.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "drop_one":
+        lines = lines[1:]
+    elif damage == "foreign_id":
+        record = json.loads(lines[0])
+        record["sample_id"] = "not-an-eval-sample"
+        lines[0] = json.dumps(record) + "\n"
+    else:
+        lines.append(lines[0])
+    path.write_text("".join(lines))
+    with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] task {task}: .*re-run {producer}$"):
+        run_stage(stage, cfg, run)
+
+
+def test_predict_loads_each_checkpoint_once(toy_corpus_dir, toy_run_dir, tmp_path, monkeypatch):
+    from mixtask import pipeline
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    loads, real_load = [], pipeline.load_checkpoint
+
+    def recording_load(path, entry):
+        loads.append(Path(path).relative_to(run).as_posix())
+        return real_load(path, entry)
+
+    monkeypatch.setattr(pipeline, "load_checkpoint", recording_load)
+    run_stage("predict", cfg, run)
+    assert loads and sorted(loads) == sorted(set(loads))
 
 
 @pytest.mark.parametrize("stage, producer, artifact", [
