@@ -133,16 +133,23 @@ class PipelineConfig:
         return replace(self.train, mixture=replace(self.mixture, batch_size=batch_size, seed=seed))
 
 
-def _mapping(section: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{section} must be a mapping, not {type(value).__name__}")
-    return value
+_KINDS = {dict: "a mapping", list: "a list", str: "a string", bool: "true or false"}
+
+
+def _typed(kind: type, section: str, value, items: Optional[type] = None):
+    """value, when it is a kind whose items (if given) are all items: list()
+    would split a string into characters, and bool() reads "false" as true."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{section} must be {_KINDS[kind]}, not {type(value).__name__}")
+    for i, item in enumerate(value if items else ()):
+        _typed(items, f"{section}[{i}]", item)
+    return list(value) if items else value
 
 
 def _section(section: str, keys: dict[str, tuple[str, Callable]], value) -> dict:
     """The fields one section sets. keys maps each key the section may have
     to the field it sets and its converter."""
-    for key in _mapping(section, value):
+    for key in _typed(dict, section, value):
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {section}")
     return {keys[key][0]: keys[key][1](item) for key, item in value.items() if item is not None}
@@ -156,8 +163,9 @@ def _keys(section: str, prefix: str = "", **converters: Callable) -> Callable[[o
 
 def _by_name(section: str, convert: Callable) -> Callable[[object], dict]:
     """Converter of a section keyed by dataset or task names, which the stage
-    that reads it checks."""
-    return lambda value: {name: convert(item) for name, item in _mapping(section, value).items()}
+    that reads it checks; convert takes an entry's section name and value."""
+    return lambda value: {name: convert(f"{section}.{name}", item)
+                          for name, item in _typed(dict, section, value).items()}
 
 
 def _source(i: int, value) -> SourceEntry:
@@ -177,18 +185,19 @@ _TOP_KEYS = {
         {name: int(n) for name, n in value.items()} if isinstance(value, dict) else int(value)))),
     "train": ("train", _keys("train", lr_multitask=float, lr_finetune=float, epochs_finetune=int,
                              hidden_dim=int)),
-    "sources": ("sources", lambda value: [_source(i, entry) for i, entry in enumerate(value)]),
-    "transforms": ("transforms", _by_name("transforms", list)),
+    "sources": ("sources", lambda value: [
+        _source(i, entry) for i, entry in enumerate(_typed(list, "sources", value))]),
+    "transforms": ("transforms", _by_name("transforms", partial(_typed, list, items=str))),
     "negatives": ("negatives", _keys("negatives", "negatives_", per_positive=int)),
-    "splits": ("split_recipes", _by_name("splits", str)),
-    "random_split": ("random_split_counts", lambda value: {
-        name: _keys(f"random_split.{name}", eval_count=int)(counts)
-        for name, counts in _mapping("random_split", value).items()
-    }),
+    "splits": ("split_recipes", _by_name("splits", partial(_typed, str))),
+    "random_split": ("random_split_counts", _by_name(
+        "random_split", lambda section, counts: _keys(section, eval_count=int)(counts))),
     "reshuffle": ("reshuffle", _keys("reshuffle", "reshuffle_", dev_questions=int,
                                      tagged_questions=int, tag=str)),
-    "cv": ("cv", _keys("cv", "cv_", enabled=bool, task=str, folds=int, finetune_members=bool)),
-    "thresholds": ("thresholds", _by_name("thresholds", float)),
-    "ranking": ("ranking_tasks", list),
-    "constrained_triples": ("constrained_triple_tasks", list),
+    "cv": ("cv", _keys("cv", "cv_", enabled=partial(_typed, bool, "cv.enabled"), task=str,
+                       folds=int, finetune_members=partial(_typed, bool, "cv.finetune_members"))),
+    "thresholds": ("thresholds", _by_name("thresholds", lambda _, value: float(value))),
+    "ranking": ("ranking_tasks", partial(_typed, list, "ranking", items=str)),
+    "constrained_triples": ("constrained_triple_tasks",
+                            partial(_typed, list, "constrained_triples", items=str)),
 }

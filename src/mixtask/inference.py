@@ -185,7 +185,8 @@ class EnsembleOutput:
 
 
 def combine_predictions(members: Sequence[PredictionSet]) -> dict[str, EnsembleOutput]:
-    """Apply the task-matching combiner to every sample covered by all members.
+    """Apply the task-matching combiner to every sample; every member must
+    cover the same samples.
 
     Classification outputs carry the summed probability of the chosen class
     as their score; regression outputs carry the mean score.
@@ -196,11 +197,11 @@ def combine_predictions(members: Sequence[PredictionSet]) -> dict[str, EnsembleO
     if len(kinds) != 1:
         raise ValueError(f"members disagree on task kind: {sorted(kinds)}")
     kind = kinds.pop()
-    common = set(members[0].predictions)
-    for ps in members[1:]:
-        common &= set(ps.predictions)
+    ids = members[0].predictions.keys()
+    if any(ps.predictions.keys() != ids for ps in members):
+        raise ValueError(f"members {[ps.model_id for ps in members]} cover different samples")
     outputs = {}
-    for sample_id in sorted(common):
+    for sample_id in sorted(ids):
         if kind == "classification":
             vectors = [np.asarray(ps.predictions[sample_id], dtype=np.float64) for ps in members]
             label = ensemble_classify(vectors)

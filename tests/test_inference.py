@@ -295,6 +295,13 @@ def test_combine_regression_outputs():
     assert out["s2"].label == 0
 
 
+def test_combine_rejects_members_that_cover_different_samples():
+    a = PredictionSet("m1", "t", "regression", {"s1": 0.5, "s2": -0.4}, 90.0)
+    b = PredictionSet("m2", "t", "regression", {"s1": 0.1}, 91.0)
+    with pytest.raises(ValueError, match=r"^members \['m1', 'm2'\] cover different samples$"):
+        combine_predictions([a, b])
+
+
 def test_combine_rejects_mixed_kinds():
     a = PredictionSet("m1", "t", "regression", {"s1": 0.5}, 90.0)
     b = PredictionSet("m2", "t", "classification", {"s1": np.array([0.5, 0.5])}, 91.0)

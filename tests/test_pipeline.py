@@ -30,10 +30,16 @@ def test_every_stage_leaves_a_self_describing_index(toy_run_dir):
         assert "config_hash" in index and "master_seed" in index
 
 
-def test_run_manifest_records_all_stages(toy_run_dir):
-    manifest = json.loads((toy_run_dir / "run_manifest.json").read_text())
-    assert set(manifest["stages"]) == set(STAGES)
-    assert manifest["master_seed"] == 7
+def test_every_index_records_the_config_it_ran_with(toy_corpus_dir, toy_run_dir):
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    for stage in STAGES:
+        index = read_index(toy_run_dir, stage)
+        assert index["config"] == cfg.raw and index["master_seed"] == 7, stage
+
+
+def test_a_run_writes_only_the_stage_directories(toy_run_dir):
+    assert sorted(path.name for path in toy_run_dir.iterdir()) == sorted(STAGES)
+    assert all(path.is_dir() for path in toy_run_dir.iterdir())
 
 
 def test_split_recipes_reshaped_the_datasets(toy_run_dir):
@@ -152,7 +158,7 @@ def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypat
 
 def test_only_stage_run_reads_artifacts():
     """Every call in pipeline.py to an artifact reader sits inside a StageRun
-    method, apart from run_stage's read of the run manifest."""
+    method."""
     import ast
     import inspect
 
@@ -178,7 +184,7 @@ def test_only_stage_run_reads_artifacts():
             if isinstance(call, ast.Call) and reader_name(call):
                 calls.append((getattr(node, "name", None), reader_name(call)))
     outside = [call for call in calls if call[0] != "StageRun"]
-    assert outside == [("run_stage", "read_json")]
+    assert outside == []
     assert {name for owner, name in calls if owner == "StageRun"} == readers | {
         "FeatureCache.load"
     }
@@ -281,10 +287,20 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("sources", 1), "family_b", r"sources\[1\] must be a mapping, not str"),
     (("thresholds",), 40.0, "thresholds must be a mapping, not float"),
     (("sources", 0, "name"), None, r"sources\[0\] requires a name"),
+    (("ranking",), "toy_qa", "ranking must be a list, not str"),
+    (("ranking",), ["toy_qa", 1], r"ranking\[1\] must be a string, not int"),
+    (("constrained_triples",), "toy_nli", "constrained_triples must be a list, not str"),
+    (("transforms", "toy_qa"), "rescore_relevance", r"transforms\.toy_qa must be a list, not str"),
+    (("cv", "enabled"), "false", r"cv\.enabled must be true or false, not str"),
+    (("cv", "finetune_members"), "no", r"cv\.finetune_members must be true or false, not str"),
+    (("sources",), {"family_a": {"featurizer_seed": 101}}, "sources must be a list, not dict"),
+    (("splits", "toy_nli"), 3, r"splits\.toy_nli must be a string, not int"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
-    """A key no section declares, a section that is not a mapping, and a
-    source without a name each fail parsing (value None deletes the key)."""
+    """A key no section declares, a section that is not a mapping, a source
+    without a name, a list that is not a list of strings, a split recipe that
+    is not a string and a flag that is not a bool each fail parsing (value
+    None deletes the key)."""
     import yaml
 
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
@@ -400,6 +416,31 @@ def test_cli_experiment_noise_mode(tmp_path):
     assert "mixed-source wins" in proc.stdout
     report = json.loads((tmp_path / "exp" / "experiment_report.json").read_text())
     assert report["n_trials"] == 3
+
+
+def test_cli_experiment_trained_mode(toy_corpus_dir, tmp_path):
+    import yaml
+
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
+    config, out = tmp_path / "config.yaml", tmp_path / "exp"
+    config.write_text(yaml.safe_dump(raw))
+    args = ("experiment-multisource", "--mode", "trained", "--config", str(config),
+            "--out", str(out))
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == "[experiment] source 'family_a' has 1 members, needs >= 3\n"
+
+    for source in raw["sources"]:
+        source["members"] = 3
+    config.write_text(yaml.safe_dump(raw))
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    (trial,) = json.loads((out / "experiment_report.json").read_text())["trials"]
+    assert [row["grouping"] for row in trial["rows"]] == [
+        "family_a only", "family_b only", "family_a+family_b (2+1)", "family_a+family_b (1+2)"]
+    assert sorted(path.name for path in (out / "trained_members").iterdir()) == [
+        "ingest", "split", "transform"]
 
 
 def _copy_run(toy_run_dir, tmp_path):
@@ -635,6 +676,45 @@ def test_stage_refuses_an_index_built_from_another_upstream(toy_corpus_dir, toy_
         run_stage(stage, cfg, run)
 
 
+def test_a_stage_rerun_under_another_seed_records_its_own_config(toy_corpus_dir, toy_run_dir,
+                                                                tmp_path):
+    """Each index records the config its stage ran with; a run manifest an
+    older version left behind is neither read nor deleted."""
+    from mixtask import cli
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    (run / "run_manifest.json").write_text('{"master_seed": 7, "stag')
+    config = str(toy_corpus_dir / "config.yaml")
+    assert cli.main(["split", "--config", config, "--seed", "8", "--out", str(run)]) == 0
+    assert read_index(run, "split")["config"]["master_seed"] == 8
+    assert read_index(run, "train")["config"]["master_seed"] == 7
+    assert (run / "run_manifest.json").read_text() == '{"master_seed": 7, "stag'
+
+
+@pytest.mark.parametrize("damage", ["drop_one", "foreign_id"])
+def test_ensemble_refuses_a_prediction_set_that_does_not_cover_the_eval_set(
+    toy_corpus_dir, toy_run_dir, tmp_path, damage
+):
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    path = run / "predict" / "family_a-m0__toy_rqe.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "drop_one":
+        lines.pop()
+    else:
+        record = json.loads(lines[-1])
+        record["sample_id"] = "not-an-eval-sample"
+        lines[-1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    counts = f"misses 1 eval samples, names {int(damage == 'foreign_id')} "
+    message = rf"^\[ensemble\] task toy_rqe: predict/{path.name} {counts}.*; re-run predict$"
+    with pytest.raises(PipelineStageError, match=message):
+        run_stage("ensemble", cfg, run)
+    # the remedy the message names works
+    run_stage("predict", cfg, run)
+    run_stage("ensemble", cfg, run)
+
+
 @pytest.mark.parametrize("stage, key, typo", [
     ("split", "splits", "toy_rqee"),
     ("split", "random_split", "toy_pagez"),
@@ -656,27 +736,6 @@ def test_config_name_matching_nothing_is_a_tagged_error(toy_corpus_dir, toy_run_
     message = rf"^\[{stage}\] unknown {kind} '{typo}' in {key}$"
     with pytest.raises(PipelineStageError, match=message):
         run_stage(stage, cfg, run)
-
-
-def test_unreadable_run_manifest_fails_before_the_stage_writes(toy_corpus_dir, toy_run_dir,
-                                                               tmp_path):
-    run = _copy_run(toy_run_dir, tmp_path)
-    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
-    manifest = run / "run_manifest.json"
-    manifest.write_bytes(manifest.read_bytes()[:-40])
-
-    def rank_files():
-        return {p.name: (p.stat().st_mtime_ns, p.read_bytes()) for p in (run / "rank").iterdir()}
-
-    before = rank_files()
-    with pytest.raises(PipelineStageError,
-                       match=r"^\[rank\] unreadable run_manifest\.json: .*; delete it and re-run"):
-        run_stage("rank", cfg, run)
-    assert rank_files() == before
-    # the remedy the message names works
-    manifest.unlink()
-    mixtask.run_pipeline(cfg, run, quiet=True)
-    assert set(json.loads(manifest.read_text())["stages"]) == set(STAGES)
 
 
 def test_finetune_writes_only_models_it_changed(toy_run_dir):
