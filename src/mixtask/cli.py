@@ -2,8 +2,10 @@
 
 Every stage subcommand takes --config, --out, and optionally --seed (which
 overrides the config's master seed). `run` executes the whole pipeline;
-`make-toy` writes the bundled toy corpus and a ready config. Exit code 0 on
-success; stage-tagged diagnostics on stderr and a nonzero exit otherwise.
+`make-toy` writes the bundled toy corpus and a ready config. Exit codes:
+0 on success; 1 when a stage (or the experiment) fails, with
+"[<stage>] <message>" on stderr; 2 on a config or usage error, with
+"[<command>] <message>" on stderr.
 """
 from __future__ import annotations
 

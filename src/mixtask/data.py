@@ -247,16 +247,14 @@ def _parse_record(obj: dict, line_no: int, path: str) -> SamplePair:
             label=None if obj.get("label") is None else int(obj["label"]),
             target_score=None if obj.get("target_score") is None else float(obj["target_score"]),
         )
+        for key in _OPTIONAL_KEYS:
+            if obj.get(key) is not None:
+                convert = int if key in ("gold_relevance", "gold_rank") else str
+                setattr(sample, key, convert(obj[key]))
     except KeyError as exc:
         raise DatasetFormatError(f"{path}:{line_no}: missing required key {exc}") from None
-    for key in _OPTIONAL_KEYS:
-        if obj.get(key) is not None:
-            value = obj[key]
-            if key in ("gold_relevance", "gold_rank"):
-                value = int(value)
-            else:
-                value = str(value)
-            setattr(sample, key, value)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}:{line_no}: {exc}") from None
     if sample.gold_relevance is not None and sample.gold_relevance not in (1, 2, 3, 4):
         raise DatasetFormatError(
             f"{path}:{line_no}: gold_relevance must be in 1..4, got {sample.gold_relevance}"
@@ -308,7 +306,10 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """
     path = Path(path)
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise DatasetFormatError(f"manifest {path}: {exc}") from None
     if not read:
         raise DatasetFormatError(f"manifest not found: {path}")
     base = path.parent

@@ -242,6 +242,8 @@ def load_prediction_set(path: str | Path) -> PredictionSet:
         dev_metric=header.get("dev_metric"),
     )
     for rec in records[1:]:
+        if rec["sample_id"] in ps.predictions:
+            raise ValueError(f"{path}: sample id {rec['sample_id']!r} repeats")
         if "probs" in rec:
             ps.predictions[rec["sample_id"]] = np.asarray(rec["probs"], dtype=np.float64)
         else:

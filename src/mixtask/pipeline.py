@@ -3,19 +3,19 @@
 Stages: ingest -> transform -> split -> schedule -> train -> finetune ->
 predict -> ensemble -> rank -> evaluate. Each stage reads earlier stages'
 artifacts from the output directory and writes its own, so any stage can be
-re-run independently. run_stage hands each stage a StageRun, its only
-reader of upstream artifacts: each upstream index and dataset file is read
-once, and an unreadable one fails the stage with "re-run <producer>".
-run_stage writes the stage's index.json, the one record of the stage: the
-config it ran with, its payload, and under "inputs" the sha256 of each
-upstream index read; a reader refuses an index whose inputs no longer
-match. Files go through the codec in data.py. A (member, task) model is the
-checkpoint the finetune index lists, else the member's train checkpoint,
-never a file merely present on disk. Each row is featurized once per run:
-finetune and predict open train's FeatureCache through the train index.
-Every artifact is reproducible from (config, master seed): stage seeds
-derive hierarchically per (stage, dataset, member, fold), and no output
-embeds timestamps or absolute paths.
+re-run independently. run_stage hands each stage a StageRun, its only reader
+of upstream artifacts: each upstream index and dataset file is read once,
+and an unreadable one fails the stage with "re-run <producer>". run_stage is
+the one place that tags a failure with its stage. It writes the stage's
+index.json, the one record of the stage: the config it ran with, its
+payload, and under "inputs" the sha256 of each upstream index read; a reader
+refuses an index whose inputs no longer match. Files go through the codec in
+data.py. A (member, task) model is the checkpoint the finetune index lists,
+else the member's train checkpoint, never a file merely present on disk.
+Each row is featurized once per run: finetune and predict open train's
+FeatureCache through the train index. Every artifact is reproducible from
+(config, master seed): stage seeds derive hierarchically per (stage,
+dataset, member, fold), and no output embeds timestamps or absolute paths.
 """
 from __future__ import annotations
 
@@ -294,12 +294,7 @@ class StageRun:
 
 def stage_ingest(run: StageRun) -> dict:
     """Load and validate every manifest dataset; write normalized copies."""
-    try:
-        bundles = load_manifest_datasets(run.cfg.manifest_path)
-    except Exception as exc:
-        raise run.error(str(exc)) from exc
-    entries = _save_datasets(run.dir, bundles)
-    return {"datasets": entries}
+    return {"datasets": _save_datasets(run.dir, load_manifest_datasets(run.cfg.manifest_path))}
 
 
 def _check_names(run: StageRun, kind: str, known, **config_entries) -> None:
@@ -344,19 +339,19 @@ def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Datase
         return bundle
     if recipe == "merge_dev":
         if "dev" not in bundle or "eval" not in bundle:
-            raise PipelineStageError("split", f"{name!r}: merge_dev needs dev and eval splits")
+            raise ValueError(f"{name!r}: merge_dev needs dev and eval splits")
         merged = mednli_merge_dev(bundle["train"], bundle["dev"])
         return {"train": merged, "dev": bundle["eval"], "eval": bundle["eval"]}
     if recipe == "shuffle_half_eval":
         if "dev" not in bundle:
-            raise PipelineStageError("split", f"{name!r}: shuffle_half_eval needs a dev split")
+            raise ValueError(f"{name!r}: shuffle_half_eval needs a dev split")
         seed = derive_seed(cfg.master_seed, "split", "shuffle-half", name)
         train, dev = rqe_shuffle_split(bundle["train"], bundle["dev"], seed)
         out = {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
         return out
     if recipe == "reshuffle_dev":
         if "dev" not in bundle:
-            raise PipelineStageError("split", f"{name!r}: reshuffle_dev needs a dev split")
+            raise ValueError(f"{name!r}: reshuffle_dev needs a dev split")
         train, dev = qa_dev_reshuffle(
             bundle["train"],
             bundle["dev"],
@@ -371,7 +366,7 @@ def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Datase
         seed = derive_seed(cfg.master_seed, "split", "random", name)
         train, dev = random_split(bundle["train"], eval_count, seed)
         return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
-    raise PipelineStageError("split", f"unknown split recipe {recipe!r} for {name!r}")
+    raise ValueError(f"unknown split recipe {recipe!r} for {name!r}")
 
 
 def stage_split(run: StageRun) -> dict:
@@ -379,10 +374,7 @@ def stage_split(run: StageRun) -> dict:
     cfg, bundles = run.cfg, run.bundles("transform")
     _check_names(run, "dataset", bundles, splits=cfg.split_recipes,
                  random_split=cfg.random_split_counts)
-    try:
-        bundles = {name: _apply_split_recipe(cfg, name, b) for name, b in bundles.items()}
-    except ValueError as exc:
-        raise run.error(str(exc)) from exc
+    bundles = {name: _apply_split_recipe(cfg, name, b) for name, b in bundles.items()}
     entries = _save_datasets(run.dir, bundles)
 
     folds_meta = []
@@ -628,6 +620,8 @@ def stage_evaluate(run: StageRun) -> dict:
         eval_set = run.eval_set(task_name)
         eval_ids = {s.id for s in eval_set}
         if task_name in run.cfg.ranking_tasks:
+            if task_name not in rankings:
+                raise run.error(f"no rankings for task {task_name!r}; re-run rank")
             scored: dict[str, list] = {}
             filename = rankings[task_name]["file"]
             ranked = run.records_by_sample("rank", filename, task_name, eval_ids)
@@ -678,20 +672,25 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
     """Run one stage: empty its directory, let it write its artifacts, then
     write its index.json, the stage's one record (header, the config itself,
     payload, inputs), whole and renamed into place. No stage reads its own
-    directory, so a re-run leaves no file of an earlier run behind.
+    directory, so a re-run leaves no file of an earlier run behind. This is the
+    one place that tags a failure: a ValueError, FloatingPointError or OSError
+    escaping the stage becomes PipelineStageError(name, ...).
     """
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
     run = StageRun(cfg, Path(out_dir), name)
-    if run.dir.exists():
-        shutil.rmtree(run.dir)
-    run.dir.mkdir(parents=True)
-    payload = _STAGE_FUNCS[name](run)
-    inputs = {"inputs": run.inputs} if run.inputs else {}
-    write_json(run.dir / "index.json", {
-        "schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash,
-        "master_seed": cfg.master_seed, "config": cfg.raw, "stage": name, **payload, **inputs,
-    })
+    try:
+        if run.dir.exists():
+            shutil.rmtree(run.dir)
+        run.dir.mkdir(parents=True)
+        payload = _STAGE_FUNCS[name](run)
+        inputs = {"inputs": run.inputs} if run.inputs else {}
+        write_json(run.dir / "index.json", {
+            "schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash,
+            "master_seed": cfg.master_seed, "config": cfg.raw, "stage": name, **payload, **inputs,
+        })
+    except (ValueError, FloatingPointError, OSError) as exc:
+        raise PipelineStageError(name, str(exc)) from exc
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path, quiet: bool = False) -> Path:

@@ -190,6 +190,33 @@ def test_only_stage_run_reads_artifacts():
     }
 
 
+def test_only_run_stage_tags_a_stage_failure():
+    """No module catches every exception, and a PipelineStageError is built
+    only by run_stage, StageRun.error and the experiment functions: a stage
+    raises a plain error, or run.error to name a member, task or artifact."""
+    import ast
+
+    builders, catch_alls = set(), []
+    for path in sorted(Path(mixtask.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for handler in (n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)):
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            if any(c is None or getattr(c, "id", None) in ("Exception", "BaseException")
+                   for c in caught):
+                catch_alls.append(f"{path.name}:{handler.lineno}")
+        functions = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)] + [
+            (f"{c.name}.{m.name}", m) for c in tree.body if isinstance(c, ast.ClassDef)
+            for m in c.body if isinstance(m, ast.FunctionDef)
+        ]
+        for owner, function in functions:
+            if any(isinstance(call, ast.Call) and getattr(call.func, "id", None)
+                   == "PipelineStageError" for call in ast.walk(function)):
+                builders.add(owner)
+    assert catch_alls == []
+    assert builders == {"run_stage", "StageRun.error", "run_multisource_experiment",
+                        "_trained_experiment"}
+
+
 def test_cv_members_join_only_their_task_ensemble(toy_run_dir):
     ensembles = read_index(toy_run_dir, "ensemble")["ensembles"]
     qa_members = ensembles["toy_qa"]["members"]
@@ -691,7 +718,7 @@ def test_a_stage_rerun_under_another_seed_records_its_own_config(toy_corpus_dir,
     assert (run / "run_manifest.json").read_text() == '{"master_seed": 7, "stag'
 
 
-@pytest.mark.parametrize("damage", ["drop_one", "foreign_id"])
+@pytest.mark.parametrize("damage", ["drop_one", "foreign_id", "repeat_last"])
 def test_ensemble_refuses_a_prediction_set_that_does_not_cover_the_eval_set(
     toy_corpus_dir, toy_run_dir, tmp_path, damage
 ):
@@ -699,20 +726,38 @@ def test_ensemble_refuses_a_prediction_set_that_does_not_cover_the_eval_set(
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     path = run / "predict" / "family_a-m0__toy_rqe.jsonl"
     lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[-1])
     if damage == "drop_one":
         lines.pop()
-    else:
-        record = json.loads(lines[-1])
+    elif damage == "foreign_id":
         record["sample_id"] = "not-an-eval-sample"
         lines[-1] = json.dumps(record) + "\n"
+    else:  # a second record for the last sample, which would win if read
+        record["probs"] = record["probs"][::-1]
+        lines.append(json.dumps(record) + "\n")
     path.write_text("".join(lines))
     counts = f"misses 1 eval samples, names {int(damage == 'foreign_id')} "
     message = rf"^\[ensemble\] task toy_rqe: predict/{path.name} {counts}.*; re-run predict$"
+    if damage == "repeat_last":
+        message = rf"^\[ensemble\] unreadable predict/{path.name}: .*re-run predict$"
     with pytest.raises(PipelineStageError, match=message):
         run_stage("ensemble", cfg, run)
     # the remedy the message names works
     run_stage("predict", cfg, run)
     run_stage("ensemble", cfg, run)
+
+
+def test_evaluate_names_a_ranking_task_the_rank_index_lacks(toy_corpus_dir, toy_run_dir,
+                                                            tmp_path):
+    import yaml
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["ranking"] = ["toy_qa", "toy_pages"]
+    cfg = PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+    message = r"^\[evaluate\] no rankings for task 'toy_pages'; re-run rank$"
+    with pytest.raises(PipelineStageError, match=message):
+        run_stage("evaluate", cfg, run)
 
 
 @pytest.mark.parametrize("stage, key, typo", [
