@@ -13,6 +13,7 @@ from .corpus import (
     rqe_shuffle_split,
 )
 from .data import Dataset, SamplePair, TaskKind, load_dataset, read_manifest
+from .experiment import run_multisource_experiment
 from .featurize import SourceSpec, featurize
 from .inference import (
     PredictionSet,
@@ -33,7 +34,7 @@ from .metrics import (
     spearman_on_positives,
 )
 from .model import Checkpoint, ToyModel, cross_entropy_loss, grad_step, mse_loss
-from .pipeline import PipelineConfig, run_multisource_experiment, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .scheduler import EpochPlan, MiniBatch, MixtureConfig, build_epoch, partition_batches
 from .training import TaskData, TrainConfig, fine_tune_task, train_multitask
 

@@ -13,15 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import NoiseModelConfig
-from .pipeline import (
-    STAGES,
-    PipelineConfig,
-    PipelineStageError,
-    run_multisource_experiment,
-    run_pipeline,
-    run_stage,
-)
+from .experiment import NoiseModelConfig, run_multisource_experiment
+from .pipeline import STAGES, PipelineConfig, PipelineStageError, run_pipeline, run_stage
 from .toydata import write_toy_corpus
 
 
@@ -58,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment-multisource",
                        help="compare single-source vs mixed-source ensembles")
     p.add_argument("--config", default=None, help="pipeline config (required for trained mode)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (noise mode)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="master seed of either mode; overrides the config master seed")
     p.add_argument("--out", required=True, help="artifact directory")
     p.add_argument("--mode", choices=("noise", "trained"), default="noise")
     p.add_argument("--trials", type=int, default=20, help="seeded trials (noise mode)")
@@ -80,13 +74,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "experiment-multisource":
             cfg = _load_config(args) if args.config else None
-            master_seed = args.seed if args.seed is not None else None
             report = run_multisource_experiment(
                 cfg,
                 args.out,
                 mode=args.mode,
                 n_trials=args.trials,
-                master_seed=master_seed,
+                master_seed=args.seed,
                 noise_config=NoiseModelConfig(n_samples=args.samples),
             )
             print(report.table())

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .data import Dataset, SamplePair
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_seed
+
+if TYPE_CHECKING:  # config imports training, which imports this module
+    from .config import PipelineConfig
 
 
 def qa_modified_score(s: int, i: int, m: int) -> float:
@@ -223,6 +227,44 @@ def random_split(dataset: Dataset, eval_count: int, seed: int = 0) -> tuple[Data
     train_samples = [s for i, s in enumerate(dataset) if i not in eval_idx]
     eval_samples = [s for i, s in enumerate(dataset) if i in eval_idx]
     return dataset.with_samples(train_samples), dataset.with_samples(eval_samples)
+
+
+def apply_split_recipe(
+    cfg: PipelineConfig, name: str, bundle: dict[str, Dataset]
+) -> dict[str, Dataset]:
+    """A dataset's splits after the recipe `cfg.split_recipes` names for it, if any."""
+    recipe = cfg.split_recipes.get(name, "none")
+    if recipe == "none":
+        return bundle
+    if recipe == "merge_dev":
+        if "dev" not in bundle or "eval" not in bundle:
+            raise ValueError(f"{name!r}: merge_dev needs dev and eval splits")
+        merged = mednli_merge_dev(bundle["train"], bundle["dev"])
+        return {"train": merged, "dev": bundle["eval"], "eval": bundle["eval"]}
+    if recipe == "shuffle_half_eval":
+        if "dev" not in bundle:
+            raise ValueError(f"{name!r}: shuffle_half_eval needs a dev split")
+        seed = derive_seed(cfg.master_seed, "split", "shuffle-half", name)
+        train, dev = rqe_shuffle_split(bundle["train"], bundle["dev"], seed)
+        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
+    if recipe == "reshuffle_dev":
+        if "dev" not in bundle:
+            raise ValueError(f"{name!r}: reshuffle_dev needs a dev split")
+        train, dev = qa_dev_reshuffle(
+            bundle["train"],
+            bundle["dev"],
+            n_dev_questions=cfg.reshuffle_dev_questions,
+            n_alexa_questions=cfg.reshuffle_tagged_questions,
+            alexa_tag=cfg.reshuffle_tag,
+        )
+        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
+    if recipe == "random_split":
+        counts = cfg.random_split_counts.get(name, {})
+        eval_count = int(counts.get("eval_count", max(1, len(bundle["train"]) // 10)))
+        seed = derive_seed(cfg.master_seed, "split", "random", name)
+        train, dev = random_split(bundle["train"], eval_count, seed)
+        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
+    raise ValueError(f"unknown split recipe {recipe!r} for {name!r}")
 
 
 def cv_folds(dataset: Dataset, k: int = 5) -> list[tuple[Dataset, Dataset]]:

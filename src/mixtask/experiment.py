@@ -15,19 +15,28 @@ Two member pools are supported:
   vote tie that the summed-probability tie-break resolves correctly. A
   single-source ensemble cannot recover those samples. Needs >= 3 classes.
 
-* trained toy models: the caller supplies real prediction sets grouped by
-  source family.
+* trained toy models: >= 3 members per configured source family, trained on
+  the configured corpus through the pipeline's ingest, transform and split
+  stages, predict the first in-domain classification task's eval split.
+
+run_multisource_experiment runs either and writes experiment_report.json.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .inference import PredictionSet, combine_predictions
+from .config import PipelineConfig
+from .data import TaskKind, write_json
+from .featurize import FeatureCache
+from .inference import PredictionSet, combine_predictions, predict_dataset
 from .metrics import accuracy
+from .pipeline import PipelineStageError, StageRun, run_stage
 from .seeding import derive_rng, derive_seed
+from .training import train_multitask
 
 
 @dataclass(frozen=True)
@@ -260,3 +269,79 @@ def summarize_trials(trials: list[TrialResult]) -> ExperimentReport:
         mean_single_improvement=float(np.mean(single_improvements)),
     )
 
+
+def run_multisource_experiment(
+    cfg: Optional[PipelineConfig],
+    out_dir: str | Path,
+    mode: str = "noise",
+    n_trials: int = 20,
+    master_seed: Optional[int] = None,
+    noise_config: Optional[NoiseModelConfig] = None,
+) -> ExperimentReport:
+    """Compare single-source vs mixed-source ensembles.
+
+    mode "noise" uses the documented synthetic noise model over n_trials
+    seeded trials. mode "trained" trains >= 3 members per configured source
+    family on the configured corpus and compares ensembles of their
+    predictions on the first classification task's eval split.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if mode == "noise":
+        seed = master_seed if master_seed is not None else (cfg.master_seed if cfg else 0)
+        report = run_noise_model_experiment(
+            noise_config or NoiseModelConfig(), n_trials=n_trials, master_seed=seed
+        )
+    elif mode == "trained":
+        if cfg is None:
+            raise PipelineStageError("experiment", "trained mode requires a pipeline config")
+        report = _trained_experiment(cfg, out_dir)
+    else:
+        raise PipelineStageError("experiment", f"unknown mode {mode!r}")
+    write_json(out_dir / "experiment_report.json", report.to_dict())
+    return report
+
+
+def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
+    if len(cfg.sources) < 2:
+        raise PipelineStageError("experiment", "trained mode needs >= 2 source families")
+    for entry in cfg.sources:
+        if entry.members < 3:
+            raise PipelineStageError(
+                "experiment",
+                f"source {entry.spec.name!r} has {entry.members} members, needs >= 3",
+            )
+    work = out_dir / "trained_members"
+    for stage in ("ingest", "transform", "split"):
+        run_stage(stage, cfg, work)
+    run = StageRun(cfg, work, "experiment")
+    task_name = next(
+        (n for n, entry in sorted(run.index("split")["datasets"].items())
+         if entry["role"] == "in_domain" and TaskKind.parse(entry["task_kind"]).is_classification),
+        None,
+    )
+    if task_name is None:
+        raise PipelineStageError("experiment", "no in-domain classification task to compare on")
+    eval_set = run.eval_set(task_name)
+    gold = {s.id: s.label for s in eval_set}
+
+    cache = FeatureCache()
+    families: dict[str, list[PredictionSet]] = {}
+    for member in cfg.member_plan():
+        if member["fold"] is not None:
+            continue
+        spec = member["source"].spec
+        train_cfg = cfg.member_train_config(member)
+        result = train_multitask(run.member_tasks(member), spec, train_cfg, cache=cache)
+        families.setdefault(spec.name, []).append(
+            PredictionSet(
+                model_id=member["member_id"],
+                task=task_name,
+                kind="classification",
+                predictions=predict_dataset(
+                    result.best.model, eval_set, cache.lookup(eval_set, spec)
+                ),
+                dev_metric=100.0 * result.best.selection_value,
+            )
+        )
+    return summarize_trials([compare_groupings(families, gold, trial=0)])

@@ -134,11 +134,6 @@ def featurize(text_a: str, text_b: str, source: SourceSpec) -> np.ndarray:
     return featurize_pairs([(text_a, text_b)], source)[0]
 
 
-def featurize_dataset(dataset: Dataset, source: SourceSpec) -> np.ndarray:
-    """Feature matrix (n_samples x dim) for a whole dataset, in sample order."""
-    return featurize_pairs([(s.text_a, s.text_b) for s in dataset], source)
-
-
 def _content_key(sample: SamplePair) -> bytes:
     """128-bit digest of (id, text_a, text_b); unlike the texts, it is small to keep.
 

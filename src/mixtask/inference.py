@@ -1,5 +1,5 @@
-"""Ensemble combiners, constrained triple decoding, answer ranking, and
-ensemble-member selection.
+"""Per-sample prediction, ensemble combiners, constrained triple decoding,
+answer ranking, and ensemble-member selection.
 
 Combination is by majority vote rather than probability averaging, so a
 single overconfident member cannot dominate the ensemble. Ties are resolved
@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import read_jsonl, write_jsonl
-from .model import LOG_EPS
+from .data import Dataset, read_jsonl, write_jsonl
+from .model import LOG_EPS, ToyModel
 
 PROB_SUM_TOL = 1e-6
 
@@ -48,6 +48,16 @@ class PredictionSet:
                     )
             elif not math.isfinite(float(value)):
                 raise ValueError(f"model {self.model_id!r} sample {sample_id!r}: non-finite score")
+
+
+def predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) -> dict[str, object]:
+    """Per-sample predictions from the dataset's feature matrix (rows in sample
+    order): probability vectors for classification, scores for regression."""
+    if dataset.task_kind.is_classification:
+        probs = model.class_probs(features, dataset.head_group)
+        return {s.id: probs[i] for i, s in enumerate(dataset)}
+    scores = model.reg_scores(features, dataset.head_group)
+    return {s.id: float(scores[i]) for i, s in enumerate(dataset)}
 
 
 def ensemble_classify(prob_vectors: Sequence[Sequence[float]]) -> int:
@@ -210,6 +220,30 @@ def combine_predictions(members: Sequence[PredictionSet]) -> dict[str, EnsembleO
             scores = [float(ps.predictions[sample_id]) for ps in members]
             label, score = ensemble_regress(scores)
         outputs[sample_id] = EnsembleOutput(sample_id=sample_id, label=label, score=score)
+    return outputs
+
+
+def constrained_triples_pass(
+    outputs: dict[str, EnsembleOutput],
+    members: list[PredictionSet],
+    eval_set: Dataset,
+) -> dict[str, EnsembleOutput]:
+    """Re-decode complete premise triples from mean member probabilities so
+    each group gets one label of each kind."""
+    groups: dict[str, list] = {}
+    for s in eval_set:
+        if s.premise_group is not None:
+            groups.setdefault(s.premise_group, []).append(s.id)
+    for group_ids in groups.values():
+        if len(group_ids) != 3:
+            continue
+        mean_probs = np.stack(
+            [np.mean([np.asarray(ps.predictions[i]) for ps in members], axis=0) for i in group_ids]
+        )
+        mean_probs /= mean_probs.sum(axis=1, keepdims=True)
+        assignment = mednli_constrained_decode(mean_probs)
+        for row, sample_id in enumerate(group_ids):
+            outputs[sample_id] = replace(outputs[sample_id], label=int(assignment[row]))
     return outputs
 
 

@@ -114,7 +114,6 @@ class TrainingBatch:
     labels: Optional[np.ndarray] = None  # (B,) int, classification
     targets: Optional[np.ndarray] = None  # (B,) float, regression
     dataset_name: str = ""
-    sample_ids: tuple[str, ...] = ()  # ids of the rows, for audit
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -378,11 +377,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> dict:
     }
 
 
+_PROVENANCE_FIELDS = {f.name for f in fields(Checkpoint)} - {"model"}
+
+
 def load_checkpoint(path: str | Path, entry: dict) -> Checkpoint:
     """Rebuild a checkpoint from its .npy file and the index entry that lists
     it. Raises ValueError when the entry has no layout of this schema or the
     vector does not fit it, and OSError, EOFError or ValueError when the
-    file is missing or truncated."""
+    file is missing or truncated. A provenance that is not a mapping of
+    checkpoint fields is a ValueError too."""
     layout = entry.get("layout") or {}
     if layout.get("schema_version") != CHECKPOINT_SCHEMA:
         raise ValueError(f"the index entry has no schema-{CHECKPOINT_SCHEMA} checkpoint layout")
@@ -395,4 +398,8 @@ def load_checkpoint(path: str | Path, entry: dict) -> Checkpoint:
     )
     if model.layout != layout:
         raise ValueError("the index entry's checkpoint layout is inconsistent")
-    return Checkpoint(model=model, **entry["provenance"])
+    provenance = entry.get("provenance")
+    if not isinstance(provenance, dict) or not provenance.keys() <= _PROVENANCE_FIELDS:
+        raise ValueError("the index entry's checkpoint provenance is not a mapping of "
+                         f"{sorted(_PROVENANCE_FIELDS)}")
+    return Checkpoint(model=model, **provenance)

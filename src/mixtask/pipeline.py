@@ -23,22 +23,11 @@ import contextlib
 import hashlib
 import io
 import shutil
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .config import PipelineConfig
-from .corpus import (
-    apply_qa_modified_scores,
-    cv_folds,
-    mednli_merge_dev,
-    medquad_negative_sample,
-    qa_dev_reshuffle,
-    random_split,
-    rqe_shuffle_split,
-)
+from .corpus import apply_qa_modified_scores, apply_split_recipe, cv_folds, medquad_negative_sample
 from .data import (
     Dataset,
     TaskKind,
@@ -50,51 +39,25 @@ from .data import (
     write_json,
     write_jsonl,
 )
-from .experiment import (
-    ExperimentReport,
-    NoiseModelConfig,
-    compare_groupings,
-    run_noise_model_experiment,
-    summarize_trials,
-)
 from .featurize import FeatureCache
 from .inference import (
-    EnsembleOutput,
     PredictionSet,
     combine_predictions,
+    constrained_triples_pass,
     load_prediction_set,
-    mednli_constrained_decode,
+    predict_dataset,
     rank_answers,
     save_ensemble_outputs,
     save_prediction_set,
     select_members,
 )
 from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive, ranking_gold
-from .model import Checkpoint, ToyModel, load_checkpoint, save_checkpoint
+from .model import Checkpoint, load_checkpoint, save_checkpoint
 from .scheduler import save_plan
 from .seeding import derive_seed
-from .training import (
-    TaskData,
-    build_member_epoch_plan,
-    dev_gold,
-    fine_tune_task,
-    train_multitask,
-)
+from .training import TaskData, build_member_epoch_plan, dev_gold, fine_tune_task, train_multitask
 
 SCHEMA_VERSION = 1
-
-STAGES = (
-    "ingest",
-    "transform",
-    "split",
-    "schedule",
-    "train",
-    "finetune",
-    "predict",
-    "ensemble",
-    "rank",
-    "evaluate",
-)
 
 
 class PipelineStageError(RuntimeError):
@@ -333,48 +296,12 @@ def stage_transform(run: StageRun) -> dict:
     return {"datasets": entries, "applied": notes}
 
 
-def _apply_split_recipe(cfg: PipelineConfig, name: str, bundle: dict[str, Dataset]) -> dict[str, Dataset]:
-    recipe = cfg.split_recipes.get(name, "none")
-    if recipe == "none":
-        return bundle
-    if recipe == "merge_dev":
-        if "dev" not in bundle or "eval" not in bundle:
-            raise ValueError(f"{name!r}: merge_dev needs dev and eval splits")
-        merged = mednli_merge_dev(bundle["train"], bundle["dev"])
-        return {"train": merged, "dev": bundle["eval"], "eval": bundle["eval"]}
-    if recipe == "shuffle_half_eval":
-        if "dev" not in bundle:
-            raise ValueError(f"{name!r}: shuffle_half_eval needs a dev split")
-        seed = derive_seed(cfg.master_seed, "split", "shuffle-half", name)
-        train, dev = rqe_shuffle_split(bundle["train"], bundle["dev"], seed)
-        out = {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
-        return out
-    if recipe == "reshuffle_dev":
-        if "dev" not in bundle:
-            raise ValueError(f"{name!r}: reshuffle_dev needs a dev split")
-        train, dev = qa_dev_reshuffle(
-            bundle["train"],
-            bundle["dev"],
-            n_dev_questions=cfg.reshuffle_dev_questions,
-            n_alexa_questions=cfg.reshuffle_tagged_questions,
-            alexa_tag=cfg.reshuffle_tag,
-        )
-        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
-    if recipe == "random_split":
-        counts = cfg.random_split_counts.get(name, {})
-        eval_count = int(counts.get("eval_count", max(1, len(bundle["train"]) // 10)))
-        seed = derive_seed(cfg.master_seed, "split", "random", name)
-        train, dev = random_split(bundle["train"], eval_count, seed)
-        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
-    raise ValueError(f"unknown split recipe {recipe!r} for {name!r}")
-
-
 def stage_split(run: StageRun) -> dict:
     """Apply the named split recipes and emit cross-validation folds."""
     cfg, bundles = run.cfg, run.bundles("transform")
     _check_names(run, "dataset", bundles, splits=cfg.split_recipes,
                  random_split=cfg.random_split_counts)
-    bundles = {name: _apply_split_recipe(cfg, name, b) for name, b in bundles.items()}
+    bundles = {name: apply_split_recipe(cfg, name, b) for name, b in bundles.items()}
     entries = _save_datasets(run.dir, bundles)
 
     folds_meta = []
@@ -476,15 +403,6 @@ def stage_finetune(run: StageRun) -> dict:
     return {"finetuned": finetuned}
 
 
-def _predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) -> dict[str, object]:
-    """Per-sample predictions from the dataset's feature matrix (rows in sample order)."""
-    if dataset.task_kind.is_classification:
-        probs = model.class_probs(features, dataset.head_group)
-        return {s.id: probs[i] for i, s in enumerate(dataset)}
-    scores = model.reg_scores(features, dataset.head_group)
-    return {s.id: float(scores[i]) for i, s in enumerate(dataset)}
-
-
 def stage_predict(run: StageRun) -> dict:
     """Every member predicts every in-domain task's eval split.
 
@@ -512,37 +430,13 @@ def stage_predict(run: StageRun) -> dict:
                 model_id=member_id,
                 task=task_name,
                 kind=eval_set.task_kind.kind,
-                predictions=_predict_dataset(model, eval_set, cache.lookup(eval_set, model.source)),
+                predictions=predict_dataset(model, eval_set, cache.lookup(eval_set, model.source)),
                 dev_metric=metric,
             )
             filename = f"{member_id}__{task_name}.jsonl"
             save_prediction_set(ps, run.dir / filename)
             files[f"{member_id}/{task_name}"] = {"file": filename, "dev_metric": metric}
     return {"predictions": files}
-
-
-def _constrained_triples_pass(
-    outputs: dict[str, EnsembleOutput],
-    members: list[PredictionSet],
-    eval_set: Dataset,
-) -> dict[str, EnsembleOutput]:
-    """Re-decode complete premise triples from mean member probabilities so
-    each group gets one label of each kind."""
-    groups: dict[str, list] = {}
-    for s in eval_set:
-        if s.premise_group is not None:
-            groups.setdefault(s.premise_group, []).append(s.id)
-    for group_ids in groups.values():
-        if len(group_ids) != 3:
-            continue
-        mean_probs = np.stack(
-            [np.mean([np.asarray(ps.predictions[i]) for ps in members], axis=0) for i in group_ids]
-        )
-        mean_probs /= mean_probs.sum(axis=1, keepdims=True)
-        assignment = mednli_constrained_decode(mean_probs)
-        for row, sample_id in enumerate(group_ids):
-            outputs[sample_id] = replace(outputs[sample_id], label=int(assignment[row]))
-    return outputs
 
 
 def stage_ensemble(run: StageRun) -> dict:
@@ -569,7 +463,7 @@ def stage_ensemble(run: StageRun) -> dict:
         for sample_id, out in outputs.items():
             out.question_id = by_id[sample_id].question_id
         if task_name in cfg.constrained_triple_tasks:
-            outputs = _constrained_triples_pass(outputs, members, eval_set)
+            outputs = constrained_triples_pass(outputs, members, eval_set)
 
         filename = f"{task_name}.jsonl"
         save_ensemble_outputs((outputs[i] for i in sorted(outputs)), run.dir / filename)
@@ -666,6 +560,7 @@ _STAGE_FUNCS = {
     "rank": stage_rank,
     "evaluate": stage_evaluate,
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
@@ -703,82 +598,3 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path, quiet: bool = False) 
             run_stage(name, cfg, out_dir)
     return out_dir
 
-
-# -- multi-source experiment ----------------------------------------------------
-
-
-def run_multisource_experiment(
-    cfg: Optional[PipelineConfig],
-    out_dir: str | Path,
-    mode: str = "noise",
-    n_trials: int = 20,
-    master_seed: Optional[int] = None,
-    noise_config: Optional[NoiseModelConfig] = None,
-) -> ExperimentReport:
-    """Compare single-source vs mixed-source ensembles.
-
-    mode "noise" uses the documented synthetic noise model over n_trials
-    seeded trials. mode "trained" trains >= 3 members per configured source
-    family on the configured corpus and compares ensembles of their
-    predictions on the first classification task's eval split.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if mode == "noise":
-        seed = master_seed if master_seed is not None else (cfg.master_seed if cfg else 0)
-        report = run_noise_model_experiment(
-            noise_config or NoiseModelConfig(), n_trials=n_trials, master_seed=seed
-        )
-    elif mode == "trained":
-        if cfg is None:
-            raise PipelineStageError("experiment", "trained mode requires a pipeline config")
-        report = _trained_experiment(cfg, out_dir)
-    else:
-        raise PipelineStageError("experiment", f"unknown mode {mode!r}")
-    write_json(out_dir / "experiment_report.json", report.to_dict())
-    return report
-
-
-def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
-    if len(cfg.sources) < 2:
-        raise PipelineStageError("experiment", "trained mode needs >= 2 source families")
-    for entry in cfg.sources:
-        if entry.members < 3:
-            raise PipelineStageError(
-                "experiment",
-                f"source {entry.spec.name!r} has {entry.members} members, needs >= 3",
-            )
-    work = out_dir / "trained_members"
-    for stage in ("ingest", "transform", "split"):
-        run_stage(stage, cfg, work)
-    run = StageRun(cfg, work, "experiment")
-    task_name = next(
-        (n for n, entry in sorted(run.index("split")["datasets"].items())
-         if entry["role"] == "in_domain" and TaskKind.parse(entry["task_kind"]).is_classification),
-        None,
-    )
-    if task_name is None:
-        raise PipelineStageError("experiment", "no in-domain classification task to compare on")
-    eval_set = run.eval_set(task_name)
-    gold = {s.id: s.label for s in eval_set}
-
-    cache = FeatureCache()
-    families: dict[str, list[PredictionSet]] = {}
-    for member in cfg.member_plan():
-        if member["fold"] is not None:
-            continue
-        spec = member["source"].spec
-        train_cfg = cfg.member_train_config(member)
-        result = train_multitask(run.member_tasks(member), spec, train_cfg, cache=cache)
-        families.setdefault(spec.name, []).append(
-            PredictionSet(
-                model_id=member["member_id"],
-                task=task_name,
-                kind="classification",
-                predictions=_predict_dataset(
-                    result.best.model, eval_set, cache.lookup(eval_set, spec)
-                ),
-                dev_metric=100.0 * result.best.selection_value,
-            )
-        )
-    return summarize_trials([compare_groupings(families, gold, trial=0)])

@@ -144,7 +144,6 @@ def _make_training_batch(
         labels=gold if classification else None,
         targets=None if classification else gold,
         dataset_name=batch.dataset_name,
-        sample_ids=batch.sample_ids,
     )
 
 

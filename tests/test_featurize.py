@@ -12,7 +12,6 @@ from mixtask.featurize import (
     N_STATS,
     SourceSpec,
     featurize,
-    featurize_dataset,
     featurize_pairs,
 )
 from mixtask.toydata import make_nli, make_qa, make_rqe
@@ -21,6 +20,11 @@ from conftest import make_dataset
 
 # The package re-exports the function `featurize` under its module's name.
 featurize_module = importlib.import_module("mixtask.featurize")
+
+
+def featurize_rows(dataset, source):
+    """A dataset's feature matrix, featurized afresh in sample order."""
+    return featurize_pairs([(s.text_a, s.text_b) for s in dataset], source)
 
 
 # Reference featurizer: the original one-pair, one-token-at-a-time loop.
@@ -133,7 +137,7 @@ def test_featurize_pairs_matches_reference_bit_for_bit(seed, dim):
 def test_featurize_dataset_order_and_cache():
     ds = make_dataset(12, name="d")
     src = SourceSpec("fam", 7, 40)
-    mat = featurize_dataset(ds, src)
+    mat = featurize_rows(ds, src)
     assert mat.shape == (12, 40)
     for row, sample in enumerate(ds):
         assert np.array_equal(mat[row], featurize(sample.text_a, sample.text_b, src))
@@ -207,7 +211,7 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
     for ds in (train, fold, dev):
         got = loaded.lookup(ds, src)
         assert not got.flags.writeable
-        assert got.tobytes() == featurize_dataset(ds, src).tobytes()
+        assert got.tobytes() == featurize_rows(ds, src).tobytes()
 
     # A loaded store grows on a miss and can be saved over the files it came from.
     extra = make_dataset(3, name="extra", seed=1).with_samples(
@@ -216,7 +220,7 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
     loaded.lookup(extra, src)
     resaved = FeatureCache.load(tmp_path, loaded.save(tmp_path))
     for ds in (train, extra):
-        assert resaved.lookup(ds, src).tobytes() == featurize_dataset(ds, src).tobytes()
+        assert resaved.lookup(ds, src).tobytes() == featurize_rows(ds, src).tobytes()
 
 
 def test_loading_a_store_checks_keys_against_rows(tmp_path):

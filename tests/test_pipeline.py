@@ -89,7 +89,12 @@ def test_members_trained_base_plus_cv(toy_run_dir):
 
 
 def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, monkeypatch):
+    """Each gradient step takes the feature rows of the next batch of the
+    schedule stage's audited plan."""
+    import numpy as np
+
     from mixtask import training
+    from mixtask.featurize import FeatureCache
     from mixtask.pipeline import StageRun
     from mixtask.scheduler import load_plan
 
@@ -101,18 +106,22 @@ def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, mo
         seen = []
 
         def recording_step(model, batch, learning_rate):
-            seen.append({"dataset": batch.dataset_name, "sample_ids": list(batch.sample_ids)})
+            seen.append((batch.dataset_name, batch.features))
             return real_step(model, batch, learning_rate)
 
         monkeypatch.setattr(training, "grad_step", recording_step)
         train_cfg = cfg.member_train_config(member)
         one_epoch = replace(train_cfg, mixture=replace(train_cfg.mixture, max_epoch=1))
-        tasks = view.member_tasks(member)
-        training.train_multitask(tasks, member["source"].spec, one_epoch)
+        tasks, spec = view.member_tasks(member), member["source"].spec
+        training.train_multitask(tasks, spec, one_epoch)
         plan = load_plan(toy_run_dir / "schedule" / f"{member['member_id']}__epoch1.jsonl")
-        assert seen and seen == [
-            {"dataset": row["dataset"], "sample_ids": row["sample_ids"]} for row in plan
-        ]
+        cache, rows = FeatureCache(), {}
+        for task in tasks:
+            matrix = cache.lookup(task.train, spec)
+            rows[task.name] = {s.id: matrix[i] for i, s in enumerate(task.train)}
+        assert seen and [name for name, _ in seen] == [row["dataset"] for row in plan]
+        for (name, features), row in zip(seen, plan):
+            assert np.array_equal(features, [rows[name][i] for i in row["sample_ids"]])
 
 
 def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypatch):
@@ -361,6 +370,25 @@ def test_minimal_config_takes_each_default_from_its_one_declaration(toy_corpus_d
     assert cfg.thresholds == {} and not cfg.cv_enabled
 
 
+def test_every_public_name_resolves():
+    assert [name for name in mixtask.__all__ if not hasattr(mixtask, name)] == []
+
+
+def test_pipeline_imports_nothing_from_the_experiment():
+    """The experiment runs stages; the stages never reach back into it."""
+    import ast
+
+    from mixtask import pipeline
+
+    modules = []
+    for node in ast.walk(ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules += [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+    assert [m for m in modules if "experiment" in m.split(".")] == []
+
+
 def test_only_the_config_module_imports_yaml():
     import ast
 
@@ -561,6 +589,8 @@ def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tm
     ("finetune", "one_value_short"),
     ("predict", "float32"),
     ("finetune", "schema_1_entry"),
+    ("finetune", "provenance_extra_key"),
+    ("predict", "provenance_not_a_mapping"),
 ])
 def test_damaged_checkpoint_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
                                               stage, damage):
@@ -583,6 +613,11 @@ def test_damaged_checkpoint_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_p
         np.save(path, np.load(path)[:-1])
     elif damage == "float32":
         np.save(path, np.load(path).astype(np.float32))
+    elif damage.startswith("provenance"):
+        provenance = entries[key]["provenance"]
+        entries[key]["provenance"] = ({**provenance, "bogus": 1} if damage.endswith("extra_key")
+                                      else sorted(provenance))
+        (run / producer / "index.json").write_text(json.dumps(index))
     else:
         # a train index entry as written before checkpoints were .npy vectors
         entries[key] = {"checkpoint": f"{key}__multitask.json", "history": f"{key}__history.json",

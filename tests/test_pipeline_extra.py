@@ -8,14 +8,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from mixtask.experiment import run_multisource_experiment
 from mixtask.model import load_checkpoint
-from mixtask.pipeline import (
-    STAGES,
-    PipelineConfig,
-    run_multisource_experiment,
-    run_pipeline,
-    run_stage,
-)
+from mixtask.pipeline import STAGES, PipelineConfig, run_pipeline, run_stage
 
 
 def write_config(path: Path, raw: dict) -> PipelineConfig:
