@@ -126,6 +126,10 @@ class PipelineConfig:
                      for entry in self.sources for j in range(self.cv_folds)]
         return plan
 
+    def member_sources(self) -> list[SourceSpec]:
+        """The sources the member plan trains on, each once, in plan order."""
+        return list(dict.fromkeys(member["source"].spec for member in self.member_plan()))
+
     def member_train_config(self, member: dict) -> TrainConfig:
         """The shared training config with the member's batch size and run seed."""
         seed = derive_seed(self.master_seed, "train", member["member_id"])
@@ -168,6 +172,15 @@ def _by_name(section: str, convert: Callable) -> Callable[[object], dict]:
                           for name, item in _typed(dict, section, value).items()}
 
 
+def _at_least(least: int, key: str) -> Callable[[object], int]:
+    """Converter of an integer key that must be >= least."""
+    def convert(value) -> int:
+        if int(value) < least:
+            raise ValueError(f"{key} must be >= {least}, not {value}")
+        return int(value)
+    return convert
+
+
 def _source(i: int, value) -> SourceEntry:
     settings = _keys(f"sources[{i}]", name=str, featurizer_seed=int, dim=int, members=int,
                      batch_size=int)(value)
@@ -175,7 +188,11 @@ def _source(i: int, value) -> SourceEntry:
         raise ValueError(f"sources[{i}] requires a name")
     settings.setdefault("featurizer_seed", derive_seed(0, "source", settings["name"]))
     entry = {f.name: settings.pop(f.name) for f in fields(SourceEntry) if f.name in settings}
-    return SourceEntry(SourceSpec(**settings), **entry)
+    try:
+        spec = SourceSpec(**settings)
+    except ValueError as exc:
+        raise ValueError(f"sources[{i}]: {exc}") from None
+    return SourceEntry(spec, **entry)
 
 
 _TOP_KEYS = {
@@ -184,7 +201,7 @@ _TOP_KEYS = {
     "mixture": ("mixture", _keys("mixture", alpha=float, max_epoch=int, batch_size=lambda value: (
         {name: int(n) for name, n in value.items()} if isinstance(value, dict) else int(value)))),
     "train": ("train", _keys("train", lr_multitask=float, lr_finetune=float, epochs_finetune=int,
-                             hidden_dim=int)),
+                             hidden_dim=_at_least(1, "train.hidden_dim"))),
     "sources": ("sources", lambda value: [
         _source(i, entry) for i, entry in enumerate(_typed(list, "sources", value))]),
     "transforms": ("transforms", _by_name("transforms", partial(_typed, list, items=str))),

@@ -194,13 +194,18 @@ class Dataset:
 # -- artifact codec --------------------------------------------------------------
 
 
+# One encoder for every JSON-Lines record; json.dumps(rec, sort_keys=True)
+# writes the same text but builds an encoder per call.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write one sorted-key JSON object per line, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(_JSONL_ENCODER.encode(rec) + "\n")
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

@@ -325,7 +325,7 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
     eval_set = run.eval_set(task_name)
     gold = {s.id: s.label for s in eval_set}
 
-    cache = FeatureCache()
+    cache = FeatureCache(cfg.member_sources())
     families: dict[str, list[PredictionSet]] = {}
     for member in cfg.member_plan():
         if member["fold"] is not None:

@@ -11,14 +11,18 @@ slots make lexical match directly visible to a linear model; the hashed
 bag carries the lexicalized content. The bag portion is L2-normalized.
 
 There is one featurization path: `featurize_pairs` maps a list of pairs to
-an (n, dim) matrix. It hashes each distinct token once per call and counts
-the signed bag a chunk of rows at a time; bag entries are integer counts,
-so the result does not depend on summation order. `FeatureCache` stores
-those matrices per source, keyed by sample content, and hands training and
-prediction a dataset's matrix in sample order; mini-batches are then row
-selections of it. A cache can be saved as one .npy matrix plus its row keys
-per source and loaded again, so the rows one pipeline stage built serve the
-stages after it: each row of a run is featurized once.
+one (n, dim) matrix per source. It tokenizes each pair once for all sources,
+hashes each distinct token once per source, and counts the signed bag a chunk
+of rows at a time; bag entries are integer counts, so the result does not
+depend on summation order. `FeatureCache` stores those matrices for a fixed
+list of sources, keyed by sample content, and hands training and prediction
+a dataset's matrix in sample order; mini-batches are then row selections of
+it. A miss featurizes the missing rows for all of the cache's sources in one
+call, and each source's token -> signed bucket memo lives as long as the
+cache, so a token is hashed once per source however many lookups miss. A
+cache can be saved as one .npy matrix plus its row keys per source and
+loaded again, so the rows one pipeline stage built serve the stages after
+it: each row of a run is featurized once.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -56,6 +60,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.dim < N_STATS + 1:
             raise ValueError(f"feature dimension must be > {N_STATS}")
+        if not 0 <= self.featurizer_seed < 2**64:
+            raise ValueError(f"featurizer seed must be in [0, 2**64), not {self.featurizer_seed}")
 
 
 def _words(text: str) -> list[str]:
@@ -79,19 +85,36 @@ def _digest(hasher, token: str) -> bytes:
     return h.digest()
 
 
-def featurize_pairs(pairs: Sequence[tuple[str, str]], source: SourceSpec) -> np.ndarray:
-    """Map text pairs to an (n, source.dim) matrix, one row per pair in order.
+def _signed_codes(tokens: list[str], source: SourceSpec) -> list[int]:
+    """Each token's signed bucket code under the source, sign * (bucket + 1).
+
+    A token's 64-bit little-endian keyed digest: the low bit is the sign, the
+    rest the bucket.
+    """
+    key = int(source.featurizer_seed).to_bytes(8, "little", signed=False)
+    hasher = hashlib.blake2b(key=key, digest_size=8)
+    values = np.frombuffer(b"".join([_digest(hasher, t) for t in tokens]), dtype="<u8")
+    buckets = ((values >> np.uint64(1)) % np.uint64(source.dim - N_STATS)).astype(np.intp) + 1
+    return np.where(values & np.uint64(1), buckets, -buckets).tolist()
+
+
+def featurize_pairs(
+    pairs: Sequence[tuple[str, str]],
+    sources: Sequence[SourceSpec],
+    codes: Optional[Sequence[dict[str, int]]] = None,
+) -> list[np.ndarray]:
+    """Map text pairs to one (n, source.dim) matrix per source, one row per
+    pair in order.
 
     Deterministic for (texts, source); different featurizer seeds place the
     same tokens in different buckets with different signs. The two leading
-    columns are overlap statistics shared by all sources.
+    columns are overlap statistics shared by all sources. Each pair is
+    tokenized once for all sources. codes, when given, holds one token ->
+    signed bucket memo per source, which this call reads and extends, so a
+    token is hashed once per memo; without it each source gets a fresh one.
     """
-    n_buckets = source.dim - N_STATS
-    key = int(source.featurizer_seed).to_bytes(8, "little", signed=False)
-    hasher = hashlib.blake2b(key=key, digest_size=8)
-    out = np.zeros((len(pairs), source.dim), dtype=np.float64)
-    # Token -> signed bucket code, sign * (bucket + 1); lives for this call only.
-    codes: dict[str, int] = {}
+    codes = [{} for _ in sources] if codes is None else codes
+    outs = [np.zeros((len(pairs), source.dim), dtype=np.float64) for source in sources]
     for start in range(0, len(pairs), CHUNK_ROWS):
         chunk = pairs[start : start + CHUNK_ROWS]
         overlaps, smaller, lengths, tokens = [], [], [], []
@@ -104,34 +127,39 @@ def featurize_pairs(pairs: Sequence[tuple[str, str]], source: SourceSpec) -> np.
             row_tokens = _pair_tokens(a, b, overlap)
             lengths.append(len(row_tokens))
             tokens += row_tokens
-        new = list(set(tokens).difference(codes))
-        if new:
-            # Each token's 64-bit little-endian digest: low bit is the sign, the rest the bucket.
-            values = np.frombuffer(b"".join([_digest(hasher, t) for t in new]), dtype="<u8")
-            buckets = ((values >> np.uint64(1)) % np.uint64(n_buckets)).astype(np.intp) + 1
-            codes.update(zip(new, np.where(values & np.uint64(1), buckets, -buckets).tolist()))
         rows = len(chunk)
         overlap_counts = np.array(overlaps, dtype=np.float64)
-        block = out[start : start + rows]
-        block[:, 0] = np.tanh(overlap_counts / 4.0)
-        block[:, 1] = overlap_counts / (1.0 + np.array(smaller, dtype=np.float64))
-        signed = np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        flat = np.repeat(np.arange(rows) * n_buckets - 1, lengths) + np.abs(signed)
-        counts = np.bincount(
-            flat, weights=np.sign(signed).astype(np.float64), minlength=rows * n_buckets
-        )
-        # bincount returns integers when there is no token at all.
-        bag = counts.astype(np.float64, copy=False).reshape(rows, n_buckets)
-        norms = np.sqrt(np.einsum("ij,ij->i", bag, bag))
-        norms[norms == 0] = 1.0  # an empty bag stays all zeros
-        bag /= norms[:, None]
-        block[:, N_STATS:] = bag
-    return out
+        stats = np.column_stack([np.tanh(overlap_counts / 4.0),
+                                 overlap_counts / (1.0 + np.array(smaller, dtype=np.float64))])
+        # The chunk's distinct tokens, and each token's position among them.
+        distinct = list(set(tokens))
+        position = dict(zip(distinct, range(len(distinct))))
+        token_of = np.fromiter(map(position.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        row_of = np.repeat(np.arange(rows), lengths)
+        for source, memo, out in zip(sources, codes, outs):
+            n_buckets = source.dim - N_STATS
+            new = [t for t in distinct if t not in memo]
+            if new:
+                memo.update(zip(new, _signed_codes(new, source)))
+            table = np.fromiter(map(memo.__getitem__, distinct), dtype=np.intp, count=len(distinct))
+            signed = table[token_of]
+            counts = np.bincount(
+                row_of * n_buckets - 1 + np.abs(signed),
+                weights=np.sign(signed).astype(np.float64), minlength=rows * n_buckets,
+            )
+            # bincount returns integers when there is no token at all.
+            bag = counts.astype(np.float64, copy=False).reshape(rows, n_buckets)
+            norms = np.sqrt(np.einsum("ij,ij->i", bag, bag))
+            norms[norms == 0] = 1.0  # an empty bag stays all zeros
+            bag /= norms[:, None]
+            out[start : start + rows, :N_STATS] = stats
+            out[start : start + rows, N_STATS:] = bag
+    return outs
 
 
 def featurize(text_a: str, text_b: str, source: SourceSpec) -> np.ndarray:
     """Feature vector of length source.dim for one text pair."""
-    return featurize_pairs([(text_a, text_b)], source)[0]
+    return featurize_pairs([(text_a, text_b)], [source])[0][0]
 
 
 def _content_key(sample: SamplePair) -> bytes:
@@ -174,20 +202,33 @@ def _read_blocks(path: Path, block_rows: list[int], rows: int, dim: int) -> list
     return blocks
 
 
+def _source_key(source: SourceSpec) -> tuple[str, int, int]:
+    return (source.name, source.featurizer_seed, source.dim)
+
+
 class FeatureCache:
-    """Feature matrices per source, keyed by sample content.
+    """Feature matrices for a fixed list of sources, keyed by sample content.
 
     Rows are keyed by sample content (id, text_a, text_b), so train, dev and
     eval splits of one dataset never share a row unless their samples are
     the same, while reloaded copies of a split and subsets of it (CV folds)
-    reuse the stored rows. Each row is featurized once. A cache keeps every
-    matrix it has built until it is dropped; `save` writes it out and `load`
-    opens a saved one, which then featurizes only rows it does not hold.
+    reuse the stored rows. A lookup that misses featurizes the missing rows
+    for every source of the cache in one call, so each row is tokenized once
+    for all sources, and every source's store holds the same rows: one row
+    index, one block of rows per source for each miss. Each source has a
+    token -> signed bucket memo that lives as long as the cache, so a token is
+    hashed once per source. A cache keeps every matrix it has built until it
+    is dropped; `save` writes it out and `load` opens a saved one, which then
+    featurizes only rows it does not hold.
     """
 
-    def __init__(self):
-        # source key -> (row blocks, first global row of each block, content key -> global row)
-        self._stores: dict[tuple, tuple[list[np.ndarray], list[int], dict[bytes, int]]] = {}
+    def __init__(self, sources: Sequence[SourceSpec]):
+        self._sources = list(dict.fromkeys(sources))
+        # source key -> row blocks, one per miss; the blocks of all sources line up
+        self._blocks: dict[tuple, list[np.ndarray]] = {_source_key(s): [] for s in self._sources}
+        self._codes: list[dict[str, int]] = [{} for _ in self._sources]
+        self._starts: list[int] = []  # first row of each block
+        self._where: dict[bytes, int] = {}  # content key -> row
 
     def save(self, directory: Path) -> dict[str, dict]:
         """Write each source's rows as <name>.npy, an (rows, dim) float64 matrix,
@@ -198,70 +239,85 @@ class FeatureCache:
         its featurizer seed, dim, row count, file names and rows per block.
         """
         directory.mkdir(parents=True, exist_ok=True)
+        key_rows = np.frombuffer(b"".join(self._where), dtype=np.uint8).reshape(-1, KEY_BYTES)
         entries = {}
-        for (name, seed, dim), (blocks, _, where) in sorted(self._stores.items()):
+        for (name, seed, dim), blocks in sorted(self._blocks.items()):
             matrix, keys = f"{name}.npy", f"{name}.keys.npy"
             header = {"descr": npy_format.dtype_to_descr(np.dtype(np.float64)),
-                      "fortran_order": False, "shape": (len(where), dim)}
+                      "fortran_order": False, "shape": (len(self._where), dim)}
             with (directory / matrix).open("wb") as fh:
                 npy_format.write_array_header_1_0(fh, header)
                 for block in blocks:
                     block.tofile(fh)
-            key_rows = np.frombuffer(b"".join(where), dtype=np.uint8).reshape(-1, KEY_BYTES)
             np.save(directory / keys, key_rows, allow_pickle=False)
-            entries[name] = {"featurizer_seed": seed, "dim": dim, "rows": len(where),
+            entries[name] = {"featurizer_seed": seed, "dim": dim, "rows": len(self._where),
                              "matrix": matrix, "keys": keys, "blocks": [len(b) for b in blocks]}
         return entries
 
     @classmethod
     def load(cls, directory: Path, entries: dict[str, dict]) -> "FeatureCache":
-        """A cache seeded with the saved stores `entries` lists (as `save` returns them).
+        """A cache of the sources `entries` lists (as `save` returns them),
+        seeded with their saved rows.
 
         Reads only the listed files, without pickles, and keeps each block
         read-only. The matrix is read back block by block, so the loaded
         store has the block layout it was saved with. Raises ValueError when
-        a file is malformed or truncated, or when its shape, the key count
-        and the entry disagree; OSError when a file is missing.
+        a file is malformed or truncated, when its shape, the key count and
+        the entry disagree, or when two sources list different rows or
+        blocks; OSError when a file is missing.
         """
-        cache = cls()
-        for name, entry in sorted(entries.items()):
+        named = sorted(entries.items())
+        cache = cls([SourceSpec(name, e["featurizer_seed"], e["dim"]) for name, e in named])
+        shared = None  # (keys file, its bytes, rows per block) of the first source
+        for source, (name, entry) in zip(cache._sources, named):
             rows = entry["rows"]
             blocks = _read_blocks(directory / entry["matrix"], entry["blocks"], rows, entry["dim"])
             keys = _load_npy(directory / entry["keys"])
             if keys.dtype != np.uint8 or keys.shape != (rows, KEY_BYTES):
                 raise ValueError(f"{entry['keys']} holds {keys.dtype} {keys.shape} for {rows} rows")
+            cache._blocks[_source_key(source)] = blocks
             flat = keys.tobytes()
-            where = {flat[r * KEY_BYTES : (r + 1) * KEY_BYTES]: r for r in range(rows)}
-            if len(where) != rows:
+            if shared is not None:
+                if (flat, entry["blocks"]) != shared[1:]:
+                    raise ValueError(f"{entry['keys']} and {shared[0]} list different rows")
+                continue
+            shared = (entry["keys"], flat, entry["blocks"])
+            cache._where = {flat[r * KEY_BYTES : (r + 1) * KEY_BYTES]: r for r in range(rows)}
+            if len(cache._where) != rows:
                 raise ValueError(f"{entry['keys']} repeats a key")
-            starts = [sum(entry["blocks"][:b]) for b in range(len(blocks))]
-            cache._stores[(name, entry["featurizer_seed"], entry["dim"])] = (blocks, starts, where)
+            cache._starts = [sum(entry["blocks"][:b]) for b in range(len(blocks))]
         return cache
 
     def lookup(self, dataset: Dataset, source: SourceSpec) -> np.ndarray:
         """The dataset's (n, dim) feature matrix under the source, in sample order.
 
         Read-only. A dataset whose rows were featurized together, in this
-        order, gets a view of the stored block rather than a copy.
+        order, gets a view of the stored block rather than a copy. Raises
+        ValueError for a source the cache was not built for.
         """
-        blocks, starts, where = self._stores.setdefault(
-            (source.name, source.featurizer_seed, source.dim), ([], [], {})
-        )
+        blocks = self._blocks.get(_source_key(source))
+        if blocks is None:
+            raise ValueError(
+                f"the feature cache holds no source {source.name!r} with featurizer seed "
+                f"{source.featurizer_seed} and dim {source.dim}"
+            )
+        where = self._where
         keys = [_content_key(s) for s in dataset]
-        missing = [i for i, k in enumerate(keys) if k not in where]
+        missing = list({k: i for i, k in enumerate(keys) if k not in where}.values())
         if missing:
-            first = starts[-1] + len(blocks[-1]) if blocks else 0
+            first = len(where)
             pairs = [(dataset.samples[i].text_a, dataset.samples[i].text_b) for i in missing]
-            block = featurize_pairs(pairs, source)
-            block.flags.writeable = False
-            blocks.append(block)
-            starts.append(first)
+            matrices = featurize_pairs(pairs, self._sources, codes=self._codes)
+            for store, block in zip(self._blocks.values(), matrices):
+                block.flags.writeable = False
+                store.append(block)
+            self._starts.append(first)
             where.update((keys[i], first + r) for r, i in enumerate(missing))
         rows = np.fromiter((where[k] for k in keys), dtype=np.intp, count=len(keys))
         if not len(rows):
             return np.zeros((0, source.dim), dtype=np.float64)
-        block_of = np.searchsorted(starts, rows, side="right") - 1
-        local = rows - np.asarray(starts, dtype=np.intp)[block_of]
+        block_of = np.searchsorted(self._starts, rows, side="right") - 1
+        local = rows - np.asarray(self._starts, dtype=np.intp)[block_of]
         if (block_of == block_of[0]).all() and (np.diff(local) == 1).all():
             return blocks[block_of[0]][local[0] : local[0] + len(rows)]
         out = np.empty((len(rows), source.dim), dtype=np.float64)

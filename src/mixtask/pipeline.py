@@ -12,10 +12,11 @@ payload, and under "inputs" the sha256 of each upstream index read; a reader
 refuses an index whose inputs no longer match. Files go through the codec in
 data.py. A (member, task) model is the checkpoint the finetune index lists,
 else the member's train checkpoint, never a file merely present on disk.
-Each row is featurized once per run: finetune and predict open train's
-FeatureCache through the train index. Every artifact is reproducible from
-(config, master seed): stage seeds derive hierarchically per (stage,
-dataset, member, fold), and no output embeds timestamps or absolute paths.
+Each row is featurized once per run, for all sources in one call: finetune
+and predict open train's FeatureCache through the train index. Every
+artifact is reproducible from (config, master seed): stage seeds derive
+hierarchically per (stage, dataset, member, fold), and no output embeds
+timestamps or absolute paths.
 """
 from __future__ import annotations
 
@@ -188,11 +189,11 @@ class StageRun:
         ]
 
     def features(self) -> FeatureCache:
-        """The train stage's feature store for the configured sources, through
-        the train index. Files the index does not list are never read."""
+        """The train stage's feature store for the member plan's sources,
+        through the train index. Files the index does not list are never read."""
         saved = self.index("train").get("features", {})
         entries = {}
-        for spec in (entry.spec for entry in self.cfg.sources):
+        for spec in self.cfg.member_sources():
             entry = saved.get(spec.name, {})
             if (entry.get("featurizer_seed"), entry.get("dim")) != (spec.featurizer_seed, spec.dim):
                 raise self.error(
@@ -345,7 +346,7 @@ def stage_schedule(run: StageRun) -> dict:
 
 def stage_train(run: StageRun) -> dict:
     """Train one multi-task model per member (base members and CV folds)."""
-    cache = FeatureCache()
+    cache = FeatureCache(run.cfg.member_sources())
     members_meta = {}
     for member in run.cfg.member_plan():
         member_id = member["member_id"]

@@ -176,7 +176,7 @@ def train_multitask(
     if not any(t.dev is not None for t in in_domain):
         raise ValueError("need at least one in-domain task with a dev split")
 
-    cache = cache or FeatureCache()
+    cache = cache or FeatureCache([source])
     run_seed = config.mixture.seed
     model = ToyModel.create(source, _head_specs(tasks), config.hidden_dim, run_seed)
 
@@ -242,8 +242,8 @@ def fine_tune_task(
     if task.dev is None:
         raise ValueError(f"fine-tuning {task.name!r} requires a dev split")
 
-    cache = cache or FeatureCache()
     source = checkpoint.model.source
+    cache = cache or FeatureCache([source])
     run_seed = checkpoint.seeds.get("run", 0)
     features = cache.lookup(task.train, source)
     supervision = _supervision(task.train)

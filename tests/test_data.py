@@ -168,6 +168,19 @@ def test_jsonl_writer_writes_one_sorted_dump_per_record(tmp_path):
     assert [rec for _, rec in data.read_jsonl(path)] == records
 
 
+def test_jsonl_writer_lines_equal_json_dumps(tmp_path):
+    """The writer's one shared encoder gives each record's json.dumps line."""
+    records = [
+        {"text_a": "caf\u00e9 \u6f22\u5b57 \U0001f600", "\u00fc": "key not ASCII", "id": "x"},
+        {"small": [5e-324, 1e-300, -0.0, 2.5e-17], "large": [1.7976931348623157e308, 1e21, -3e250]},
+        {"b": [{"z": 1, "a": [{"y": None, "x": True}]}, [[], {}]], "a": {"d": {"c": [1, "two"]}}},
+    ]
+    path = tmp_path / "w.jsonl"
+    data.write_jsonl(path, records)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(rec, sort_keys=True) for rec in records]
+
+
 def test_json_writer_renames_a_whole_file_into_place(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("an older document", encoding="utf-8")

@@ -24,7 +24,7 @@ featurize_module = importlib.import_module("mixtask.featurize")
 
 def featurize_rows(dataset, source):
     """A dataset's feature matrix, featurized afresh in sample order."""
-    return featurize_pairs([(s.text_a, s.text_b) for s in dataset], source)
+    return featurize_pairs([(s.text_a, s.text_b) for s in dataset], [source])[0]
 
 
 # Reference featurizer: the original one-pair, one-token-at-a-time loop.
@@ -129,9 +129,26 @@ def test_featurize_pairs_matches_reference_bit_for_bit(seed, dim):
     assert len(pairs) > CHUNK_ROWS  # crosses a chunk boundary
     src = SourceSpec(f"fam{seed}", seed, dim)
     expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
-    assert featurize_pairs(pairs, src).tobytes() == expected.tobytes()
+    assert featurize_pairs(pairs, [src])[0].tobytes() == expected.tobytes()
     assert featurize(*pairs[-3], src).tobytes() == expected[-3].tobytes()  # zero-norm bag
     assert not expected[-3].any()
+
+
+def test_featurize_pairs_of_several_sources_matches_reference_bit_for_bit():
+    """One call featurizes every source; each matrix equals the oracle's."""
+    sources = [SourceSpec("small", 11, 3), SourceSpec("mid", 12, 40), SourceSpec("big", 13, 256)]
+    # A pair whose two tokens cancel in the one bucket of the dim-3 source.
+    cancelling = next((f"w{i}", "w0") for i in range(1, 100)
+                      if not reference_featurize(f"w{i}", "w0", sources[0])[N_STATS:].any())
+    pairs = ([("", ""), cancelling] + _toy_pairs() * 2)[:333]
+    assert len(pairs) == 333 > CHUNK_ROWS
+    matrices = featurize_pairs(pairs, sources)
+    assert len(matrices) == len(sources)
+    for src, matrix in zip(sources, matrices):
+        expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
+        assert matrix.tobytes() == expected.tobytes()
+    assert not matrices[0][:2, N_STATS:].any() and matrices[1][1, N_STATS:].any()
+    assert [m.shape for m in featurize_pairs([], sources)] == [(0, 3), (0, 40), (0, 256)]
 
 
 def test_featurize_dataset_order_and_cache():
@@ -141,7 +158,7 @@ def test_featurize_dataset_order_and_cache():
     assert mat.shape == (12, 40)
     for row, sample in enumerate(ds):
         assert np.array_equal(mat[row], featurize(sample.text_a, sample.text_b, src))
-    cache = FeatureCache()
+    cache = FeatureCache([src])
     table = cache.lookup(ds, src)
     assert np.array_equal(table, mat)
     again = cache.lookup(ds, src)
@@ -153,22 +170,42 @@ def test_cache_featurizes_each_row_once_per_content(monkeypatch):
     calls = []
     real = featurize_module.featurize_pairs
 
-    def counting(pairs, source):
-        calls.append(len(pairs))
-        return real(pairs, source)
+    def counting(pairs, sources, **memo):
+        calls.append((len(pairs), [s.name for s in sources]))
+        return real(pairs, sources, **memo)
 
     monkeypatch.setattr(featurize_module, "featurize_pairs", counting)
     ds = make_dataset(30, name="d")
-    src = SourceSpec("fam", 7, 40)
-    cache = FeatureCache()
+    src, other = SourceSpec("fam", 7, 40), SourceSpec("fam2", 8, 40)
+    cache = FeatureCache([src, other])
     full = cache.lookup(ds, src)
     reloaded = ds.with_samples([s.copy() for s in ds])
     assert np.shares_memory(cache.lookup(reloaded, src), full)
     fold = ds.with_samples(ds.samples[20:] + ds.samples[:5])  # a reordered subset
     assert np.array_equal(cache.lookup(fold, src), np.concatenate([full[20:], full[:5]]))
-    other = SourceSpec("fam2", 8, 40)
-    cache.lookup(ds, other)
-    assert calls == [30, 30]
+    assert cache.lookup(ds, other).tobytes() == featurize_rows(ds, other).tobytes()
+    assert calls == [(30, ["fam", "fam2"])]  # one call featurized both sources
+
+
+def test_token_memo_changes_no_result():
+    """A cache whose memos already hold dataset A's tokens returns B's rows
+    with the bytes a fresh cache gives."""
+    sources = [SourceSpec("fam", 7, 40), SourceSpec("fam2", 8, 256)]
+    first = make_nli("a", 50, "in_domain", 1)
+    second = make_nli("b", 50, "in_domain", 2)
+    warm, fresh = FeatureCache(sources), FeatureCache(sources)
+    for src in sources:
+        warm.lookup(first, src)
+    for src in sources:
+        assert warm.lookup(second, src).tobytes() == fresh.lookup(second, src).tobytes()
+
+
+def test_lookup_for_a_source_the_cache_was_not_built_for_fails():
+    cache = FeatureCache([SourceSpec("fam", 7, 40)])
+    ds = make_dataset(3, name="d")
+    for stranger in (SourceSpec("fam2", 8, 40), SourceSpec("fam", 7, 64)):
+        with pytest.raises(ValueError, match="holds no source"):
+            cache.lookup(ds, stranger)
 
 
 def test_split_reusing_a_train_id_gets_its_own_features():
@@ -181,7 +218,7 @@ def test_split_reusing_a_train_id_gets_its_own_features():
         train.samples
         + [SamplePair(id="x-1", text_a="train premise other", text_b="train text", label=1)]
     )
-    cache = FeatureCache()
+    cache = FeatureCache([src])
     train_mat = cache.lookup(train, src)
     dev_mat = cache.lookup(dev, src)
     assert np.array_equal(dev_mat[0], featurize("dev premise words", "dev hypothesis", src))
@@ -195,23 +232,25 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
         [SamplePair(id="s0003", text_a="dev premise words", text_b="dev hypothesis", label=0)]
     )
     fold = train.with_samples(train.samples[25:] + train.samples[:10])  # a reordered subset
-    cache = FeatureCache()
+    cache = FeatureCache([src])
     cache.lookup(train, src)
     cache.lookup(dev, src)
     entries = cache.save(tmp_path)
     assert entries == {"fam": {"featurizer_seed": 7, "dim": 64, "rows": 41,
                                "matrix": "fam.npy", "keys": "fam.keys.npy", "blocks": [40, 1]}}
 
-    def no_featurizing(pairs, source):
+    expected = [featurize_rows(ds, src).tobytes() for ds in (train, fold, dev)]
+
+    def no_featurizing(pairs, sources, **memo):
         raise AssertionError(f"featurized {len(pairs)} rows")
 
     monkeypatch.setattr(featurize_module, "featurize_pairs", no_featurizing)
     loaded = FeatureCache.load(tmp_path, entries)
-    monkeypatch.undo()
-    for ds in (train, fold, dev):
+    for ds, rows in zip((train, fold, dev), expected):
         got = loaded.lookup(ds, src)
         assert not got.flags.writeable
-        assert got.tobytes() == featurize_rows(ds, src).tobytes()
+        assert got.tobytes() == rows
+    monkeypatch.undo()
 
     # A loaded store grows on a miss and can be saved over the files it came from.
     extra = make_dataset(3, name="extra", seed=1).with_samples(
@@ -225,7 +264,7 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
 
 def test_loading_a_store_checks_keys_against_rows(tmp_path):
     src = SourceSpec("fam", 7, 16)
-    cache = FeatureCache()
+    cache = FeatureCache([src])
     cache.lookup(make_dataset(5, name="d"), src)
     entries = cache.save(tmp_path)
     keys = np.load(tmp_path / "fam.keys.npy")
@@ -234,4 +273,24 @@ def test_loading_a_store_checks_keys_against_rows(tmp_path):
         FeatureCache.load(tmp_path, entries)
     np.save(tmp_path / "fam.keys.npy", keys[[0, 1, 2, 3, 0]])
     with pytest.raises(ValueError, match="repeats a key"):
+        FeatureCache.load(tmp_path, entries)
+
+
+def test_loading_stores_whose_rows_disagree_fails(tmp_path):
+    """Every source of a cache shares one row index, so the saved keys and
+    block layouts of all sources must agree."""
+    sources = [SourceSpec("fam", 7, 16), SourceSpec("fam2", 8, 16)]
+    cache = FeatureCache(sources)
+    cache.lookup(make_dataset(5, name="d"), sources[0])
+    cache.lookup(make_dataset(7, name="d"), sources[1])
+    entries = cache.save(tmp_path)
+    assert [entries[s.name]["blocks"] for s in sources] == [[5, 2], [5, 2]]
+    keys = np.load(tmp_path / "fam2.keys.npy")
+    np.save(tmp_path / "fam2.keys.npy", keys[[1, 0, 2, 3, 4, 5, 6]])
+    disagree = r"^fam2\.keys\.npy and fam\.keys\.npy list different rows$"
+    with pytest.raises(ValueError, match=disagree):
+        FeatureCache.load(tmp_path, entries)
+    np.save(tmp_path / "fam2.keys.npy", keys)
+    entries["fam2"]["blocks"] = [4, 3]
+    with pytest.raises(ValueError, match=disagree):
         FeatureCache.load(tmp_path, entries)

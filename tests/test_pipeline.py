@@ -115,7 +115,7 @@ def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, mo
         tasks, spec = view.member_tasks(member), member["source"].spec
         training.train_multitask(tasks, spec, one_epoch)
         plan = load_plan(toy_run_dir / "schedule" / f"{member['member_id']}__epoch1.jsonl")
-        cache, rows = FeatureCache(), {}
+        cache, rows = FeatureCache([spec]), {}
         for task in tasks:
             matrix = cache.lookup(task.train, spec)
             rows[task.name] = {s.id: matrix[i] for i, s in enumerate(task.train)}
@@ -331,12 +331,20 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("cv", "finetune_members"), "no", r"cv\.finetune_members must be true or false, not str"),
     (("sources",), {"family_a": {"featurizer_seed": 101}}, "sources must be a list, not dict"),
     (("splits", "toy_nli"), 3, r"splits\.toy_nli must be a string, not int"),
+    (("sources", 0, "featurizer_seed"), -5,
+     r"sources\[0\]: featurizer seed must be in \[0, 2\*\*64\), not -5"),
+    (("sources", 1, "featurizer_seed"), 2**64,
+     rf"sources\[1\]: featurizer seed must be in \[0, 2\*\*64\), not {2**64}"),
+    (("sources", 1, "dim"), 2, r"sources\[1\]: feature dimension must be > 2"),
+    (("train", "hidden_dim"), 0, r"train\.hidden_dim must be >= 1, not 0"),
+    (("train", "hidden_dim"), -3, r"train\.hidden_dim must be >= 1, not -3"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
     """A key no section declares, a section that is not a mapping, a source
     without a name, a list that is not a list of strings, a split recipe that
-    is not a string and a flag that is not a bool each fail parsing (value
-    None deletes the key)."""
+    is not a string, a flag that is not a bool, a source seed or dim out of
+    range and a hidden_dim below 1 each fail parsing (value None deletes the
+    key)."""
     import yaml
 
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
@@ -536,9 +544,9 @@ def test_finetune_and_predict_featurize_only_eval_rows(
     for stage in ("finetune", "predict"):
         rows = featurized.setdefault(stage, [])
 
-        def counting(pairs, source):
-            rows.extend((source.name, pair) for pair in pairs)
-            return real(pairs, source)
+        def counting(pairs, sources, **memo):
+            rows.extend((source.name, pair) for source in sources for pair in pairs)
+            return real(pairs, sources, **memo)
 
         monkeypatch.setattr(featurize_module, "featurize_pairs", counting)
         run_stage(stage, cfg, run)
@@ -555,11 +563,35 @@ def test_finetune_and_predict_featurize_only_eval_rows(
     assert {pair for _, pair in predicted} <= eval_pairs
 
 
+def test_train_tokenizes_each_stored_row_once_for_all_sources(
+    toy_corpus_dir, toy_run_dir, tmp_path, monkeypatch
+):
+    """Both sources' stores come from one tokenization of each row: two
+    _words calls (text_a, text_b) per stored row, not two per row per source."""
+    import importlib
+
+    featurize_module = importlib.import_module("mixtask.featurize")
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    calls, real = [], featurize_module._words
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(featurize_module, "_words", counting)
+    run_stage("train", cfg, run)
+    stores = read_index(run, "train")["features"]
+    assert len(stores) == 2 and len({entry["rows"] for entry in stores.values()}) == 1
+    assert len(calls) == 2 * stores["family_a"]["rows"]
+
+
 @pytest.mark.parametrize("stage, damage", [
     ("finetune", "truncate_matrix"),
     ("predict", "delete_keys"),
     ("finetune", "drop_a_key"),
     ("predict", "other_seed"),
+    ("finetune", "keys_disagree"),
 ])
 def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
                                                  stage, damage):
@@ -575,6 +607,9 @@ def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tm
         (features / "family_b.keys.npy").unlink()
     elif damage == "drop_a_key":
         np.save(features / "family_a.keys.npy", np.load(features / "family_a.keys.npy")[1:])
+    elif damage == "keys_disagree":  # every row kept, two of them swapped
+        keys = np.load(features / "family_b.keys.npy")
+        np.save(features / "family_b.keys.npy", keys[[1, 0, *range(2, len(keys))]])
     else:
         index = read_index(run, "train")
         index["features"]["family_b"]["featurizer_seed"] += 1

@@ -108,11 +108,24 @@ def test_fine_tune_never_below_input_metric():
 
     task = nli_task(seed=10)
     src = SourceSpec("fam", 5, 64)
-    cache = FeatureCache()
+    cache = FeatureCache([src])
     ckpt = train_multitask([task], src, quick_config(epochs=3), cache=cache).best
     input_metric = dev_metric(ckpt.model, task.dev, cache.lookup(task.dev, src), dev_gold(task.dev))
     tuned = fine_tune_task(ckpt, task, quick_config(), cache=cache)
     assert tuned.dev_metrics[task.name] >= input_metric
+
+
+def test_trainers_refuse_a_cache_built_for_other_sources():
+    from mixtask.featurize import FeatureCache
+
+    task = nli_task(seed=13)
+    src = SourceSpec("fam", 5, 64)
+    foreign = FeatureCache([SourceSpec("other", 6, 64)])
+    with pytest.raises(ValueError, match="holds no source 'fam'"):
+        train_multitask([task], src, quick_config(epochs=1), cache=foreign)
+    ckpt = train_multitask([task], src, quick_config(epochs=1)).best
+    with pytest.raises(ValueError, match="holds no source 'fam'"):
+        fine_tune_task(ckpt, task, quick_config(), cache=foreign)
 
 
 def test_fine_tune_requires_matching_head():
