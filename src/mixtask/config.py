@@ -110,8 +110,9 @@ class PipelineConfig:
         manifest = settings["manifest_path"] = (base_dir or Path(".")) / settings["manifest_path"]
         if not manifest.exists():
             raise FileNotFoundError(f"manifest not found: {manifest}")
-        mixture = MixtureConfig(seed=settings["master_seed"], **settings.pop("mixture", {}))
-        train = TrainConfig(mixture=mixture, **settings.pop("train", {}))
+        mixture = _built("mixture", MixtureConfig, seed=settings["master_seed"],
+                         **settings.pop("mixture", {}))
+        train = _built("train", TrainConfig, mixture=mixture, **settings.pop("train", {}))
         return cls(mixture=mixture, train=train, raw=raw, **settings)
 
     def batch_size_for_source(self, entry: SourceEntry) -> int | dict:
@@ -156,7 +157,10 @@ def _section(section: str, keys: dict[str, tuple[str, Callable]], value) -> dict
     for key in _typed(dict, section, value):
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {section}")
-    return {keys[key][0]: keys[key][1](item) for key, item in value.items() if item is not None}
+    try:
+        return {keys[key][0]: keys[key][1](item) for key, item in value.items() if item is not None}
+    except OverflowError as exc:  # int() of an infinite float
+        raise ValueError(f"{section}: {exc}") from None
 
 
 def _keys(section: str, prefix: str = "", **converters: Callable) -> Callable[[object], dict]:
@@ -181,18 +185,22 @@ def _at_least(least: int, key: str) -> Callable[[object], int]:
     return convert
 
 
+def _built(section: str, cls: type, **settings):
+    """cls(**settings), whose ValueError names the config section."""
+    try:
+        return cls(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from None
+
+
 def _source(i: int, value) -> SourceEntry:
-    settings = _keys(f"sources[{i}]", name=str, featurizer_seed=int, dim=int, members=int,
-                     batch_size=int)(value)
+    settings = _keys(f"sources[{i}]", name=str, featurizer_seed=int, dim=int,
+                     members=_at_least(0, f"sources[{i}].members"), batch_size=int)(value)
     if "name" not in settings:
         raise ValueError(f"sources[{i}] requires a name")
     settings.setdefault("featurizer_seed", derive_seed(0, "source", settings["name"]))
     entry = {f.name: settings.pop(f.name) for f in fields(SourceEntry) if f.name in settings}
-    try:
-        spec = SourceSpec(**settings)
-    except ValueError as exc:
-        raise ValueError(f"sources[{i}]: {exc}") from None
-    return SourceEntry(spec, **entry)
+    return SourceEntry(_built(f"sources[{i}]", SourceSpec, **settings), **entry)
 
 
 _TOP_KEYS = {
@@ -209,8 +217,10 @@ _TOP_KEYS = {
     "splits": ("split_recipes", _by_name("splits", partial(_typed, str))),
     "random_split": ("random_split_counts", _by_name(
         "random_split", lambda section, counts: _keys(section, eval_count=int)(counts))),
-    "reshuffle": ("reshuffle", _keys("reshuffle", "reshuffle_", dev_questions=int,
-                                     tagged_questions=int, tag=str)),
+    "reshuffle": ("reshuffle", _keys("reshuffle", "reshuffle_",
+                                     dev_questions=_at_least(0, "reshuffle.dev_questions"),
+                                     tagged_questions=_at_least(0, "reshuffle.tagged_questions"),
+                                     tag=str)),
     "cv": ("cv", _keys("cv", "cv_", enabled=partial(_typed, bool, "cv.enabled"), task=str,
                        folds=int, finetune_members=partial(_typed, bool, "cv.finetune_members"))),
     "thresholds": ("thresholds", _by_name("thresholds", lambda _, value: float(value))),

@@ -188,14 +188,18 @@ def qa_dev_reshuffle(
     The new dev set is: all pairs of the last n_dev_questions questions of
     the original dev set, followed by all pairs of the last n_alexa_questions
     train questions whose samples carry source_tag == alexa_tag. Everything
-    else, train remainder first, becomes the new training set.
+    else, train remainder first, becomes the new training set. A count of 0
+    moves no question; a negative count, or a new dev set with no pairs, is
+    a ValueError.
     """
+    if n_dev_questions < 0 or n_alexa_questions < 0:
+        raise ValueError("question counts must be >= 0")
     dev_questions = _question_order(dev.samples)
     if len(dev_questions) < n_dev_questions:
         raise ValueError(
             f"dev split has {len(dev_questions)} questions, needs >= {n_dev_questions}"
         )
-    dev_moved = set(dev_questions[-n_dev_questions:])
+    dev_moved = set(dev_questions[len(dev_questions) - n_dev_questions :])
 
     train_questions = _question_order(train.samples)
     tagged = {s.question_id for s in train if s.source_tag == alexa_tag}
@@ -205,11 +209,13 @@ def qa_dev_reshuffle(
             f"train split has {len(alexa_questions)} {alexa_tag!r}-tagged questions, "
             f"needs >= {n_alexa_questions}"
         )
-    alexa_moved = set(alexa_questions[-n_alexa_questions:])
+    alexa_moved = set(alexa_questions[len(alexa_questions) - n_alexa_questions :])
 
     new_dev = [s for s in dev if s.question_id in dev_moved] + [
         s for s in train if s.question_id in alexa_moved
     ]
+    if not new_dev:
+        raise ValueError("the dev reshuffle moves no question, so the dev split would be empty")
     new_train = [s for s in train if s.question_id not in alexa_moved] + [
         s for s in dev if s.question_id not in dev_moved
     ]

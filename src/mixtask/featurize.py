@@ -20,9 +20,9 @@ a dataset's matrix in sample order; mini-batches are then row selections of
 it. A miss featurizes the missing rows for all of the cache's sources in one
 call, and each source's token -> signed bucket memo lives as long as the
 cache, so a token is hashed once per source however many lookups miss. A
-cache can be saved as one .npy matrix plus its row keys per source and
-loaded again, so the rows one pipeline stage built serve the stages after
-it: each row of a run is featurized once.
+cache is saved as one row index (keys.npy) plus one .npy matrix per source
+and loaded again, so the rows one pipeline stage built serve the stages
+after it: each row of a run is featurized once.
 """
 from __future__ import annotations
 
@@ -187,9 +187,7 @@ def _read_blocks(path: Path, block_rows: list[int], rows: int, dim: int) -> list
             shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
         except (EOFError, ValueError) as exc:
             raise ValueError(f"{path.name}: {exc}") from exc
-        if (version, fortran_order, dtype, shape, sum(block_rows)) != (
-            (1, 0), False, np.float64, (rows, dim), rows
-        ):
+        if (version, fortran_order, dtype, shape) != ((1, 0), False, np.float64, (rows, dim)):
             raise ValueError(f"{path.name} holds {dtype} {shape}, expected float64 {(rows, dim)}")
         blocks = []
         for n in block_rows:
@@ -202,90 +200,96 @@ def _read_blocks(path: Path, block_rows: list[int], rows: int, dim: int) -> list
     return blocks
 
 
-def _source_key(source: SourceSpec) -> tuple[str, int, int]:
-    return (source.name, source.featurizer_seed, source.dim)
-
-
 class FeatureCache:
     """Feature matrices for a fixed list of sources, keyed by sample content.
 
     Rows are keyed by sample content (id, text_a, text_b), so train, dev and
     eval splits of one dataset never share a row unless their samples are
     the same, while reloaded copies of a split and subsets of it (CV folds)
-    reuse the stored rows. A lookup that misses featurizes the missing rows
-    for every source of the cache in one call, so each row is tokenized once
-    for all sources, and every source's store holds the same rows: one row
-    index, one block of rows per source for each miss. Each source has a
-    token -> signed bucket memo that lives as long as the cache, so a token is
-    hashed once per source. A cache keeps every matrix it has built until it
-    is dropped; `save` writes it out and `load` opens a saved one, which then
+    reuse the stored rows. All sources share one row index: a lookup that
+    misses featurizes the missing rows for every source in one call, so each
+    row is tokenized once and every source's store gets the same block of
+    rows. Each source has a token -> signed bucket memo that lives as long as
+    the cache, so a token is hashed once per source. The cache keeps each
+    Dataset object it has served with its rows, so a second lookup of it
+    hashes no sample; the library never changes a Dataset's samples after
+    building it. A cache keeps every matrix it has built until it is
+    dropped; `save` writes it out and `load` opens a saved one, which then
     featurizes only rows it does not hold.
     """
 
     def __init__(self, sources: Sequence[SourceSpec]):
         self._sources = list(dict.fromkeys(sources))
-        # source key -> row blocks, one per miss; the blocks of all sources line up
-        self._blocks: dict[tuple, list[np.ndarray]] = {_source_key(s): [] for s in self._sources}
+        # row blocks of each source, one per miss; the blocks of all sources line up
+        self._blocks: dict[SourceSpec, list[np.ndarray]] = {s: [] for s in self._sources}
         self._codes: list[dict[str, int]] = [{} for _ in self._sources]
         self._starts: list[int] = []  # first row of each block
         self._where: dict[bytes, int] = {}  # content key -> row
+        self._served: dict[int, tuple[Dataset, np.ndarray]] = {}  # id -> (dataset, its rows)
 
-    def save(self, directory: Path) -> dict[str, dict]:
-        """Write each source's rows as <name>.npy, an (rows, dim) float64 matrix,
-        and their 16-byte content keys in row order as <name>.keys.npy.
+    def save(self, directory: Path) -> dict:
+        """Write the row index as keys.npy, each row's 16-byte content key in
+        row order, and each source's rows as <name>.npy, a (rows, dim) float64
+        matrix.
 
-        Blocks are written one after another behind one .npy header, so
-        saving holds no second copy of the rows. Returns, per source name,
-        its featurizer seed, dim, row count, file names and rows per block.
+        A matrix's blocks are written one after another behind one .npy
+        header, so saving holds no second copy of the rows. Returns the entry
+        `load` reads: the row count, the rows per block, the keys file and,
+        per source name, its featurizer seed, dim and matrix file.
         """
         directory.mkdir(parents=True, exist_ok=True)
-        key_rows = np.frombuffer(b"".join(self._where), dtype=np.uint8).reshape(-1, KEY_BYTES)
-        entries = {}
-        for (name, seed, dim), blocks in sorted(self._blocks.items()):
-            matrix, keys = f"{name}.npy", f"{name}.keys.npy"
+        rows = len(self._where)
+        keys = np.frombuffer(b"".join(self._where), dtype=np.uint8).reshape(-1, KEY_BYTES)
+        np.save(directory / "keys.npy", keys, allow_pickle=False)
+        sources = {}
+        for source, blocks in self._blocks.items():
+            matrix = f"{source.name}.npy"
             header = {"descr": npy_format.dtype_to_descr(np.dtype(np.float64)),
-                      "fortran_order": False, "shape": (len(self._where), dim)}
+                      "fortran_order": False, "shape": (rows, source.dim)}
             with (directory / matrix).open("wb") as fh:
                 npy_format.write_array_header_1_0(fh, header)
                 for block in blocks:
                     block.tofile(fh)
-            np.save(directory / keys, key_rows, allow_pickle=False)
-            entries[name] = {"featurizer_seed": seed, "dim": dim, "rows": len(self._where),
-                             "matrix": matrix, "keys": keys, "blocks": [len(b) for b in blocks]}
-        return entries
+            sources[source.name] = {"featurizer_seed": source.featurizer_seed,
+                                    "dim": source.dim, "matrix": matrix}
+        return {"rows": rows, "blocks": np.diff([*self._starts, rows]).tolist(),
+                "keys": "keys.npy", "sources": sources}
 
     @classmethod
-    def load(cls, directory: Path, entries: dict[str, dict]) -> "FeatureCache":
-        """A cache of the sources `entries` lists (as `save` returns them),
-        seeded with their saved rows.
+    def load(cls, directory: Path, entry: dict, sources: Sequence[SourceSpec]) -> "FeatureCache":
+        """A cache of the given sources, seeded with the rows saved in
+        directory, through the entry `save` returned.
 
-        Reads only the listed files, without pickles, and keeps each block
-        read-only. The matrix is read back block by block, so the loaded
-        store has the block layout it was saved with. Raises ValueError when
-        a file is malformed or truncated, when its shape, the key count and
-        the entry disagree, or when two sources list different rows or
-        blocks; OSError when a file is missing.
+        Reads only the keys file and the given sources' matrices, without
+        pickles. Each matrix is read block by block into read-only blocks of
+        the saved layout: blocks of the sizes the saving stage featurized can
+        reuse memory it freed, where one whole-matrix array would not.
+        Raises ValueError when the entry lists no source of that name, seed
+        and dim, when its blocks do not add up to its rows, when a file is
+        malformed, truncated or of another shape, or when a key repeats;
+        OSError when a file is missing.
         """
-        named = sorted(entries.items())
-        cache = cls([SourceSpec(name, e["featurizer_seed"], e["dim"]) for name, e in named])
-        shared = None  # (keys file, its bytes, rows per block) of the first source
-        for source, (name, entry) in zip(cache._sources, named):
-            rows = entry["rows"]
-            blocks = _read_blocks(directory / entry["matrix"], entry["blocks"], rows, entry["dim"])
-            keys = _load_npy(directory / entry["keys"])
-            if keys.dtype != np.uint8 or keys.shape != (rows, KEY_BYTES):
-                raise ValueError(f"{entry['keys']} holds {keys.dtype} {keys.shape} for {rows} rows")
-            cache._blocks[_source_key(source)] = blocks
-            flat = keys.tobytes()
-            if shared is not None:
-                if (flat, entry["blocks"]) != shared[1:]:
-                    raise ValueError(f"{entry['keys']} and {shared[0]} list different rows")
-                continue
-            shared = (entry["keys"], flat, entry["blocks"])
-            cache._where = {flat[r * KEY_BYTES : (r + 1) * KEY_BYTES]: r for r in range(rows)}
-            if len(cache._where) != rows:
-                raise ValueError(f"{entry['keys']} repeats a key")
-            cache._starts = [sum(entry["blocks"][:b]) for b in range(len(blocks))]
+        cache = cls(sources)
+        rows, block_rows = entry["rows"], entry["blocks"]
+        if sum(block_rows) != rows:
+            raise ValueError(f"the store's blocks hold {sum(block_rows)} rows, not {rows}")
+        keys = _load_npy(directory / entry["keys"])
+        if keys.dtype != np.uint8 or keys.shape != (rows, KEY_BYTES):
+            raise ValueError(f"{entry['keys']} holds {keys.dtype} {keys.shape} for {rows} rows")
+        flat = keys.tobytes()
+        cache._where = {flat[r * KEY_BYTES : (r + 1) * KEY_BYTES]: r for r in range(rows)}
+        if len(cache._where) != rows:
+            raise ValueError(f"{entry['keys']} repeats a key")
+        cache._starts = [sum(block_rows[:b]) for b in range(len(block_rows))]
+        for source in cache._sources:
+            saved = entry["sources"].get(source.name, {})
+            if (saved.get("featurizer_seed"), saved.get("dim")) != (source.featurizer_seed, source.dim):
+                raise ValueError(
+                    f"the store lists no source {source.name!r} with featurizer seed "
+                    f"{source.featurizer_seed} and dim {source.dim}"
+                )
+            cache._blocks[source] = _read_blocks(directory / saved["matrix"], block_rows, rows,
+                                                 source.dim)
         return cache
 
     def lookup(self, dataset: Dataset, source: SourceSpec) -> np.ndarray:
@@ -295,25 +299,29 @@ class FeatureCache:
         order, gets a view of the stored block rather than a copy. Raises
         ValueError for a source the cache was not built for.
         """
-        blocks = self._blocks.get(_source_key(source))
+        blocks = self._blocks.get(source)
         if blocks is None:
             raise ValueError(
                 f"the feature cache holds no source {source.name!r} with featurizer seed "
                 f"{source.featurizer_seed} and dim {source.dim}"
             )
-        where = self._where
-        keys = [_content_key(s) for s in dataset]
-        missing = list({k: i for i, k in enumerate(keys) if k not in where}.values())
-        if missing:
-            first = len(where)
-            pairs = [(dataset.samples[i].text_a, dataset.samples[i].text_b) for i in missing]
-            matrices = featurize_pairs(pairs, self._sources, codes=self._codes)
-            for store, block in zip(self._blocks.values(), matrices):
-                block.flags.writeable = False
-                store.append(block)
-            self._starts.append(first)
-            where.update((keys[i], first + r) for r, i in enumerate(missing))
-        rows = np.fromiter((where[k] for k in keys), dtype=np.intp, count=len(keys))
+        served = self._served.get(id(dataset))
+        if served is None:
+            where = self._where
+            keys = [_content_key(s) for s in dataset]
+            missing = list({k: i for i, k in enumerate(keys) if k not in where}.values())
+            if missing:
+                first = len(where)
+                pairs = [(dataset.samples[i].text_a, dataset.samples[i].text_b) for i in missing]
+                matrices = featurize_pairs(pairs, self._sources, codes=self._codes)
+                for store, block in zip(self._blocks.values(), matrices):
+                    block.flags.writeable = False
+                    store.append(block)
+                self._starts.append(first)
+                where.update((keys[i], first + r) for r, i in enumerate(missing))
+            rows = np.fromiter((where[k] for k in keys), dtype=np.intp, count=len(keys))
+            served = self._served[id(dataset)] = (dataset, rows)
+        rows = served[1]
         if not len(rows):
             return np.zeros((0, source.dim), dtype=np.float64)
         block_of = np.searchsorted(self._starts, rows, side="right") - 1

@@ -191,18 +191,9 @@ class StageRun:
     def features(self) -> FeatureCache:
         """The train stage's feature store for the member plan's sources,
         through the train index. Files the index does not list are never read."""
-        saved = self.index("train").get("features", {})
-        entries = {}
-        for spec in self.cfg.member_sources():
-            entry = saved.get(spec.name, {})
-            if (entry.get("featurizer_seed"), entry.get("dim")) != (spec.featurizer_seed, spec.dim):
-                raise self.error(
-                    f"the train index lists no features for source {spec.name!r} with featurizer "
-                    f"seed {spec.featurizer_seed} and dim {spec.dim}; re-run train"
-                )
-            entries[spec.name] = entry
         with self.reading("train features", "train"):
-            return FeatureCache.load(self.out_dir / "train" / "features", entries)
+            return FeatureCache.load(self.out_dir / "train" / "features",
+                                     self.index("train")["features"], self.cfg.member_sources())
 
     def checkpoint(self, member_id: str, task: Optional[str] = None) -> Checkpoint:
         """A member's model: for a task, the fine-tuned checkpoint the finetune

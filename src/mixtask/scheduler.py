@@ -60,8 +60,8 @@ class MixtureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, not {self.alpha}")
         if self.max_epoch < 1:
             raise ValueError("max_epoch must be >= 1")
         for size in [self.batch_size] if isinstance(self.batch_size, int) else self.batch_size.values():
@@ -149,8 +149,8 @@ def build_epoch(
     """
     if not in_domain_batches:
         raise ValueError("in-domain batch list must be non-empty")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, not {alpha}")
     n = len(in_domain_batches)
     n_external = math.floor(alpha * n) if external_batches else 0
     rng = derive_rng(seed, "epoch", epoch_index)

@@ -14,6 +14,7 @@ the same planner the schedule stage writes to disk for audit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,8 +49,10 @@ class TrainConfig:
     hidden_dim: int = 32
 
     def __post_init__(self):
-        if self.lr_multitask <= 0 or self.lr_finetune <= 0:
-            raise ValueError("learning rates must be > 0")
+        for name in ("lr_multitask", "lr_finetune"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValueError(f"{name} must be finite and > 0, not {lr}")
         if self.epochs_finetune < 0:
             raise ValueError("epochs_finetune must be >= 0")
 

@@ -228,6 +228,22 @@ def test_qa_dev_reshuffle_moves_tail_questions():
     assert set(new_train.sample_ids).isdisjoint(new_dev.sample_ids)
 
 
+def test_qa_dev_reshuffle_of_zero_questions_moves_none():
+    train = qa_corpus([2] * 30, tag=lambda qi: "alexa" if qi % 2 else "live", prefix="tr")
+    dev = qa_corpus([3] * 27, prefix="dv")
+    new_train, new_dev = qa_dev_reshuffle(train, dev, n_dev_questions=0, n_alexa_questions=3)
+    assert [s.question_id for s in new_dev] == [f"tr{qi:04d}" for qi in (25, 27, 29) for _ in range(2)]
+    assert new_train.sample_ids == [s.id for s in train if s.question_id not in
+                                    {"tr0025", "tr0027", "tr0029"}] + dev.sample_ids
+    _, new_dev = qa_dev_reshuffle(train, dev, n_dev_questions=2, n_alexa_questions=0)
+    assert [s.question_id for s in new_dev] == [f"dv{qi:04d}" for qi in (25, 26) for _ in range(3)]
+    with pytest.raises(ValueError, match="dev split would be empty"):
+        qa_dev_reshuffle(train, dev, n_dev_questions=0, n_alexa_questions=0)
+    for counts in ((-5, 3), (3, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            qa_dev_reshuffle(train, dev, *counts)
+
+
 def test_qa_dev_reshuffle_requires_enough_questions():
     train = qa_corpus([2] * 30, tag="alexa", prefix="tr")
     dev = qa_corpus([3] * 10, prefix="dv")

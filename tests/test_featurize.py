@@ -235,9 +235,9 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
     cache = FeatureCache([src])
     cache.lookup(train, src)
     cache.lookup(dev, src)
-    entries = cache.save(tmp_path)
-    assert entries == {"fam": {"featurizer_seed": 7, "dim": 64, "rows": 41,
-                               "matrix": "fam.npy", "keys": "fam.keys.npy", "blocks": [40, 1]}}
+    entry = cache.save(tmp_path)
+    assert entry == {"rows": 41, "blocks": [40, 1], "keys": "keys.npy",
+                     "sources": {"fam": {"featurizer_seed": 7, "dim": 64, "matrix": "fam.npy"}}}
 
     expected = [featurize_rows(ds, src).tobytes() for ds in (train, fold, dev)]
 
@@ -245,7 +245,7 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
         raise AssertionError(f"featurized {len(pairs)} rows")
 
     monkeypatch.setattr(featurize_module, "featurize_pairs", no_featurizing)
-    loaded = FeatureCache.load(tmp_path, entries)
+    loaded = FeatureCache.load(tmp_path, entry, [src])
     for ds, rows in zip((train, fold, dev), expected):
         got = loaded.lookup(ds, src)
         assert not got.flags.writeable
@@ -257,7 +257,7 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
         [SamplePair(id=f"e{i}", text_a=f"new words {i}", text_b="more", label=1) for i in range(3)]
     )
     loaded.lookup(extra, src)
-    resaved = FeatureCache.load(tmp_path, loaded.save(tmp_path))
+    resaved = FeatureCache.load(tmp_path, loaded.save(tmp_path), [src])
     for ds in (train, extra):
         assert resaved.lookup(ds, src).tobytes() == featurize_rows(ds, src).tobytes()
 
@@ -266,31 +266,78 @@ def test_loading_a_store_checks_keys_against_rows(tmp_path):
     src = SourceSpec("fam", 7, 16)
     cache = FeatureCache([src])
     cache.lookup(make_dataset(5, name="d"), src)
-    entries = cache.save(tmp_path)
-    keys = np.load(tmp_path / "fam.keys.npy")
-    np.save(tmp_path / "fam.keys.npy", keys[:-1])
+    entry = cache.save(tmp_path)
+    keys = np.load(tmp_path / "keys.npy")
+    np.save(tmp_path / "keys.npy", keys[:-1])
     with pytest.raises(ValueError, match=r"uint8 \(4, 16\) for 5 rows"):
-        FeatureCache.load(tmp_path, entries)
-    np.save(tmp_path / "fam.keys.npy", keys[[0, 1, 2, 3, 0]])
+        FeatureCache.load(tmp_path, entry, [src])
+    np.save(tmp_path / "keys.npy", keys[[0, 1, 2, 3, 0]])
     with pytest.raises(ValueError, match="repeats a key"):
-        FeatureCache.load(tmp_path, entries)
+        FeatureCache.load(tmp_path, entry, [src])
+    np.save(tmp_path / "keys.npy", keys)
+    with pytest.raises(ValueError, match=r"^the store's blocks hold 6 rows, not 5$"):
+        FeatureCache.load(tmp_path, {**entry, "blocks": [5, 1]}, [src])
 
 
-def test_loading_stores_whose_rows_disagree_fails(tmp_path):
-    """Every source of a cache shares one row index, so the saved keys and
-    block layouts of all sources must agree."""
-    sources = [SourceSpec("fam", 7, 16), SourceSpec("fam2", 8, 16)]
+def test_save_writes_one_row_index_and_one_matrix_per_source(tmp_path):
+    sources = [SourceSpec("fam", 7, 16), SourceSpec("fam2", 8, 24)]
+    first = make_dataset(5, name="d")
+    second = make_dataset(7, name="d", text_a=lambda i: f"other words {i}")
+    cache = FeatureCache(sources)
+    cache.lookup(first, sources[0])
+    cache.lookup(second, sources[1])
+    entry = cache.save(tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fam.npy", "fam2.npy", "keys.npy"]
+    assert entry == {"rows": 12, "blocks": [5, 7], "keys": "keys.npy", "sources": {
+        "fam": {"featurizer_seed": 7, "dim": 16, "matrix": "fam.npy"},
+        "fam2": {"featurizer_seed": 8, "dim": 24, "matrix": "fam2.npy"},
+    }}
+    assert np.load(tmp_path / "keys.npy").shape == (12, 16)
+    for src in sources:
+        expected = np.concatenate([featurize_rows(first, src), featurize_rows(second, src)])
+        assert np.load(tmp_path / f"{src.name}.npy").tobytes() == expected.tobytes()
+
+    # Only the requested sources are read, and each block stays its own array.
+    loaded = FeatureCache.load(tmp_path, entry, sources[1:])
+    a, b = loaded.lookup(first, sources[1]), loaded.lookup(second, sources[1])
+    assert a.tobytes() + b.tobytes() == np.load(tmp_path / "fam2.npy").tobytes()
+    assert a.base is not None and b.base is not None and a.base is not b.base
+    with pytest.raises(ValueError, match="holds no source 'fam'"):
+        loaded.lookup(first, sources[0])
+
+
+@pytest.mark.parametrize("stranger", [SourceSpec("fam2", 9, 24), SourceSpec("fam2", 8, 32),
+                                      SourceSpec("fam3", 8, 24)])
+def test_loading_a_source_the_store_does_not_list_fails(tmp_path, stranger):
+    sources = [SourceSpec("fam", 7, 16), SourceSpec("fam2", 8, 24)]
     cache = FeatureCache(sources)
     cache.lookup(make_dataset(5, name="d"), sources[0])
-    cache.lookup(make_dataset(7, name="d"), sources[1])
-    entries = cache.save(tmp_path)
-    assert [entries[s.name]["blocks"] for s in sources] == [[5, 2], [5, 2]]
-    keys = np.load(tmp_path / "fam2.keys.npy")
-    np.save(tmp_path / "fam2.keys.npy", keys[[1, 0, 2, 3, 4, 5, 6]])
-    disagree = r"^fam2\.keys\.npy and fam\.keys\.npy list different rows$"
-    with pytest.raises(ValueError, match=disagree):
-        FeatureCache.load(tmp_path, entries)
-    np.save(tmp_path / "fam2.keys.npy", keys)
-    entries["fam2"]["blocks"] = [4, 3]
-    with pytest.raises(ValueError, match=disagree):
-        FeatureCache.load(tmp_path, entries)
+    entry = cache.save(tmp_path)
+    message = (rf"^the store lists no source '{stranger.name}' with featurizer seed "
+               rf"{stranger.featurizer_seed} and dim {stranger.dim}$")
+    with pytest.raises(ValueError, match=message):
+        FeatureCache.load(tmp_path, entry, [sources[0], stranger])
+
+
+def test_a_served_dataset_is_not_hashed_again(monkeypatch):
+    hashed, real = [], featurize_module._content_key
+
+    def counting(sample):
+        hashed.append(sample.id)
+        return real(sample)
+
+    monkeypatch.setattr(featurize_module, "_content_key", counting)
+    sources = [SourceSpec("fam", 7, 40), SourceSpec("fam2", 8, 40)]
+    ds = make_dataset(20, name="d")
+    cache = FeatureCache(sources)
+    first = cache.lookup(ds.with_samples(ds.samples[10:] + ds.samples[:10]), sources[0])
+    assert len(hashed) == 20
+    table = cache.lookup(ds, sources[0])
+    assert len(hashed) == 40
+    assert cache.lookup(ds, sources[0]).tobytes() == table.tobytes()
+    assert cache.lookup(ds, sources[1]).tobytes() == featurize_rows(ds, sources[1]).tobytes()
+    assert len(hashed) == 40  # same object: no content key computed
+    copy = ds.with_samples([s.copy() for s in reversed(ds.samples)])
+    assert cache.lookup(copy, sources[0]).tobytes() == table[::-1].tobytes()
+    assert len(hashed) == 60
+    assert first.tobytes() == np.concatenate([table[10:], table[:10]]).tobytes()

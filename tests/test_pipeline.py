@@ -226,6 +226,25 @@ def test_only_run_stage_tags_a_stage_failure():
                         "_trained_experiment"}
 
 
+def test_every_npy_read_refuses_pickles():
+    """Every np.load call in the library passes allow_pickle=False, so no
+    .npy file it reads can run code."""
+    import ast
+
+    loads, unsafe = 0, []
+    for path in sorted(Path(mixtask.__file__).parent.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(call, "func", None)
+            if not (isinstance(call, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "load" and getattr(func.value, "id", None) == "np"):
+                continue
+            loads += 1
+            if not any(k.arg == "allow_pickle" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False for k in call.keywords):
+                unsafe.append(f"{path.name}:{call.lineno}")
+    assert loads >= 2 and unsafe == []
+
+
 def test_cv_members_join_only_their_task_ensemble(toy_run_dir):
     ensembles = read_index(toy_run_dir, "ensemble")["ensembles"]
     qa_members = ensembles["toy_qa"]["members"]
@@ -338,13 +357,29 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("sources", 1, "dim"), 2, r"sources\[1\]: feature dimension must be > 2"),
     (("train", "hidden_dim"), 0, r"train\.hidden_dim must be >= 1, not 0"),
     (("train", "hidden_dim"), -3, r"train\.hidden_dim must be >= 1, not -3"),
+    (("sources", 0, "members"), -2, r"sources\[0\]\.members must be >= 0, not -2"),
+    (("reshuffle", "dev_questions"), -1, r"reshuffle\.dev_questions must be >= 0, not -1"),
+    (("reshuffle", "tagged_questions"), -5,
+     r"reshuffle\.tagged_questions must be >= 0, not -5"),
+    (("mixture", "alpha"), float("nan"), r"mixture: alpha must be finite and >= 0, not nan"),
+    (("mixture", "alpha"), float("inf"), r"mixture: alpha must be finite and >= 0, not inf"),
+    (("mixture", "alpha"), -0.5, r"mixture: alpha must be finite and >= 0, not -0\.5"),
+    (("mixture", "max_epoch"), float("inf"), "mixture: cannot convert float infinity to integer"),
+    (("train", "lr_multitask"), float("nan"),
+     r"train: lr_multitask must be finite and > 0, not nan"),
+    (("train", "lr_multitask"), float("inf"),
+     r"train: lr_multitask must be finite and > 0, not inf"),
+    (("train", "lr_finetune"), float("-inf"),
+     r"train: lr_finetune must be finite and > 0, not -inf"),
+    (("train", "lr_finetune"), 0.0, r"train: lr_finetune must be finite and > 0, not 0\.0"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
     """A key no section declares, a section that is not a mapping, a source
     without a name, a list that is not a list of strings, a split recipe that
     is not a string, a flag that is not a bool, a source seed or dim out of
-    range and a hidden_dim below 1 each fail parsing (value None deletes the
-    key)."""
+    range, a hidden_dim below 1, a negative member or question count, an
+    alpha or learning rate that is not finite or out of range and an
+    infinite integer each fail parsing (value None deletes the key)."""
     import yaml
 
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
@@ -581,9 +616,9 @@ def test_train_tokenizes_each_stored_row_once_for_all_sources(
 
     monkeypatch.setattr(featurize_module, "_words", counting)
     run_stage("train", cfg, run)
-    stores = read_index(run, "train")["features"]
-    assert len(stores) == 2 and len({entry["rows"] for entry in stores.values()}) == 1
-    assert len(calls) == 2 * stores["family_a"]["rows"]
+    features = read_index(run, "train")["features"]
+    assert sorted(features["sources"]) == ["family_a", "family_b"]
+    assert len(calls) == 2 * features["rows"]
 
 
 @pytest.mark.parametrize("stage, damage", [
@@ -591,7 +626,7 @@ def test_train_tokenizes_each_stored_row_once_for_all_sources(
     ("predict", "delete_keys"),
     ("finetune", "drop_a_key"),
     ("predict", "other_seed"),
-    ("finetune", "keys_disagree"),
+    ("finetune", "blocks_disagree"),
 ])
 def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
                                                  stage, damage):
@@ -604,15 +639,15 @@ def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tm
         matrix = features / "family_a.npy"
         matrix.write_bytes(matrix.read_bytes()[:-100])
     elif damage == "delete_keys":
-        (features / "family_b.keys.npy").unlink()
+        (features / "keys.npy").unlink()
     elif damage == "drop_a_key":
-        np.save(features / "family_a.keys.npy", np.load(features / "family_a.keys.npy")[1:])
-    elif damage == "keys_disagree":  # every row kept, two of them swapped
-        keys = np.load(features / "family_b.keys.npy")
-        np.save(features / "family_b.keys.npy", keys[[1, 0, *range(2, len(keys))]])
+        np.save(features / "keys.npy", np.load(features / "keys.npy")[1:])
     else:
         index = read_index(run, "train")
-        index["features"]["family_b"]["featurizer_seed"] += 1
+        if damage == "blocks_disagree":  # the blocks no longer add up to the rows
+            index["features"]["blocks"][0] += 1
+        else:
+            index["features"]["sources"]["family_b"]["featurizer_seed"] += 1
         (run / "train" / "index.json").write_text(json.dumps(index))
     with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] .*re-run train"):
         run_stage(stage, cfg, run)
