@@ -115,7 +115,7 @@ class PipelineConfig:
         train = _built("train", TrainConfig, mixture=mixture, **settings.pop("train", {}))
         return cls(mixture=mixture, train=train, raw=raw, **settings)
 
-    def batch_size_for_source(self, entry: SourceEntry) -> int | dict:
+    def batch_size_for_source(self, entry: SourceEntry) -> int:
         return entry.batch_size if entry.batch_size is not None else self.mixture.batch_size
 
     def member_plan(self) -> list[dict]:
@@ -159,7 +159,7 @@ def _section(section: str, keys: dict[str, tuple[str, Callable]], value) -> dict
             raise ValueError(f"unknown key {key!r} in {section}")
     try:
         return {keys[key][0]: keys[key][1](item) for key, item in value.items() if item is not None}
-    except OverflowError as exc:  # int() of an infinite float
+    except (OverflowError, TypeError) as exc:  # int() of an infinite float, a list or a mapping
         raise ValueError(f"{section}: {exc}") from None
 
 
@@ -206,8 +206,7 @@ def _source(i: int, value) -> SourceEntry:
 _TOP_KEYS = {
     "master_seed": ("master_seed", int),
     "manifest": ("manifest_path", Path),
-    "mixture": ("mixture", _keys("mixture", alpha=float, max_epoch=int, batch_size=lambda value: (
-        {name: int(n) for name, n in value.items()} if isinstance(value, dict) else int(value)))),
+    "mixture": ("mixture", _keys("mixture", alpha=float, max_epoch=int, batch_size=int)),
     "train": ("train", _keys("train", lr_multitask=float, lr_finetune=float, epochs_finetune=int,
                              hidden_dim=_at_least(1, "train.hidden_dim"))),
     "sources": ("sources", lambda value: [

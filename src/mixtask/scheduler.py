@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -31,12 +30,12 @@ class MiniBatch:
     sample_ids: tuple[str, ...]
     task_kind: TaskKind
     head_group: str
-    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    rows: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
         if not self.sample_ids:
             raise ValueError("mini-batch must be non-empty")
-        if self.rows is not None and len(self.rows) != len(self.sample_ids):
+        if len(self.rows) != len(self.sample_ids):
             raise ValueError("mini-batch rows must match its sample ids")
 
     def __len__(self) -> int:
@@ -48,14 +47,10 @@ BATCH_SIZE = 16
 
 @dataclass(frozen=True)
 class MixtureConfig:
-    """Knobs of the epoch planner.
-
-    batch_size may be a single int or a per-dataset mapping; unmapped
-    datasets fall back to the "*" entry or BATCH_SIZE.
-    """
+    """Knobs of the epoch planner. batch_size applies to every dataset."""
 
     alpha: float = 0.5
-    batch_size: int | dict = BATCH_SIZE
+    batch_size: int = BATCH_SIZE
     max_epoch: int = 20
     seed: int = 0
 
@@ -64,14 +59,12 @@ class MixtureConfig:
             raise ValueError(f"alpha must be finite and >= 0, not {self.alpha}")
         if self.max_epoch < 1:
             raise ValueError("max_epoch must be >= 1")
-        for size in [self.batch_size] if isinstance(self.batch_size, int) else self.batch_size.values():
-            if size < 1:
-                raise ValueError("batch_size must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
     def batch_size_for(self, dataset_name: str) -> int:
-        if isinstance(self.batch_size, int):
-            return self.batch_size
-        return self.batch_size.get(dataset_name, self.batch_size.get("*", BATCH_SIZE))
+        """The batch size of dataset_name: batch_size, as for every dataset."""
+        return self.batch_size
 
 
 @dataclass

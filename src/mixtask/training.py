@@ -1,11 +1,12 @@
 """Multi-task training with mixture-ratio epoch plans, plus per-task
-fine-tuning.
+fine-tuning, both run by one loop (_fit).
 
 One run is sequential and fully deterministic given (data, seeds, config).
-After every epoch the in-domain development sets are evaluated; the
-checkpoint returned is the one maximizing the selection metric (unweighted
-mean of per-dataset dev metrics: accuracy for classification, sign-accuracy
-for regression).
+After every epoch the dev sets are evaluated; the checkpoint returned is the
+one maximizing the selection metric (unweighted mean of per-dataset dev
+metrics: accuracy for classification, sign-accuracy for regression).
+Multi-task training never returns the untrained model; fine-tuning keeps its
+input model as an epoch-0 candidate, returned unless an epoch beats it.
 
 Each dataset's features are one matrix in sample order, taken from the
 caller's FeatureCache, and its labels or targets one array; a mini-batch is a
@@ -15,8 +16,8 @@ the same planner the schedule stage writes to disk for audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -115,9 +116,7 @@ def build_member_epoch_plan(
     in_batches: list[MiniBatch] = []
     ext_pool: list[MiniBatch] = []
     for task in tasks:
-        batches = partition_batches(
-            task.train, train_cfg.mixture.batch_size_for(task.name), partition_seed
-        )
+        batches = partition_batches(task.train, train_cfg.mixture.batch_size, partition_seed)
         (in_batches if task.train.role == "in_domain" else ext_pool).extend(batches)
     return build_epoch(
         in_batches, ext_pool, train_cfg.mixture.alpha, seed=run_seed, epoch_index=epoch
@@ -135,8 +134,6 @@ def _make_training_batch(
     batch: MiniBatch, features: np.ndarray, supervision: np.ndarray
 ) -> TrainingBatch:
     """Select the batch's rows from its dataset's features and supervision."""
-    if batch.rows is None:
-        raise ValueError(f"mini-batch of {batch.dataset_name!r} carries no row positions")
     rows = batch.rows
     gold = supervision[rows]
     classification = batch.task_kind.is_classification
@@ -150,14 +147,46 @@ def _make_training_batch(
     )
 
 
-def _eval_in_domain(
-    model, dev_sets: list[tuple[str, Dataset, np.ndarray, np.ndarray]]
-) -> tuple[dict, float]:
-    metrics = {
-        name: dev_metric(model, dev, features, gold) for name, dev, features, gold in dev_sets
-    }
-    selection = float(np.mean(list(metrics.values())))
-    return metrics, selection
+def _eval_dev(model, dev_sets: list[tuple[str, Dataset, np.ndarray, np.ndarray]]):
+    """Each dev set's metric, and their mean: the selection metric."""
+    metrics = {name: dev_metric(model, dev, feats, gold) for name, dev, feats, gold in dev_sets}
+    return metrics, float(np.mean(list(metrics.values())))
+
+
+def _fit(model: ToyModel, tasks: list[TaskData], dev_tasks: list[TaskData], epochs: int,
+         batches_of: Callable[[int], list[MiniBatch]], lr: float,
+         cache: Optional[FeatureCache], keep_input: bool) -> TrainResult:
+    """The one training loop: train model in place and return its best epoch.
+
+    Each epoch takes one grad_step per batch of batches_of(epoch) (rows of
+    tasks' train splits), then scores the dev split of each of dev_tasks.
+    The best epoch has the highest mean dev metric, the first one on ties;
+    the input model is an epoch-0 candidate only when keep_input is true.
+    """
+    for task in dev_tasks:
+        if len(task.dev) == 0:
+            raise ValueError(f"task {task.name!r} has an empty dev split")
+    source = model.source
+    cache = cache or FeatureCache([source])
+    train_sets = {t.name: (cache.lookup(t.train, source), _supervision(t.train)) for t in tasks}
+    dev_sets = [(t.name, t.dev, cache.lookup(t.dev, source), dev_gold(t.dev)) for t in dev_tasks]
+    initial_metrics, selection = _eval_dev(model, dev_sets)
+    best = Checkpoint(model.copy(), epoch=0, dev_metrics=initial_metrics,
+                      selection_value=selection) if keep_input else None
+    history: list[dict] = []
+    for epoch in range(1, epochs + 1):
+        batches = batches_of(epoch)
+        epoch_loss = 0.0
+        for batch in batches:
+            features, supervision = train_sets[batch.dataset_name]
+            epoch_loss += grad_step(model, _make_training_batch(batch, features, supervision), lr)
+        metrics, selection = _eval_dev(model, dev_sets)
+        history.append({"epoch": epoch, "train_loss": epoch_loss, "plan_length": len(batches),
+                        "dev_metrics": metrics, "selection": selection})
+        if best is None or selection > best.selection_value:
+            best = Checkpoint(model.copy(), epoch=epoch, dev_metrics=metrics,
+                              selection_value=selection)
+    return TrainResult(best=best, history=history, initial_metrics=initial_metrics)
 
 
 def train_multitask(
@@ -171,7 +200,7 @@ def train_multitask(
     Each epoch re-divides every dataset into fresh shuffled mini-batches,
     executes the epoch plan (all in-domain batches plus the sampled external
     ones), then evaluates every in-domain dev set. Requires at least one
-    in-domain task with a dev split.
+    in-domain task with a dev split. The untrained model is never returned.
     """
     in_domain = [t for t in tasks if t.train.role == "in_domain"]
     if not in_domain:
@@ -179,50 +208,15 @@ def train_multitask(
     if not any(t.dev is not None for t in in_domain):
         raise ValueError("need at least one in-domain task with a dev split")
 
-    cache = cache or FeatureCache([source])
     run_seed = config.mixture.seed
     model = ToyModel.create(source, _head_specs(tasks), config.hidden_dim, run_seed)
-
-    features = {t.name: cache.lookup(t.train, source) for t in tasks}
-    supervision = {t.name: _supervision(t.train) for t in tasks}
-    dev_sets = [
-        (t.name, t.dev, cache.lookup(t.dev, source), dev_gold(t.dev))
-        for t in in_domain
-        if t.dev is not None
-    ]
-    initial_metrics, _ = _eval_in_domain(model, dev_sets)
-
-    history: list[dict] = []
-    best: Optional[Checkpoint] = None
-    for epoch in range(1, config.mixture.max_epoch + 1):
-        plan = build_member_epoch_plan(tasks, config, epoch)
-        epoch_loss = 0.0
-        for batch in plan.batches:
-            name = batch.dataset_name
-            tb = _make_training_batch(batch, features[name], supervision[name])
-            epoch_loss += grad_step(model, tb, config.lr_multitask)
-
-        metrics, selection = _eval_in_domain(model, dev_sets)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss,
-                "plan_length": len(plan),
-                "dev_metrics": metrics,
-                "selection": selection,
-            }
-        )
-        if best is None or selection > best.selection_value:
-            best = Checkpoint(
-                model=model.copy(),
-                stage="multitask",
-                epoch=epoch,
-                dev_metrics=metrics,
-                selection_value=selection,
-                seeds={"run": run_seed},
-            )
-
-    return TrainResult(best=best, history=history, initial_metrics=initial_metrics)
+    result = _fit(
+        model, tasks, [t for t in in_domain if t.dev is not None], config.mixture.max_epoch,
+        lambda epoch: build_member_epoch_plan(tasks, config, epoch).batches,
+        config.lr_multitask, cache, keep_input=False,
+    )
+    result.best = replace(result.best, stage="multitask", seeds={"run": run_seed})
+    return result
 
 
 def fine_tune_task(
@@ -245,35 +239,12 @@ def fine_tune_task(
     if task.dev is None:
         raise ValueError(f"fine-tuning {task.name!r} requires a dev split")
 
-    source = checkpoint.model.source
-    cache = cache or FeatureCache([source])
     run_seed = checkpoint.seeds.get("run", 0)
-    features = cache.lookup(task.train, source)
-    supervision = _supervision(task.train)
-    dev_features = cache.lookup(task.dev, source)
-    gold = dev_gold(task.dev)
-
-    model = checkpoint.model.copy()
-    best_model = model.copy()
-    best_metric = dev_metric(model, task.dev, dev_features, gold)
-    best_epoch = 0
-    for epoch in range(1, config.epochs_finetune + 1):
-        seed = derive_seed(run_seed, "finetune", task.name, epoch)
-        for batch in partition_batches(task.train, config.mixture.batch_size_for(task.name), seed):
-            tb = _make_training_batch(batch, features, supervision)
-            grad_step(model, tb, config.lr_finetune)
-        metric = dev_metric(model, task.dev, dev_features, gold)
-        if metric > best_metric:
-            best_metric = metric
-            best_model = model.copy()
-            best_epoch = epoch
-
-    return Checkpoint(
-        model=best_model,
-        stage=f"finetune:{task.name}",
-        epoch=best_epoch,
-        dev_metrics={task.name: best_metric},
-        selection_value=best_metric,
-        config_hash=checkpoint.config_hash,
-        seeds=checkpoint.seeds,
-    )
+    best = _fit(
+        checkpoint.model.copy(), [task], [task], config.epochs_finetune,
+        lambda epoch: partition_batches(task.train, config.mixture.batch_size,
+                                        derive_seed(run_seed, "finetune", task.name, epoch)),
+        config.lr_finetune, cache, keep_input=True,
+    ).best
+    return replace(best, stage=f"finetune:{task.name}", config_hash=checkpoint.config_hash,
+                   seeds=checkpoint.seeds)

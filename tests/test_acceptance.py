@@ -118,7 +118,7 @@ def test_criterion_3_scheduler_plans():
         def batches(n, name):
             return [
                 MiniBatch(dataset_name=name, sample_ids=(f"{name}{i}",), task_kind=kind,
-                          head_group=name)
+                          head_group=name, rows=np.array([i]))
                 for i in range(n)
             ]
 

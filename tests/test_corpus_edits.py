@@ -95,6 +95,11 @@ def equal_eval_texts(corpus):
     edit_records(corpus, "toy_rqe__eval.jsonl", edit)
 
 
+def empty_rqe_dev(corpus):
+    """toy_rqe keeps its train and eval splits but has no dev samples."""
+    (corpus / "toy_rqe__dev.jsonl").write_text("")
+
+
 def non_ascii_text(corpus):
     for filename in ("toy_rqe__eval.jsonl", "toy_qa__eval.jsonl"):
         def edit(records):
@@ -110,6 +115,8 @@ def non_ascii_text(corpus):
     (manifest_without_section_header, "ingest"),
     (manifest_names_a_missing_file, "ingest"),
     (label_not_a_number, "ingest"),
+    pytest.param(empty_rqe_dev, "train",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     (same_ids_in_two_datasets, None),
     (incomplete_nli_triple, None),
     (premise_group_of_four, None),

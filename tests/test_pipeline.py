@@ -226,6 +226,22 @@ def test_only_run_stage_tags_a_stage_failure():
                         "_trained_experiment"}
 
 
+def test_one_training_loop_takes_every_gradient_step():
+    """grad_step is called from one library function: training._fit, the loop
+    that multi-task training and fine-tuning share."""
+    import ast
+
+    callers = []
+    for path in sorted(Path(mixtask.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            if any(isinstance(call, ast.Call) and "grad_step" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                   for call in ast.walk(function)):
+                callers.append(f"{path.stem}.{function.name}")
+    assert callers == ["training._fit"]
+
+
 def test_every_npy_read_refuses_pickles():
     """Every np.load call in the library passes allow_pickle=False, so no
     .npy file it reads can run code."""
@@ -372,14 +388,23 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("train", "lr_finetune"), float("-inf"),
      r"train: lr_finetune must be finite and > 0, not -inf"),
     (("train", "lr_finetune"), 0.0, r"train: lr_finetune must be finite and > 0, not 0\.0"),
+    (("train", "epochs_finetune"), [4], r"train: int\(\) argument must be .+, not 'list'"),
+    (("train", "hidden_dim"), [24], r"train: int\(\) argument must be .+, not 'list'"),
+    (("master_seed",), {"a": 1}, r"config: int\(\) argument must be .+, not 'dict'"),
+    (("random_split", "toy_pages", "eval_count"), [72],
+     r"random_split\.toy_pages: int\(\) argument must be .+, not 'list'"),
+    (("mixture", "alpha"), [0.5], r"mixture: float\(\) argument must be .+, not 'list'"),
+    (("mixture", "batch_size"), {"toy_nli": 8, "*": 32},
+     r"mixture: int\(\) argument must be .+, not 'dict'"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
     """A key no section declares, a section that is not a mapping, a source
     without a name, a list that is not a list of strings, a split recipe that
     is not a string, a flag that is not a bool, a source seed or dim out of
     range, a hidden_dim below 1, a negative member or question count, an
-    alpha or learning rate that is not finite or out of range and an
-    infinite integer each fail parsing (value None deletes the key)."""
+    alpha or learning rate that is not finite or out of range, an infinite
+    integer and a list or mapping where a number belongs each fail parsing
+    (value None deletes the key)."""
     import yaml
 
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
@@ -502,6 +527,26 @@ def test_cli_run_with_a_misspelled_key_exits_2(toy_corpus_dir, tmp_path, capsys)
     config.write_text(yaml.safe_dump(raw))
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == "[run] unknown key 'lr_multitsk' in train\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_split_with_a_mapping_batch_size_exits_2(toy_corpus_dir, tmp_path, capsys):
+    """mixture.batch_size is one integer; the per-dataset mapping it once
+    took is a config error naming its section."""
+    import re
+
+    import yaml
+
+    from mixtask import cli
+
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
+    raw["mixture"]["batch_size"] = {"toy_nli": 8, "*": 32}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert cli.main(["split", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"\[split\] mixture: int\(\) argument must be .+, not 'dict'\n", err)
     assert not (tmp_path / "run").exists()
 
 

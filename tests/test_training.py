@@ -136,3 +136,28 @@ def test_fine_tune_requires_matching_head():
     stranger.train.head_group = "unknown_head"
     with pytest.raises(ValueError, match="head"):
         fine_tune_task(ckpt, stranger, quick_config())
+
+
+def test_both_trainers_refuse_an_empty_dev_split():
+    task = nli_task(seed=15)
+    src = SourceSpec("fam", 5, 64)
+    ckpt = train_multitask([task], src, quick_config(epochs=1)).best
+    empty = TaskData(train=task.train, dev=task.dev.with_samples([]))
+    with pytest.raises(ValueError, match="^task 'nli' has an empty dev split$"):
+        train_multitask([empty], src, quick_config(epochs=1))
+    with pytest.raises(ValueError, match="^task 'nli' has an empty dev split$"):
+        fine_tune_task(ckpt, empty, quick_config())
+
+
+def test_selection_rules_when_no_epoch_changes_a_prediction():
+    """With a learning rate too small to change any prediction, every epoch
+    scores what the input scores. Multi-task training still returns epoch 1,
+    never the untrained model; fine-tuning returns its input, as epoch 0."""
+    task = nli_task(seed=16)
+    src = SourceSpec("fam", 5, 64)
+    result = train_multitask([task], src, quick_config(lr=1e-12, epochs=3))
+    assert [h["dev_metrics"] for h in result.history] == [result.initial_metrics] * 3
+    assert result.best.epoch == 1
+    tuned = fine_tune_task(result.best, task, quick_config(lr=1e-12))
+    assert tuned.epoch == 0
+    assert np.array_equal(tuned.model.params, result.best.model.params)
