@@ -195,7 +195,8 @@ def _built(section: str, cls: type, **settings):
 
 def _source(i: int, value) -> SourceEntry:
     settings = _keys(f"sources[{i}]", name=str, featurizer_seed=int, dim=int,
-                     members=_at_least(0, f"sources[{i}].members"), batch_size=int)(value)
+                     members=_at_least(0, f"sources[{i}].members"),
+                     batch_size=_at_least(1, f"sources[{i}].batch_size"))(value)
     if "name" not in settings:
         raise ValueError(f"sources[{i}] requires a name")
     settings.setdefault("featurizer_seed", derive_seed(0, "source", settings["name"]))
@@ -212,7 +213,8 @@ _TOP_KEYS = {
     "sources": ("sources", lambda value: [
         _source(i, entry) for i, entry in enumerate(_typed(list, "sources", value))]),
     "transforms": ("transforms", _by_name("transforms", partial(_typed, list, items=str))),
-    "negatives": ("negatives", _keys("negatives", "negatives_", per_positive=int)),
+    "negatives": ("negatives", _keys("negatives", "negatives_",
+                                     per_positive=_at_least(0, "negatives.per_positive"))),
     "splits": ("split_recipes", _by_name("splits", partial(_typed, str))),
     "random_split": ("random_split_counts", _by_name(
         "random_split", lambda section, counts: _keys(section, eval_count=int)(counts))),

@@ -7,16 +7,27 @@ tasks). Files are JSON-Lines, one sample per line; a plain-text manifest
 
 This module also holds the one codec for every artifact the pipeline
 writes: JSON-Lines records (`write_jsonl`, `read_jsonl`) and indented JSON
-documents (`write_json`, `read_json`), both with sorted keys.
+documents (`write_json`, `read_json`), both with sorted keys. The JSON-Lines
+reader reads a file whole and decodes each line with one `raw_decode`; a
+line that fails it, or holds more than one value, goes through `json.loads`,
+so every malformed line fails with the message `json.loads` gives.
+
+`load_dataset` takes an optional `DecodedSamples` memo, which maps the
+sha256 of a dataset file's bytes to the samples decoded from exactly those
+bytes, so a caller that loads the same bytes again skips decoding. The
+samples of a memo hit are shared with every other caller of that memo;
+without a memo, each call returns samples of its own.
 """
 from __future__ import annotations
 
 import configparser
+import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class DatasetFormatError(ValueError):
@@ -34,6 +45,11 @@ _OPTIONAL_KEYS = (
     "gold_relevance",
     "gold_rank",
     "source_tag",
+)
+# Every optional key of a record with its converter, in the order
+# _parse_record converts them: the first bad value names the error.
+_CONVERTERS = (("label", int), ("target_score", float)) + tuple(
+    (key, int if key in ("gold_relevance", "gold_rank") else str) for key in _OPTIONAL_KEYS
 )
 
 
@@ -215,18 +231,42 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     that is not a JSON object, and OSError when the file cannot be read.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    yield from _jsonl_records(path.read_bytes(), path)
+
+
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
+def _jsonl_records(raw: bytes, path: Path) -> Iterator[tuple[int, dict]]:
+    """read_jsonl over a file's bytes. A line ends where it would in a
+    text-mode file: at LF, CRLF or a lone CR."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        # decode chunk by chunk, as a text-mode file does, so that the lines
+        # before the bad byte's chunk are parsed first and the error names the
+        # byte's position within its chunk
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    else:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, end = _RAW_DECODE(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):  # invalid, BOM-led, or more than one value
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise DatasetFormatError(f"{path}:{line_no}: record must be a JSON object")
-            yield line_no, obj
+        if not isinstance(obj, dict):
+            raise DatasetFormatError(f"{path}:{line_no}: record must be a JSON object")
+        yield line_no, obj
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -244,18 +284,13 @@ def read_json(path: str | Path):
 
 
 def _parse_record(obj: dict, line_no: int, path: str) -> SamplePair:
+    get = obj.get
     try:
         sample = SamplePair(
-            id=str(obj["id"]),
-            text_a=str(obj["text_a"]),
-            text_b=str(obj["text_b"]),
-            label=None if obj.get("label") is None else int(obj["label"]),
-            target_score=None if obj.get("target_score") is None else float(obj["target_score"]),
+            str(obj["id"]), str(obj["text_a"]), str(obj["text_b"]),
+            **{key: convert(value) for key, convert in _CONVERTERS
+               if (value := get(key)) is not None},
         )
-        for key in _OPTIONAL_KEYS:
-            if obj.get(key) is not None:
-                convert = int if key in ("gold_relevance", "gold_rank") else str
-                setattr(sample, key, convert(obj[key]))
     except KeyError as exc:
         raise DatasetFormatError(f"{path}:{line_no}: missing required key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -269,19 +304,67 @@ def _parse_record(obj: dict, line_no: int, path: str) -> SamplePair:
     return sample
 
 
+def _decode_samples(raw: bytes, path: str | Path) -> list[SamplePair]:
+    """The samples of a dataset file's bytes, in file order."""
+    where = str(path)
+    return [_parse_record(obj, line_no, where) for line_no, obj in _jsonl_records(raw, Path(path))]
+
+
+class DecodedSamples:
+    """A memo of decoded dataset files: the sha256 of a file's bytes -> the
+    samples decoded from exactly those bytes.
+
+    It holds two generations, the current and the previous one, and
+    `next_generation` drops the previous one. A lookup that finds its bytes
+    in either generation keeps the entry in the current one, so the memo
+    holds what was loaded since the last `next_generation` call and in the
+    generation before it, nothing older. Only a decode stores an entry, and a
+    failed decode stores none. Every caller that hits an entry shares its
+    SamplePair objects, so those callers must never change a sample.
+    """
+
+    def __init__(self):
+        self._current: dict[bytes, tuple[SamplePair, ...]] = {}
+        self._previous: dict[bytes, tuple[SamplePair, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self._current.keys() | self._previous.keys())
+
+    def next_generation(self) -> None:
+        self._previous, self._current = self._current, {}
+
+    def samples(self, raw: bytes, decode: Callable[[], list[SamplePair]]) -> tuple[SamplePair, ...]:
+        """The samples of these bytes: a memo entry, else decode()."""
+        key = hashlib.sha256(raw).digest()
+        found = self._current.get(key)
+        if found is None:
+            found = self._previous.get(key)
+        if found is None:
+            found = tuple(decode())
+        self._current[key] = found
+        return found
+
+
 def load_dataset(
     path: str | Path,
     name: str,
     task_kind: TaskKind,
     role: str = "in_domain",
     head_group: str = "",
+    decoded: Optional[DecodedSamples] = None,
 ) -> Dataset:
     """Load a dataset from a JSON-Lines file, preserving file order.
 
     Raises DatasetFormatError on malformed records (with line number),
-    duplicate ids, or label/task mismatches.
+    duplicate ids, or label/task mismatches. Given a memo, samples decoded
+    from the same bytes before are reused (and shared); the Dataset is new
+    and validated under this call's task kind either way.
     """
-    samples = [_parse_record(obj, line_no, str(path)) for line_no, obj in read_jsonl(path)]
+    raw = Path(path).read_bytes()
+    if decoded is None:
+        samples = _decode_samples(raw, path)
+    else:
+        samples = list(decoded.samples(raw, lambda: _decode_samples(raw, path)))
     return Dataset(name=name, task_kind=task_kind, role=role, head_group=head_group, samples=samples)
 
 
@@ -345,23 +428,20 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def load_manifest_datasets(path: str | Path) -> dict[str, dict[str, Dataset]]:
-    """Load every dataset referenced by a manifest.
+def load_manifest_datasets(
+    path: str | Path, decoded: Optional[DecodedSamples] = None
+) -> dict[str, dict[str, Dataset]]:
+    """Load every dataset referenced by a manifest, through the memo if given.
 
     Returns {dataset_name: {"train": Dataset, "dev": Dataset?, "eval": Dataset?}}.
     """
     bundles: dict[str, dict[str, Dataset]] = {}
     for entry in read_manifest(path):
-        bundle = {
-            "train": load_dataset(entry.path, entry.name, entry.task_kind, entry.role, entry.head_group)
-        }
+        meta = (entry.name, entry.task_kind, entry.role, entry.head_group)
+        bundle = {"train": load_dataset(entry.path, *meta, decoded=decoded)}
         if entry.dev_path:
-            bundle["dev"] = load_dataset(
-                entry.dev_path, entry.name, entry.task_kind, entry.role, entry.head_group
-            )
+            bundle["dev"] = load_dataset(entry.dev_path, *meta, decoded=decoded)
         if entry.eval_path:
-            bundle["eval"] = load_dataset(
-                entry.eval_path, entry.name, entry.task_kind, entry.role, entry.head_group
-            )
+            bundle["eval"] = load_dataset(entry.eval_path, *meta, decoded=decoded)
         bundles[entry.name] = bundle
     return bundles

@@ -213,9 +213,11 @@ class FeatureCache:
     the cache, so a token is hashed once per source. The cache keeps each
     Dataset object it has served with its rows, so a second lookup of it
     hashes no sample; the library never changes a Dataset's samples after
-    building it. A cache keeps every matrix it has built until it is
-    dropped; `save` writes it out and `load` opens a saved one, which then
-    featurizes only rows it does not hold.
+    building it, nor a SamplePair (which also lets the pipeline's memo of
+    decoded samples hand one stage's samples to the next). A cache keeps
+    every matrix it has built until it is dropped; `save` writes it out and
+    `load` opens a saved one, which then featurizes only rows it does not
+    hold.
     """
 
     def __init__(self, sources: Sequence[SourceSpec]):

@@ -292,3 +292,13 @@ def save_ensemble_outputs(outputs: Iterable[EnsembleOutput], path: str | Path) -
          "question_id": out.question_id}
         for out in outputs
     ))
+
+
+def save_rankings(ranked: Iterable[RankedAnswerList], path: str | Path) -> None:
+    """JSON-Lines: one record per answer, questions in the given order and
+    each question's answers in rank order, rank counting from 1."""
+    write_jsonl(path, (
+        {"question_id": r.question_id, "sample_id": a.answer_id, "label": a.label,
+         "score": a.score, "rank": position}
+        for r in ranked for position, a in enumerate(r.answers, start=1)
+    ))

@@ -5,7 +5,17 @@ predict -> ensemble -> rank -> evaluate. Each stage reads earlier stages'
 artifacts from the output directory and writes its own, so any stage can be
 re-run independently. run_stage hands each stage a StageRun, its only reader
 of upstream artifacts: each upstream index and dataset file is read once,
-and an unreadable one fails the stage with "re-run <producer>". run_stage is
+and an unreadable one fails the stage with "re-run <producer>". A stage
+decodes a dataset file only when neither it nor the stage before it in this
+process decoded the same bytes: `_DECODED` maps the sha256 of each file's
+bytes to the samples decoded from them, and run_stage starts a new
+generation and drops the one before the last, so it holds at most two
+consecutive stages' reads. A hit is exact: it is keyed by the bytes on disk
+now, only a successful decode stores an entry, and the hit is built into a
+new Dataset under the reading stage's metadata and validated again. Stages
+never change a SamplePair after building it (the same invariant
+FeatureCache relies on), so sharing the samples is safe. A stage run alone
+(`mixtask <stage>`) decodes everything it reads. run_stage is
 the one place that tags a failure with its stage. It writes the stage's
 index.json, the one record of the stage: the config it ran with, its
 payload, and under "inputs" the sha256 of each upstream index read; a reader
@@ -31,6 +41,7 @@ from .config import PipelineConfig
 from .corpus import apply_qa_modified_scores, apply_split_recipe, cv_folds, medquad_negative_sample
 from .data import (
     Dataset,
+    DecodedSamples,
     TaskKind,
     load_dataset,
     load_manifest_datasets,
@@ -38,7 +49,6 @@ from .data import (
     read_jsonl,
     save_samples,
     write_json,
-    write_jsonl,
 )
 from .featurize import FeatureCache
 from .inference import (
@@ -50,6 +60,7 @@ from .inference import (
     rank_answers,
     save_ensemble_outputs,
     save_prediction_set,
+    save_rankings,
     select_members,
 )
 from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive, ranking_gold
@@ -59,6 +70,11 @@ from .seeding import derive_seed
 from .training import TaskData, build_member_epoch_plan, dev_gold, fine_tune_task, train_multitask
 
 SCHEMA_VERSION = 1
+
+# Samples decoded from dataset files by the current and the previous stage of
+# this process, by the sha256 of each file's bytes: run_stage starts a new
+# generation per stage, so a stage reuses what the stage before it decoded.
+_DECODED = DecodedSamples()
 
 
 class PipelineStageError(RuntimeError):
@@ -96,8 +112,10 @@ def _save_datasets(
 class StageRun:
     """One run of one stage: `dir`, where it writes, and the only reader of
     upstream artifacts. Each index, dataset file and checkpoint is read at most
-    once, so members share one Dataset per file. `inputs` maps each index read to the
-    sha256 of its bytes; a failed read fails the stage with "re-run <producer>".
+    once, so members share one Dataset per file. A dataset file's samples come
+    from `_DECODED` when this stage or the one before it decoded the same
+    bytes. `inputs` maps each index read to the sha256 of its bytes; a
+    failed read fails the stage with "re-run <producer>".
     """
 
     def __init__(self, cfg: PipelineConfig, out_dir: Path, stage: str):
@@ -149,7 +167,7 @@ class StageRun:
                 kind = TaskKind.parse(entry["task_kind"])
                 self._datasets[producer, filename] = load_dataset(
                     self.out_dir / producer / filename, name, kind, entry["role"],
-                    entry["head_group"],
+                    entry["head_group"], decoded=_DECODED,
                 )
         return self._datasets[producer, filename]
 
@@ -249,7 +267,8 @@ class StageRun:
 
 def stage_ingest(run: StageRun) -> dict:
     """Load and validate every manifest dataset; write normalized copies."""
-    return {"datasets": _save_datasets(run.dir, load_manifest_datasets(run.cfg.manifest_path))}
+    bundles = load_manifest_datasets(run.cfg.manifest_path, decoded=_DECODED)
+    return {"datasets": _save_datasets(run.dir, bundles)}
 
 
 def _check_names(run: StageRun, kind: str, known, **config_entries) -> None:
@@ -487,12 +506,8 @@ def stage_rank(run: StageRun) -> dict:
                     (sample_id, rec["label"], rec["score"])
                 )
         filename = f"{task_name}.jsonl"
-        ranked = (rank_answers(q, by_question[q]) for q in sorted(by_question))
-        write_jsonl(run.dir / filename, (
-            {"question_id": r.question_id, "sample_id": a.answer_id, "label": a.label,
-             "score": a.score, "rank": position}
-            for r in ranked for position, a in enumerate(r.answers, start=1)
-        ))
+        save_rankings((rank_answers(q, by_question[q]) for q in sorted(by_question)),
+                      run.dir / filename)
         rank_meta[task_name] = {"file": filename, "n_questions": len(by_question)}
     return {"rankings": rank_meta}
 
@@ -556,7 +571,8 @@ STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
-    """Run one stage: empty its directory, let it write its artifacts, then
+    """Run one stage: start a new generation of the decoded-sample memo,
+    empty the stage's directory, let it write its artifacts, then
     write its index.json, the stage's one record (header, the config itself,
     payload, inputs), whole and renamed into place. No stage reads its own
     directory, so a re-run leaves no file of an earlier run behind. This is the
@@ -565,6 +581,7 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
     """
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
+    _DECODED.next_generation()
     run = StageRun(cfg, Path(out_dir), name)
     try:
         if run.dir.exists():

@@ -189,3 +189,65 @@ def test_json_writer_renames_a_whole_file_into_place(tmp_path):
     assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=2)
     assert data.read_json(path) == doc
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def _reference_read_jsonl(path):
+    """The line-by-line json.loads reader the codec's decoder must match."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise DatasetFormatError(f"{path}:{line_no}: record must be a JSON object")
+            yield line_no, obj
+
+
+def _outcome(read):
+    """("ok", the records as canonical JSON, NaN included) or (error type, message)."""
+    try:
+        return "ok", json.dumps(read(), sort_keys=True)
+    except (DatasetFormatError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_SAMPLE = '{"id": "s%d", "target_score": 0.5, "text_a": "premise %d", "text_b": "question"}'
+_FILLER = "".join(_SAMPLE % (i, i) + "\n" for i in range(200)).encode("utf-8")  # > 8 KiB
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"id": "s0", "text_a": "x", "text_b": "y", "target_score": 0.5\n',
+                 id="truncated-object"),
+    pytest.param(b'{"a": 1} x\n', id="trailing-text"),
+    pytest.param((_SAMPLE % (0, 0) + " " + _SAMPLE % (1, 1) + "\n").encode(), id="two-objects"),
+    pytest.param(b"\xef\xbb\xbf" + (_SAMPLE % (0, 0) + "\n").encode(), id="bom-led-line"),
+    pytest.param(b"[1]\n", id="array"),
+    pytest.param(b"\n  \n\t\n" + (_SAMPLE % (0, 0) + "\n \n").encode() + b"\x0c\n",
+                 id="whitespace-only-lines"),
+    pytest.param((_SAMPLE % (0, 0) + "\r\n" + _SAMPLE % (1, 1) + "\r\n").encode(), id="crlf"),
+    pytest.param((_SAMPLE % (0, 0) + "\r" + _SAMPLE % (1, 1)).encode(), id="lone-cr"),
+    pytest.param(b'{"id": "s0", "text_a": "x", "text_b": "y", "target_score": NaN}\n',
+                 id="nan-score"),
+    pytest.param(_FILLER + b'{"id": "bad \xff"}\n', id="invalid-utf8-after-first-chunk"),
+    pytest.param(b"not json\n" + _FILLER + b"\xff\n", id="invalid-json-before-invalid-utf8"),
+    pytest.param(b'{"id": "\xe2\x82"}\n', id="invalid-utf8-in-first-chunk"),
+])
+def test_decoder_matches_the_json_loads_reader(tmp_path, content):
+    """read_jsonl and load_dataset, with and without a memo, give the records
+    and the path:line errors of a line-by-line json.loads reader."""
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(content)
+    expected = _outcome(lambda: [rec for _, rec in _reference_read_jsonl(path)])
+    assert _outcome(lambda: [rec for _, rec in data.read_jsonl(path)]) == expected
+    assert _outcome(lambda: list(data.read_jsonl(path))) == _outcome(
+        lambda: list(_reference_read_jsonl(path)))
+    kind = TaskKind.parse("regression")
+    for memo in (None, data.DecodedSamples()):
+        loaded = _outcome(lambda: [s.to_record() for s in load_dataset(path, "fix", kind,
+                                                                       decoded=memo)])
+        assert loaded == expected
+        assert not memo or len(memo) == (expected[0] == "ok")

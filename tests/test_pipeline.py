@@ -396,6 +396,9 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("mixture", "alpha"), [0.5], r"mixture: float\(\) argument must be .+, not 'list'"),
     (("mixture", "batch_size"), {"toy_nli": 8, "*": 32},
      r"mixture: int\(\) argument must be .+, not 'dict'"),
+    (("sources", 0, "batch_size"), 0, r"sources\[0\]\.batch_size must be >= 1, not 0"),
+    (("sources", 0, "batch_size"), -4, r"sources\[0\]\.batch_size must be >= 1, not -4"),
+    (("negatives", "per_positive"), -1, r"negatives\.per_positive must be >= 0, not -1"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
     """A key no section declares, a section that is not a mapping, a source
@@ -403,8 +406,9 @@ def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, mes
     is not a string, a flag that is not a bool, a source seed or dim out of
     range, a hidden_dim below 1, a negative member or question count, an
     alpha or learning rate that is not finite or out of range, an infinite
-    integer and a list or mapping where a number belongs each fail parsing
-    (value None deletes the key)."""
+    integer, a list or mapping where a number belongs, a source batch size
+    below 1 and a negative negatives count each fail parsing (value None
+    deletes the key)."""
     import yaml
 
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
@@ -943,3 +947,118 @@ def test_finetune_writes_only_models_it_changed(toy_run_dir):
     entries = read_index(toy_run_dir, "finetune")["finetuned"]
     assert len(entries) == len(tuned)
     assert all(entry["provenance"]["epoch"] >= 1 for entry in entries.values())
+
+
+# -- decoded samples handed from stage to stage ------------------------------------
+
+
+def test_train_decodes_a_split_file_rewritten_after_schedule(toy_corpus_dir, tmp_path,
+                                                             monkeypatch):
+    """The memo is keyed by a file's bytes, not its name or size: a split file
+    rewritten between schedule and train with other bytes of the same length
+    reaches train as its new content."""
+    from mixtask import pipeline
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    run = tmp_path / "run"
+    for stage in STAGES[: STAGES.index("schedule") + 1]:
+        run_stage(stage, cfg, run)
+    assert len(pipeline._DECODED) > 0
+    path = run / "split" / "toy_rqe__train.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["text_a"] = ("z" if record["text_a"][0] != "z" else "y") + record["text_a"][1:]
+    lines[0] = json.dumps(record, sort_keys=True) + "\n"
+    rewritten = "".join(lines).encode("utf-8")
+    assert len(rewritten) == path.stat().st_size and rewritten != path.read_bytes()
+    path.write_bytes(rewritten)
+
+    seen, real_train = [], pipeline.train_multitask
+
+    def recording_train(tasks, *args, **kwargs):
+        seen.append({t.name: t.train.samples[0].text_a for t in tasks}["toy_rqe"])
+        return real_train(tasks, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_multitask", recording_train)
+    run_stage("train", cfg, run)
+    assert seen == [record["text_a"]] * len(cfg.member_plan())
+
+
+def test_a_memo_hit_is_validated_under_the_callers_task_kind(tmp_path, monkeypatch):
+    from mixtask import data
+
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"s{i}", "text_a": "a", "text_b": "b", "label": i}) + "\n"
+        for i in range(3)), encoding="utf-8")
+    decodes, real_decode = [], data._decode_samples
+
+    def counting_decode(raw, where):
+        decodes.append(where)
+        return real_decode(raw, where)
+
+    monkeypatch.setattr(data, "_decode_samples", counting_decode)
+    memo = data.DecodedSamples()
+    three = data.TaskKind.parse("classification:3")
+    first = data.load_dataset(path, "fix", three, decoded=memo)
+    with pytest.raises(data.DatasetFormatError, match="label 2 out of range for 2 classes"):
+        data.load_dataset(path, "fix", data.TaskKind.parse("classification:2"), decoded=memo)
+    with pytest.raises(data.DatasetFormatError, match="regression dataset 'fix' requires"):
+        data.load_dataset(path, "fix", data.TaskKind.parse("regression"), decoded=memo)
+    again = data.load_dataset(path, "other", three, "external", "shared", decoded=memo)
+    assert len(decodes) == 1
+    assert (again.name, again.role, again.head_group) == ("other", "external", "shared")
+    assert again.samples is not first.samples and again.samples == first.samples
+
+
+def test_the_memo_holds_only_the_last_two_stages_reads(toy_corpus_dir, toy_run_dir, tmp_path):
+    """run_stage starts a new generation per stage: after two stages that
+    load no dataset file (rank twice), the memo is empty."""
+    from mixtask import pipeline
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    run_stage("evaluate", cfg, run)
+    assert len(pipeline._DECODED) > 0
+    run_stage("rank", cfg, run)
+    assert len(pipeline._DECODED) > 0
+    run_stage("rank", cfg, run)
+    assert len(pipeline._DECODED) == 0
+
+
+def test_loads_without_a_memo_share_no_sample(tmp_path):
+    from mixtask.data import TaskKind, load_dataset
+
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"s{i}", "text_a": "a", "text_b": "b", "target_score": 0.5}) + "\n"
+        for i in range(4)), encoding="utf-8")
+    first, second = (load_dataset(path, "fix", TaskKind.parse("regression")) for _ in range(2))
+    assert first.samples == second.samples
+    assert not any(a is b for a, b in zip(first.samples, second.samples))
+
+
+def test_train_finetune_and_ensemble_decode_no_dataset_row(toy_corpus_dir, tmp_path,
+                                                           monkeypatch):
+    """In one run, each stage decodes only files whose bytes neither it nor
+    the stage before it has decoded: train, finetune and ensemble read only
+    files the stage before them read."""
+    from mixtask import data, pipeline
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    current, calls = [None], Counter()
+    real_run_stage, real_decode = pipeline.run_stage, data._decode_samples
+
+    def recording_run_stage(name, *args):
+        current[0] = name
+        return real_run_stage(name, *args)
+
+    def counting_decode(raw, path):
+        calls[current[0]] += 1
+        return real_decode(raw, path)
+
+    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(data, "_decode_samples", counting_decode)
+    pipeline.run_pipeline(cfg, tmp_path / "run", quiet=True)
+    assert calls["schedule"] > 0
+    assert [stage for stage in ("train", "finetune", "ensemble") if calls[stage]] == []
