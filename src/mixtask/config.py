@@ -98,7 +98,7 @@ class PipelineConfig:
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "PipelineConfig":
         """Parse a config mapping. Raises ValueError on a missing required
         key, an unknown key or an invalid value."""
-        settings = _section("config", _TOP_KEYS, raw)
+        settings = _section(_TOP_KEYS, "config", raw)
         for section in ("negatives", "reshuffle", "cv"):
             settings.update(settings.pop(section, {}))
         for key, what in (("master_seed", "master_seed"), ("manifest_path", "a manifest path")):
@@ -151,37 +151,50 @@ def _typed(kind: type, section: str, value, items: Optional[type] = None):
     return list(value) if items else value
 
 
-def _section(section: str, keys: dict[str, tuple[str, Callable]], value) -> dict:
+def _section(keys: dict[str, tuple[str, Callable]], section: str, value) -> dict:
     """The fields one section sets. keys maps each key the section may have
-    to the field it sets and its converter."""
+    to the field it sets and its converter, which takes the key's path
+    ("<section>.<key>", or the key alone at the top level) and its value and
+    names that path in its errors."""
     for key in _typed(dict, section, value):
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {section}")
-    try:
-        return {keys[key][0]: keys[key][1](item) for key, item in value.items() if item is not None}
-    except (OverflowError, TypeError) as exc:  # int() of an infinite float, a list or a mapping
-        raise ValueError(f"{section}: {exc}") from None
+    prefix = "" if section == "config" else f"{section}."
+    return {keys[key][0]: keys[key][1](prefix + key, item)
+            for key, item in value.items() if item is not None}
 
 
-def _keys(section: str, prefix: str = "", **converters: Callable) -> Callable[[object], dict]:
+def _keys(prefix: str = "", **converters: Callable) -> Callable[[str, object], dict]:
     """Converter of a section whose keys set the fields named prefix + key."""
-    keys = {key: (prefix + key, convert) for key, convert in converters.items()}
-    return partial(_section, section, keys)
+    return partial(_section, {key: (prefix + key, convert) for key, convert in converters.items()})
 
 
-def _by_name(section: str, convert: Callable) -> Callable[[object], dict]:
+def _by_name(convert: Callable) -> Callable[[str, object], dict]:
     """Converter of a section keyed by dataset or task names, which the stage
-    that reads it checks; convert takes an entry's section name and value."""
-    return lambda value: {name: convert(f"{section}.{name}", item)
-                          for name, item in _typed(dict, section, value).items()}
+    that reads it checks; convert takes an entry's path and value."""
+    return lambda section, value: {name: convert(f"{section}.{name}", item)
+                                   for name, item in _typed(dict, section, value).items()}
 
 
-def _at_least(least: int, key: str) -> Callable[[object], int]:
+def _plain(kind: Callable) -> Callable[[str, object], object]:
+    """Converter by kind(value), such as int or float, whose error names the
+    key: a string that is no number, an infinite float for an integer, or a
+    list or mapping where a number belongs."""
+    def convert(key: str, value):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError, TypeError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return convert
+
+
+def _at_least(least: int) -> Callable[[str, object], int]:
     """Converter of an integer key that must be >= least."""
-    def convert(value) -> int:
-        if int(value) < least:
+    def convert(key: str, value) -> int:
+        number = _plain(int)(key, value)
+        if number < least:
             raise ValueError(f"{key} must be >= {least}, not {value}")
-        return int(value)
+        return number
     return convert
 
 
@@ -193,39 +206,34 @@ def _built(section: str, cls: type, **settings):
         raise ValueError(f"{section}: {exc}") from None
 
 
-def _source(i: int, value) -> SourceEntry:
-    settings = _keys(f"sources[{i}]", name=str, featurizer_seed=int, dim=int,
-                     members=_at_least(0, f"sources[{i}].members"),
-                     batch_size=_at_least(1, f"sources[{i}].batch_size"))(value)
+def _source(section: str, value) -> SourceEntry:
+    settings = _keys(name=_plain(str), featurizer_seed=_plain(int), dim=_plain(int),
+                     members=_at_least(0), batch_size=_at_least(1))(section, value)
     if "name" not in settings:
-        raise ValueError(f"sources[{i}] requires a name")
+        raise ValueError(f"{section} requires a name")
     settings.setdefault("featurizer_seed", derive_seed(0, "source", settings["name"]))
     entry = {f.name: settings.pop(f.name) for f in fields(SourceEntry) if f.name in settings}
-    return SourceEntry(_built(f"sources[{i}]", SourceSpec, **settings), **entry)
+    return SourceEntry(_built(section, SourceSpec, **settings), **entry)
 
 
 _TOP_KEYS = {
-    "master_seed": ("master_seed", int),
-    "manifest": ("manifest_path", Path),
-    "mixture": ("mixture", _keys("mixture", alpha=float, max_epoch=int, batch_size=int)),
-    "train": ("train", _keys("train", lr_multitask=float, lr_finetune=float, epochs_finetune=int,
-                             hidden_dim=_at_least(1, "train.hidden_dim"))),
-    "sources": ("sources", lambda value: [
-        _source(i, entry) for i, entry in enumerate(_typed(list, "sources", value))]),
-    "transforms": ("transforms", _by_name("transforms", partial(_typed, list, items=str))),
-    "negatives": ("negatives", _keys("negatives", "negatives_",
-                                     per_positive=_at_least(0, "negatives.per_positive"))),
-    "splits": ("split_recipes", _by_name("splits", partial(_typed, str))),
-    "random_split": ("random_split_counts", _by_name(
-        "random_split", lambda section, counts: _keys(section, eval_count=int)(counts))),
-    "reshuffle": ("reshuffle", _keys("reshuffle", "reshuffle_",
-                                     dev_questions=_at_least(0, "reshuffle.dev_questions"),
-                                     tagged_questions=_at_least(0, "reshuffle.tagged_questions"),
-                                     tag=str)),
-    "cv": ("cv", _keys("cv", "cv_", enabled=partial(_typed, bool, "cv.enabled"), task=str,
-                       folds=int, finetune_members=partial(_typed, bool, "cv.finetune_members"))),
-    "thresholds": ("thresholds", _by_name("thresholds", lambda _, value: float(value))),
-    "ranking": ("ranking_tasks", partial(_typed, list, "ranking", items=str)),
-    "constrained_triples": ("constrained_triple_tasks",
-                            partial(_typed, list, "constrained_triples", items=str)),
+    "master_seed": ("master_seed", _plain(int)),
+    "manifest": ("manifest_path", _plain(Path)),
+    "mixture": ("mixture", _keys(alpha=_plain(float), max_epoch=_plain(int),
+                                 batch_size=_plain(int))),
+    "train": ("train", _keys(lr_multitask=_plain(float), lr_finetune=_plain(float),
+                             epochs_finetune=_plain(int), hidden_dim=_at_least(1))),
+    "sources": ("sources", lambda key, value: [
+        _source(f"{key}[{i}]", entry) for i, entry in enumerate(_typed(list, key, value))]),
+    "transforms": ("transforms", _by_name(partial(_typed, list, items=str))),
+    "negatives": ("negatives", _keys("negatives_", per_positive=_at_least(0))),
+    "splits": ("split_recipes", _by_name(partial(_typed, str))),
+    "random_split": ("random_split_counts", _by_name(_keys(eval_count=_plain(int)))),
+    "reshuffle": ("reshuffle", _keys("reshuffle_", dev_questions=_at_least(0),
+                                     tagged_questions=_at_least(0), tag=_plain(str))),
+    "cv": ("cv", _keys("cv_", enabled=partial(_typed, bool), task=_plain(str),
+                       folds=_plain(int), finetune_members=partial(_typed, bool))),
+    "thresholds": ("thresholds", _by_name(_plain(float))),
+    "ranking": ("ranking_tasks", partial(_typed, list, items=str)),
+    "constrained_triples": ("constrained_triple_tasks", partial(_typed, list, items=str)),
 }

@@ -15,14 +15,18 @@ Two member pools are supported:
   vote tie that the summed-probability tie-break resolves correctly. A
   single-source ensemble cannot recover those samples. Needs >= 3 classes.
 
-* trained toy models: >= 3 members per configured source family, trained on
-  the configured corpus through the pipeline's ingest, transform and split
-  stages, predict the first in-domain classification task's eval split.
+* trained toy models: >= 3 base members per configured source family. The
+  pipeline's ingest, transform, split, train, finetune and predict stages run
+  on the configured corpus under a derived config with cross validation off
+  and zero fine-tuning epochs, so each member predicts from its multi-task
+  checkpoint. The members' prediction sets for the first in-domain
+  classification task's eval split are compared.
 
 run_multisource_experiment runs either and writes experiment_report.json.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,12 +35,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .data import TaskKind, write_json
-from .featurize import FeatureCache
-from .inference import PredictionSet, combine_predictions, predict_dataset
+from .inference import PredictionSet, combine_predictions
 from .metrics import accuracy
 from .pipeline import PipelineStageError, StageRun, run_stage
 from .seeding import derive_rng, derive_seed
-from .training import train_multitask
 
 
 @dataclass(frozen=True)
@@ -311,10 +313,15 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
                 "experiment",
                 f"source {entry.spec.name!r} has {entry.members} members, needs >= 3",
             )
+    raw = copy.deepcopy(cfg.raw)
+    raw["cv"] = {**(raw.get("cv") or {}), "enabled": False}
+    raw["train"] = {**(raw.get("train") or {}), "epochs_finetune": 0}
+    raw["manifest"] = str(cfg.manifest_path)
+    members_cfg = PipelineConfig.from_dict(raw)
     work = out_dir / "trained_members"
-    for stage in ("ingest", "transform", "split"):
-        run_stage(stage, cfg, work)
-    run = StageRun(cfg, work, "experiment")
+    for stage in ("ingest", "transform", "split", "train", "finetune", "predict"):
+        run_stage(stage, members_cfg, work)
+    run = StageRun(members_cfg, work, "experiment")
     task_name = next(
         (n for n, entry in sorted(run.index("split")["datasets"].items())
          if entry["role"] == "in_domain" and TaskKind.parse(entry["task_kind"]).is_classification),
@@ -323,25 +330,15 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
     if task_name is None:
         raise PipelineStageError("experiment", "no in-domain classification task to compare on")
     eval_set = run.eval_set(task_name)
+    if eval_set is None:
+        raise PipelineStageError("experiment", f"task {task_name!r} has no eval or dev split")
     gold = {s.id: s.label for s in eval_set}
 
-    cache = FeatureCache(cfg.member_sources())
+    predictions = run.index("predict")["predictions"]
     families: dict[str, list[PredictionSet]] = {}
-    for member in cfg.member_plan():
-        if member["fold"] is not None:
-            continue
-        spec = member["source"].spec
-        train_cfg = cfg.member_train_config(member)
-        result = train_multitask(run.member_tasks(member), spec, train_cfg, cache=cache)
-        families.setdefault(spec.name, []).append(
-            PredictionSet(
-                model_id=member["member_id"],
-                task=task_name,
-                kind="classification",
-                predictions=predict_dataset(
-                    result.best.model, eval_set, cache.lookup(eval_set, spec)
-                ),
-                dev_metric=100.0 * result.best.selection_value,
-            )
+    for member in members_cfg.member_plan():
+        entry = predictions[f"{member['member_id']}/{task_name}"]
+        families.setdefault(member["source"].spec.name, []).append(
+            run.prediction_set(entry["file"], task_name, gold.keys())
         )
     return summarize_trials([compare_groupings(families, gold, trial=0)])

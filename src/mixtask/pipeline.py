@@ -576,8 +576,9 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
     write its index.json, the stage's one record (header, the config itself,
     payload, inputs), whole and renamed into place. No stage reads its own
     directory, so a re-run leaves no file of an earlier run behind. This is the
-    one place that tags a failure: a ValueError, FloatingPointError or OSError
-    escaping the stage becomes PipelineStageError(name, ...).
+    one place that tags a failure: a ValueError, FloatingPointError, OSError or
+    MemoryError (a model or feature matrix too large to allocate) escaping the
+    stage becomes PipelineStageError(name, ...).
     """
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
@@ -593,7 +594,7 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
             "schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash,
             "master_seed": cfg.master_seed, "config": cfg.raw, "stage": name, **payload, **inputs,
         })
-    except (ValueError, FloatingPointError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         raise PipelineStageError(name, str(exc)) from exc
 
 

@@ -44,6 +44,20 @@ class MiniBatch:
 
 BATCH_SIZE = 16
 
+# Largest mixture ratio. An epoch holds alpha external batches per in-domain
+# batch, so at 100 the in-domain task is under 1% of every epoch: no useful
+# ratio lies above it (the recipe uses 0.5). The bound keeps an epoch at
+# most 101 times its in-domain batch count, so a value such as 1e300 fails
+# at parse time instead of planning an epoch that never ends.
+MAX_ALPHA = 100
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, not {alpha}")
+    if alpha > MAX_ALPHA:
+        raise ValueError(f"alpha must be <= {MAX_ALPHA}, not {alpha}")
+
 
 @dataclass(frozen=True)
 class MixtureConfig:
@@ -55,8 +69,7 @@ class MixtureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, not {self.alpha}")
+        _check_alpha(self.alpha)
         if self.max_epoch < 1:
             raise ValueError("max_epoch must be >= 1")
         if self.batch_size < 1:
@@ -142,8 +155,7 @@ def build_epoch(
     """
     if not in_domain_batches:
         raise ValueError("in-domain batch list must be non-empty")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and >= 0, not {alpha}")
+    _check_alpha(alpha)
     n = len(in_domain_batches)
     n_external = math.floor(alpha * n) if external_batches else 0
     rng = derive_rng(seed, "epoch", epoch_index)

@@ -199,6 +199,24 @@ def test_only_stage_run_reads_artifacts():
     }
 
 
+def test_a_failed_allocation_is_a_tagged_stage_error(
+    toy_corpus_dir, toy_run_dir, tmp_path, monkeypatch, capsys
+):
+    """A model or feature matrix too large to allocate (say train.hidden_dim
+    of 10**12) fails its stage with exit 1, not with an untagged traceback.
+    The failed allocation is simulated: no test allocates that much."""
+    from mixtask import cli, pipeline
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    monkeypatch.setattr(pipeline, "train_multitask", too_large)
+    assert cli.main(["train", "--config", str(toy_corpus_dir / "config.yaml"),
+                     "--out", str(run)]) == 1
+    assert capsys.readouterr().err == "[train] Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_only_run_stage_tags_a_stage_failure():
     """No module catches every exception, and a PipelineStageError is built
     only by run_stage, StageRun.error and the experiment functions: a stage
@@ -226,20 +244,29 @@ def test_only_run_stage_tags_a_stage_failure():
                         "_trained_experiment"}
 
 
-def test_one_training_loop_takes_every_gradient_step():
-    """grad_step is called from one library function: training._fit, the loop
-    that multi-task training and fine-tuning share."""
+def test_one_library_caller_per_training_and_prediction_entry_point():
+    """Each entry point of training and prediction has one library caller:
+    grad_step is called only by training._fit, the loop that multi-task
+    training and fine-tuning share, and train_multitask, fine_tune_task and
+    predict_dataset only by their pipeline stage, which the trained
+    experiment runs instead of a path of its own."""
     import ast
 
-    callers = []
+    only_caller = {
+        "grad_step": "training._fit",
+        "train_multitask": "pipeline.stage_train",
+        "fine_tune_task": "pipeline.stage_finetune",
+        "predict_dataset": "pipeline.stage_predict",
+    }
+    callers = {callee: [] for callee in only_caller}
     for path in sorted(Path(mixtask.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
-            if any(isinstance(call, ast.Call) and "grad_step" in (
-                    getattr(call.func, "id", None), getattr(call.func, "attr", None))
-                   for call in ast.walk(function)):
-                callers.append(f"{path.stem}.{function.name}")
-    assert callers == ["training._fit"]
+            called = {name for call in ast.walk(function) if isinstance(call, ast.Call)
+                      for name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
+            for callee in called & only_caller.keys():
+                callers[callee].append(f"{path.stem}.{function.name}")
+    assert callers == {callee: [caller] for callee, caller in only_caller.items()}
 
 
 def test_every_npy_read_refuses_pickles():
@@ -380,7 +407,8 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("mixture", "alpha"), float("nan"), r"mixture: alpha must be finite and >= 0, not nan"),
     (("mixture", "alpha"), float("inf"), r"mixture: alpha must be finite and >= 0, not inf"),
     (("mixture", "alpha"), -0.5, r"mixture: alpha must be finite and >= 0, not -0\.5"),
-    (("mixture", "max_epoch"), float("inf"), "mixture: cannot convert float infinity to integer"),
+    (("mixture", "max_epoch"), float("inf"),
+     r"mixture\.max_epoch: cannot convert float infinity to integer"),
     (("train", "lr_multitask"), float("nan"),
      r"train: lr_multitask must be finite and > 0, not nan"),
     (("train", "lr_multitask"), float("inf"),
@@ -388,17 +416,28 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("train", "lr_finetune"), float("-inf"),
      r"train: lr_finetune must be finite and > 0, not -inf"),
     (("train", "lr_finetune"), 0.0, r"train: lr_finetune must be finite and > 0, not 0\.0"),
-    (("train", "epochs_finetune"), [4], r"train: int\(\) argument must be .+, not 'list'"),
-    (("train", "hidden_dim"), [24], r"train: int\(\) argument must be .+, not 'list'"),
-    (("master_seed",), {"a": 1}, r"config: int\(\) argument must be .+, not 'dict'"),
+    (("train", "epochs_finetune"), [4],
+     r"train\.epochs_finetune: int\(\) argument must be .+, not 'list'"),
+    (("train", "hidden_dim"), [24], r"train\.hidden_dim: int\(\) argument must be .+, not 'list'"),
+    (("master_seed",), {"a": 1}, r"master_seed: int\(\) argument must be .+, not 'dict'"),
     (("random_split", "toy_pages", "eval_count"), [72],
-     r"random_split\.toy_pages: int\(\) argument must be .+, not 'list'"),
-    (("mixture", "alpha"), [0.5], r"mixture: float\(\) argument must be .+, not 'list'"),
+     r"random_split\.toy_pages\.eval_count: int\(\) argument must be .+, not 'list'"),
+    (("mixture", "alpha"), [0.5], r"mixture\.alpha: float\(\) argument must be .+, not 'list'"),
     (("mixture", "batch_size"), {"toy_nli": 8, "*": 32},
-     r"mixture: int\(\) argument must be .+, not 'dict'"),
+     r"mixture\.batch_size: int\(\) argument must be .+, not 'dict'"),
     (("sources", 0, "batch_size"), 0, r"sources\[0\]\.batch_size must be >= 1, not 0"),
     (("sources", 0, "batch_size"), -4, r"sources\[0\]\.batch_size must be >= 1, not -4"),
     (("negatives", "per_positive"), -1, r"negatives\.per_positive must be >= 0, not -1"),
+    (("mixture", "alpha"), "x", r"mixture\.alpha: could not convert string to float: 'x'"),
+    (("thresholds",), {"toy_nli": "x"},
+     r"thresholds\.toy_nli: could not convert string to float: 'x'"),
+    (("sources", 0, "dim"), "x", r"sources\[0\]\.dim: invalid literal for int\(\) .+: 'x'"),
+    (("cv", "folds"), "x", r"cv\.folds: invalid literal for int\(\) .+: 'x'"),
+    (("random_split", "toy_pages", "eval_count"), "x",
+     r"random_split\.toy_pages\.eval_count: invalid literal for int\(\) .+: 'x'"),
+    (("thresholds",), {"toy_nli": [40]},
+     r"thresholds\.toy_nli: float\(\) argument must be .+, not 'list'"),
+    (("mixture", "alpha"), 1e300, r"mixture: alpha must be <= 100, not 1e\+300"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
     """A key no section declares, a section that is not a mapping, a source
@@ -406,9 +445,10 @@ def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, mes
     is not a string, a flag that is not a bool, a source seed or dim out of
     range, a hidden_dim below 1, a negative member or question count, an
     alpha or learning rate that is not finite or out of range, an infinite
-    integer, a list or mapping where a number belongs, a source batch size
-    below 1 and a negative negatives count each fail parsing (value None
-    deletes the key)."""
+    integer, a list or mapping where a number belongs, a string that is no
+    number, a source batch size below 1, a negative negatives count and an
+    alpha above MAX_ALPHA each fail parsing (value None deletes the key). A
+    value its key's converter cannot convert names the key path once."""
     import yaml
 
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
@@ -536,7 +576,7 @@ def test_cli_run_with_a_misspelled_key_exits_2(toy_corpus_dir, tmp_path, capsys)
 
 def test_cli_split_with_a_mapping_batch_size_exits_2(toy_corpus_dir, tmp_path, capsys):
     """mixture.batch_size is one integer; the per-dataset mapping it once
-    took is a config error naming its section."""
+    took is a config error naming the key."""
     import re
 
     import yaml
@@ -550,7 +590,8 @@ def test_cli_split_with_a_mapping_batch_size_exits_2(toy_corpus_dir, tmp_path, c
     config.write_text(yaml.safe_dump(raw))
     assert cli.main(["split", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"\[split\] mixture: int\(\) argument must be .+, not 'dict'\n", err)
+    assert re.fullmatch(
+        r"\[split\] mixture\.batch_size: int\(\) argument must be .+, not 'dict'\n", err)
     assert not (tmp_path / "run").exists()
 
 
@@ -587,7 +628,19 @@ def test_cli_experiment_trained_mode(toy_corpus_dir, tmp_path):
     assert [row["grouping"] for row in trial["rows"]] == [
         "family_a only", "family_b only", "family_a+family_b (2+1)", "family_a+family_b (1+2)"]
     assert sorted(path.name for path in (out / "trained_members").iterdir()) == [
-        "ingest", "split", "transform"]
+        "finetune", "ingest", "predict", "split", "train", "transform"]
+
+    # a member that cannot train fails the train stage, as in a pipeline run
+    import shutil
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(toy_corpus_dir, corpus)
+    (corpus / "toy_rqe__dev.jsonl").write_text("", encoding="utf-8")
+    raw["manifest"] = str(corpus / "manifest.ini")
+    config.write_text(yaml.safe_dump(raw))
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == "[train] member family_a-m0: task 'toy_rqe' has an empty dev split\n"
 
 
 def _copy_run(toy_run_dir, tmp_path):

@@ -75,6 +75,39 @@ def test_trained_experiment_mode(toy_corpus_dir, tmp_path):
         assert len(row.members) == 3
         assert 0.0 <= row.ensemble_accuracy <= 1.0
     assert (tmp_path / "out" / "experiment_report.json").exists()
+    # the members come from the pipeline's stages: zero fine-tuning epochs
+    # leave no fine-tuned model, and predict scores every base member
+    work = tmp_path / "out" / "trained_members"
+    assert json.loads((work / "finetune" / "index.json").read_text())["finetuned"] == {}
+    predictions = json.loads((work / "predict" / "index.json").read_text())["predictions"]
+    members = [f"{src['name']}-m{i}" for src in raw["sources"] for i in range(3)]
+    assert sorted(trial.member_accuracies) == sorted(members)
+    assert {key for key in predictions if key.endswith("/toy_nli")} == {
+        f"{member}/toy_nli" for member in members}
+
+
+def test_trained_experiment_task_without_eval_or_dev_is_a_tagged_error(toy_corpus_dir, tmp_path):
+    """The compared task (the first in-domain classification task) may have
+    neither an eval nor a dev split while another task trains on its dev
+    split; predict then writes no set for it, and the experiment says so."""
+    import pytest
+
+    from mixtask.pipeline import PipelineStageError
+
+    manifest = (toy_corpus_dir / "manifest.ini").read_text(encoding="utf-8")
+    manifest = manifest.replace("dev_path = toy_nli__dev.jsonl\n", "").replace(
+        "eval_path = toy_nli__eval.jsonl\n", "")
+    (toy_corpus_dir / "nli_train_only.ini").write_text(manifest, encoding="utf-8")
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "nli_train_only.ini")
+    raw["mixture"]["max_epoch"] = 2
+    del raw["splits"]["toy_nli"]
+    for src in raw["sources"]:
+        src["members"] = 3
+    cfg = write_config(tmp_path / "exp.yaml", raw)
+    with pytest.raises(PipelineStageError,
+                       match=r"^\[experiment\] task 'toy_nli' has no eval or dev split$"):
+        run_multisource_experiment(cfg, tmp_path / "out", mode="trained")
 
 
 def test_adding_members_never_perturbs_existing_ones(toy_corpus_dir, tmp_path):

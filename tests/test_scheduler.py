@@ -155,3 +155,19 @@ def test_mixture_config_validation():
 def test_epoch_plan_length_invariant():
     with pytest.raises(ValueError):
         EpochPlan(batches=batch_fixtures(3, "in"), n_in_domain=3, n_external=1)
+
+
+def test_alpha_is_bounded_above():
+    """An alpha above MAX_ALPHA is refused before any epoch is planned, so
+    a huge ratio cannot plan an epoch that never ends; MAX_ALPHA itself is
+    a valid ratio."""
+    from mixtask.scheduler import MAX_ALPHA
+
+    in_dom, pool = batch_fixtures(2, "in"), batch_fixtures(3, "ext")
+    assert MixtureConfig(alpha=MAX_ALPHA).alpha == MAX_ALPHA
+    assert len(build_epoch(in_dom, pool, MAX_ALPHA, seed=0)) == 2 + 2 * MAX_ALPHA
+    for alpha in (MAX_ALPHA + 0.5, 1e300):
+        with pytest.raises(ValueError, match=rf"^alpha must be <= {MAX_ALPHA}, not "):
+            MixtureConfig(alpha=alpha)
+        with pytest.raises(ValueError, match=rf"^alpha must be <= {MAX_ALPHA}, not "):
+            build_epoch(in_dom, pool, alpha, seed=0)
