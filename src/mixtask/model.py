@@ -15,20 +15,23 @@ vector. A copy is one copy of the vector, and a checkpoint is the vector as
 one .npy file; its layout (source, hidden size, head kinds and shapes) and
 its provenance live in the stage index entry that lists the file.
 
-A model also owns one flat float64 gradient buffer per head group, created
-on the group's first step and laid out [d_enc_w | d_enc_b | d_head_w |
-d_head_b]; backprop writes the four gradients into views of it and reuses
-its activation arrays in place. A step checks the whole buffer for
-non-finite values once, scales it by the learning rate once, then subtracts
-its encoder part and its head part from the two matching contiguous slices
-of the parameter vector.
+A model also owns one step context per head group, built on the group's
+first step: the head's views, the classification flag, a flat float64
+gradient buffer laid out [d_enc_w | d_enc_b | d_head_w | d_head_b] with its
+four gradient views and its encoder and head parts, and the two matching
+contiguous slices of the parameter vector. Backprop writes the four
+gradients into the buffer's views and reuses its activation arrays in
+place. A step checks the whole buffer for non-finite values once, scales it
+by the learning rate once, then subtracts its encoder part and its head
+part from the two parameter slices. A copy or a loaded checkpoint starts
+with no step context, so no model holds views of another's vector.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -104,6 +107,25 @@ class Head(_FixedViews):
         self.span = span
 
 
+class _StepContext(NamedTuple):
+    """What a step on one head group reads: the head's views, its kind, the
+    gradient buffer with its four views and its encoder and head parts, and
+    the parameter slices those two parts update."""
+
+    head_weights: np.ndarray
+    head_bias: np.ndarray
+    classification: bool
+    buffer: np.ndarray
+    d_enc_w: np.ndarray
+    d_enc_b: np.ndarray
+    d_head_w: np.ndarray
+    d_head_b: np.ndarray
+    enc_grad: np.ndarray  # buffer[:enc]
+    head_grad: np.ndarray  # buffer[enc:]
+    enc_params: np.ndarray  # params[:enc]
+    head_params: np.ndarray  # params[head span]
+
+
 @dataclass
 class TrainingBatch:
     """Featurized mini-batch ready for a gradient step."""
@@ -168,8 +190,8 @@ class ToyModel(_FixedViews):
             stop = start + weights.size + bias.size
             self.heads[group] = Head(head_outputs[group][0], weights, bias, slice(start, stop))
             start = stop
-        # head group -> (flat gradient buffer, its four gradient views)
-        self._grads: dict[str, tuple[np.ndarray, tuple[np.ndarray, ...]]] = {}
+        # head group -> its step context, made on the group's first step
+        self._steps: dict[str, _StepContext] = {}
 
     @classmethod
     def create(
@@ -251,16 +273,20 @@ class ToyModel(_FixedViews):
         scores = self.reg_scores(batch.features, batch.head_group)
         return float(((batch.targets - scores) ** 2).sum())
 
-    def _grad_buffer(self, head_group: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The head group's flat gradient buffer and its views
-        (d_enc_w, d_enc_b, d_head_w, d_head_b), made on first use."""
-        entry = self._grads.get(head_group)
-        if entry is None:
+    def _step_context(self, head_group: str) -> _StepContext:
+        """The head group's step context, made on first use."""
+        step = self._steps.get(head_group)
+        if step is None:
             head = self._head(head_group)
             shapes = [p.shape for p in (self.enc_weights, self.enc_bias, head.weights, head.bias)]
             buffer = np.empty(sum(math.prod(shape) for shape in shapes))
-            entry = self._grads[head_group] = (buffer, tuple(_views(buffer, shapes)))
-        return entry
+            enc = self._enc_size
+            step = self._steps[head_group] = _StepContext(
+                head.weights, head.bias, head.kind == CLASSIFICATION, buffer,
+                *_views(buffer, shapes), buffer[:enc], buffer[enc:],
+                self.params[:enc], self.params[head.span],
+            )
+        return step
 
     def loss_and_grads(self, batch: TrainingBatch):
         """Summed batch loss plus gradients for the encoder and the batch's head.
@@ -275,8 +301,8 @@ class ToyModel(_FixedViews):
         they stay valid until the next step on that head group overwrites
         them.
         """
-        head = self._head(batch.head_group)
-        _, (d_enc_w, d_enc_b, d_head_w, d_head_b) = self._grad_buffer(batch.head_group)
+        (head_w, head_b, classification, _, d_enc_w, d_enc_b, d_head_w, d_head_b,
+         *_) = self._step_context(batch.head_group)
         X = batch.features
         # Non-finite values surface as the explicit checks in grad_step, not
         # as numpy warnings mid-backprop.
@@ -284,9 +310,9 @@ class ToyModel(_FixedViews):
             A = X @ self.enc_weights
             A += self.enc_bias
             np.tanh(A, out=A)
-            dU = A @ head.weights
-            dU += head.bias
-            if batch.task_kind.is_classification:
+            dU = A @ head_w
+            dU += head_b
+            if classification:
                 # softmax in place, then P - onehot(y) in place
                 dU -= dU.max(axis=1, keepdims=True)
                 np.exp(dU, out=dU)
@@ -303,7 +329,7 @@ class ToyModel(_FixedViews):
                 dU *= 2.0
             np.matmul(A.T, dU, out=d_head_w)
             dU.sum(axis=0, out=d_head_b)
-            dZ = dU @ head.weights.T
+            dZ = dU @ head_w.T
             np.multiply(A, A, out=A)
             np.subtract(1.0, A, out=A)
             dZ *= A
@@ -331,16 +357,15 @@ def grad_step(model: ToyModel, batch: TrainingBatch, learning_rate: float) -> fl
             f"non-finite loss {loss} on dataset {batch.dataset_name!r} "
             f"(head {batch.head_group!r}, batch of {len(batch)})"
         )
-    buffer, _ = model._grad_buffer(batch.head_group)
-    if not np.isfinite(buffer).all():
+    step = model._step_context(batch.head_group)
+    if not np.isfinite(step.buffer).all():
         raise FloatingPointError(
             f"non-finite gradient on dataset {batch.dataset_name!r} "
             f"(head {batch.head_group!r})"
         )
-    buffer *= learning_rate
-    params, enc = model.params, model._enc_size
-    params[:enc] -= buffer[:enc]
-    params[model.heads[batch.head_group].span] -= buffer[enc:]
+    np.multiply(step.buffer, learning_rate, out=step.buffer)
+    np.subtract(step.enc_params, step.enc_grad, out=step.enc_params)
+    np.subtract(step.head_params, step.head_grad, out=step.head_params)
     return loss
 
 

@@ -393,10 +393,16 @@ def stage_finetune(run: StageRun) -> dict:
 
     Only models that fine-tuning changed are saved and listed: when no epoch
     beats the input's dev metric, the (member, task) gets no file and no
-    index entry, and predict uses the member's train checkpoint.
+    index entry, and predict uses the member's train checkpoint. Zero
+    fine-tuning epochs change no model, so the stage then reads only the
+    split and train indexes, which its inputs record, and lists none.
     """
-    cache = run.features()
     finetuned = {}
+    if run.cfg.train.epochs_finetune == 0:
+        run.index("split")
+        run.index("train")
+        return {"finetuned": finetuned}
+    cache = run.features()
     for member in run.cfg.member_plan():
         member_id = member["member_id"]
         ckpt = run.checkpoint(member_id)

@@ -5,41 +5,51 @@ Given in-domain batch count N and mixture ratio alpha, an epoch consists of
 every in-domain batch exactly once plus floor(alpha * N) external batches
 drawn without replacement from the pooled external datasets, the whole
 sequence shuffled. alpha = 0 reduces to plain in-domain training.
+
+A mini-batch is its dataset and its row positions in it; the trainer reads
+only those. Its sample ids are built from the dataset when read, which only
+save_plan's audit file does.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, TaskKind, read_jsonl, write_jsonl
+from .data import Dataset, read_jsonl, write_jsonl
 from .seeding import derive_rng
 
 
-@dataclass(frozen=True)
 class MiniBatch:
-    """An ordered slice of one dataset's sample ids.
+    """An ordered selection of one dataset's rows.
 
-    rows holds the samples' positions in the dataset, in the same order, so
-    a batch's features are a row selection of the dataset's feature matrix.
+    rows holds the samples' positions in the dataset, so a batch's features
+    are a row selection of the dataset's feature matrix. Its name, task kind
+    and head group are the dataset's; its sample ids are looked up in the
+    dataset on each read, which only save_plan does.
     """
 
-    dataset_name: str
-    sample_ids: tuple[str, ...]
-    task_kind: TaskKind
-    head_group: str
-    rows: np.ndarray = field(compare=False, repr=False)
+    __slots__ = ("dataset", "rows")
 
-    def __post_init__(self):
-        if not self.sample_ids:
+    def __init__(self, dataset: Dataset, rows: np.ndarray):
+        if len(rows) == 0:
             raise ValueError("mini-batch must be non-empty")
-        if len(self.rows) != len(self.sample_ids):
-            raise ValueError("mini-batch rows must match its sample ids")
+        self.dataset = dataset
+        self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.sample_ids)
+        return len(self.rows)
+
+    @property
+    def dataset_name(self) -> str:
+        return self.dataset.name
+
+    @property
+    def sample_ids(self) -> tuple[str, ...]:
+        samples = self.dataset.samples
+        return tuple(samples[i].id for i in self.rows.tolist())
 
 
 BATCH_SIZE = 16
@@ -102,9 +112,9 @@ class EpochPlan:
 def partition_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> list[MiniBatch]:
     """Shuffle a dataset's samples and chunk them into mini-batches.
 
-    Each batch carries its samples' ids and their positions in the dataset.
-    Batch count is ceil(|D| / batch_size); the final partial batch is kept.
-    Deterministic given seed.
+    Each batch holds its samples' positions in the dataset. Batch count is
+    ceil(|D| / batch_size); the final partial batch is kept. Deterministic
+    given seed.
     """
     if len(dataset) == 0:
         raise ValueError(f"cannot partition empty dataset {dataset.name!r}")
@@ -112,17 +122,9 @@ def partition_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> list[
         raise ValueError("batch_size must be >= 1")
     rng = derive_rng(seed, "partition", dataset.name)
     order = rng.permutation(len(dataset))
-    samples = dataset.samples
-    ids = [samples[i].id for i in order.tolist()]
     return [
-        MiniBatch(
-            dataset_name=dataset.name,
-            sample_ids=tuple(ids[start : start + batch_size]),
-            task_kind=dataset.task_kind,
-            head_group=dataset.head_group,
-            rows=order[start : start + batch_size],
-        )
-        for start in range(0, len(ids), batch_size)
+        MiniBatch(dataset, order[start : start + batch_size])
+        for start in range(0, len(order), batch_size)
     ]
 
 

@@ -10,8 +10,10 @@ input model as an epoch-0 candidate, returned unless an epoch beats it.
 
 Each dataset's features are one matrix in sample order, taken from the
 caller's FeatureCache, and its labels or targets one array; a mini-batch is a
-row selection of both. The trainer runs the plans of build_member_epoch_plan,
-the same planner the schedule stage writes to disk for audit.
+row selection of both. _fit resolves each train split's matrix, array, head
+group and kind once per fit, so a step's batch costs only its row selections.
+The trainer runs the plans of build_member_epoch_plan, the same planner the
+schedule stage writes to disk for audit.
 """
 from __future__ import annotations
 
@@ -130,23 +132,6 @@ def _supervision(dataset: Dataset) -> np.ndarray:
     return np.array([s.target_score for s in dataset], dtype=np.float64)
 
 
-def _make_training_batch(
-    batch: MiniBatch, features: np.ndarray, supervision: np.ndarray
-) -> TrainingBatch:
-    """Select the batch's rows from its dataset's features and supervision."""
-    rows = batch.rows
-    gold = supervision[rows]
-    classification = batch.task_kind.is_classification
-    return TrainingBatch(
-        features=features[rows],
-        head_group=batch.head_group,
-        task_kind=batch.task_kind,
-        labels=gold if classification else None,
-        targets=None if classification else gold,
-        dataset_name=batch.dataset_name,
-    )
-
-
 def _eval_dev(model, dev_sets: list[tuple[str, Dataset, np.ndarray, np.ndarray]]):
     """Each dev set's metric, and their mean: the selection metric."""
     metrics = {name: dev_metric(model, dev, feats, gold) for name, dev, feats, gold in dev_sets}
@@ -168,7 +153,11 @@ def _fit(model: ToyModel, tasks: list[TaskData], dev_tasks: list[TaskData], epoc
             raise ValueError(f"task {task.name!r} has an empty dev split")
     source = model.source
     cache = cache or FeatureCache([source])
-    train_sets = {t.name: (cache.lookup(t.train, source), _supervision(t.train)) for t in tasks}
+    train_sets = {
+        t.name: (cache.lookup(t.train, source), _supervision(t.train), t.train.head_group,
+                 t.train.task_kind, t.train.task_kind.is_classification)
+        for t in tasks
+    }
     dev_sets = [(t.name, t.dev, cache.lookup(t.dev, source), dev_gold(t.dev)) for t in dev_tasks]
     initial_metrics, selection = _eval_dev(model, dev_sets)
     best = Checkpoint(model.copy(), epoch=0, dev_metrics=initial_metrics,
@@ -178,8 +167,13 @@ def _fit(model: ToyModel, tasks: list[TaskData], dev_tasks: list[TaskData], epoc
         batches = batches_of(epoch)
         epoch_loss = 0.0
         for batch in batches:
-            features, supervision = train_sets[batch.dataset_name]
-            epoch_loss += grad_step(model, _make_training_batch(batch, features, supervision), lr)
+            name, rows = batch.dataset.name, batch.rows
+            features, supervision, group, kind, classification = train_sets[name]
+            gold = supervision[rows]
+            training_batch = TrainingBatch(features[rows], group, kind,
+                                           gold if classification else None,
+                                           None if classification else gold, name)
+            epoch_loss += grad_step(model, training_batch, lr)
         metrics, selection = _eval_dev(model, dev_sets)
         history.append({"epoch": epoch, "train_loss": epoch_loss, "plan_length": len(batches),
                         "dev_metrics": metrics, "selection": selection})

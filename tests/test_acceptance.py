@@ -114,13 +114,15 @@ def test_criterion_3_scheduler_plans():
         started = time.monotonic()
         rng = np.random.default_rng(7)
         kind = TaskKind.parse("classification:2")
+        datasets = {
+            name: Dataset(name=name, task_kind=kind, samples=[
+                SamplePair(id=f"{name}{i}", text_a="a", text_b="b", label=0) for i in range(size)
+            ])
+            for name, size in (("in", 40), ("ext", 60))
+        }
 
         def batches(n, name):
-            return [
-                MiniBatch(dataset_name=name, sample_ids=(f"{name}{i}",), task_kind=kind,
-                          head_group=name, rows=np.array([i]))
-                for i in range(n)
-            ]
+            return [MiniBatch(datasets[name], np.array([i])) for i in range(n)]
 
         for trial in range(1000):
             n = int(rng.integers(1, 40))

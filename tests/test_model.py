@@ -322,6 +322,22 @@ def test_copy_shares_no_memory_and_steps_independently():
     assert model.params.tobytes() == before.tobytes()
 
 
+def test_copies_and_loaded_checkpoints_step_only_their_own_vector(tmp_path):
+    """A step context holds views of its model's own vector: once the
+    original has stepped, its copy and its reloaded checkpoint step theirs."""
+    rng = np.random.default_rng(17)
+    model = ToyModel.create(SourceSpec("fam", 3, 10), THREE_HEADS, hidden=5, run_seed=2)
+    batch = TrainingBatch(features=rng.normal(0, 1, size=(4, 10)), head_group="nli",
+                          task_kind=THREE_HEADS["nli"], labels=rng.integers(0, 3, size=4))
+    grad_step(model, batch, 0.5)
+    before = model.params.copy()
+    entry = save_checkpoint(Checkpoint(model=model), tmp_path / "model.npy")
+    for other in (model.copy(), load_checkpoint(tmp_path / "model.npy", entry).model):
+        grad_step(other, batch, 0.5)
+        assert not np.array_equal(other.params, before)
+        assert model.params.tobytes() == before.tobytes()
+
+
 # -- bit-exactness against the per-array formulation -------------------------------
 
 

@@ -269,6 +269,36 @@ def test_one_library_caller_per_training_and_prediction_entry_point():
     assert callers == {callee: [caller] for callee, caller in only_caller.items()}
 
 
+def test_mini_batch_ids_are_read_only_by_the_audit_plan():
+    """In the library only scheduler.save_plan reads a .sample_ids
+    attribute. The trainer reads a mini-batch's dataset and rows; a batch's
+    sample ids are built only for the plan audit file."""
+    import ast
+
+    class Readers(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.found = [module], []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Attribute(self, node):
+            if node.attr == "sample_ids" and isinstance(node.ctx, ast.Load):
+                self.found.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    found = []
+    for path in sorted(Path(mixtask.__file__).parent.glob("*.py")):
+        readers = Readers(path.stem)
+        readers.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += readers.found
+    assert found == ["scheduler.save_plan"]
+
+
 def test_every_npy_read_refuses_pickles():
     """Every np.load call in the library passes allow_pickle=False, so no
     .npy file it reads can run code."""

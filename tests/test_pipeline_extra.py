@@ -86,6 +86,42 @@ def test_trained_experiment_mode(toy_corpus_dir, tmp_path):
         f"{member}/toy_nli" for member in members}
 
 
+def test_finetune_with_zero_epochs_reads_only_the_indexes(toy_corpus_dir, tmp_path,
+                                                        monkeypatch):
+    """Zero fine-tuning epochs change no model, so finetune loads no feature
+    store, checkpoint or dataset and fine-tunes nothing. It still lists no
+    model and records the split and train indexes as its inputs."""
+    import hashlib
+
+    from mixtask import pipeline
+    from mixtask.featurize import FeatureCache
+
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
+    raw["mixture"]["max_epoch"] = 1
+    raw["cv"] = {"enabled": False}
+    raw["train"]["epochs_finetune"] = 0
+    cfg = write_config(tmp_path / "zero.yaml", raw)
+    out = tmp_path / "run"
+    for stage in STAGES[: STAGES.index("finetune")]:
+        run_stage(stage, cfg, out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("finetune read more than the split and train indexes")
+
+    monkeypatch.setattr(pipeline, "fine_tune_task", refuse)
+    monkeypatch.setattr(pipeline, "load_checkpoint", refuse)
+    monkeypatch.setattr(pipeline, "load_dataset", refuse)
+    monkeypatch.setattr(FeatureCache, "load", refuse)
+    run_stage("finetune", cfg, out)
+    index = json.loads((out / "finetune" / "index.json").read_text())
+    assert index["finetuned"] == {}
+    assert index["inputs"] == {
+        producer: hashlib.sha256((out / producer / "index.json").read_bytes()).hexdigest()
+        for producer in ("split", "train")
+    }
+
+
 def test_trained_experiment_task_without_eval_or_dev_is_a_tagged_error(toy_corpus_dir, tmp_path):
     """The compared task (the first in-domain classification task) may have
     neither an eval nor a dev split while another task trains on its dev

@@ -1,10 +1,10 @@
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mixtask.data import TaskKind
 from mixtask.scheduler import (
     EpochPlan,
     MiniBatch,
@@ -14,21 +14,15 @@ from mixtask.scheduler import (
     partition_batches,
     save_plan,
 )
+from mixtask.seeding import derive_rng
 
 from conftest import make_dataset
 
 
-def batch_fixtures(n, dataset="ext", kind="classification:3"):
-    return [
-        MiniBatch(
-            dataset_name=dataset,
-            sample_ids=(f"{dataset}-b{i}",),
-            task_kind=TaskKind.parse(kind),
-            head_group=dataset,
-            rows=np.array([i]),
-        )
-        for i in range(n)
-    ]
+def batch_fixtures(n, dataset="ext", n_classes=3):
+    """n one-row batches over a dataset of n samples with ids <dataset>-b<i>."""
+    ds = make_dataset(n, n_classes=n_classes, name=dataset, id=lambda i: f"{dataset}-b{i}")
+    return [MiniBatch(ds, np.array([i])) for i in range(n)]
 
 
 def test_partition_counts_and_final_partial_batch():
@@ -51,6 +45,54 @@ def test_partition_deterministic():
     assert [x.sample_ids for x in a] == [x.sample_ids for x in b]
     c = partition_batches(ds, 10, seed=5)
     assert [x.sample_ids for x in a] != [x.sample_ids for x in c]
+
+
+def eager_partition(dataset, batch_size, seed):
+    """Reference partition: each batch's (rows, sample ids), the ids looked
+    up eagerly in shuffled order."""
+    order = derive_rng(seed, "partition", dataset.name).permutation(len(dataset))
+    ids = [dataset.samples[i].id for i in order.tolist()]
+    return [
+        (order[start : start + batch_size], tuple(ids[start : start + batch_size]))
+        for start in range(0, len(ids), batch_size)
+    ]
+
+
+def test_partition_matches_the_eager_reference():
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        size = int(rng.integers(1, 101))
+        batch_size = int(rng.integers(1, 41)) if trial % 4 else size + int(rng.integers(1, 10))
+        seed = int(rng.integers(0, 2**31))
+        ds = make_dataset(size, name=f"d{trial}", seed=trial,
+                          id=lambda i, trial=trial: f"q{(i * 37 + trial) % 101}-{i}")
+        batches = partition_batches(ds, batch_size, seed)
+        reference = eager_partition(ds, batch_size, seed)
+        assert len(batches) == len(reference) == math.ceil(size / batch_size)
+        for batch, (rows, ids) in zip(batches, reference):
+            assert batch.dataset is ds and len(batch) == len(rows)
+            assert batch.rows.tolist() == rows.tolist()
+            assert batch.sample_ids == ids
+
+
+def test_saved_plan_matches_the_eager_reference(tmp_path):
+    """A plan with external draws, cycled past its pool, is written with the
+    ids the eager reference gives for the same batches."""
+    in_dom, ext = make_dataset(50, name="in"), make_dataset(23, name="ext", role="external")
+    pools = {name: (partition_batches(ds, 8, seed=5), eager_partition(ds, 8, seed=5))
+             for name, ds in (("in", in_dom), ("ext", ext))}
+    plan = build_epoch(pools["in"][0], pools["ext"][0], 1.5, seed=9, epoch_index=2)
+    assert plan.n_external > len(pools["ext"][0])
+    reference = build_epoch(
+        [("in", ids) for _, ids in pools["in"][1]],
+        [("ext", ids) for _, ids in pools["ext"][1]], 1.5, seed=9, epoch_index=2,
+    )
+    save_plan(plan, tmp_path / "plan.jsonl")
+    assert (tmp_path / "plan.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps({"position": i, "dataset": name, "sample_ids": list(ids)}, sort_keys=True)
+        + "\n"
+        for i, (name, ids) in enumerate(reference.batches)
+    )
 
 
 def test_partition_rejects_empty():
