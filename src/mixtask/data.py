@@ -3,11 +3,13 @@
 Datasets are collections of text pairs, each carrying either a class label
 (classification tasks) or a real-valued target score (regression / ranking
 tasks). Files are JSON-Lines, one sample per line; a plain-text manifest
-(INI sections) declares the datasets of a run.
+(INI sections) declares the datasets of a run. A record's label,
+gold_relevance and gold_rank must be integers (a bool or a fraction fails)
+and its target_score finite.
 
 This module also holds the one codec for every artifact the pipeline
 writes: JSON-Lines records (`write_jsonl`, `read_jsonl`) and indented JSON
-documents (`write_json`, `read_json`), both with sorted keys. The JSON-Lines
+documents (`write_json`, `decode_json`), both with sorted keys. The JSON-Lines
 reader reads a file whole and decodes each line with one `raw_decode`; a
 line that fails it, or holds more than one value, goes through `json.loads`,
 so every malformed line fails with the message `json.loads` gives.
@@ -24,6 +26,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -46,10 +49,32 @@ _OPTIONAL_KEYS = (
     "gold_rank",
     "source_tag",
 )
+
+
+def _integer(key: str) -> Callable:
+    """The converter of an integer field: an int, an integral float or a
+    string of digits passes; a bool or a number with a fraction fails."""
+    def convert(value):
+        if type(value) is int:
+            return value
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+        return int(value)
+    return convert
+
+
+def _finite_score(value) -> float:
+    score = float(value)
+    if not math.isfinite(score):
+        raise ValueError(f"target_score must be finite, got {json.dumps(value)}")
+    return score
+
+
 # Every optional key of a record with its converter, in the order
 # _parse_record converts them: the first bad value names the error.
-_CONVERTERS = (("label", int), ("target_score", float)) + tuple(
-    (key, int if key in ("gold_relevance", "gold_rank") else str) for key in _OPTIONAL_KEYS
+_CONVERTERS = (("label", _integer("label")), ("target_score", _finite_score)) + tuple(
+    (key, _integer(key) if key in ("gold_relevance", "gold_rank") else str)
+    for key in _OPTIONAL_KEYS
 )
 
 
@@ -278,9 +303,10 @@ def write_json(path: str | Path, obj) -> None:
     os.replace(partial, path)
 
 
-def read_json(path: str | Path):
-    """A JSON document; ValueError when it is not valid JSON."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def decode_json(raw: bytes):
+    """A JSON document from the bytes of a file; ValueError when they are
+    not valid UTF-8 JSON."""
+    return json.loads(raw.decode("utf-8"))
 
 
 def _parse_record(obj: dict, line_no: int, path: str) -> SamplePair:

@@ -5,7 +5,10 @@ Classification heads produce probability vectors via softmax and train with
 cross-entropy; regression heads produce a scalar score and train with
 squared error. Datasets that share a head group literally share the same
 head parameters. Gradients are computed analytically and updates are plain
-SGD on the summed batch loss.
+SGD on the summed batch loss. A step takes a head group and two arrays, the
+batch's feature rows and their gold (int labels or float targets), and the
+head's kind picks the loss; the model never sees a dataset, and its only
+task kinds are the head specs given to ToyModel.create.
 
 A model keeps all its parameters in one contiguous float64 vector, laid out
 [enc_w | enc_b | head_w | head_b per head group, groups in sorted order].
@@ -124,21 +127,6 @@ class _StepContext(NamedTuple):
     head_grad: np.ndarray  # buffer[enc:]
     enc_params: np.ndarray  # params[:enc]
     head_params: np.ndarray  # params[head span]
-
-
-@dataclass
-class TrainingBatch:
-    """Featurized mini-batch ready for a gradient step."""
-
-    features: np.ndarray  # (B, dim)
-    head_group: str
-    task_kind: TaskKind
-    labels: Optional[np.ndarray] = None  # (B,) int, classification
-    targets: Optional[np.ndarray] = None  # (B,) float, regression
-    dataset_name: str = ""
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 class ToyModel(_FixedViews):
@@ -264,14 +252,12 @@ class ToyModel(_FixedViews):
 
     # -- training -----------------------------------------------------------
 
-    def batch_loss(self, batch: TrainingBatch) -> float:
+    def batch_loss(self, features: np.ndarray, gold: np.ndarray, head_group: str) -> float:
         """Summed loss over the batch, no gradient."""
-        if batch.task_kind.is_classification:
-            probs = self.class_probs(batch.features, batch.head_group)
-            picked = probs[np.arange(len(batch)), batch.labels]
+        if self._head(head_group).kind == CLASSIFICATION:
+            picked = self.class_probs(features, head_group)[np.arange(len(gold)), gold]
             return float(-np.log(np.maximum(picked, LOG_EPS)).sum())
-        scores = self.reg_scores(batch.features, batch.head_group)
-        return float(((batch.targets - scores) ** 2).sum())
+        return float(((gold - self.reg_scores(features, head_group)) ** 2).sum())
 
     def _step_context(self, head_group: str) -> _StepContext:
         """The head group's step context, made on first use."""
@@ -288,8 +274,11 @@ class ToyModel(_FixedViews):
             )
         return step
 
-    def loss_and_grads(self, batch: TrainingBatch):
-        """Summed batch loss plus gradients for the encoder and the batch's head.
+    def loss_and_grads(self, features: np.ndarray, gold: np.ndarray, head_group: str):
+        """Summed batch loss plus gradients for the encoder and the head group.
+
+        features holds the batch's feature rows and gold their int labels
+        (classification head) or float targets (regression head).
 
         Backprop through tanh encoder and softmax / linear head:
           classification  dU = P - onehot(y)
@@ -302,8 +291,8 @@ class ToyModel(_FixedViews):
         them.
         """
         (head_w, head_b, classification, _, d_enc_w, d_enc_b, d_head_w, d_head_b,
-         *_) = self._step_context(batch.head_group)
-        X = batch.features
+         *_) = self._step_context(head_group)
+        X = features
         # Non-finite values surface as the explicit checks in grad_step, not
         # as numpy warnings mid-backprop.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -317,14 +306,14 @@ class ToyModel(_FixedViews):
                 dU -= dU.max(axis=1, keepdims=True)
                 np.exp(dU, out=dU)
                 dU /= dU.sum(axis=1, keepdims=True)
-                rows = np.arange(len(batch))
-                picked = dU[rows, batch.labels]
+                rows = np.arange(len(gold))
+                picked = dU[rows, gold]
                 np.maximum(picked, LOG_EPS, out=picked)
                 loss = -float(np.log(picked, out=picked).sum())
-                dU[rows, batch.labels] -= 1.0
+                dU[rows, gold] -= 1.0
             else:
                 dS = dU[:, 0]
-                dS -= batch.targets
+                dS -= gold
                 loss = float(np.square(dS).sum())
                 dU *= 2.0
             np.matmul(A.T, dU, out=d_head_w)
@@ -341,28 +330,26 @@ class ToyModel(_FixedViews):
         return ToyModel(self.source, self.hidden, self._head_outputs, self.params.copy())
 
 
-def grad_step(model: ToyModel, batch: TrainingBatch, learning_rate: float) -> float:
-    """One SGD step on the summed batch loss, in place.
+def grad_step(model: ToyModel, features: np.ndarray, gold: np.ndarray, head_group: str,
+              learning_rate: float) -> float:
+    """One SGD step on the summed loss of a batch of one head group, in place.
 
-    Only the encoder and the batch's head group change. Returns the
-    pre-step batch loss. The loss, then the head group's whole gradient
-    buffer, is checked for non-finite values before any parameter changes;
-    the step aborts on either. The buffer is then scaled by the learning
-    rate once; its encoder part and its head part are subtracted from the
-    matching slices of the parameter vector.
+    features holds the batch's feature rows and gold their labels or
+    targets; the head's kind picks the loss. Only the encoder and that head
+    change. Returns the pre-step batch loss. The loss, then the head group's
+    whole gradient buffer, is checked for non-finite values before any
+    parameter changes; the step aborts on either. The buffer is then scaled
+    by the learning rate once; its encoder part and its head part are
+    subtracted from the matching slices of the parameter vector.
     """
-    loss = model.loss_and_grads(batch)[0]
+    loss = model.loss_and_grads(features, gold, head_group)[0]
     if not math.isfinite(loss):
         raise FloatingPointError(
-            f"non-finite loss {loss} on dataset {batch.dataset_name!r} "
-            f"(head {batch.head_group!r}, batch of {len(batch)})"
+            f"non-finite loss {loss} on head {head_group!r} (batch of {len(gold)})"
         )
-    step = model._step_context(batch.head_group)
+    step = model._step_context(head_group)
     if not np.isfinite(step.buffer).all():
-        raise FloatingPointError(
-            f"non-finite gradient on dataset {batch.dataset_name!r} "
-            f"(head {batch.head_group!r})"
-        )
+        raise FloatingPointError(f"non-finite gradient on head {head_group!r}")
     np.multiply(step.buffer, learning_rate, out=step.buffer)
     np.subtract(step.enc_params, step.enc_grad, out=step.enc_params)
     np.subtract(step.head_params, step.head_grad, out=step.head_params)

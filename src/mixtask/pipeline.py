@@ -18,10 +18,11 @@ FeatureCache relies on), so sharing the samples is safe. A stage run alone
 (`mixtask <stage>`) decodes everything it reads. run_stage is
 the one place that tags a failure with its stage. It writes the stage's
 index.json, the one record of the stage: the config it ran with, its
-payload, and under "inputs" the sha256 of each upstream index read; a reader
-refuses an index whose inputs no longer match. Files go through the codec in
-data.py. A (member, task) model is the checkpoint the finetune index lists,
-else the member's train checkpoint, never a file merely present on disk.
+payload, and under "inputs" the sha256 of the bytes of each upstream index
+it parsed; a reader refuses an index whose inputs no longer match. Files go
+through the codec in data.py. A (member, task) model is the checkpoint the
+finetune index lists, else the member's train checkpoint, never a file
+merely present on disk.
 Each row is featurized once per run, for all sources in one call: finetune
 and predict open train's FeatureCache through the train index. Every
 artifact is reproducible from (config, master seed): stage seeds derive
@@ -43,9 +44,9 @@ from .data import (
     Dataset,
     DecodedSamples,
     TaskKind,
+    decode_json,
     load_dataset,
     load_manifest_datasets,
-    read_json,
     read_jsonl,
     save_samples,
     write_json,
@@ -114,8 +115,10 @@ class StageRun:
     upstream artifacts. Each index, dataset file and checkpoint is read at most
     once, so members share one Dataset per file. A dataset file's samples come
     from `_DECODED` when this stage or the one before it decoded the same
-    bytes. `inputs` maps each index read to the sha256 of its bytes; a
-    failed read fails the stage with "re-run <producer>".
+    bytes. An index file's one read serves both its parse and every check of
+    its digest, and `inputs` maps each index parsed to the sha256 of the
+    bytes it was parsed from; a failed read fails the stage with
+    "re-run <producer>".
     """
 
     def __init__(self, cfg: PipelineConfig, out_dir: Path, stage: str):
@@ -124,6 +127,7 @@ class StageRun:
         self.stage = stage
         self.dir = out_dir / stage
         self.inputs: dict[str, str] = {}
+        self._index_files: dict[str, tuple[bytes, str]] = {}
         self._indexes: dict[str, dict] = {}
         self._datasets: dict[tuple[str, str], Dataset] = {}
         self._checkpoints: dict[tuple[str, str], Checkpoint] = {}
@@ -141,22 +145,27 @@ class StageRun:
             message = f"unreadable {what}: {type(exc).__name__}: {exc}; re-run {producer}"
             raise self.error(message) from exc
 
-    def _digest(self, producer: str) -> str:
-        with self.reading(f"{producer}/index.json", producer):
-            return hashlib.sha256((self.out_dir / producer / "index.json").read_bytes()).hexdigest()
+    def _index_file(self, producer: str) -> tuple[bytes, str]:
+        """A producer's index.json bytes and their sha256, read once."""
+        if producer not in self._index_files:
+            with self.reading(f"{producer}/index.json", producer):
+                raw = (self.out_dir / producer / "index.json").read_bytes()
+            self._index_files[producer] = raw, hashlib.sha256(raw).hexdigest()
+        return self._index_files[producer]
 
     def index(self, producer: str) -> dict:
         """A producer's index.json, checked against the upstream indexes it
         lists as its inputs."""
         if producer not in self._indexes:
+            raw, digest = self._index_file(producer)
             with self.reading(f"{producer}/index.json", producer):
-                index = read_json(self.out_dir / producer / "index.json")
-            for upstream, digest in sorted(index.get("inputs", {}).items()):
-                if self._digest(upstream) != digest:
+                index = decode_json(raw)
+            for upstream, expected in sorted(index.get("inputs", {}).items()):
+                if self._index_file(upstream)[1] != expected:
                     raise self.error(f"{producer}/index.json was built from another "
                                      f"{upstream}/index.json; re-run {producer}")
             self._indexes[producer] = index
-            self.inputs[producer] = self._digest(producer)
+            self.inputs[producer] = digest
         return self._indexes[producer]
 
     def _dataset(self, producer: str, name: str, filename: str) -> Dataset:

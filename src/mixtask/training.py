@@ -9,9 +9,11 @@ Multi-task training never returns the untrained model; fine-tuning keeps its
 input model as an epoch-0 candidate, returned unless an epoch beats it.
 
 Each dataset's features are one matrix in sample order, taken from the
-caller's FeatureCache, and its labels or targets one array; a mini-batch is a
-row selection of both. _fit resolves each train split's matrix, array, head
-group and kind once per fit, so a step's batch costs only its row selections.
+caller's FeatureCache, and its gold (labels or targets) one array; a
+mini-batch is a row selection of both. _fit resolves each train split to its
+matrix, gold array and head group once per fit, so a step costs only its two
+row selections: grad_step takes those arrays and the head group, whose kind
+picks the loss. A step that diverges fails naming the batch's dataset.
 The trainer runs the plans of build_member_epoch_plan, the same planner the
 schedule stage writes to disk for audit.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from .corpus import gold_binary_label
 from .data import Dataset
 from .featurize import FeatureCache, SourceSpec
-from .model import Checkpoint, ToyModel, TrainingBatch, grad_step
+from .model import Checkpoint, ToyModel, grad_step
 from .scheduler import EpochPlan, MiniBatch, MixtureConfig, build_epoch, partition_batches
 from .seeding import derive_seed
 
@@ -154,8 +156,7 @@ def _fit(model: ToyModel, tasks: list[TaskData], dev_tasks: list[TaskData], epoc
     source = model.source
     cache = cache or FeatureCache([source])
     train_sets = {
-        t.name: (cache.lookup(t.train, source), _supervision(t.train), t.train.head_group,
-                 t.train.task_kind, t.train.task_kind.is_classification)
+        t.name: (cache.lookup(t.train, source), _supervision(t.train), t.train.head_group)
         for t in tasks
     }
     dev_sets = [(t.name, t.dev, cache.lookup(t.dev, source), dev_gold(t.dev)) for t in dev_tasks]
@@ -167,13 +168,11 @@ def _fit(model: ToyModel, tasks: list[TaskData], dev_tasks: list[TaskData], epoc
         batches = batches_of(epoch)
         epoch_loss = 0.0
         for batch in batches:
-            name, rows = batch.dataset.name, batch.rows
-            features, supervision, group, kind, classification = train_sets[name]
-            gold = supervision[rows]
-            training_batch = TrainingBatch(features[rows], group, kind,
-                                           gold if classification else None,
-                                           None if classification else gold, name)
-            epoch_loss += grad_step(model, training_batch, lr)
+            features, gold, group = train_sets[batch.dataset.name]
+            try:
+                epoch_loss += grad_step(model, features[batch.rows], gold[batch.rows], group, lr)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"dataset {batch.dataset.name!r}: {exc}") from exc
         metrics, selection = _eval_dev(model, dev_sets)
         history.append({"epoch": epoch, "train_loss": epoch_loss, "plan_length": len(batches),
                         "dev_metrics": metrics, "selection": selection})

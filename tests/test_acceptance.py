@@ -17,7 +17,6 @@ from mixtask.data import Dataset, SamplePair, TaskKind
 from mixtask.experiment import NoiseModelConfig, run_noise_model_experiment, synthesize_family_predictions
 from mixtask.inference import ensemble_classify, ensemble_regress, mednli_constrained_decode
 from mixtask.metrics import accuracy, mrr, precision_positive, spearman_on_positives
-from mixtask.model import ToyModel, TrainingBatch
 from mixtask.featurize import SourceSpec
 from mixtask.pipeline import PipelineConfig, run_pipeline
 from mixtask.scheduler import MiniBatch, build_epoch
@@ -217,7 +216,7 @@ def test_criterion_7_gradient_correctness():
                                  n_classes=int(rng.integers(2, 5)))
             kind = "cls" if trial % 2 == 0 else "reg"
             batch = random_batch(rng, model, kind, batch_size=int(rng.integers(1, 5)))
-            _, *analytic = model.loss_and_grads(batch)
+            _, *analytic = model.loss_and_grads(*batch)
             numeric = numeric_gradients(model, batch)
             for a, n in zip(analytic, numeric):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1.0)

@@ -3,6 +3,7 @@ and any invalid one fails with a stage-tagged error. Each case edits a copy
 of the seed-7 toy corpus, then runs the whole pipeline on it."""
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -65,6 +66,18 @@ def label_not_a_number(corpus):
     edit_records(corpus, "toy_rqe__train.jsonl", lambda records: records[0].update(label=[1]))
 
 
+def field_value(filename, line, key, value):
+    """An edit that sets key to value on one line of a corpus file. It
+    returns the path:line error that ingest must give."""
+    def edit(corpus):
+        edit_records(corpus, filename, lambda records: records[line - 1].update({key: value}))
+        shown = re.escape(json.dumps(value))
+        kind = "finite" if key == "target_score" else "an integer"
+        return rf"{re.escape(str(corpus / filename))}:{line}: {key} must be {kind}, got {shown}$"
+    edit.__name__ = f"{key}_{json.dumps(value)}"
+    return edit
+
+
 def same_ids_in_two_datasets(corpus):
     """toy_rqe's eval samples take toy_nli's eval ids, and toy_pages' train
     samples take toy_qa's train ids, which share its head group."""
@@ -115,6 +128,12 @@ def non_ascii_text(corpus):
     (manifest_without_section_header, "ingest"),
     (manifest_names_a_missing_file, "ingest"),
     (label_not_a_number, "ingest"),
+    (field_value("toy_rqe__train.jsonl", 1, "label", 1.7), "ingest"),
+    (field_value("toy_rqe__train.jsonl", 2, "label", True), "ingest"),
+    (field_value("toy_qa__eval.jsonl", 1, "gold_relevance", 3.9), "ingest"),
+    (field_value("toy_qa__dev.jsonl", 3, "gold_rank", 1.5), "ingest"),
+    (field_value("toy_pages__train.jsonl", 3, "target_score", float("nan")), "ingest"),
+    (field_value("toy_qa__dev.jsonl", 1, "target_score", float("inf")), "ingest"),
     pytest.param(empty_rqe_dev, "train",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     (same_ids_in_two_datasets, None),
@@ -127,13 +146,13 @@ def test_an_edited_corpus_gives_checked_outputs_or_a_tagged_error(toy_corpus_dir
                                                                   edit, stage):
     corpus, out = tmp_path / "corpus", tmp_path / "run"
     shutil.copytree(toy_corpus_dir, corpus)
-    edit(corpus)
+    message = edit(corpus) or ""
     cfg = PipelineConfig.from_file(corpus / "config.yaml")
     if stage is None:
         run_pipeline(cfg, out, quiet=True)
         assert check_outputs(cfg, out) == []
     else:
-        with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] "):
+        with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] {message}"):
             run_pipeline(cfg, out, quiet=True)
 
 

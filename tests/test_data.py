@@ -187,7 +187,7 @@ def test_json_writer_renames_a_whole_file_into_place(tmp_path):
     doc = {"b": [1, 2.5], "a": None}
     data.write_json(path, doc)
     assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=2)
-    assert data.read_json(path) == doc
+    assert data.decode_json(path.read_bytes()) == doc
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
@@ -238,13 +238,16 @@ _FILLER = "".join(_SAMPLE % (i, i) + "\n" for i in range(200)).encode("utf-8")  
 ])
 def test_decoder_matches_the_json_loads_reader(tmp_path, content):
     """read_jsonl and load_dataset, with and without a memo, give the records
-    and the path:line errors of a line-by-line json.loads reader."""
+    and the path:line errors of a line-by-line json.loads reader. The reader
+    decodes a NaN score as json.loads does, and load_dataset refuses it."""
     path = tmp_path / "d.jsonl"
     path.write_bytes(content)
     expected = _outcome(lambda: [rec for _, rec in _reference_read_jsonl(path)])
     assert _outcome(lambda: [rec for _, rec in data.read_jsonl(path)]) == expected
     assert _outcome(lambda: list(data.read_jsonl(path))) == _outcome(
         lambda: list(_reference_read_jsonl(path)))
+    if b"NaN" in content:
+        expected = "DatasetFormatError", f"{path}:1: target_score must be finite, got NaN"
     kind = TaskKind.parse("regression")
     for memo in (None, data.DecodedSamples()):
         loaded = _outcome(lambda: [s.to_record() for s in load_dataset(path, "fix", kind,

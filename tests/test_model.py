@@ -8,7 +8,6 @@ from mixtask.featurize import SourceSpec
 from mixtask.model import (
     Checkpoint,
     ToyModel,
-    TrainingBatch,
     cross_entropy_loss,
     grad_step,
     load_checkpoint,
@@ -39,18 +38,13 @@ def random_model(rng, dim=6, hidden=4, heads=("cls", "reg"), n_classes=3):
 
 
 def random_batch(rng, model, kind, batch_size=3):
+    """A batch of the "cls" or "reg" head group: (features, gold, head_group)."""
     dim = model.enc_weights.shape[0]
     feats = rng.normal(0, 1, size=(batch_size, dim))
     if kind == "cls":
         n_classes = model.heads["cls"].weights.shape[1]
-        return TrainingBatch(
-            features=feats, head_group="cls", task_kind=TaskKind.parse(f"classification:{n_classes}"),
-            labels=rng.integers(0, n_classes, size=batch_size),
-        )
-    return TrainingBatch(
-        features=feats, head_group="reg", task_kind=REG,
-        targets=rng.normal(0, 2, size=batch_size),
-    )
+        return feats, rng.integers(0, n_classes, size=batch_size), "cls"
+    return feats, rng.normal(0, 2, size=batch_size), "reg"
 
 
 # -- losses ----------------------------------------------------------------------
@@ -113,17 +107,17 @@ def test_probability_head_sums_to_one_for_any_weights():
 def numeric_gradients(model, batch, eps=1e-6):
     """Central finite differences of the summed batch loss over every weight."""
     grads = []
-    for arr in (model.enc_weights, model.enc_bias,
-                model.heads[batch.head_group].weights, model.heads[batch.head_group].bias):
+    head = model.heads[batch[2]]
+    for arr in (model.enc_weights, model.enc_bias, head.weights, head.bias):
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         while not it.finished:
             idx = it.multi_index
             original = arr[idx]
             arr[idx] = original + eps
-            up = model.batch_loss(batch)
+            up = model.batch_loss(*batch)
             arr[idx] = original - eps
-            down = model.batch_loss(batch)
+            down = model.batch_loss(*batch)
             arr[idx] = original
             g[idx] = (up - down) / (2 * eps)
             it.iternext()
@@ -144,7 +138,7 @@ def test_gradients_match_finite_differences():
                              n_classes=int(rng.integers(2, 5)))
         kind = "cls" if trial % 2 == 0 else "reg"
         batch = random_batch(rng, model, kind, batch_size=int(rng.integers(1, 5)))
-        _, *analytic = model.loss_and_grads(batch)
+        _, *analytic = model.loss_and_grads(*batch)
         assert_close_to_numeric(analytic, numeric_gradients(model, batch))
 
 
@@ -153,7 +147,7 @@ def test_zero_learning_rate_is_identity():
     model = random_model(rng)
     before = model.copy()
     batch = random_batch(rng, model, "cls")
-    grad_step(model, batch, 0.0)
+    grad_step(model, *batch, 0.0)
     assert np.array_equal(model.enc_weights, before.enc_weights)
     assert np.array_equal(model.heads["cls"].weights, before.heads["cls"].weights)
 
@@ -164,9 +158,9 @@ def test_single_sample_step_decreases_loss():
         model = random_model(rng)
         kind = "cls" if rng.integers(2) else "reg"
         batch = random_batch(rng, model, kind, batch_size=1)
-        before = model.batch_loss(batch)
-        grad_step(model, batch, 1e-3)
-        after = model.batch_loss(batch)
+        before = model.batch_loss(*batch)
+        grad_step(model, *batch, 1e-3)
+        after = model.batch_loss(*batch)
         if before > 1e-12:  # already-minimal losses cannot strictly decrease
             assert after < before
 
@@ -176,7 +170,7 @@ def test_grad_step_touches_only_encoder_and_batch_head():
     model = random_model(rng)
     before = model.copy()
     batch = random_batch(rng, model, "cls")
-    loss = grad_step(model, batch, 0.05)
+    loss = grad_step(model, *batch, 0.05)
     assert loss >= 0
     assert not np.array_equal(model.enc_weights, before.enc_weights)
     assert not np.array_equal(model.heads["cls"].weights, before.heads["cls"].weights)
@@ -203,10 +197,9 @@ def test_grad_step_aborts_on_nonfinite(monkeypatch):
     rng = np.random.default_rng(12)
     model = random_model(rng)
     before = params_bytes(params_of(model))
-    batch = random_batch(rng, model, "reg")
-    batch.targets = np.array([np.inf] * len(batch))
-    with pytest.raises(FloatingPointError, match="non-finite loss"):
-        grad_step(model, batch, 0.01)
+    feats, targets, group = random_batch(rng, model, "reg")
+    with pytest.raises(FloatingPointError, match="non-finite loss inf on head 'reg'"):
+        grad_step(model, feats, np.full(len(targets), np.inf), group, 0.01)
     assert params_bytes(params_of(model)) == before
 
     # one non-finite value confined to one gradient, the loss and the other
@@ -214,16 +207,16 @@ def test_grad_step_aborts_on_nonfinite(monkeypatch):
     real_loss_and_grads = ToyModel.loss_and_grads
     for position, value in ((3, np.nan), (2, np.inf)):
 
-        def poisoned(self, batch, position=position, value=value):
-            out = real_loss_and_grads(self, batch)
+        def poisoned(self, *batch, position=position, value=value):
+            out = real_loss_and_grads(self, *batch)
             out[position].flat[0] = value
             return out
 
         monkeypatch.setattr(ToyModel, "loss_and_grads", poisoned)
         model = random_model(rng)
         before = params_bytes(params_of(model))
-        with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            grad_step(model, random_batch(rng, model, "cls"), 0.01)
+        with pytest.raises(FloatingPointError, match="non-finite gradient on head 'cls'"):
+            grad_step(model, *random_batch(rng, model, "cls"), 0.01)
         assert params_bytes(params_of(model)) == before
 
 
@@ -231,11 +224,8 @@ def test_shared_head_group_is_one_parameter_set():
     model = ToyModel.create(SourceSpec("fam", 3, 8), {"nli": CLS}, hidden=4, run_seed=1)
     # two datasets pointing at "nli" read and update the same array object
     assert model.heads["nli"].weights is model.heads["nli"].weights
-    feats = np.ones((2, 8))
-    batch = TrainingBatch(features=feats, head_group="nli", task_kind=CLS,
-                          labels=np.array([0, 1]))
     before = model.heads["nli"].weights.copy()
-    grad_step(model, batch, 0.1)
+    grad_step(model, np.ones((2, 8)), np.array([0, 1]), "nli", 0.1)
     assert not np.array_equal(model.heads["nli"].weights, before)
 
 
@@ -314,10 +304,7 @@ def test_copy_shares_no_memory_and_steps_independently():
     assert twin.params.tobytes() == model.params.tobytes()
     for group in ("nli", "rqe", "qa"):
         assert not np.shares_memory(twin.heads[group].weights, model.heads[group].weights)
-    kind = THREE_HEADS["nli"]
-    batch = TrainingBatch(features=rng.normal(0, 1, size=(4, 10)), head_group="nli",
-                          task_kind=kind, labels=rng.integers(0, 3, size=4))
-    grad_step(twin, batch, 0.5)
+    grad_step(twin, rng.normal(0, 1, size=(4, 10)), rng.integers(0, 3, size=4), "nli", 0.5)
     assert not np.array_equal(twin.params, before)
     assert model.params.tobytes() == before.tobytes()
 
@@ -327,13 +314,12 @@ def test_copies_and_loaded_checkpoints_step_only_their_own_vector(tmp_path):
     original has stepped, its copy and its reloaded checkpoint step theirs."""
     rng = np.random.default_rng(17)
     model = ToyModel.create(SourceSpec("fam", 3, 10), THREE_HEADS, hidden=5, run_seed=2)
-    batch = TrainingBatch(features=rng.normal(0, 1, size=(4, 10)), head_group="nli",
-                          task_kind=THREE_HEADS["nli"], labels=rng.integers(0, 3, size=4))
-    grad_step(model, batch, 0.5)
+    batch = rng.normal(0, 1, size=(4, 10)), rng.integers(0, 3, size=4), "nli"
+    grad_step(model, *batch, 0.5)
     before = model.params.copy()
     entry = save_checkpoint(Checkpoint(model=model), tmp_path / "model.npy")
     for other in (model.copy(), load_checkpoint(tmp_path / "model.npy", entry).model):
-        grad_step(other, batch, 0.5)
+        grad_step(other, *batch, 0.5)
         assert not np.array_equal(other.params, before)
         assert model.params.tobytes() == before.tobytes()
 
@@ -341,29 +327,30 @@ def test_copies_and_loaded_checkpoints_step_only_their_own_vector(tmp_path):
 # -- bit-exactness against the per-array formulation -------------------------------
 
 
-def reference_step(params, batch, learning_rate):
+def reference_step(params, kind, batch, learning_rate):
     """The per-array SGD step that the flat gradient buffer replaced, kept as
     an oracle: a fresh array for every intermediate, one finiteness check and
     one scaled update per gradient. params is (enc_weights, enc_bias,
-    {group: (weights, bias)}), updated in place; returns the batch loss."""
+    {group: (weights, bias)}), updated in place; kind is the TaskKind of the
+    batch's head group; returns the batch loss."""
     enc_w, enc_b, heads = params
-    head_w, head_b = heads[batch.head_group]
-    X = batch.features
+    X, gold, group = batch
+    head_w, head_b = heads[group]
     Z = X @ enc_w + enc_b
     A = np.tanh(Z)
-    if batch.task_kind.is_classification:
+    if kind.is_classification:
         U = A @ head_w + head_b
         shifted = U - U.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
         P = exp / exp.sum(axis=-1, keepdims=True)
-        picked = P[np.arange(len(batch)), batch.labels]
+        picked = P[np.arange(len(gold)), gold]
         loss = float(-np.log(np.maximum(picked, 1e-12)).sum())
         dU = P.copy()
-        dU[np.arange(len(batch)), batch.labels] -= 1.0
+        dU[np.arange(len(gold)), gold] -= 1.0
     else:
         S = (A @ head_w + head_b)[:, 0]
-        loss = float(((batch.targets - S) ** 2).sum())
-        dU = (2.0 * (S - batch.targets))[:, None]
+        loss = float(((gold - S) ** 2).sum())
+        dU = (2.0 * (S - gold))[:, None]
     d_head_w = A.T @ dU
     d_head_b = dU.sum(axis=0)
     dA = dU @ head_w.T
@@ -399,10 +386,8 @@ def test_grad_step_is_bit_identical_to_the_per_array_step():
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
         kind = kinds[group]
         if kind.is_classification:
-            return TrainingBatch(features=feats, head_group=group, task_kind=kind,
-                                 labels=rng.integers(0, kind.num_classes, size=size))
-        return TrainingBatch(features=feats, head_group=group, task_kind=kind,
-                             targets=rng.uniform(-1, 1, size=size))
+            return feats, rng.integers(0, kind.num_classes, size=size), group
+        return feats, rng.uniform(-1, 1, size=size), group
 
     def snapshot(model):
         enc_w, enc_b, heads = params_of(model)
@@ -417,8 +402,8 @@ def test_grad_step_is_bit_identical_to_the_per_array_step():
             group = ("nli", "rqe", "qa")[int(rng.integers(3))]
             size = (16, 20, 1)[step % 3]
             batch = batch_for(group, size)
-            expected = reference_step(params, batch, 0.02)
-            assert grad_step(run_model, batch, 0.02) == expected
+            expected = reference_step(params, kinds[group], batch, 0.02)
+            assert grad_step(run_model, *batch, 0.02) == expected
             assert params_bytes(params_of(run_model)) == params_bytes(params), f"step {step}"
             steps += 1
     assert steps >= 200

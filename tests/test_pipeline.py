@@ -89,8 +89,8 @@ def test_members_trained_base_plus_cv(toy_run_dir):
 
 
 def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, monkeypatch):
-    """Each gradient step takes the feature rows of the next batch of the
-    schedule stage's audited plan."""
+    """Each gradient step takes the feature rows and the head group of the
+    next batch of the schedule stage's audited plan."""
     import numpy as np
 
     from mixtask import training
@@ -105,9 +105,9 @@ def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, mo
     for member in (roster[0], roster[-1]):  # a base member and a CV fold member
         seen = []
 
-        def recording_step(model, batch, learning_rate):
-            seen.append((batch.dataset_name, batch.features))
-            return real_step(model, batch, learning_rate)
+        def recording_step(model, features, gold, head_group, learning_rate):
+            seen.append((head_group, features))
+            return real_step(model, features, gold, head_group, learning_rate)
 
         monkeypatch.setattr(training, "grad_step", recording_step)
         train_cfg = cfg.member_train_config(member)
@@ -119,9 +119,11 @@ def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, mo
         for task in tasks:
             matrix = cache.lookup(task.train, spec)
             rows[task.name] = {s.id: matrix[i] for i, s in enumerate(task.train)}
-        assert seen and [name for name, _ in seen] == [row["dataset"] for row in plan]
-        for (name, features), row in zip(seen, plan):
-            assert np.array_equal(features, [rows[name][i] for i in row["sample_ids"]])
+        groups = {task.name: task.train.head_group for task in tasks}
+        assert len(set(groups.values())) < len(groups)  # toy_qa and toy_pages share one
+        assert seen and [group for group, _ in seen] == [groups[row["dataset"]] for row in plan]
+        for (_, features), row in zip(seen, plan):
+            assert np.array_equal(features, [rows[row["dataset"]][i] for i in row["sample_ids"]])
 
 
 def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypatch):
@@ -130,7 +132,7 @@ def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypat
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     current, loads, index_reads = [None], [], []
     real_run_stage, real_load = pipeline.run_stage, pipeline.load_dataset
-    real_read_json = pipeline.read_json
+    real_decode_json = pipeline.decode_json
 
     def recording_run_stage(name, *args):
         current[0] = name
@@ -140,16 +142,19 @@ def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypat
         loads.append((current[0], Path(path).relative_to(tmp_path).as_posix()))
         return real_load(path, *args, **kwargs)
 
-    def recording_read_json(path):
-        if Path(path).name == "index.json":
-            index_reads.append((current[0], Path(path).parent.name))
-        return real_read_json(path)
+    def recording_decode_json(raw):
+        index_reads.append((current[0], hashlib.sha256(raw).hexdigest()))
+        return real_decode_json(raw)
 
     monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
     monkeypatch.setattr(pipeline, "load_dataset", recording_load)
-    monkeypatch.setattr(pipeline, "read_json", recording_read_json)
+    monkeypatch.setattr(pipeline, "decode_json", recording_decode_json)
     run = tmp_path / "run"
     pipeline.run_pipeline(cfg, run, quiet=True)
+    # an index parsed is named by the producer whose index.json has its bytes
+    producers = {hashlib.sha256((run / stage / "index.json").read_bytes()).hexdigest(): stage
+                 for stage in STAGES}
+    index_reads = [(reader, producers[digest]) for reader, digest in index_reads]
     repeated = sorted(load for load, n in Counter(loads).items() if n > 1)
     assert not repeated, f"{len(repeated)} (stage, file) pairs loaded twice: {repeated[:5]}"
     readers = ("transform", "split", "schedule", "train", "finetune", "predict", "ensemble",
@@ -165,6 +170,49 @@ def test_no_stage_loads_a_dataset_file_twice(toy_corpus_dir, tmp_path, monkeypat
     assert {reader for reader, _ in index_reads} == set(STAGES[1:])
 
 
+def test_a_stage_reads_each_index_file_once_and_records_the_bytes_it_parsed(
+    toy_corpus_dir, tmp_path, monkeypatch
+):
+    """Within one stage each index.json is read at most once: that one read
+    serves its parse and every check of its digest, and the stage's
+    "inputs" holds the sha256 of exactly the bytes it parsed."""
+    from mixtask import pipeline
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    current, reads, parsed = [None], [], []
+    real_run_stage, real_read_bytes = pipeline.run_stage, Path.read_bytes
+    real_decode_json = pipeline.decode_json
+
+    def recording_run_stage(name, *args):
+        current[0] = name
+        return real_run_stage(name, *args)
+
+    def recording_read_bytes(path):
+        if path.name == "index.json":
+            reads.append((current[0], path.parent.name))
+        return real_read_bytes(path)
+
+    def recording_decode_json(raw):
+        parsed.append((current[0], hashlib.sha256(raw).hexdigest()))
+        return real_decode_json(raw)
+
+    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+    monkeypatch.setattr(pipeline, "decode_json", recording_decode_json)
+    run = tmp_path / "run"
+    pipeline.run_pipeline(cfg, run, quiet=True)
+    monkeypatch.undo()
+    assert reads and [read for read, n in Counter(reads).items() if n > 1] == []
+    digest_only = 0
+    for stage in STAGES:
+        inputs = read_index(run, stage).get("inputs", {})
+        assert sorted(inputs.values()) == sorted(d for s, d in parsed if s == stage), stage
+        read = {producer for s, producer in reads if s == stage}
+        assert set(inputs) <= read, stage
+        digest_only += len(read - set(inputs))
+    assert digest_only > 0  # some upstream is read only to check its digest
+
+
 def test_only_stage_run_reads_artifacts():
     """Every call in pipeline.py to an artifact reader sits inside a StageRun
     method."""
@@ -173,7 +221,7 @@ def test_only_stage_run_reads_artifacts():
 
     from mixtask import pipeline
 
-    readers = {"read_json", "read_jsonl", "load_dataset", "load_checkpoint",
+    readers = {"read_bytes", "read_jsonl", "load_dataset", "load_checkpoint",
                "load_prediction_set"}
 
     def reader_name(call):
@@ -215,6 +263,41 @@ def test_a_failed_allocation_is_a_tagged_stage_error(
     assert cli.main(["train", "--config", str(toy_corpus_dir / "config.yaml"),
                      "--out", str(run)]) == 1
     assert capsys.readouterr().err == "[train] Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_a_diverging_step_fails_train_naming_the_member_and_the_dataset(
+    toy_corpus_dir, toy_run_dir, tmp_path, monkeypatch
+):
+    """A step whose gradient turns non-finite fails train with the member,
+    the dataset and the head group, even when two datasets share that head
+    group: it names the first dataset of that group in the member's plan."""
+    import numpy as np
+
+    from mixtask.model import ToyModel
+    from mixtask.scheduler import load_plan
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    groups = {name: entry["head_group"]
+              for name, entry in read_index(run, "split")["datasets"].items()}
+    shared = groups["toy_qa"]
+    assert groups["toy_pages"] == shared
+    member = cfg.member_plan()[0]["member_id"]
+    plan = load_plan(run / "schedule" / f"{member}__epoch1.jsonl")
+    first = next(row["dataset"] for row in plan if groups[row["dataset"]] == shared)
+    real_loss_and_grads = ToyModel.loss_and_grads
+
+    def poisoned(self, features, gold, head_group):
+        out = real_loss_and_grads(self, features, gold, head_group)
+        if head_group == shared:
+            out[3].flat[0] = np.nan  # the head weights' gradient
+        return out
+
+    monkeypatch.setattr(ToyModel, "loss_and_grads", poisoned)
+    with pytest.raises(PipelineStageError) as failure:
+        run_stage("train", cfg, run)
+    assert str(failure.value) == (f"[train] member {member}: dataset {first!r}: "
+                                  f"non-finite gradient on head {shared!r}")
 
 
 def test_only_run_stage_tags_a_stage_failure():
@@ -267,6 +350,47 @@ def test_one_library_caller_per_training_and_prediction_entry_point():
             for callee in called & only_caller.keys():
                 callers[callee].append(f"{path.stem}.{function.name}")
     assert callers == {callee: [caller] for callee, caller in only_caller.items()}
+
+
+def test_the_model_layer_sees_only_arrays_and_head_groups():
+    """model.py names TaskKind and task_kind only in ToyModel.create, whose
+    head specs are the model's only task kinds; a step takes a head group
+    and arrays. No library module or test names a TrainingBatch."""
+    import ast
+
+    class Names(ast.NodeVisitor):
+        def __init__(self, watched):
+            self.watched, self.scope, self.found = watched, [], []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Name(self, node):
+            if node.id in self.watched:
+                self.found.append(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr in self.watched:
+                self.found.append(".".join(self.scope))
+            self.generic_visit(node)
+
+    package = Path(mixtask.__file__).parent
+    model_names = Names({"TaskKind", "task_kind"})
+    model_names.visit(ast.parse((package / "model.py").read_text(encoding="utf-8")))
+    assert model_names.found and set(model_names.found) == {"ToyModel.create"}
+
+    named = []
+    for path in sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name == "TrainingBatch":
+                named.append(f"{path.name}:{node.lineno}")
+    assert named == []
 
 
 def test_mini_batch_ids_are_read_only_by_the_audit_plan():
