@@ -5,7 +5,7 @@ Datasets are collections of text pairs, each carrying either a class label
 tasks). Files are JSON-Lines, one sample per line; a plain-text manifest
 (INI sections) declares the datasets of a run. A record's label,
 gold_relevance and gold_rank must be integers (a bool or a fraction fails)
-and its target_score finite.
+and its target_score a finite number (a bool fails).
 
 This module also holds the one codec for every artifact the pipeline
 writes: JSON-Lines records (`write_jsonl`, `read_jsonl`) and indented JSON
@@ -39,6 +39,7 @@ class DatasetFormatError(ValueError):
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+ROLES = ("in_domain", "external")
 
 # Optional per-sample metadata keys accepted in JSONL records.
 _OPTIONAL_KEYS = (
@@ -64,9 +65,9 @@ def _integer(key: str) -> Callable:
 
 
 def _finite_score(value) -> float:
-    score = float(value)
+    score = math.nan if isinstance(value, bool) else float(value)
     if not math.isfinite(score):
-        raise ValueError(f"target_score must be finite, got {json.dumps(value)}")
+        raise ValueError(f"target_score must be a finite number, got {json.dumps(value)}")
     return score
 
 
@@ -100,16 +101,14 @@ class TaskKind:
 
     @classmethod
     def parse(cls, text: str) -> "TaskKind":
-        """Parse "classification:3" or "regression"."""
+        """Parse "classification:<classes>" or "regression"."""
         text = text.strip()
         if text == REGRESSION:
             return cls(REGRESSION)
-        if text.startswith(CLASSIFICATION):
-            _, _, c = text.partition(":")
-            if not c:
-                raise ValueError("classification kind needs a class count, e.g. classification:3")
-            return cls(CLASSIFICATION, int(c))
-        raise ValueError(f"cannot parse task kind {text!r}")
+        kind, _, classes = text.partition(":")
+        if kind != CLASSIFICATION or not classes.isdigit():
+            raise ValueError("expected 'regression' or 'classification:<classes>'")
+        return cls(CLASSIFICATION, int(classes))
 
     def __str__(self) -> str:
         if self.is_classification:
@@ -167,7 +166,7 @@ class Dataset:
     samples: list[SamplePair] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.role not in ("in_domain", "external"):
+        if self.role not in ROLES:
             raise ValueError(f"role must be in_domain or external, got {self.role!r}")
         if not self.head_group:
             self.head_group = self.name
@@ -414,9 +413,10 @@ class ManifestEntry:
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Parse a dataset manifest: one INI section per dataset.
 
-    Required keys per section: task_kind, role, head_group, path.
-    Optional: dev_path, eval_path. Relative paths resolve against the
-    manifest's directory; other keys are ignored.
+    Required keys per section: task_kind, role, path. Optional: head_group
+    (the section name when absent), dev_path, eval_path. Relative paths
+    resolve against the manifest's directory; other keys are ignored. A
+    missing or invalid value fails naming the manifest and the section.
     """
     path = Path(path)
     parser = configparser.ConfigParser()
@@ -430,9 +430,18 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     entries = []
     for section in parser.sections():
         sec = parser[section]
+        where = f"manifest {path}: section [{section}]"
         for key in ("task_kind", "role", "path"):
             if key not in sec:
-                raise DatasetFormatError(f"manifest {path}: section [{section}] missing {key!r}")
+                raise DatasetFormatError(f"{where} missing {key!r}")
+        try:
+            task_kind = TaskKind.parse(sec["task_kind"])
+        except ValueError as exc:
+            kind = sec["task_kind"].strip()
+            raise DatasetFormatError(f"{where} task_kind {kind!r}: {exc}") from None
+        role = sec["role"].strip()
+        if role not in ROLES:
+            raise DatasetFormatError(f"{where} role must be in_domain or external, got {role!r}")
 
         def resolve(value: Optional[str]) -> Optional[str]:
             if value is None:
@@ -443,8 +452,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         entries.append(
             ManifestEntry(
                 name=section,
-                task_kind=TaskKind.parse(sec["task_kind"]),
-                role=sec["role"].strip(),
+                task_kind=task_kind,
+                role=role,
                 head_group=sec.get("head_group", section).strip(),
                 path=resolve(sec["path"].strip()),
                 dev_path=resolve(sec.get("dev_path", "").strip() or None),

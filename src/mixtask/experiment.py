@@ -114,7 +114,6 @@ def synthesize_family_predictions(
             members.append(
                 PredictionSet(
                     model_id=f"{family}-m{member_idx}",
-                    task="noise-model",
                     kind="classification",
                     predictions=preds,
                     dev_metric=100.0 * dev_acc,
@@ -334,11 +333,9 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
         raise PipelineStageError("experiment", f"task {task_name!r} has no eval or dev split")
     gold = {s.id: s.label for s in eval_set}
 
-    predictions = run.index("predict")["predictions"]
     families: dict[str, list[PredictionSet]] = {}
     for member in members_cfg.member_plan():
-        entry = predictions[f"{member['member_id']}/{task_name}"]
         families.setdefault(member["source"].spec.name, []).append(
-            run.prediction_set(entry["file"], task_name, gold.keys())
+            run.prediction_set(task_name, member["member_id"], eval_set)
         )
     return summarize_trials([compare_groupings(families, gold, trial=0)])

@@ -5,6 +5,8 @@ Combination is by majority vote rather than probability averaging, so a
 single overconfident member cannot dominate the ensemble. Ties are resolved
 by summed prediction probabilities (classification) or the sign of the mean
 score (regression).
+A prediction file holds only rows; the predict index that lists it records
+the set's member, task and dev metric, and its kind is its task's.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ class PredictionSet:
     """
 
     model_id: str
-    task: str
     kind: str  # classification | regression
     predictions: dict[str, object] = field(default_factory=dict)
     dev_metric: Optional[float] = None
@@ -251,37 +252,31 @@ def constrained_triples_pass(
 
 
 def save_prediction_set(ps: PredictionSet, path: str | Path) -> None:
-    """JSON-Lines: a header with the set's metadata, then one record per
-    sample with model_id and probs or score."""
-    header = {"model_id": ps.model_id, "task": ps.task, "kind": ps.kind,
-              "dev_metric": ps.dev_metric}
+    """JSON-Lines: one record per sample, sorted by sample id, with its
+    probs (classification) or score (regression) and nothing else."""
     if ps.kind == "classification":
         key, value = "probs", lambda v: [float(p) for p in v]
     else:
         key, value = "score", float
-    records = ({"model_id": ps.model_id, "sample_id": i, key: value(ps.predictions[i])}
-               for i in sorted(ps.predictions))
-    write_jsonl(path, itertools.chain([header], records))
+    write_jsonl(path, ({"sample_id": i, key: value(ps.predictions[i])}
+                       for i in sorted(ps.predictions)))
 
 
-def load_prediction_set(path: str | Path) -> PredictionSet:
-    records = [rec for _, rec in read_jsonl(path)]
-    if not records:
-        raise ValueError(f"{path}: empty prediction file")
-    header = records[0]
-    ps = PredictionSet(
-        model_id=header["model_id"],
-        task=header["task"],
-        kind=header["kind"],
-        dev_metric=header.get("dev_metric"),
-    )
-    for rec in records[1:]:
-        if rec["sample_id"] in ps.predictions:
-            raise ValueError(f"{path}: sample id {rec['sample_id']!r} repeats")
-        if "probs" in rec:
-            ps.predictions[rec["sample_id"]] = np.asarray(rec["probs"], dtype=np.float64)
-        else:
-            ps.predictions[rec["sample_id"]] = float(rec["score"])
+def load_prediction_set(path: str | Path, model_id: str, kind: str,
+                        dev_metric: Optional[float]) -> PredictionSet:
+    """Read a file save_prediction_set wrote, under the metadata the caller
+    got from the predict index. Raises ValueError on a repeated sample id, a
+    record without the value its kind needs, or a set that fails validate."""
+    key = "probs" if kind == "classification" else "score"
+    ps = PredictionSet(model_id=model_id, kind=kind, dev_metric=dev_metric)
+    for line_no, rec in read_jsonl(path):
+        sample_id = rec.get("sample_id")
+        if sample_id in ps.predictions:
+            raise ValueError(f"{path}:{line_no}: sample id {sample_id!r} repeats")
+        if sample_id is None or key not in rec:
+            raise ValueError(f"{path}:{line_no}: a {kind} record needs sample_id and {key}")
+        ps.predictions[sample_id] = (np.asarray(rec[key], dtype=np.float64)
+                                     if key == "probs" else float(rec[key]))
     ps.validate()
     return ps
 

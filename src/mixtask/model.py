@@ -16,7 +16,8 @@ enc_weights, enc_bias and each head's weights and bias are views of it that
 can be updated in place but never rebound, so they cannot detach from the
 vector. A copy is one copy of the vector, and a checkpoint is the vector as
 one .npy file; its layout (source, hidden size, head kinds and shapes) and
-its provenance live in the stage index entry that lists the file.
+its provenance (stage, selected epoch, its dev metrics and selection value)
+live in the stage index entry that lists the file.
 
 A model also owns one step context per head group, built on the group's
 first step: the head's views, the classification flag, a flat float64
@@ -370,8 +371,6 @@ class Checkpoint:
     epoch: int = 0
     dev_metrics: dict = field(default_factory=dict)
     selection_value: float = float("-inf")
-    config_hash: str = ""
-    seeds: dict = field(default_factory=dict)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> dict:

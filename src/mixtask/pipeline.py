@@ -226,8 +226,8 @@ class StageRun:
         """A member's model: for a task, the fine-tuned checkpoint the finetune
         index lists for (member, task), else the member's multi-task
         checkpoint from the train index; never a file merely present on disk."""
-        finetuned = self.index("finetune")["finetuned"] if task is not None else {}
-        producer, entry = "finetune", finetuned.get(f"{member_id}/{task}")
+        finetuned = {} if task is None else self.index("finetune")["finetuned"].get(member_id, {})
+        producer, entry = "finetune", finetuned.get(task)
         if entry is None:
             producer, entry = "train", self.index("train")["members"].get(member_id)
         if entry is None:
@@ -251,11 +251,17 @@ class StageRun:
                              repeats=len(records) - len(by_id))
         return by_id
 
-    def prediction_set(self, filename: str, task: str, expected) -> PredictionSet:
-        """A member's predictions, which must cover exactly the expected eval ids."""
+    def prediction_set(self, task: str, member_id: str, eval_set: Dataset) -> PredictionSet:
+        """A member's predictions for a task, as the predict index lists them,
+        which must cover exactly the eval split's ids."""
+        with self.reading(f"predictions of {member_id} for {task}", "predict"):
+            entry = self.index("predict")["predictions"][task][member_id]
+            filename, metric = entry["file"], entry["dev_metric"]
         with self.reading(f"predict/{filename}", "predict"):
-            ps = load_prediction_set(self.out_dir / "predict" / filename)
-        self._check_coverage("predict", filename, task, ps.predictions.keys(), expected)
+            ps = load_prediction_set(self.out_dir / "predict" / filename, member_id,
+                                     eval_set.task_kind.kind, metric)
+        self._check_coverage("predict", filename, task, ps.predictions.keys(),
+                             {s.id for s in eval_set})
         return ps
 
     def _check_coverage(self, producer: str, filename: str, task: str, ids, expected,
@@ -376,7 +382,6 @@ def stage_train(run: StageRun) -> dict:
             )
         except (ValueError, FloatingPointError) as exc:
             raise run.error(f"member {member_id}: {exc}") from exc
-        result.best.config_hash = run.cfg.config_hash
         checkpoint = save_checkpoint(result.best, run.dir / f"{member_id}__multitask.npy")
         history_file = f"{member_id}__history.json"
         write_json(
@@ -384,7 +389,7 @@ def stage_train(run: StageRun) -> dict:
             {"member": member_id, "initial_metrics": result.initial_metrics,
              "history": result.history},
         )
-        members_meta[member_id] = {**checkpoint, "history": history_file, "fold": member["fold"]}
+        members_meta[member_id] = {**checkpoint, "history": history_file}
     features = cache.save(run.dir / "features")
     return {"members": members_meta, "features": features}
 
@@ -423,7 +428,7 @@ def stage_finetune(run: StageRun) -> dict:
                 raise run.error(f"member {member_id}, task {task.name}: {exc}") from exc
             if tuned.epoch == 0:
                 continue
-            finetuned[f"{member_id}/{task.name}"] = save_checkpoint(
+            finetuned.setdefault(member_id, {})[task.name] = save_checkpoint(
                 tuned, run.dir / f"{member_id}__ft__{task.name}.npy"
             )
     return {"finetuned": finetuned}
@@ -454,32 +459,26 @@ def stage_predict(run: StageRun) -> dict:
             model, metric = ckpt.model, 100.0 * ckpt.dev_metrics[task_name]
             ps = PredictionSet(
                 model_id=member_id,
-                task=task_name,
                 kind=eval_set.task_kind.kind,
                 predictions=predict_dataset(model, eval_set, cache.lookup(eval_set, model.source)),
-                dev_metric=metric,
             )
             filename = f"{member_id}__{task_name}.jsonl"
             save_prediction_set(ps, run.dir / filename)
-            files[f"{member_id}/{task_name}"] = {"file": filename, "dev_metric": metric}
+            files.setdefault(task_name, {})[member_id] = {"file": filename, "dev_metric": metric}
     return {"predictions": files}
 
 
 def stage_ensemble(run: StageRun) -> dict:
     """Select members by dev-metric threshold and combine their predictions."""
     cfg, predictions = run.cfg, run.index("predict")["predictions"]
-    tasks = sorted({key.split("/", 1)[1] for key in predictions})
-    _check_names(run, "task", tasks, thresholds=cfg.thresholds,
+    _check_names(run, "task", predictions, thresholds=cfg.thresholds,
                  constrained_triples=cfg.constrained_triple_tasks)
     ensembles_meta = {}
-    for task_name in tasks:
+    for task_name in sorted(predictions):
         eval_set = run.eval_set(task_name)
         by_id = {s.id: s for s in eval_set}
-        sets = [
-            run.prediction_set(predictions[key]["file"], task_name, by_id.keys())
-            for key in sorted(predictions)
-            if key.split("/", 1)[1] == task_name
-        ]
+        sets = [run.prediction_set(task_name, member_id, eval_set)
+                for member_id in sorted(predictions[task_name])]
         threshold = cfg.thresholds.get(task_name, 0.0)
         try:
             members = select_members(sets, threshold)

@@ -1,7 +1,8 @@
 """Multi-task training with mixture-ratio epoch plans, plus per-task
 fine-tuning, both run by one loop (_fit).
 
-One run is sequential and fully deterministic given (data, seeds, config).
+One run is sequential and fully deterministic given (data, config): both
+loops seed from config.mixture.seed, never from a checkpoint.
 After every epoch the dev sets are evaluated; the checkpoint returned is the
 one maximizing the selection metric (unweighted mean of per-dataset dev
 metrics: accuracy for classification, sign-accuracy for regression).
@@ -201,14 +202,13 @@ def train_multitask(
     if not any(t.dev is not None for t in in_domain):
         raise ValueError("need at least one in-domain task with a dev split")
 
-    run_seed = config.mixture.seed
-    model = ToyModel.create(source, _head_specs(tasks), config.hidden_dim, run_seed)
+    model = ToyModel.create(source, _head_specs(tasks), config.hidden_dim, config.mixture.seed)
     result = _fit(
         model, tasks, [t for t in in_domain if t.dev is not None], config.mixture.max_epoch,
         lambda epoch: build_member_epoch_plan(tasks, config, epoch).batches,
         config.lr_multitask, cache, keep_input=False,
     )
-    result.best = replace(result.best, stage="multitask", seeds={"run": run_seed})
+    result.best = replace(result.best, stage="multitask")
     return result
 
 
@@ -223,7 +223,7 @@ def fine_tune_task(
 
     The input checkpoint is always a selection candidate, so the returned
     dev metric never drops below the input's; zero epochs returns the input
-    unchanged.
+    unchanged. Each epoch's batches are shuffled from config.mixture.seed.
     """
     if task.train.head_group not in checkpoint.model.heads:
         raise ValueError(
@@ -232,12 +232,11 @@ def fine_tune_task(
     if task.dev is None:
         raise ValueError(f"fine-tuning {task.name!r} requires a dev split")
 
-    run_seed = checkpoint.seeds.get("run", 0)
     best = _fit(
         checkpoint.model.copy(), [task], [task], config.epochs_finetune,
-        lambda epoch: partition_batches(task.train, config.mixture.batch_size,
-                                        derive_seed(run_seed, "finetune", task.name, epoch)),
+        lambda epoch: partition_batches(
+            task.train, config.mixture.batch_size,
+            derive_seed(config.mixture.seed, "finetune", task.name, epoch)),
         config.lr_finetune, cache, keep_input=True,
     ).best
-    return replace(best, stage=f"finetune:{task.name}", config_hash=checkpoint.config_hash,
-                   seeds=checkpoint.seeds)
+    return replace(best, stage=f"finetune:{task.name}")

@@ -13,6 +13,7 @@ from mixtask import cli
 from mixtask.pipeline import PipelineConfig, PipelineStageError, run_pipeline
 
 CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+KIND_FORMS = "expected 'regression' or 'classification:<classes>'"
 
 
 def check_outputs(cfg, out_dir):
@@ -72,9 +73,25 @@ def field_value(filename, line, key, value):
     def edit(corpus):
         edit_records(corpus, filename, lambda records: records[line - 1].update({key: value}))
         shown = re.escape(json.dumps(value))
-        kind = "finite" if key == "target_score" else "an integer"
+        kind = "a finite number" if key == "target_score" else "an integer"
         return rf"{re.escape(str(corpus / filename))}:{line}: {key} must be {kind}, got {shown}$"
     edit.__name__ = f"{key}_{json.dumps(value)}"
+    return edit
+
+
+def manifest_value(key, value, message):
+    """An edit that sets key to value in the manifest's [toy_rqe] section. It
+    returns the error ingest must give: the manifest's path, the section,
+    then message."""
+    def edit(corpus):
+        path = corpus / "manifest.ini"
+        text = path.read_text()
+        start = text.index("[toy_rqe]")
+        end = text.index("\n[", start)
+        section = re.sub(rf"^{key} = .*$", f"{key} = {value}", text[start:end], flags=re.M)
+        path.write_text(text[:start] + section + text[end:])
+        return re.escape(f"manifest {path}: section [toy_rqe] {message}") + "$"
+    edit.__name__ = f"manifest_{key}_{value}"
     return edit
 
 
@@ -134,6 +151,15 @@ def non_ascii_text(corpus):
     (field_value("toy_qa__dev.jsonl", 3, "gold_rank", 1.5), "ingest"),
     (field_value("toy_pages__train.jsonl", 3, "target_score", float("nan")), "ingest"),
     (field_value("toy_qa__dev.jsonl", 1, "target_score", float("inf")), "ingest"),
+    (field_value("toy_pages__train.jsonl", 2, "target_score", True), "ingest"),
+    (manifest_value("task_kind", "classification:abc",
+                    f"task_kind 'classification:abc': {KIND_FORMS}"), "ingest"),
+    (manifest_value("task_kind", "classification:1",
+                    "task_kind 'classification:1': classification requires num_classes >= 2"),
+     "ingest"),
+    (manifest_value("task_kind", "regresion", f"task_kind 'regresion': {KIND_FORMS}"), "ingest"),
+    (manifest_value("role", "externall", "role must be in_domain or external, got 'externall'"),
+     "ingest"),
     pytest.param(empty_rqe_dev, "train",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     (same_ids_in_two_datasets, None),

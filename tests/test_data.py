@@ -133,6 +133,15 @@ def test_manifest_parses_sections_and_resolves_paths(tmp_path):
     assert e.path.endswith("train.jsonl") and e.dev_path.endswith("dev.jsonl")
 
 
+def test_manifest_head_group_defaults_to_the_section_name(tmp_path):
+    (tmp_path / "m.ini").write_text(
+        "[taskx]\ntask_kind = regression\nrole = external\npath = train.jsonl\n",
+        encoding="utf-8",
+    )
+    (entry,) = read_manifest(tmp_path / "m.ini")
+    assert entry.head_group == "taskx" and entry.role == "external"
+
+
 def test_manifest_missing_key_rejected(tmp_path):
     (tmp_path / "m.ini").write_text("[x]\nrole = in_domain\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="task_kind"):
@@ -247,7 +256,7 @@ def test_decoder_matches_the_json_loads_reader(tmp_path, content):
     assert _outcome(lambda: list(data.read_jsonl(path))) == _outcome(
         lambda: list(_reference_read_jsonl(path)))
     if b"NaN" in content:
-        expected = "DatasetFormatError", f"{path}:1: target_score must be finite, got NaN"
+        expected = "DatasetFormatError", f"{path}:1: target_score must be a finite number, got NaN"
     kind = TaskKind.parse("regression")
     for memo in (None, data.DecodedSamples()):
         loaded = _outcome(lambda: [s.to_record() for s in load_dataset(path, "fix", kind,

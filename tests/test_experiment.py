@@ -40,10 +40,10 @@ def test_noise_model_shared_errors_correlate_within_family():
 def test_identical_members_ensemble_equals_member():
     preds = {f"s{i:05d}": np.array([0.7, 0.2, 0.1]) if i % 3 else np.array([0.1, 0.7, 0.2])
              for i in range(60)}
-    member = PredictionSet("m", "t", "classification", preds, 80.0)
+    member = PredictionSet("m", "classification", preds, 80.0)
     clones = {
-        "fam_x": [PredictionSet(f"x{i}", "t", "classification", dict(preds), 80.0) for i in range(3)],
-        "fam_y": [PredictionSet(f"y{i}", "t", "classification", dict(preds), 80.0) for i in range(3)],
+        "fam_x": [PredictionSet(f"x{i}", "classification", dict(preds), 80.0) for i in range(3)],
+        "fam_y": [PredictionSet(f"y{i}", "classification", dict(preds), 80.0) for i in range(3)],
     }
     gold = {k: int(np.argmax(v)) for k, v in preds.items()}
     result = compare_groupings(clones, gold)
@@ -53,7 +53,7 @@ def test_identical_members_ensemble_equals_member():
 
 
 def test_compare_groupings_requires_roster():
-    member = PredictionSet("m", "t", "classification", {"s": np.array([1.0, 0.0])}, 80.0)
+    member = PredictionSet("m", "classification", {"s": np.array([1.0, 0.0])}, 80.0)
     with pytest.raises(ValueError, match="families"):
         compare_groupings({"only": [member] * 3}, {"s": 0})
     with pytest.raises(ValueError, match="members"):

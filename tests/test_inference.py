@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -247,7 +249,7 @@ def test_decode_rejects_bad_input():
 
 
 def pset(model_id, metric):
-    return PredictionSet(model_id=model_id, task="t", kind="regression",
+    return PredictionSet(model_id=model_id, kind="regression",
                          predictions={"s": 0.5}, dev_metric=metric)
 
 
@@ -263,24 +265,18 @@ def test_select_members_empty_survivors_is_an_error():
 
 
 def test_select_members_requires_dev_metric():
-    bad = PredictionSet(model_id="x", task="t", kind="regression", predictions={})
+    bad = PredictionSet(model_id="x", kind="regression", predictions={})
     with pytest.raises(ValueError, match="dev metric"):
         select_members([bad], 0.0)
-
-
-def test_published_thresholds_available_as_defaults():
-    from mixtask.config import MEMBER_THRESHOLDS
-
-    assert MEMBER_THRESHOLDS == {"mednli": 87.7, "rqe": 83.5, "qa": 83.0}
 
 
 # -- combination and file formats --------------------------------------------------------
 
 
 def test_combine_classification_outputs():
-    a = PredictionSet("m1", "t", "classification",
+    a = PredictionSet("m1", "classification",
                       {"s1": np.array([0.9, 0.1]), "s2": np.array([0.2, 0.8])}, 90.0)
-    b = PredictionSet("m2", "t", "classification",
+    b = PredictionSet("m2", "classification",
                       {"s1": np.array([0.6, 0.4]), "s2": np.array([0.3, 0.7])}, 91.0)
     out = combine_predictions([a, b])
     assert out["s1"].label == 0 and out["s2"].label == 1
@@ -288,41 +284,63 @@ def test_combine_classification_outputs():
 
 
 def test_combine_regression_outputs():
-    a = PredictionSet("m1", "t", "regression", {"s1": 0.5, "s2": -0.4}, 90.0)
-    b = PredictionSet("m2", "t", "regression", {"s1": 0.1, "s2": -0.2}, 91.0)
+    a = PredictionSet("m1", "regression", {"s1": 0.5, "s2": -0.4}, 90.0)
+    b = PredictionSet("m2", "regression", {"s1": 0.1, "s2": -0.2}, 91.0)
     out = combine_predictions([a, b])
     assert out["s1"].label == 1 and out["s1"].score == pytest.approx(0.3)
     assert out["s2"].label == 0
 
 
 def test_combine_rejects_members_that_cover_different_samples():
-    a = PredictionSet("m1", "t", "regression", {"s1": 0.5, "s2": -0.4}, 90.0)
-    b = PredictionSet("m2", "t", "regression", {"s1": 0.1}, 91.0)
+    a = PredictionSet("m1", "regression", {"s1": 0.5, "s2": -0.4}, 90.0)
+    b = PredictionSet("m2", "regression", {"s1": 0.1}, 91.0)
     with pytest.raises(ValueError, match=r"^members \['m1', 'm2'\] cover different samples$"):
         combine_predictions([a, b])
 
 
 def test_combine_rejects_mixed_kinds():
-    a = PredictionSet("m1", "t", "regression", {"s1": 0.5}, 90.0)
-    b = PredictionSet("m2", "t", "classification", {"s1": np.array([0.5, 0.5])}, 91.0)
+    a = PredictionSet("m1", "regression", {"s1": 0.5}, 90.0)
+    b = PredictionSet("m2", "classification", {"s1": np.array([0.5, 0.5])}, 91.0)
     with pytest.raises(ValueError):
         combine_predictions([a, b])
 
 
 def test_prediction_set_round_trip(tmp_path):
-    ps = PredictionSet("m1", "t", "classification",
+    """A prediction file holds one row per sample, sorted by id, with only
+    the sample id and the value its kind needs; the metadata comes from the
+    caller."""
+    ps = PredictionSet("m1", "classification",
                        {"s1": np.array([0.25, 0.75]), "s0": np.array([0.5, 0.5])}, 88.25)
     save_prediction_set(ps, tmp_path / "p.jsonl")
-    loaded = load_prediction_set(tmp_path / "p.jsonl")
+    rows = [json.loads(line) for line in (tmp_path / "p.jsonl").read_text().splitlines()]
+    assert rows == [{"sample_id": "s0", "probs": [0.5, 0.5]},
+                    {"sample_id": "s1", "probs": [0.25, 0.75]}]
+    loaded = load_prediction_set(tmp_path / "p.jsonl", "m1", "classification", 88.25)
     assert loaded.model_id == "m1" and loaded.dev_metric == 88.25
+    assert loaded.kind == "classification" and loaded.predictions.keys() == ps.predictions.keys()
     assert np.array_equal(loaded.predictions["s1"], ps.predictions["s1"])
 
-    reg = PredictionSet("m2", "t", "regression", {"s1": -0.125}, 70.0)
+    reg = PredictionSet("m2", "regression", {"s1": -0.125}, 70.0)
     save_prediction_set(reg, tmp_path / "r.jsonl")
-    assert load_prediction_set(tmp_path / "r.jsonl").predictions["s1"] == -0.125
+    assert (tmp_path / "r.jsonl").read_text() == '{"sample_id": "s1", "score": -0.125}\n'
+    assert load_prediction_set(tmp_path / "r.jsonl", "m2", "regression",
+                               70.0).predictions["s1"] == -0.125
+
+
+@pytest.mark.parametrize("kind, row, problem", [
+    ("classification", {"sample_id": "s1", "score": 0.5}, "needs sample_id and probs"),
+    ("regression", {"sample_id": "s1", "probs": [0.5, 0.5]}, "needs sample_id and score"),
+    ("regression", {"score": 0.5}, "needs sample_id and score"),
+    ("regression", {"sample_id": "s0", "score": 0.5}, "sample id 's0' repeats"),
+])
+def test_a_prediction_row_without_its_kinds_value_is_refused(tmp_path, kind, row, problem):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"sample_id": "s0", "score": 0.1, "probs": [1.0]}\n' + json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(problem)}$"):
+        load_prediction_set(path, "m", kind, 1.0)
 
 
 def test_prediction_set_validates_probability_sums():
-    bad = PredictionSet("m", "t", "classification", {"s": np.array([0.7, 0.7])}, 1.0)
+    bad = PredictionSet("m", "classification", {"s": np.array([0.7, 0.7])}, 1.0)
     with pytest.raises(ValueError, match="sum"):
         bad.validate()

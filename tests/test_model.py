@@ -240,12 +240,13 @@ def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     model = random_model(rng)
     ckpt = Checkpoint(model=model, stage="multitask", epoch=4,
-                      dev_metrics={"t": 0.75}, selection_value=0.75,
-                      config_hash="abc", seeds={"run": 9})
+                      dev_metrics={"t": 0.75}, selection_value=0.75)
     entry = save_checkpoint(ckpt, tmp_path / "ck.npy")
+    assert entry["provenance"] == {"stage": "multitask", "epoch": 4, "dev_metrics": {"t": 0.75},
+                                   "selection_value": 0.75}
     loaded = load_checkpoint(tmp_path / "ck.npy", entry)
     assert loaded.epoch == 4 and loaded.stage == "multitask"
-    assert loaded.dev_metrics == {"t": 0.75}
+    assert loaded.dev_metrics == {"t": 0.75} and loaded.selection_value == 0.75
     assert np.array_equal(loaded.model.enc_weights, model.enc_weights)
     assert np.array_equal(loaded.model.heads["cls"].weights, model.heads["cls"].weights)
     assert loaded.model.source == model.source

@@ -928,7 +928,8 @@ def test_damaged_checkpoint_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_p
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     producer = "train" if stage == "finetune" else "finetune"
     index = read_index(run, producer)
-    entries = index["members" if producer == "train" else "finetuned"]
+    entries = index["members"] if producer == "train" else next(
+        tasks for _, tasks in sorted(index["finetuned"].items()))
     key = sorted(entries)[0]
     path = run / producer / entries[key]["checkpoint"]
     if damage == "truncate":
@@ -1079,7 +1080,7 @@ def test_a_stage_rerun_under_another_seed_records_its_own_config(toy_corpus_dir,
     assert (run / "run_manifest.json").read_text() == '{"master_seed": 7, "stag'
 
 
-@pytest.mark.parametrize("damage", ["drop_one", "foreign_id", "repeat_last"])
+@pytest.mark.parametrize("damage", ["drop_one", "foreign_id", "repeat_last", "header_line"])
 def test_ensemble_refuses_a_prediction_set_that_does_not_cover_the_eval_set(
     toy_corpus_dir, toy_run_dir, tmp_path, damage
 ):
@@ -1093,19 +1094,68 @@ def test_ensemble_refuses_a_prediction_set_that_does_not_cover_the_eval_set(
     elif damage == "foreign_id":
         record["sample_id"] = "not-an-eval-sample"
         lines[-1] = json.dumps(record) + "\n"
-    else:  # a second record for the last sample, which would win if read
+    elif damage == "repeat_last":  # a second record for the last sample, which would win if read
         record["probs"] = record["probs"][::-1]
         lines.append(json.dumps(record) + "\n")
+    else:  # a metadata line, as prediction files once began with
+        lines.insert(0, json.dumps({"model_id": "family_a-m0", "task": "toy_rqe",
+                                    "kind": "classification", "dev_metric": 99.0}) + "\n")
     path.write_text("".join(lines))
     counts = f"misses 1 eval samples, names {int(damage == 'foreign_id')} "
     message = rf"^\[ensemble\] task toy_rqe: predict/{path.name} {counts}.*; re-run predict$"
-    if damage == "repeat_last":
+    if damage in ("repeat_last", "header_line"):
         message = rf"^\[ensemble\] unreadable predict/{path.name}: .*re-run predict$"
     with pytest.raises(PipelineStageError, match=message):
         run_stage("ensemble", cfg, run)
     # the remedy the message names works
     run_stage("predict", cfg, run)
     run_stage("ensemble", cfg, run)
+
+
+def test_ensemble_selects_members_by_the_predict_index_dev_metric(toy_corpus_dir, toy_run_dir,
+                                                                 tmp_path):
+    """Each ensemble keeps exactly the members whose dev metric in the
+    predict index is above the task's threshold; lowering one there drops
+    that member."""
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    predictions = read_index(toy_run_dir, "predict")["predictions"]
+    ensembles = read_index(toy_run_dir, "ensemble")["ensembles"]
+    assert sorted(ensembles) == sorted(predictions)
+    for task, members in predictions.items():
+        threshold = cfg.thresholds[task]
+        assert ensembles[task]["members"] == sorted(
+            m for m, entry in members.items() if entry["dev_metric"] > threshold)
+        assert ensembles[task]["dropped"] == sorted(
+            m for m, entry in members.items() if entry["dev_metric"] <= threshold)
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    index = read_index(run, "predict")
+    entry = index["predictions"]["toy_nli"]["family_a-m0"]
+    assert entry["dev_metric"] > cfg.thresholds["toy_nli"]
+    entry["dev_metric"] = cfg.thresholds["toy_nli"]
+    (run / "predict" / "index.json").write_text(json.dumps(index))
+    run_stage("ensemble", cfg, run)
+    ensemble = read_index(run, "ensemble")["ensembles"]["toy_nli"]
+    assert ensemble["members"] == ["family_b-m0"] and ensemble["dropped"] == ["family_a-m0"]
+
+
+def test_no_index_key_names_a_member_and_a_task_in_one_string(toy_run_dir):
+    """No index keys an entry by a composite "<member>/<task>" string: the
+    predict and finetune indexes nest task and member."""
+    def slashed_keys(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                if "/" in key:
+                    yield f"{path}.{key}"
+                yield from slashed_keys(item, f"{path}.{key}")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from slashed_keys(item, f"{path}[{i}]")
+
+    found = [key for stage in STAGES
+             for key in slashed_keys(read_index(toy_run_dir, stage), stage)]
+    assert found == []
+    assert read_index(toy_run_dir, "finetune")["finetuned"]  # the guard saw nested entries
 
 
 def test_evaluate_names_a_ranking_task_the_rank_index_lacks(toy_corpus_dir, toy_run_dir,
@@ -1151,9 +1201,10 @@ def test_finetune_writes_only_models_it_changed(toy_run_dir):
     trained = {digest(p) for p in (toy_run_dir / "train").glob("*.npy")}
     tuned = sorted((toy_run_dir / "finetune").glob("*.npy"))
     assert tuned and not [p.name for p in tuned if digest(p) in trained]
-    entries = read_index(toy_run_dir, "finetune")["finetuned"]
+    finetuned = read_index(toy_run_dir, "finetune")["finetuned"]
+    entries = [entry for tasks in finetuned.values() for entry in tasks.values()]
     assert len(entries) == len(tuned)
-    assert all(entry["provenance"]["epoch"] >= 1 for entry in entries.values())
+    assert all(entry["provenance"]["epoch"] >= 1 for entry in entries)
 
 
 # -- decoded samples handed from stage to stage ------------------------------------
