@@ -14,11 +14,16 @@ reader reads a file whole and decodes each line with one `raw_decode`; a
 line that fails it, or holds more than one value, goes through `json.loads`,
 so every malformed line fails with the message `json.loads` gives.
 
-`load_dataset` takes an optional `DecodedSamples` memo, which maps the
+`save_samples` is the one writer of dataset files: it formats each sample's
+line itself, as the JSON-Lines encoder would, and writes the file in one
+call. `load_dataset` takes an optional `DecodedSamples` memo, which maps the
 sha256 of a dataset file's bytes to the samples decoded from exactly those
-bytes, so a caller that loads the same bytes again skips decoding. The
-samples of a memo hit are shared with every other caller of that memo;
-without a memo, each call returns samples of its own.
+bytes, so a caller that loads the same bytes again skips decoding; given
+the memo, `save_samples` stores the samples it wrote under the sha256 of
+their bytes when decoding those bytes would give equal samples, type for
+type, so a caller that loads what it wrote skips decoding too. The samples
+of a memo hit are shared with every other caller of that memo; without a
+memo, each call returns samples of its own.
 """
 from __future__ import annotations
 
@@ -28,7 +33,9 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -52,6 +59,9 @@ _OPTIONAL_KEYS = (
 )
 
 
+_RELEVANCE = (None, 1, 2, 3, 4)  # the gold_relevance values a record may hold
+
+
 def _integer(key: str) -> Callable:
     """The converter of an integer field: an int, an integral float or a
     string of digits passes; a bool or a number with a fraction fails."""
@@ -62,6 +72,12 @@ def _integer(key: str) -> Callable:
             raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
         return int(value)
     return convert
+
+
+def is_finite_number(value) -> bool:
+    """Whether a decoded JSON value is a number that converts to a finite
+    float: an int or a float, never a bool or a numeric string."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _finite_score(value) -> float:
@@ -320,7 +336,7 @@ def _parse_record(obj: dict, line_no: int, path: str) -> SamplePair:
         raise DatasetFormatError(f"{path}:{line_no}: missing required key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{path}:{line_no}: {exc}") from None
-    if sample.gold_relevance is not None and sample.gold_relevance not in (1, 2, 3, 4):
+    if sample.gold_relevance not in _RELEVANCE:
         raise DatasetFormatError(
             f"{path}:{line_no}: gold_relevance must be in 1..4, got {sample.gold_relevance}"
         )
@@ -343,8 +359,10 @@ class DecodedSamples:
     `next_generation` drops the previous one. A lookup that finds its bytes
     in either generation keeps the entry in the current one, so the memo
     holds what was loaded since the last `next_generation` call and in the
-    generation before it, nothing older. Only a decode stores an entry, and a
-    failed decode stores none. Every caller that hits an entry shares its
+    generation before it, nothing older. A decode or a `StageRun` write
+    (`save_samples` given the memo, through `store`) stores an entry; a
+    failed decode stores none, and neither does a write whose bytes would not
+    decode to equal samples. Every caller that hits an entry shares its
     SamplePair objects, so those callers must never change a sample.
     """
 
@@ -368,6 +386,11 @@ class DecodedSamples:
             found = tuple(decode())
         self._current[key] = found
         return found
+
+    def store(self, raw: bytes, samples: Iterable[SamplePair]) -> None:
+        """Record samples as what decoding these bytes gives; the caller
+        vouches that a decode would give equal samples, type for type."""
+        self._current[hashlib.sha256(raw).digest()] = tuple(samples)
 
 
 def load_dataset(
@@ -393,8 +416,70 @@ def load_dataset(
     return Dataset(name=name, task_kind=task_kind, role=role, head_group=head_group, samples=samples)
 
 
-def save_samples(samples: Iterable[SamplePair], path: str | Path) -> None:
-    write_jsonl(path, (s.to_record() for s in samples))
+# The type _parse_record gives each key's value; every other key's is str.
+_DECODED_TYPES = {"label": int, "target_score": float, "gold_relevance": int, "gold_rank": int}
+# Each SamplePair field as (key, its text up to the value, its decoded type),
+# in the order sort_keys writes the keys.
+_SAMPLE_LAYOUT = tuple((key, f'"{key}": ', _DECODED_TYPES.get(key, str))
+                       for key in sorted(f.name for f in fields(SamplePair)))
+_REQUIRED_KEYS = ("id", "text_a", "text_b")
+
+
+def _encode_samples(samples: Iterable[SamplePair]) -> tuple[bytes, bool]:
+    """The JSON-Lines bytes of samples, each line the text
+    `_JSONL_ENCODER.encode(sample.to_record())` gives, and whether decoding
+    those bytes gives equal samples, type for type.
+
+    An exact str, int or finite float is formatted as that encoder formats it
+    (encode_basestring_ascii, int.__repr__, float.__repr__); any other value
+    goes through the encoder itself, and makes the bytes inexact, as does a
+    value of another type than _parse_record returns for its key or one it
+    refuses.
+    """
+    lines, exact = [], True
+    for sample in samples:
+        values = sample.__dict__
+        items = []
+        for key, head, decoded_type in _SAMPLE_LAYOUT:
+            value = values[key]
+            if value is None and key not in _REQUIRED_KEYS:
+                continue
+            kind = type(value)
+            if kind is str:
+                items.append(head + encode_basestring_ascii(value))
+            elif kind is int or kind is float and math.isfinite(value):
+                items.append(head + repr(value))
+            else:
+                items.append(head + _JSONL_ENCODER.encode(value))
+                exact = False
+                continue
+            if kind is not decoded_type:
+                exact = False
+        lines.append("{" + ", ".join(items) + "}\n")
+        if exact:
+            rank = values["gold_rank"]
+            exact = (type(sample) is SamplePair and values["gold_relevance"] in _RELEVANCE
+                     and (rank is None or rank >= 1))
+    return "".join(lines).encode("ascii"), exact
+
+
+def save_samples(samples: Iterable[SamplePair], path: str | Path,
+                 decoded: Optional[DecodedSamples] = None) -> None:
+    """Write the samples as JSON-Lines, in one write, creating the parent
+    directory: each line is `sample.to_record()` as `write_jsonl` writes it.
+
+    Given a memo, the samples are stored in it as the decoding of the bytes
+    written, unless decoding them would not give equal samples, type for
+    type: a value of another type than a decode gives (a bool label, an int
+    score, a numeric string, a numpy scalar) or one the decoder refuses.
+    """
+    samples = tuple(samples)
+    raw, exact = _encode_samples(samples)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(raw)
+    if decoded is not None and exact:
+        decoded.store(raw, samples)
 
 
 @dataclass

@@ -12,14 +12,16 @@ bag carries the lexicalized content. The bag portion is L2-normalized.
 
 There is one featurization path: `featurize_pairs` maps a list of pairs to
 one (n, dim) matrix per source. It tokenizes each pair once for all sources,
-hashes each distinct token once per source, and counts the signed bag a chunk
-of rows at a time; bag entries are integer counts, so the result does not
-depend on summation order. `FeatureCache` stores those matrices for a fixed
-list of sources, keyed by sample content, and hands training and prediction
-a dataset's matrix in sample order; mini-batches are then row selections of
-it. A miss featurizes the missing rows for all of the cache's sources in one
-call, and each source's token -> signed bucket memo lives as long as the
-cache, so a token is hashed once per source however many lookups miss. A
+numbers each distinct token once for all sources (`TokenCodes`), hashes it
+once per source into an array of signed codes indexed by that number, and
+counts the signed bag a chunk of rows at a time; bag entries are integer
+counts, so the result does not depend on summation order. `FeatureCache`
+stores those matrices for a fixed list of sources, keyed by sample content,
+and hands training and prediction a dataset's matrix in sample order;
+mini-batches are then row selections of it. A miss featurizes the missing
+rows for all of the cache's sources in one call, and the cache's token memo
+lives as long as the cache, so a token is hashed once per source however
+many lookups miss. A
 cache is saved as one row index (keys.npy) plus one .npy matrix per source
 and loaded again, so the rows one pipeline stage built serve the stages
 after it: each row of a run is featurized once.
@@ -85,7 +87,7 @@ def _digest(hasher, token: str) -> bytes:
     return h.digest()
 
 
-def _signed_codes(tokens: list[str], source: SourceSpec) -> list[int]:
+def _signed_codes(tokens: list[str], source: SourceSpec) -> np.ndarray:
     """Each token's signed bucket code under the source, sign * (bucket + 1).
 
     A token's 64-bit little-endian keyed digest: the low bit is the sign, the
@@ -95,13 +97,29 @@ def _signed_codes(tokens: list[str], source: SourceSpec) -> list[int]:
     hasher = hashlib.blake2b(key=key, digest_size=8)
     values = np.frombuffer(b"".join([_digest(hasher, t) for t in tokens]), dtype="<u8")
     buckets = ((values >> np.uint64(1)) % np.uint64(source.dim - N_STATS)).astype(np.intp) + 1
-    return np.where(values & np.uint64(1), buckets, -buckets).tolist()
+    return np.where(values & np.uint64(1), buckets, -buckets)
+
+
+class TokenCodes(dict):
+    """The token memo of featurize_pairs: token -> id, numbered in order of
+    first sight, and per source (`tables[i]` for the i-th source) the signed
+    bucket code of each id. Looking up an unseen token gives it the next id."""
+
+    def __init__(self, n_sources: int):
+        super().__init__()
+        self.tokens: list[str] = []  # by id
+        self.tables = [np.zeros(0, dtype=np.intp) for _ in range(n_sources)]
+
+    def __missing__(self, token: str) -> int:
+        self[token] = token_id = len(self.tokens)
+        self.tokens.append(token)
+        return token_id
 
 
 def featurize_pairs(
     pairs: Sequence[tuple[str, str]],
     sources: Sequence[SourceSpec],
-    codes: Optional[Sequence[dict[str, int]]] = None,
+    codes: Optional[TokenCodes] = None,
 ) -> list[np.ndarray]:
     """Map text pairs to one (n, source.dim) matrix per source, one row per
     pair in order.
@@ -109,11 +127,11 @@ def featurize_pairs(
     Deterministic for (texts, source); different featurizer seeds place the
     same tokens in different buckets with different signs. The two leading
     columns are overlap statistics shared by all sources. Each pair is
-    tokenized once for all sources. codes, when given, holds one token ->
-    signed bucket memo per source, which this call reads and extends, so a
-    token is hashed once per memo; without it each source gets a fresh one.
+    tokenized once for all sources. codes, when given, is a memo for these
+    sources, which this call reads and extends, so a token is hashed once per
+    source however many calls share it; without it the call uses a fresh one.
     """
-    codes = [{} for _ in sources] if codes is None else codes
+    codes = TokenCodes(len(sources)) if codes is None else codes
     outs = [np.zeros((len(pairs), source.dim), dtype=np.float64) for source in sources]
     for start in range(0, len(pairs), CHUNK_ROWS):
         chunk = pairs[start : start + CHUNK_ROWS]
@@ -131,17 +149,14 @@ def featurize_pairs(
         overlap_counts = np.array(overlaps, dtype=np.float64)
         stats = np.column_stack([np.tanh(overlap_counts / 4.0),
                                  overlap_counts / (1.0 + np.array(smaller, dtype=np.float64))])
-        # The chunk's distinct tokens, and each token's position among them.
-        distinct = list(set(tokens))
-        position = dict(zip(distinct, range(len(distinct))))
-        token_of = np.fromiter(map(position.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        token_of = np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         row_of = np.repeat(np.arange(rows), lengths)
-        for source, memo, out in zip(sources, codes, outs):
+        for i, (source, out) in enumerate(zip(sources, outs)):
             n_buckets = source.dim - N_STATS
-            new = [t for t in distinct if t not in memo]
-            if new:
-                memo.update(zip(new, _signed_codes(new, source)))
-            table = np.fromiter(map(memo.__getitem__, distinct), dtype=np.intp, count=len(distinct))
+            table = codes.tables[i]
+            if len(table) < len(codes.tokens):
+                new = _signed_codes(codes.tokens[len(table):], source)
+                table = codes.tables[i] = np.concatenate([table, new])
             signed = table[token_of]
             counts = np.bincount(
                 row_of * n_buckets - 1 + np.abs(signed),
@@ -209,8 +224,8 @@ class FeatureCache:
     reuse the stored rows. All sources share one row index: a lookup that
     misses featurizes the missing rows for every source in one call, so each
     row is tokenized once and every source's store gets the same block of
-    rows. Each source has a token -> signed bucket memo that lives as long as
-    the cache, so a token is hashed once per source. The cache keeps each
+    rows. The token memo of all sources lives as long as the cache, so a
+    token is hashed once per source. The cache keeps each
     Dataset object it has served with its rows, so a second lookup of it
     hashes no sample; the library never changes a Dataset's samples after
     building it, nor a SamplePair (which also lets the pipeline's memo of
@@ -224,7 +239,7 @@ class FeatureCache:
         self._sources = list(dict.fromkeys(sources))
         # row blocks of each source, one per miss; the blocks of all sources line up
         self._blocks: dict[SourceSpec, list[np.ndarray]] = {s: [] for s in self._sources}
-        self._codes: list[dict[str, int]] = [{} for _ in self._sources]
+        self._codes = TokenCodes(len(self._sources))
         self._starts: list[int] = []  # first row of each block
         self._where: dict[bytes, int] = {}  # content key -> row
         self._served: dict[int, tuple[Dataset, np.ndarray]] = {}  # id -> (dataset, its rows)

@@ -11,6 +11,7 @@ the set's member, task and dev metric, and its kind is its task's.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, read_jsonl, write_jsonl
+from .data import Dataset, TaskKind, is_finite_number, read_jsonl, write_jsonl
 from .model import LOG_EPS, ToyModel
 
 PROB_SUM_TOL = 1e-6
@@ -37,18 +38,6 @@ class PredictionSet:
     kind: str  # classification | regression
     predictions: dict[str, object] = field(default_factory=dict)
     dev_metric: Optional[float] = None
-
-    def validate(self) -> None:
-        for sample_id, value in self.predictions.items():
-            if self.kind == "classification":
-                total = float(np.sum(value))
-                if abs(total - 1.0) > PROB_SUM_TOL:
-                    raise ValueError(
-                        f"model {self.model_id!r} sample {sample_id!r}: "
-                        f"probabilities sum to {total}"
-                    )
-            elif not math.isfinite(float(value)):
-                raise ValueError(f"model {self.model_id!r} sample {sample_id!r}: non-finite score")
 
 
 def predict_dataset(model: ToyModel, dataset: Dataset, features: np.ndarray) -> dict[str, object]:
@@ -262,12 +251,15 @@ def save_prediction_set(ps: PredictionSet, path: str | Path) -> None:
                        for i in sorted(ps.predictions)))
 
 
-def load_prediction_set(path: str | Path, model_id: str, kind: str,
+def load_prediction_set(path: str | Path, model_id: str, task_kind: TaskKind,
                         dev_metric: Optional[float]) -> PredictionSet:
     """Read a file save_prediction_set wrote, under the metadata the caller
-    got from the predict index. Raises ValueError on a repeated sample id, a
-    record without the value its kind needs, or a set that fails validate."""
-    key = "probs" if kind == "classification" else "score"
+    got from the predict index. Raises ValueError naming path:line on a
+    repeated sample id, a record without the value its task kind needs, a
+    score that is not a finite number, or probs that are not one finite
+    number per class summing to 1 within PROB_SUM_TOL."""
+    kind, num_classes = task_kind.kind, task_kind.num_classes
+    key = "probs" if task_kind.is_classification else "score"
     ps = PredictionSet(model_id=model_id, kind=kind, dev_metric=dev_metric)
     for line_no, rec in read_jsonl(path):
         sample_id = rec.get("sample_id")
@@ -275,9 +267,22 @@ def load_prediction_set(path: str | Path, model_id: str, kind: str,
             raise ValueError(f"{path}:{line_no}: sample id {sample_id!r} repeats")
         if sample_id is None or key not in rec:
             raise ValueError(f"{path}:{line_no}: a {kind} record needs sample_id and {key}")
-        ps.predictions[sample_id] = (np.asarray(rec[key], dtype=np.float64)
-                                     if key == "probs" else float(rec[key]))
-    ps.validate()
+        value = rec[key]
+        if key == "score":
+            if not is_finite_number(value):
+                raise ValueError(f"{path}:{line_no}: score must be a finite number, "
+                                 f"got {json.dumps(value)}")
+            ps.predictions[sample_id] = float(value)
+            continue
+        if not (type(value) is list and len(value) == num_classes
+                and all(map(is_finite_number, value))):
+            raise ValueError(f"{path}:{line_no}: probs must be a list of {num_classes} finite "
+                             f"numbers, got {json.dumps(value)}")
+        probs = np.array(value, dtype=np.float64)
+        total = float(np.sum(probs))
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"{path}:{line_no}: probabilities sum to {total}")
+        ps.predictions[sample_id] = probs
     return ps
 
 

@@ -7,12 +7,16 @@ re-run independently. run_stage hands each stage a StageRun, its only reader
 of upstream artifacts: each upstream index and dataset file is read once,
 and an unreadable one fails the stage with "re-run <producer>". A stage
 decodes a dataset file only when neither it nor the stage before it in this
-process decoded the same bytes: `_DECODED` maps the sha256 of each file's
-bytes to the samples decoded from them, and run_stage starts a new
+process decoded or wrote the same bytes: `_DECODED` maps the sha256 of each
+file's bytes to the samples decoded from them, and run_stage starts a new
 generation and drops the one before the last, so it holds at most two
-consecutive stages' reads. A hit is exact: it is keyed by the bytes on disk
-now, only a successful decode stores an entry, and the hit is built into a
-new Dataset under the reading stage's metadata and validated again. Stages
+consecutive stages' reads and writes. A hit is exact: it is keyed by the
+bytes on disk now, only a successful decode or a StageRun write (a stage's
+dataset files and CV folds, through `save_samples`, which stores nothing
+when a decode would not give equal samples) stores an entry, and the hit is
+built into a new Dataset under the reading stage's metadata and validated
+again. So on a run only ingest decodes rows, apart from the eval splits
+that predict and evaluate read and no stage just before them touched. Stages
 never change a SamplePair after building it (the same invariant
 FeatureCache relies on), so sharing the samples is safe. A stage run alone
 (`mixtask <stage>`) decodes everything it reads. run_stage is
@@ -34,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 from pathlib import Path
 from typing import Optional
@@ -45,6 +50,7 @@ from .data import (
     DecodedSamples,
     TaskKind,
     decode_json,
+    is_finite_number,
     load_dataset,
     load_manifest_datasets,
     read_jsonl,
@@ -99,7 +105,7 @@ def _save_datasets(
         splits = {}
         for split in sorted(bundle):
             filename = f"{name}__{split}.jsonl"
-            save_samples(bundle[split].samples, stage_dir / filename)
+            save_samples(bundle[split].samples, stage_dir / filename, decoded=_DECODED)
             splits[split] = filename
         entries[name] = {
             "task_kind": str(any_split.task_kind),
@@ -114,8 +120,8 @@ class StageRun:
     """One run of one stage: `dir`, where it writes, and the only reader of
     upstream artifacts. Each index, dataset file and checkpoint is read at most
     once, so members share one Dataset per file. A dataset file's samples come
-    from `_DECODED` when this stage or the one before it decoded the same
-    bytes. An index file's one read serves both its parse and every check of
+    from `_DECODED` when this stage or the one before it decoded or wrote the
+    same bytes. An index file's one read serves both its parse and every check of
     its digest, and `inputs` maps each index parsed to the sha256 of the
     bytes it was parsed from; a failed read fails the stage with
     "re-run <producer>".
@@ -257,9 +263,11 @@ class StageRun:
         with self.reading(f"predictions of {member_id} for {task}", "predict"):
             entry = self.index("predict")["predictions"][task][member_id]
             filename, metric = entry["file"], entry["dev_metric"]
+            if not is_finite_number(metric):
+                raise ValueError(f"dev_metric must be a finite number, got {json.dumps(metric)}")
         with self.reading(f"predict/{filename}", "predict"):
             ps = load_prediction_set(self.out_dir / "predict" / filename, member_id,
-                                     eval_set.task_kind.kind, metric)
+                                     eval_set.task_kind, metric)
         self._check_coverage("predict", filename, task, ps.predictions.keys(),
                              {s.id for s in eval_set})
         return ps
@@ -344,8 +352,8 @@ def stage_split(run: StageRun) -> dict:
         for j, (train, dev) in enumerate(cv_folds(pool, cfg.cv_folds)):
             train_file = f"{cfg.cv_task}__fold{j}__train.jsonl"
             dev_file = f"{cfg.cv_task}__fold{j}__dev.jsonl"
-            save_samples(train.samples, fold_dir / train_file)
-            save_samples(dev.samples, fold_dir / dev_file)
+            save_samples(train.samples, fold_dir / train_file, decoded=_DECODED)
+            save_samples(dev.samples, fold_dir / dev_file, decoded=_DECODED)
             folds_meta.append(
                 {"fold": j, "train": f"folds/{train_file}", "dev": f"folds/{dev_file}"}
             )
@@ -547,11 +555,17 @@ def stage_evaluate(run: StageRun) -> dict:
                     )
             report = build_ranking_report(task_name, scored, *ranking_gold(eval_set))
         else:
-            outputs = run.records_by_sample("ensemble", ensembles[task_name]["file"], task_name,
-                                            eval_ids)
-            predicted = [outputs[s.id]["label"] for s in eval_set]
-            gold = dev_gold(eval_set)
+            filename = ensembles[task_name]["file"]
+            outputs = run.records_by_sample("ensemble", filename, task_name, eval_ids)
             kind = eval_set.task_kind
+            classes = kind.num_classes or 2  # a regression ensemble votes 0 or 1
+            with run.reading(f"ensemble/{filename}", "ensemble"):
+                predicted = [outputs[s.id]["label"] for s in eval_set]
+                for sample, label in zip(eval_set, predicted):
+                    if type(label) is not int or not 0 <= label < classes:
+                        raise ValueError(f"sample {sample.id!r}: label {json.dumps(label)} "
+                                         f"is not a class index below {classes}")
+            gold = dev_gold(eval_set)
             binary = not kind.is_classification or kind.num_classes == 2
             report = EvalReport(
                 task=task_name,

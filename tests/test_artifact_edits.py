@@ -1,0 +1,65 @@
+"""A stage that reads an upstream artifact holding a value of the wrong type
+fails with a stage-tagged error that names the artifact and the producer to
+re-run. Each case edits one value in a copy of the finished seed-7 toy run,
+then runs the stage that reads it."""
+import json
+import re
+import shutil
+
+import pytest
+
+from mixtask.pipeline import PipelineConfig, PipelineStageError, run_stage
+
+
+def predict_index_dev_metric(value):
+    def edit(run):
+        path = run / "predict" / "index.json"
+        index = json.loads(path.read_text())
+        index["predictions"]["toy_nli"]["family_a-m0"]["dev_metric"] = value
+        path.write_text(json.dumps(index))
+        return (f"unreadable predictions of family_a-m0 for toy_nli: ValueError: dev_metric "
+                f"must be a finite number, got {json.dumps(value)}; re-run predict")
+    edit.__name__ = f"dev_metric_{json.dumps(value)}"
+    return edit
+
+
+def first_row(producer, filename, key, value, problem):
+    """An edit that sets key to value in the first row of producer/filename.
+    It returns the error the reading stage must give: the row's path and
+    line, then problem."""
+    def edit(run):
+        path = run / producer / filename
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[0])
+        row[key] = value
+        lines[0] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        where = f"{path}:1: " if producer == "predict" else f"sample {row['sample_id']!r}: "
+        return (f"unreadable {producer}/{filename}: ValueError: {where}{problem}; "
+                f"re-run {producer}")
+    edit.__name__ = f"{producer}_{key}_{json.dumps(value)}"
+    return edit
+
+
+@pytest.mark.parametrize("edit, stage", [
+    (predict_index_dev_metric("high"), "ensemble"),
+    (predict_index_dev_metric(True), "ensemble"),
+    (first_row("predict", "family_a-m0__toy_qa.jsonl", "score", [0.5],
+               "score must be a finite number, got [0.5]"), "ensemble"),
+    (first_row("predict", "family_a-m0__toy_nli.jsonl", "probs", ["a", "b", "c"],
+               'probs must be a list of 3 finite numbers, got ["a", "b", "c"]'), "ensemble"),
+    (first_row("predict", "family_a-m0__toy_nli.jsonl", "probs", [1.0],
+               "probs must be a list of 3 finite numbers, got [1.0]"), "ensemble"),
+    (first_row("ensemble", "toy_nli.jsonl", "label", "x",
+               'label "x" is not a class index below 3'), "evaluate"),
+    (first_row("ensemble", "toy_rqe.jsonl", "label", 2,
+               "label 2 is not a class index below 2"), "evaluate"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_an_edited_artifact_fails_its_reader_naming_the_producer(toy_corpus_dir, toy_run_dir,
+                                                                  tmp_path, edit, stage):
+    run = tmp_path / "run"
+    shutil.copytree(toy_run_dir, run)
+    message = edit(run)
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] {re.escape(message)}$"):
+        run_stage(stage, cfg, run)

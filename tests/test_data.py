@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from mixtask import data
@@ -263,3 +264,77 @@ def test_decoder_matches_the_json_loads_reader(tmp_path, content):
                                                                        decoded=memo)])
         assert loaded == expected
         assert not memo or len(memo) == (expected[0] == "ok")
+
+
+# Every optional key, with non-ASCII text and a rank beyond 64 bits.
+_EVERY_KEY = dict(question_id="q-é", page_id="p1", premise_group="g1", gold_relevance=4,
+                  gold_rank=2**70, source_tag="alexa")
+
+
+def test_sample_writer_lines_equal_json_dumps(tmp_path):
+    """save_samples formats each line itself; each is the record's json.dumps
+    line, whatever the value (a bool label, a numpy score, a numeric string)."""
+    samples = [
+        SamplePair("s0", "café 漢字 \U0001f600", "lone \ud800 and \udfff", label=1,
+                   **_EVERY_KEY),
+        SamplePair("s1", 'tab\t "quote" back\\slash\n\r \x00 \x7f  ', "", target_score=-0.0),
+        SamplePair("s2", "x", "y", target_score=5e-324),
+        SamplePair("s3", "x", "y", target_score=1e308),
+        SamplePair("s4", "x", "y", target_score=-1.7976931348623157e308, gold_rank=1),
+        SamplePair("s5", "x", "y", label=2**70),
+        SamplePair("s6", "x", "y", label=True),
+        SamplePair("s7", "x", "y", target_score=float("nan")),
+        SamplePair("s8", "x", "y", target_score=np.float64(0.1), question_id=7),
+        SamplePair("s9", "x", "y", label="1", gold_relevance=1.0),
+    ]
+    path = tmp_path / "new_dir" / "d.jsonl"
+    save_samples(iter(samples), path)
+    expected = "".join(json.dumps(s.to_record(), sort_keys=True) + "\n" for s in samples)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("classification:2", {}),
+    ("regression", {**_EVERY_KEY, "gold_rank": 1}),
+    ("classification:2", {"label": "1"}),
+    ("classification:2", {"label": True}),
+    ("classification:2", {"label": 1.0}),
+    ("regression", {"target_score": "0.5"}),
+    ("regression", {"target_score": 1}),
+    ("regression", {"target_score": np.float64(0.5)}),
+    ("regression", {"target_score": float("inf")}),
+    ("regression", {"question_id": 7}),
+    ("regression", {"gold_relevance": 5}),
+    ("regression", {"gold_relevance": 2, "gold_rank": 0}),
+    ("regression", {"gold_relevance": "2"}),
+], ids=lambda value: value if isinstance(value, str) else repr(value))
+def test_a_write_stores_its_samples_only_when_a_decode_would_give_them(tmp_path, monkeypatch,
+                                                                       kind, changes):
+    """Given a memo, save_samples stores the samples under the sha256 of the
+    bytes it wrote, so the next load decodes nothing, unless decoding those
+    bytes would not give equal samples, type for type. Then it stores
+    nothing, and the next load decodes, converting or refusing the value as
+    a load without the memo does."""
+    task_kind = TaskKind.parse(kind)
+    supervision = {"label": 0} if task_kind.is_classification else {"target_score": 0.5}
+    samples = [SamplePair(f"s{i}", "x", f"y {i}", **supervision) for i in range(3)]
+    samples[1] = samples[1].copy(**changes)
+    decodes, real_decode = [], data._decode_samples
+
+    def counting_decode(raw, where):
+        decodes.append(where)
+        return real_decode(raw, where)
+
+    monkeypatch.setattr(data, "_decode_samples", counting_decode)
+    memo, path = data.DecodedSamples(), tmp_path / "d.jsonl"
+    save_samples(samples, path, decoded=memo)
+    exact = changes in ({}, {**_EVERY_KEY, "gold_rank": 1})
+    assert len(memo) == exact
+    records = lambda decoded: [s.to_record() for s in load_dataset(path, "fix", task_kind,
+                                                                   decoded=decoded)]
+    expected = _outcome(lambda: records(None))
+    decodes.clear()
+    assert _outcome(lambda: records(memo)) == expected
+    assert len(decodes) == (not exact)
+    if exact:
+        assert expected == ("ok", json.dumps([s.to_record() for s in samples], sort_keys=True))

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from mixtask.data import TaskKind
 from mixtask.inference import (
     PredictionSet,
     combine_predictions,
@@ -315,7 +316,8 @@ def test_prediction_set_round_trip(tmp_path):
     rows = [json.loads(line) for line in (tmp_path / "p.jsonl").read_text().splitlines()]
     assert rows == [{"sample_id": "s0", "probs": [0.5, 0.5]},
                     {"sample_id": "s1", "probs": [0.25, 0.75]}]
-    loaded = load_prediction_set(tmp_path / "p.jsonl", "m1", "classification", 88.25)
+    loaded = load_prediction_set(tmp_path / "p.jsonl", "m1", TaskKind.parse("classification:2"),
+                                 88.25)
     assert loaded.model_id == "m1" and loaded.dev_metric == 88.25
     assert loaded.kind == "classification" and loaded.predictions.keys() == ps.predictions.keys()
     assert np.array_equal(loaded.predictions["s1"], ps.predictions["s1"])
@@ -323,7 +325,7 @@ def test_prediction_set_round_trip(tmp_path):
     reg = PredictionSet("m2", "regression", {"s1": -0.125}, 70.0)
     save_prediction_set(reg, tmp_path / "r.jsonl")
     assert (tmp_path / "r.jsonl").read_text() == '{"sample_id": "s1", "score": -0.125}\n'
-    assert load_prediction_set(tmp_path / "r.jsonl", "m2", "regression",
+    assert load_prediction_set(tmp_path / "r.jsonl", "m2", TaskKind.parse("regression"),
                                70.0).predictions["s1"] == -0.125
 
 
@@ -335,12 +337,32 @@ def test_prediction_set_round_trip(tmp_path):
 ])
 def test_a_prediction_row_without_its_kinds_value_is_refused(tmp_path, kind, row, problem):
     path = tmp_path / "p.jsonl"
-    path.write_text('{"sample_id": "s0", "score": 0.1, "probs": [1.0]}\n' + json.dumps(row) + "\n")
+    path.write_text('{"sample_id": "s0", "score": 0.1, "probs": [0.5, 0.5]}\n'
+                    + json.dumps(row) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(problem)}$"):
-        load_prediction_set(path, "m", kind, 1.0)
+        load_prediction_set(path, "m", TaskKind.parse("classification:2" if kind == "classification"
+                                                      else kind), 1.0)
 
 
-def test_prediction_set_validates_probability_sums():
-    bad = PredictionSet("m", "classification", {"s": np.array([0.7, 0.7])}, 1.0)
-    with pytest.raises(ValueError, match="sum"):
-        bad.validate()
+@pytest.mark.parametrize("kind, value, problem", [
+    ("regression", [0.5], "score must be a finite number, got [0.5]"),
+    ("regression", True, "score must be a finite number, got true"),
+    ("regression", "0.5", 'score must be a finite number, got "0.5"'),
+    ("classification:2", [0.5, "0.5"], 'probs must be a list of 2 finite numbers, got [0.5, "0.5"]'),
+    ("classification:2", [1.0], "probs must be a list of 2 finite numbers, got [1.0]"),
+    ("classification:2", 1.0, "probs must be a list of 2 finite numbers, got 1.0"),
+])
+def test_a_prediction_row_with_a_wrong_value_is_refused(tmp_path, kind, value, problem):
+    key = "score" if kind == "regression" else "probs"
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"sample_id": "s0", key: value}) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: {re.escape(problem)}$"):
+        load_prediction_set(path, "m", TaskKind.parse(kind), 1.0)
+
+
+def test_prediction_set_validates_probability_sums(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"sample_id": "s0", "probs": [0.25, 0.75]}\n'
+                    '{"sample_id": "s1", "probs": [0.7, 0.7]}\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: probabilities sum to"):
+        load_prediction_set(path, "m", TaskKind.parse("classification:2"), 1.0)

@@ -1298,25 +1298,106 @@ def test_loads_without_a_memo_share_no_sample(tmp_path):
 
 def test_train_finetune_and_ensemble_decode_no_dataset_row(toy_corpus_dir, tmp_path,
                                                            monkeypatch):
-    """In one run, each stage decodes only files whose bytes neither it nor
-    the stage before it has decoded: train, finetune and ensemble read only
-    files the stage before them read."""
+    """In one run, ingest decodes each manifest file once, and no stage after
+    it decodes a file it or the stage before it read or wrote: transform,
+    split, schedule, train, finetune, ensemble and rank decode nothing.
+    Predict and evaluate may decode eval splits, each at most once: split
+    wrote them, but no stage just before predict or evaluate read them."""
     from mixtask import data, pipeline
 
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
-    current, calls = [None], Counter()
+    run = tmp_path / "run"
+    current, decodes = [None], []
     real_run_stage, real_decode = pipeline.run_stage, data._decode_samples
 
     def recording_run_stage(name, *args):
         current[0] = name
         return real_run_stage(name, *args)
 
-    def counting_decode(raw, path):
-        calls[current[0]] += 1
+    def recording_decode(raw, path):
+        decodes.append((current[0], Path(path)))
         return real_decode(raw, path)
 
     monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
-    monkeypatch.setattr(data, "_decode_samples", counting_decode)
-    pipeline.run_pipeline(cfg, tmp_path / "run", quiet=True)
-    assert calls["schedule"] > 0
-    assert [stage for stage in ("train", "finetune", "ensemble") if calls[stage]] == []
+    monkeypatch.setattr(data, "_decode_samples", recording_decode)
+    pipeline.run_pipeline(cfg, run, quiet=True)
+    manifest = [Path(path) for entry in data.read_manifest(cfg.manifest_path)
+                for path in (entry.path, entry.dev_path, entry.eval_path) if path]
+    assert [path for stage, path in decodes if stage == "ingest"] == manifest
+    later = [(stage, path.relative_to(run).as_posix()) for stage, path in decodes
+             if stage != "ingest"]
+    eval_files = {f"split/{entry['splits']['eval']}"
+                  for entry in read_index(run, "split")["datasets"].values()
+                  if "eval" in entry["splits"]}
+    assert {stage for stage, _ in later} <= {"predict", "evaluate"}
+    assert {path for _, path in later} <= eval_files, later
+    assert len(later) == len(set(later))
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench's workload module, loaded from its file without editing it
+    (its dataclasses need it registered while it runs)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fields(samples):
+    return [(type(s), [(key, type(value), value) for key, value in vars(s).items()])
+            for s in samples]
+
+
+@pytest.mark.parametrize("corpus", ["toy", "tiny-scaled-train"])
+def test_every_dataset_file_a_stage_writes_decodes_to_the_samples_it_stored(
+        toy_corpus_dir, tmp_path, monkeypatch, corpus):
+    """Each dataset file ingest, transform and split write (CV folds
+    included) is stored in the memo with its samples, and decoding the file's
+    bytes gives those samples, field by field and type by type."""
+    from mixtask import data, pipeline
+
+    if corpus == "toy":
+        config = toy_corpus_dir / "config.yaml"
+    else:
+        workloads = _perfbench_workloads(monkeypatch)
+        config = workloads.write_corpus(tmp_path / "corpus", 7,
+                                        workloads.workload("scaled-train", tiny=True))[0]
+    stored, real_store = {}, data.DecodedSamples.store
+
+    def recording_store(memo, raw, samples):
+        stored[hashlib.sha256(raw).hexdigest()] = raw, tuple(samples)
+        return real_store(memo, raw, samples)
+
+    monkeypatch.setattr(data.DecodedSamples, "store", recording_store)
+    run = tmp_path / "run"
+    pipeline.run_pipeline(PipelineConfig.from_file(config), run, quiet=True)
+    written = [path for stage in ("ingest", "transform", "split")
+               for path in sorted((run / stage).rglob("*.jsonl"))]
+    assert any("folds" in path.parts for path in written) == (corpus == "toy")
+    assert {hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == stored.keys()
+    for raw, samples in stored.values():
+        assert _fields(data._decode_samples(raw, "stored")) == _fields(samples)
+
+
+def test_a_run_and_its_stages_run_alone_write_the_same_files(toy_corpus_dir, toy_run_dir,
+                                                             tmp_path, monkeypatch):
+    """A memo hit is as good as a fresh decode: running each stage with an
+    empty memo, as `mixtask <stage>` in a fresh process does, writes every
+    file of a run_pipeline run byte for byte."""
+    from mixtask import data, pipeline
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    run = tmp_path / "run"
+    for stage in STAGES:
+        monkeypatch.setattr(pipeline, "_DECODED", data.DecodedSamples())
+        run_stage(stage, cfg, run)
+
+    def digests(root):
+        return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    assert digests(run) == digests(toy_run_dir)
