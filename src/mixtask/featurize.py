@@ -11,26 +11,30 @@ slots make lexical match directly visible to a linear model; the hashed
 bag carries the lexicalized content. The bag portion is L2-normalized.
 
 There is one featurization path: `featurize_pairs` maps a list of pairs to
-one (n, dim) matrix per source. It tokenizes each pair once for all sources,
-numbers each distinct token once for all sources (`TokenCodes`), hashes it
-once per source into an array of signed codes indexed by that number, and
-counts the signed bag a chunk of rows at a time; bag entries are integer
-counts, so the result does not depend on summation order. `FeatureCache`
-stores those matrices for a fixed list of sources, keyed by sample content,
-and hands training and prediction a dataset's matrix in sample order;
-mini-batches are then row selections of it. A miss featurizes the missing
-rows for all of the cache's sources in one call, and the cache's token memo
-lives as long as the cache, so a token is hashed once per source however
-many lookups miss. A
-cache is saved as one row index (keys.npy) plus one .npy matrix per source
-and loaded again, so the rows one pipeline stage built serve the stages
-after it: each row of a run is featurized once.
+one (n, dim) matrix per source. A chunk of rows works on word ids, not token
+strings: each text is split into words once for all sources, each word is
+numbered once (`KeyCodes`), and the chunk's unigram, bigram and overlap
+tokens become integer keys built with a few numpy calls. Each source keeps
+the signed bucket code of every key it has seen, so a key is spelled out as
+its token string and hashed only the first time it is seen. The signed bag
+is then counted a chunk of rows at a time; bag entries are integer counts,
+so the result does not depend on token order or summation order.
+`FeatureCache` stores those matrices for a fixed list of sources, keyed by
+sample content, and hands training and prediction a dataset's matrix in
+sample order; mini-batches are then row selections of it. A miss featurizes
+the missing rows for all of the cache's sources in one call, and the cache's
+memo lives as long as the cache, so a token is hashed once per source however
+many lookups miss. A cache is saved as one row index (keys.npy) plus one .npy
+matrix per source and loaded again, so the rows one pipeline stage built
+serve the stages after it: each row of a run is featurized once.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,10 +44,17 @@ from numpy.lib import format as npy_format
 from .data import Dataset, SamplePair
 
 _WORD = re.compile(r"[a-z0-9]+")
+# An ASCII byte's word character: itself for [a-z0-9], lower case for [A-Z],
+# else a space.
+_ASCII_WORD_BYTES = bytes(
+    ord(chr(c).lower()) if chr(c).isalnum() else 32 for c in range(128)
+) + b" " * 128
 
 N_STATS = 2  # leading dense slots: bounded overlap count, overlap fraction
 CHUNK_ROWS = 256  # rows whose hashed bags are counted together
 KEY_BYTES = 16  # size of a row's content key
+WORD_LIMIT = 2**31  # word ids a packed token key can hold
+_PREFIXES = (b"a:", b"b:", b"o:")  # token prefixes by kind: side a, side b, overlap
 
 
 @dataclass(frozen=True)
@@ -66,109 +77,172 @@ class SourceSpec:
             raise ValueError(f"featurizer seed must be in [0, 2**64), not {self.featurizer_seed}")
 
 
-def _words(text: str) -> list[str]:
-    return _WORD.findall(text.lower())
+def _words(text: str) -> list[bytes]:
+    """The words of a text: the runs of [a-z0-9] in its lower case, as ASCII bytes.
+
+    Only an ASCII text takes the bytes path: str.lower() can turn a non-ASCII
+    letter into an ASCII one (the Kelvin sign into 'k').
+    """
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_WORD_BYTES).split()
+    return [word.encode("ascii") for word in _WORD.findall(text.lower())]
 
 
-def _pair_tokens(a: list[str], b: list[str], overlap: set[str]) -> list[str]:
-    """Token stream of one pair, from the words of each side and their overlap."""
-    tokens = [f"a:{w}" for w in a]
-    tokens += [f"a:{u}_{v}" for u, v in zip(a, a[1:])]
-    tokens += [f"b:{w}" for w in b]
-    tokens += [f"b:{u}_{v}" for u, v in zip(b, b[1:])]
-    tokens += [f"o:{w}" for w in sorted(overlap)]
-    return tokens
-
-
-def _digest(hasher, token: str) -> bytes:
+def _digest(hasher, token: bytes) -> bytes:
     """The keyed hasher's digest of one token; copying skips re-keying."""
     h = hasher.copy()
-    h.update(token.encode("utf-8"))
+    h.update(token)
     return h.digest()
 
 
-def _signed_codes(tokens: list[str], source: SourceSpec) -> np.ndarray:
-    """Each token's signed bucket code under the source, sign * (bucket + 1).
+def _signed_codes(tokens: list[bytes], sources: Sequence[SourceSpec]) -> np.ndarray:
+    """Each token's signed bucket code, sign * (bucket + 1), under each
+    source: an (n_sources, n_tokens) array.
 
     A token's 64-bit little-endian keyed digest: the low bit is the sign, the
     rest the bucket.
     """
-    key = int(source.featurizer_seed).to_bytes(8, "little", signed=False)
-    hasher = hashlib.blake2b(key=key, digest_size=8)
-    values = np.frombuffer(b"".join([_digest(hasher, t) for t in tokens]), dtype="<u8")
-    buckets = ((values >> np.uint64(1)) % np.uint64(source.dim - N_STATS)).astype(np.intp) + 1
-    return np.where(values & np.uint64(1), buckets, -buckets)
+    codes = np.empty((len(sources), len(tokens)), dtype=np.intp)
+    for i, source in enumerate(sources):
+        key = int(source.featurizer_seed).to_bytes(8, "little", signed=False)
+        hasher = hashlib.blake2b(key=key, digest_size=8)
+        values = np.frombuffer(b"".join([_digest(hasher, t) for t in tokens]), dtype="<u8")
+        buckets = ((values >> np.uint64(1)) % np.uint64(source.dim - N_STATS)).astype(np.intp) + 1
+        codes[i] = np.where(values & np.uint64(1), buckets, -buckets)
+    return codes
 
 
-class TokenCodes(dict):
-    """The token memo of featurize_pairs: token -> id, numbered in order of
-    first sight, and per source (`tables[i]` for the i-th source) the signed
-    bucket code of each id. Looking up an unseen token gives it the next id."""
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted (np.unique would import numpy.ma)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+class KeyCodes(dict):
+    """The memo of featurize_pairs for one list of sources.
+
+    As a dict it maps a word to its id, numbered in order of first sight;
+    looking up an unseen word gives it the next id. Per source (row i for the
+    i-th source) it holds the signed bucket code of every token key hashed so
+    far: `unigrams[i, 3 * id + kind]` for the word's token of kind 0 (side a),
+    1 (side b) or 2 (overlap), 0 until hashed; and `bigrams[i, j]` for the
+    packed bigram key `bigram_keys[j]`, which stays sorted.
+    """
 
     def __init__(self, n_sources: int):
         super().__init__()
-        self.tokens: list[str] = []  # by id
-        self.tables = [np.zeros(0, dtype=np.intp) for _ in range(n_sources)]
+        self.words: list[bytes] = []  # by id
+        self.unigrams = np.zeros((n_sources, 0), dtype=np.intp)
+        self.bigram_keys = np.zeros(0, dtype=np.int64)
+        self.bigrams = np.zeros((n_sources, 0), dtype=np.intp)
 
-    def __missing__(self, token: str) -> int:
-        self[token] = token_id = len(self.tokens)
-        self.tokens.append(token)
-        return token_id
+    def __missing__(self, word: bytes) -> int:
+        self[word] = word_id = len(self.words)
+        self.words.append(word)
+        return word_id
+
+    def unigram_codes(self, keys: np.ndarray, sources: Sequence[SourceSpec]) -> np.ndarray:
+        """The (n_sources, len(keys)) codes of unigram keys, hashing the unseen ones."""
+        if self.unigrams.shape[1] < 3 * len(self.words):
+            grown = np.zeros((len(sources), 6 * len(self.words)), dtype=np.intp)
+            grown[:, : self.unigrams.shape[1]] = self.unigrams
+            self.unigrams = grown
+        codes = self.unigrams[:, keys]
+        unseen = keys[codes[0] == 0]
+        if len(unseen):
+            new = _sorted_unique(unseen)
+            words = self.words
+            tokens = [_PREFIXES[key % 3] + words[key // 3] for key in new.tolist()]
+            self.unigrams[:, new] = _signed_codes(tokens, sources)
+            codes = self.unigrams[:, keys]
+        return codes
+
+    def bigram_codes(self, keys: np.ndarray, sources: Sequence[SourceSpec]) -> np.ndarray:
+        """The (n_sources, len(keys)) codes of packed bigram keys, hashing the unseen ones."""
+        at = np.searchsorted(self.bigram_keys, keys)
+        known = np.zeros(len(keys), dtype=bool)
+        if len(self.bigram_keys):
+            known = self.bigram_keys[np.minimum(at, len(self.bigram_keys) - 1)] == keys
+        if not known.all():
+            new = _sorted_unique(keys[~known])
+            words, pair = self.words, new >> 1
+            tokens = [_PREFIXES[side] + words[left] + b"_" + words[right] for side, left, right
+                      in zip((new & 1).tolist(), (pair // WORD_LIMIT).tolist(),
+                             (pair % WORD_LIMIT).tolist())]
+            # Two sorted runs: a stable sort merges them in linear time.
+            merged = np.concatenate([self.bigram_keys, new])
+            order = np.argsort(merged, kind="stable")
+            self.bigram_keys = merged[order]
+            self.bigrams = np.concatenate([self.bigrams, _signed_codes(tokens, sources)],
+                                          axis=1)[:, order]
+            at = np.searchsorted(self.bigram_keys, keys)
+        return self.bigrams[:, at]
 
 
 def featurize_pairs(
     pairs: Sequence[tuple[str, str]],
     sources: Sequence[SourceSpec],
-    codes: Optional[TokenCodes] = None,
+    codes: Optional[KeyCodes] = None,
 ) -> list[np.ndarray]:
     """Map text pairs to one (n, source.dim) matrix per source, one row per
     pair in order.
 
     Deterministic for (texts, source); different featurizer seeds place the
     same tokens in different buckets with different signs. The two leading
-    columns are overlap statistics shared by all sources. Each pair is
-    tokenized once for all sources. codes, when given, is a memo for these
+    columns are overlap statistics shared by all sources. Each text is split
+    into words once for all sources. codes, when given, is a memo for these
     sources, which this call reads and extends, so a token is hashed once per
     source however many calls share it; without it the call uses a fresh one.
+    Raises ValueError for a word id at or past WORD_LIMIT, which a packed
+    token key cannot hold.
     """
-    codes = TokenCodes(len(sources)) if codes is None else codes
+    if not sources:
+        return []
+    codes = KeyCodes(len(sources)) if codes is None else codes
     outs = [np.zeros((len(pairs), source.dim), dtype=np.float64) for source in sources]
     for start in range(0, len(pairs), CHUNK_ROWS):
         chunk = pairs[start : start + CHUNK_ROWS]
-        overlaps, smaller, lengths, tokens = [], [], [], []
-        for text_a, text_b in chunk:
-            a, b = _words(text_a), _words(text_b)
-            a_set, b_set = set(a), set(b)
-            overlap = a_set & b_set
-            overlaps.append(len(overlap))
-            smaller.append(min(len(a_set), len(b_set)))
-            row_tokens = _pair_tokens(a, b, overlap)
-            lengths.append(len(row_tokens))
-            tokens += row_tokens
         rows = len(chunk)
-        overlap_counts = np.array(overlaps, dtype=np.float64)
+        split = [_words(text) for pair in chunk for text in pair]
+        lengths = np.fromiter(map(len, split), dtype=np.intp, count=2 * rows)
+        ids = np.fromiter(map(codes.__getitem__, chain.from_iterable(split)), dtype=np.int64,
+                          count=int(lengths.sum()))
+        if len(codes.words) > WORD_LIMIT and ids.max(initial=0) >= WORD_LIMIT:
+            raise ValueError(f"word id {ids.max()} is past the {WORD_LIMIT} words a token "
+                             f"key can pack")
+        text_of = np.repeat(np.arange(2 * rows), lengths)  # 2 * row + side
+        row, side = text_of >> 1, text_of & 1
+        # Bigrams: consecutive words of one text, packed as (left, right, side).
+        joined = text_of[1:] == text_of[:-1]
+        bigrams = (ids[:-1][joined] * WORD_LIMIT + ids[1:][joined]) * 2 + side[1:][joined]
+        # The bag does not depend on token order; sorted keys search faster.
+        order = np.argsort(bigrams)
+        bigrams, bigram_rows = bigrams[order], row[1:][joined][order]
+        # The distinct (row, word, side) triples give each side's distinct word
+        # count per row, and the (row, word) pairs found on both sides.
+        present = _sorted_unique((row * WORD_LIMIT + ids) * 2 + side)
+        row_word = present >> 1
+        distinct = np.bincount(row_word // WORD_LIMIT * 2 + (present & 1), minlength=2 * rows)
+        shared = row_word[1:][row_word[1:] == row_word[:-1]]
+        overlap_counts = np.bincount(shared // WORD_LIMIT, minlength=rows).astype(np.float64)
+        smaller = distinct.reshape(rows, 2).min(axis=1).astype(np.float64)
         stats = np.column_stack([np.tanh(overlap_counts / 4.0),
-                                 overlap_counts / (1.0 + np.array(smaller, dtype=np.float64))])
-        token_of = np.fromiter(map(codes.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        row_of = np.repeat(np.arange(rows), lengths)
-        for i, (source, out) in enumerate(zip(sources, outs)):
+                                 overlap_counts / (1.0 + smaller)])
+        unigrams = np.concatenate([ids * 3 + side, shared % WORD_LIMIT * 3 + 2])
+        signed = np.concatenate([codes.unigram_codes(unigrams, sources),
+                                 codes.bigram_codes(bigrams, sources)], axis=1)
+        row_of = np.concatenate([row, shared // WORD_LIMIT, bigram_rows])
+        buckets, signs = np.abs(signed) - 1, np.sign(signed).astype(np.float64)
+        for source, out, bucket, sign in zip(sources, outs, buckets, signs):
             n_buckets = source.dim - N_STATS
-            table = codes.tables[i]
-            if len(table) < len(codes.tokens):
-                new = _signed_codes(codes.tokens[len(table):], source)
-                table = codes.tables[i] = np.concatenate([table, new])
-            signed = table[token_of]
-            counts = np.bincount(
-                row_of * n_buckets - 1 + np.abs(signed),
-                weights=np.sign(signed).astype(np.float64), minlength=rows * n_buckets,
-            )
+            counts = np.bincount(row_of * n_buckets + bucket, weights=sign,
+                                 minlength=rows * n_buckets)
             # bincount returns integers when there is no token at all.
             bag = counts.astype(np.float64, copy=False).reshape(rows, n_buckets)
             norms = np.sqrt(np.einsum("ij,ij->i", bag, bag))
             norms[norms == 0] = 1.0  # an empty bag stays all zeros
-            bag /= norms[:, None]
             out[start : start + rows, :N_STATS] = stats
-            out[start : start + rows, N_STATS:] = bag
+            np.divide(bag, norms[:, None], out=out[start : start + rows, N_STATS:])
     return outs
 
 
@@ -215,6 +289,37 @@ def _read_blocks(path: Path, block_rows: list[int], rows: int, dim: int) -> list
     return blocks
 
 
+def _check_entry(entry) -> None:
+    """Raise ValueError naming the first field of a store entry that is not
+    of the form `FeatureCache.save` returns."""
+
+    def check(ok: bool, field: str, expected: str, value) -> None:
+        if not ok:
+            raise ValueError(f"{field} must be {expected}, got {json.dumps(value)}")
+
+    def is_count(value) -> bool:
+        return type(value) is int and value >= 0
+
+    def is_file_name(value) -> bool:
+        return type(value) is str and value not in ("", ".", "..") and Path(value).name == value
+
+    check(type(entry) is dict, "the store entry", "a mapping", entry)
+    check(is_count(entry.get("rows")), "rows", "an int >= 0", entry.get("rows"))
+    blocks = entry.get("blocks")
+    check(type(blocks) is list and all(map(is_count, blocks)), "blocks",
+          "a list of ints >= 0", blocks)
+    check(is_file_name(entry.get("keys")), "keys", "a file name", entry.get("keys"))
+    sources = entry.get("sources")
+    check(type(sources) is dict, "sources", "a mapping of source names", sources)
+    for name, saved in sources.items():
+        check(type(saved) is dict, f"sources.{name}", "a mapping", saved)
+        for field in ("featurizer_seed", "dim"):
+            check(type(saved.get(field)) is int, f"sources.{name}.{field}", "an int",
+                  saved.get(field))
+        check(is_file_name(saved.get("matrix")), f"sources.{name}.matrix", "a file name",
+              saved.get("matrix"))
+
+
 class FeatureCache:
     """Feature matrices for a fixed list of sources, keyed by sample content.
 
@@ -223,9 +328,9 @@ class FeatureCache:
     the same, while reloaded copies of a split and subsets of it (CV folds)
     reuse the stored rows. All sources share one row index: a lookup that
     misses featurizes the missing rows for every source in one call, so each
-    row is tokenized once and every source's store gets the same block of
-    rows. The token memo of all sources lives as long as the cache, so a
-    token is hashed once per source. The cache keeps each
+    row is split into words once and every source's store gets the same block
+    of rows. The memo of all sources lives as long as the cache, so a token is
+    hashed once per source. The cache keeps each
     Dataset object it has served with its rows, so a second lookup of it
     hashes no sample; the library never changes a Dataset's samples after
     building it, nor a SamplePair (which also lets the pipeline's memo of
@@ -239,7 +344,7 @@ class FeatureCache:
         self._sources = list(dict.fromkeys(sources))
         # row blocks of each source, one per miss; the blocks of all sources line up
         self._blocks: dict[SourceSpec, list[np.ndarray]] = {s: [] for s in self._sources}
-        self._codes = TokenCodes(len(self._sources))
+        self._codes = KeyCodes(len(self._sources))
         self._starts: list[int] = []  # first row of each block
         self._where: dict[bytes, int] = {}  # content key -> row
         self._served: dict[int, tuple[Dataset, np.ndarray]] = {}  # id -> (dataset, its rows)
@@ -281,11 +386,13 @@ class FeatureCache:
         pickles. Each matrix is read block by block into read-only blocks of
         the saved layout: blocks of the sizes the saving stage featurized can
         reuse memory it freed, where one whole-matrix array would not.
-        Raises ValueError when the entry lists no source of that name, seed
-        and dim, when its blocks do not add up to its rows, when a file is
+        Raises ValueError naming the field when the entry is not of the form
+        `save` returns, when it lists no source of that name, seed and dim,
+        when its blocks do not add up to its rows, when a file is
         malformed, truncated or of another shape, or when a key repeats;
         OSError when a file is missing.
         """
+        _check_entry(entry)
         cache = cls(sources)
         rows, block_rows = entry["rows"], entry["blocks"]
         if sum(block_rows) != rows:

@@ -549,10 +549,15 @@ def stage_evaluate(run: StageRun) -> dict:
             filename = rankings[task_name]["file"]
             ranked = run.records_by_sample("rank", filename, task_name, eval_ids)
             with run.reading(f"rank/{filename}", "rank"):
-                for rec in ranked.values():
-                    scored.setdefault(rec["question_id"], []).append(
-                        (rec["sample_id"], rec["label"], rec["score"])
-                    )
+                for sample_id, rec in ranked.items():
+                    label, score = rec["label"], rec["score"]
+                    if type(label) is not int or label not in (0, 1):
+                        raise ValueError(f"sample {sample_id!r}: label {json.dumps(label)} "
+                                         f"is not a class index below 2")
+                    if not is_finite_number(score):
+                        raise ValueError(f"sample {sample_id!r}: score {json.dumps(score)} "
+                                         f"is not a finite number")
+                    scored.setdefault(rec["question_id"], []).append((sample_id, label, score))
             report = build_ranking_report(task_name, scored, *ranking_gold(eval_set))
         else:
             filename = ensembles[task_name]["file"]

@@ -23,6 +23,19 @@ def predict_index_dev_metric(value):
     return edit
 
 
+def train_features(key, value, problem):
+    """An edit that sets key to value in the train index's features entry;
+    predict, which opens the store first, must fail with problem."""
+    def edit(run):
+        path = run / "train" / "index.json"
+        index = json.loads(path.read_text())
+        index["features"][key] = value
+        path.write_text(json.dumps(index))
+        return f"unreadable train features: ValueError: {problem}; re-run train"
+    edit.__name__ = f"features_{key}_{json.dumps(value)}"
+    return edit
+
+
 def first_row(producer, filename, key, value, problem):
     """An edit that sets key to value in the first row of producer/filename.
     It returns the error the reading stage must give: the row's path and
@@ -54,6 +67,17 @@ def first_row(producer, filename, key, value, problem):
                'label "x" is not a class index below 3'), "evaluate"),
     (first_row("ensemble", "toy_rqe.jsonl", "label", 2,
                "label 2 is not a class index below 2"), "evaluate"),
+    (train_features("blocks", "x", 'blocks must be a list of ints >= 0, got "x"'), "predict"),
+    (train_features("sources", ["family_a"],
+                    'sources must be a mapping of source names, got ["family_a"]'), "predict"),
+    (first_row("rank", "toy_qa.jsonl", "label", "x",
+               'label "x" is not a class index below 2'), "evaluate"),
+    (first_row("rank", "toy_qa.jsonl", "label", 2,
+               "label 2 is not a class index below 2"), "evaluate"),
+    (first_row("rank", "toy_qa.jsonl", "score", "high",
+               'score "high" is not a finite number'), "evaluate"),
+    (first_row("rank", "toy_qa.jsonl", "score", [0.5],
+               "score [0.5] is not a finite number"), "evaluate"),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_an_edited_artifact_fails_its_reader_naming_the_producer(toy_corpus_dir, toy_run_dir,
                                                                   tmp_path, edit, stage):

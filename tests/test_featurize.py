@@ -341,3 +341,77 @@ def test_a_served_dataset_is_not_hashed_again(monkeypatch):
     assert cache.lookup(copy, sources[0]).tobytes() == table[::-1].tobytes()
     assert len(hashed) == 60
     assert first.tobytes() == np.concatenate([table[10:], table[:10]]).tobytes()
+
+
+def _fuzz_pairs(seed, n):
+    """Pairs of texts that mix cases, digits, `_` and other punctuation,
+    whitespace runs, non-ASCII letters (some of which lower-case to ASCII), a
+    lone surrogate, repeated words, one-word sides and empty sides."""
+    rng = np.random.default_rng(seed)
+    pieces = ["alpha", "Beta", "GAMMA", "x1", "42", "foo_bar", "don't", "a-b", "e.g.",
+              "\u212a", "\u212aelvin",  # the Kelvin sign, which lower-cases to "k"
+              "\u0130stanbul", "naïve", "straße",
+              "Ωmega", "café", "\ud800", "word\ud800word", "ALPHA", "alpha"]
+    gaps = [" ", "  ", "\t", "\n \n", ", ", "_", "-", "!?", "...", "\u3000"]
+
+    def text():
+        size = int(rng.choice([0, 0, 1, 1, 2, 5, 9, 14]))
+        words = [str(rng.choice(pieces)) for _ in range(size)]
+        out = "".join(w + str(rng.choice(gaps)) for w in words)
+        return out if words or rng.random() < 0.5 else str(rng.choice(["", "   ", "!!!"]))
+
+    return [(text(), text()) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_featurize_pairs_matches_reference_on_fuzzed_texts(seed):
+    pairs = _fuzz_pairs(seed, 2 * CHUNK_ROWS + 77)
+    sources = [SourceSpec("tiny", 31, 3), SourceSpec("mid", 32, 29), SourceSpec("big", 33, 256)]
+    codes = featurize_module.KeyCodes(len(sources))
+    matrices = featurize_pairs(pairs, sources, codes=codes)
+    for src, matrix in zip(sources, matrices):
+        expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
+        assert matrix.tobytes() == expected.tobytes()
+    assert (np.diff(codes.bigram_keys) > 0).all()  # sorted, each key once
+    assert sorted(codes) == sorted({w.encode() for a, b in pairs for w in _ref_words(a + " " + b)})
+
+
+def test_split_calls_through_one_memo_give_the_bytes_of_one_call(monkeypatch):
+    pairs = _fuzz_pairs(7, 2 * CHUNK_ROWS + 40)
+    sources = [SourceSpec("tiny", 31, 3), SourceSpec("big", 33, 256)]
+    whole = featurize_pairs(pairs, sources)
+    ds = make_dataset(0, name="fuzz")
+
+    def samples(prefix):
+        return [SamplePair(id=f"{prefix}{i}", text_a=a, text_b=b, label=0)
+                for i, (a, b) in enumerate(pairs)]
+
+    cache = FeatureCache(sources)
+    cuts = [0, 100, CHUNK_ROWS + 9, 2 * CHUNK_ROWS - 1, len(pairs)]  # each one mid-chunk
+    parts = [ds.with_samples(samples("s")[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    for src, matrix in zip(sources, whole):
+        assert np.concatenate([cache.lookup(p, src) for p in parts]).tobytes() == matrix.tobytes()
+
+    hashed, real = [], featurize_module._digest
+
+    def counting(hasher, token):
+        hashed.append(token)
+        return real(hasher, token)
+
+    monkeypatch.setattr(featurize_module, "_digest", counting)
+    renamed = ds.with_samples(samples("again-"))  # new content keys, known tokens
+    assert cache.lookup(renamed, sources[1]).tobytes() == whole[1].tobytes()
+    assert hashed == []
+
+
+def test_a_word_id_past_the_packing_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(featurize_module, "WORD_LIMIT", 6)
+    src = SourceSpec("fam", 7, 40)
+    codes = featurize_module.KeyCodes(1)
+    pairs = [("one two three", "three four"), ("five six one", "six two")]  # ids 0..5
+    expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
+    assert featurize_pairs(pairs, [src], codes=codes)[0].tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="^word id 6 is past the 6 words a token key can pack$"):
+        featurize_pairs([("one seven", "two")], [src], codes=codes)
+    with pytest.raises(ValueError, match="word id 6 is past"):
+        featurize_pairs([("seven", "")], [src], codes=codes)

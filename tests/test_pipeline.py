@@ -675,14 +675,38 @@ def test_only_the_config_module_imports_yaml():
 # -- command line ----------------------------------------------------------------
 
 
-def run_cli(*args):
-    """Run the CLI of the mixtask package these tests import."""
+def run_python(*args):
+    """Run a fresh interpreter that imports the mixtask package these tests import."""
     src = str(Path(mixtask.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "mixtask", *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    """Run the CLI of the mixtask package these tests import."""
+    return run_python("-m", "mixtask", *args)
+
+
+def test_a_toy_run_leaves_numpy_ma_unimported(tmp_path):
+    """np.unique and np.intersect1d import numpy.ma, about 1.3 MB of peak RSS;
+    a run uses sort-based helpers instead. A fresh interpreter shows it, since
+    this process imports scipy, which imports numpy.ma."""
+    script = (
+        "import sys; from pathlib import Path\n"
+        "from mixtask.pipeline import PipelineConfig, run_pipeline\n"
+        "from mixtask.toydata import write_toy_corpus\n"
+        "out = Path(sys.argv[1]); write_toy_corpus(out / 'corpus', seed=7)\n"
+        "run_pipeline(PipelineConfig.from_file(out / 'corpus' / 'config.yaml'), out / 'run',"
+        " quiet=True)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    proc = run_python("-c", script, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "evaluate" / "summary.json").is_file()
 
 
 def test_cli_make_toy_and_staged_run(tmp_path):
