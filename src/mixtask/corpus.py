@@ -238,7 +238,8 @@ def random_split(dataset: Dataset, eval_count: int, seed: int = 0) -> tuple[Data
 def apply_split_recipe(
     cfg: PipelineConfig, name: str, bundle: dict[str, Dataset]
 ) -> dict[str, Dataset]:
-    """A dataset's splits after the recipe `cfg.split_recipes` names for it, if any."""
+    """A dataset's splits after the recipe `cfg.split_recipes` names for it, if
+    any. A recipe adds no eval split: a dataset without one is evaluated on dev."""
     recipe = cfg.split_recipes.get(name, "none")
     if recipe == "none":
         return bundle
@@ -246,13 +247,13 @@ def apply_split_recipe(
         if "dev" not in bundle or "eval" not in bundle:
             raise ValueError(f"{name!r}: merge_dev needs dev and eval splits")
         merged = mednli_merge_dev(bundle["train"], bundle["dev"])
-        return {"train": merged, "dev": bundle["eval"], "eval": bundle["eval"]}
+        return {"train": merged, "dev": bundle["eval"]}
     if recipe == "shuffle_half_eval":
         if "dev" not in bundle:
             raise ValueError(f"{name!r}: shuffle_half_eval needs a dev split")
         seed = derive_seed(cfg.master_seed, "split", "shuffle-half", name)
         train, dev = rqe_shuffle_split(bundle["train"], bundle["dev"], seed)
-        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
+        return {**bundle, "train": train, "dev": dev}
     if recipe == "reshuffle_dev":
         if "dev" not in bundle:
             raise ValueError(f"{name!r}: reshuffle_dev needs a dev split")
@@ -263,13 +264,13 @@ def apply_split_recipe(
             n_alexa_questions=cfg.reshuffle_tagged_questions,
             alexa_tag=cfg.reshuffle_tag,
         )
-        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
+        return {**bundle, "train": train, "dev": dev}
     if recipe == "random_split":
         counts = cfg.random_split_counts.get(name, {})
         eval_count = int(counts.get("eval_count", max(1, len(bundle["train"]) // 10)))
         seed = derive_seed(cfg.master_seed, "split", "random", name)
         train, dev = random_split(bundle["train"], eval_count, seed)
-        return {"train": train, "dev": dev, "eval": bundle.get("eval", dev)}
+        return {**bundle, "train": train, "dev": dev}
     raise ValueError(f"unknown split recipe {recipe!r} for {name!r}")
 
 

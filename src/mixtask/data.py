@@ -16,14 +16,12 @@ so every malformed line fails with the message `json.loads` gives.
 
 `save_samples` is the one writer of dataset files: it formats each sample's
 line itself, as the JSON-Lines encoder would, and writes the file in one
-call. `load_dataset` takes an optional `DecodedSamples` memo, which maps the
-sha256 of a dataset file's bytes to the samples decoded from exactly those
-bytes, so a caller that loads the same bytes again skips decoding; given
-the memo, `save_samples` stores the samples it wrote under the sha256 of
-their bytes when decoding those bytes would give equal samples, type for
-type, so a caller that loads what it wrote skips decoding too. The samples
-of a memo hit are shared with every other caller of that memo; without a
-memo, each call returns samples of its own.
+call. Given a mapping from the sha256 of a dataset file's bytes to samples,
+`save_samples` adds the samples it wrote under the sha256 of their bytes
+when decoding those bytes would give equal samples, type for type, and
+`load_dataset` takes the samples of the bytes it reads from the mapping
+instead of decoding them. The samples of a hit are shared with every other
+reader of that mapping; without one, each call returns samples of its own.
 """
 from __future__ import annotations
 
@@ -78,6 +76,13 @@ def is_finite_number(value) -> bool:
     """Whether a decoded JSON value is a number that converts to a finite
     float: an int or a float, never a bool or a numeric string."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def is_file_name(value) -> bool:
+    """Whether a decoded JSON value names a file below the directory of the
+    index that lists it: a str of names joined by "/" (split's
+    `folds/<file>`), none of them empty, "." or ".."."""
+    return type(value) is str and all(part not in ("", ".", "..") for part in value.split("/"))
 
 
 def _finite_score(value) -> float:
@@ -351,69 +356,28 @@ def _decode_samples(raw: bytes, path: str | Path) -> list[SamplePair]:
     return [_parse_record(obj, line_no, where) for line_no, obj in _jsonl_records(raw, Path(path))]
 
 
-class DecodedSamples:
-    """A memo of decoded dataset files: the sha256 of a file's bytes -> the
-    samples decoded from exactly those bytes.
-
-    It holds two generations, the current and the previous one, and
-    `next_generation` drops the previous one. A lookup that finds its bytes
-    in either generation keeps the entry in the current one, so the memo
-    holds what was loaded since the last `next_generation` call and in the
-    generation before it, nothing older. A decode or a `StageRun` write
-    (`save_samples` given the memo, through `store`) stores an entry; a
-    failed decode stores none, and neither does a write whose bytes would not
-    decode to equal samples. Every caller that hits an entry shares its
-    SamplePair objects, so those callers must never change a sample.
-    """
-
-    def __init__(self):
-        self._current: dict[bytes, tuple[SamplePair, ...]] = {}
-        self._previous: dict[bytes, tuple[SamplePair, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self._current.keys() | self._previous.keys())
-
-    def next_generation(self) -> None:
-        self._previous, self._current = self._current, {}
-
-    def samples(self, raw: bytes, decode: Callable[[], list[SamplePair]]) -> tuple[SamplePair, ...]:
-        """The samples of these bytes: a memo entry, else decode()."""
-        key = hashlib.sha256(raw).digest()
-        found = self._current.get(key)
-        if found is None:
-            found = self._previous.get(key)
-        if found is None:
-            found = tuple(decode())
-        self._current[key] = found
-        return found
-
-    def store(self, raw: bytes, samples: Iterable[SamplePair]) -> None:
-        """Record samples as what decoding these bytes gives; the caller
-        vouches that a decode would give equal samples, type for type."""
-        self._current[hashlib.sha256(raw).digest()] = tuple(samples)
-
-
 def load_dataset(
     path: str | Path,
     name: str,
     task_kind: TaskKind,
     role: str = "in_domain",
     head_group: str = "",
-    decoded: Optional[DecodedSamples] = None,
+    written: Optional[dict[bytes, tuple[SamplePair, ...]]] = None,
 ) -> Dataset:
     """Load a dataset from a JSON-Lines file, preserving file order.
 
     Raises DatasetFormatError on malformed records (with line number),
-    duplicate ids, or label/task mismatches. Given a memo, samples decoded
-    from the same bytes before are reused (and shared); the Dataset is new
-    and validated under this call's task kind either way.
+    duplicate ids, or label/task mismatches. Given the samples `save_samples`
+    wrote, by the sha256 of their bytes, the file's bytes are decoded only
+    when they are not among them; a hit's samples are shared. The Dataset is
+    new and validated under this call's task kind either way.
     """
     raw = Path(path).read_bytes()
-    if decoded is None:
+    samples = written.get(hashlib.sha256(raw).digest()) if written else None
+    if samples is None:
         samples = _decode_samples(raw, path)
-    else:
-        samples = list(decoded.samples(raw, lambda: _decode_samples(raw, path)))
-    return Dataset(name=name, task_kind=task_kind, role=role, head_group=head_group, samples=samples)
+    return Dataset(name=name, task_kind=task_kind, role=role, head_group=head_group,
+                   samples=list(samples))
 
 
 # The type _parse_record gives each key's value; every other key's is str.
@@ -464,22 +428,23 @@ def _encode_samples(samples: Iterable[SamplePair]) -> tuple[bytes, bool]:
 
 
 def save_samples(samples: Iterable[SamplePair], path: str | Path,
-                 decoded: Optional[DecodedSamples] = None) -> None:
+                 written: Optional[dict[bytes, tuple[SamplePair, ...]]] = None) -> None:
     """Write the samples as JSON-Lines, in one write, creating the parent
     directory: each line is `sample.to_record()` as `write_jsonl` writes it.
 
-    Given a memo, the samples are stored in it as the decoding of the bytes
-    written, unless decoding them would not give equal samples, type for
-    type: a value of another type than a decode gives (a bool label, an int
-    score, a numeric string, a numpy scalar) or one the decoder refuses.
+    Given a mapping, the samples are added to it under the sha256 of the
+    bytes written, unless decoding those bytes would not give equal samples,
+    type for type: a value of another type than a decode gives (a bool
+    label, an int score, a numeric string, a numpy scalar) or one the
+    decoder refuses.
     """
     samples = tuple(samples)
     raw, exact = _encode_samples(samples)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(raw)
-    if decoded is not None and exact:
-        decoded.store(raw, samples)
+    if written is not None and exact:
+        written[hashlib.sha256(raw).digest()] = samples
 
 
 @dataclass
@@ -548,20 +513,18 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def load_manifest_datasets(
-    path: str | Path, decoded: Optional[DecodedSamples] = None
-) -> dict[str, dict[str, Dataset]]:
-    """Load every dataset referenced by a manifest, through the memo if given.
+def load_manifest_datasets(path: str | Path) -> dict[str, dict[str, Dataset]]:
+    """Load every dataset referenced by a manifest.
 
     Returns {dataset_name: {"train": Dataset, "dev": Dataset?, "eval": Dataset?}}.
     """
     bundles: dict[str, dict[str, Dataset]] = {}
     for entry in read_manifest(path):
         meta = (entry.name, entry.task_kind, entry.role, entry.head_group)
-        bundle = {"train": load_dataset(entry.path, *meta, decoded=decoded)}
+        bundle = {"train": load_dataset(entry.path, *meta)}
         if entry.dev_path:
-            bundle["dev"] = load_dataset(entry.dev_path, *meta, decoded=decoded)
+            bundle["dev"] = load_dataset(entry.dev_path, *meta)
         if entry.eval_path:
-            bundle["eval"] = load_dataset(entry.eval_path, *meta, decoded=decoded)
+            bundle["eval"] = load_dataset(entry.eval_path, *meta)
         bundles[entry.name] = bundle
     return bundles

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .data import Dataset, SamplePair
+from .data import Dataset, SamplePair, is_file_name
 
 _WORD = re.compile(r"[a-z0-9]+")
 # An ASCII byte's word character: itself for [a-z0-9], lower case for [A-Z],
@@ -300,9 +300,6 @@ def _check_entry(entry) -> None:
     def is_count(value) -> bool:
         return type(value) is int and value >= 0
 
-    def is_file_name(value) -> bool:
-        return type(value) is str and value not in ("", ".", "..") and Path(value).name == value
-
     check(type(entry) is dict, "the store entry", "a mapping", entry)
     check(is_count(entry.get("rows")), "rows", "an int >= 0", entry.get("rows"))
     blocks = entry.get("blocks")
@@ -333,8 +330,8 @@ class FeatureCache:
     hashed once per source. The cache keeps each
     Dataset object it has served with its rows, so a second lookup of it
     hashes no sample; the library never changes a Dataset's samples after
-    building it, nor a SamplePair (which also lets the pipeline's memo of
-    decoded samples hand one stage's samples to the next). A cache keeps
+    building it, nor a SamplePair (which also lets the pipeline hand the
+    samples a stage wrote to the stages that read them). A cache keeps
     every matrix it has built until it is dropped; `save` writes it out and
     `load` opens a saved one, which then featurizes only rows it does not
     hold.

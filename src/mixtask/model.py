@@ -32,6 +32,7 @@ with no step context, so no model holds views of another's vector.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -391,20 +392,36 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> dict:
 _PROVENANCE_FIELDS = {f.name for f in fields(Checkpoint)} - {"model"}
 
 
+def _is_size(value) -> bool:
+    return type(value) is int and value >= 1
+
+
 def load_checkpoint(path: str | Path, entry: dict) -> Checkpoint:
     """Rebuild a checkpoint from its .npy file and the index entry that lists
     it. Raises ValueError when the entry has no layout of this schema or the
     vector does not fit it, and OSError, EOFError or ValueError when the
-    file is missing or truncated. A provenance that is not a mapping of
-    checkpoint fields is a ValueError too."""
+    file is missing or truncated. A hidden size or a head's bias shape that is
+    not a positive int, or a provenance that is not a mapping of checkpoint
+    fields, is a ValueError too."""
     layout = entry.get("layout") or {}
     if layout.get("schema_version") != CHECKPOINT_SCHEMA:
         raise ValueError(f"the index entry has no schema-{CHECKPOINT_SCHEMA} checkpoint layout")
+    hidden = layout.get("hidden")
+    if not _is_size(hidden):
+        raise ValueError(f"the index entry's checkpoint layout has hidden {json.dumps(hidden)}, "
+                         f"not an int >= 1")
+    heads = {}
+    for group, rec in layout["heads"].items():
+        bias = rec.get("bias")
+        if not (type(bias) is list and len(bias) == 1 and _is_size(bias[0])):
+            raise ValueError(f"the index entry's checkpoint layout has heads.{group}.bias "
+                             f"{json.dumps(bias)}, not [an int >= 1]")
+        heads[group] = (rec["kind"], bias[0])
     src = layout["source"]
     model = ToyModel(
         SourceSpec(src["name"], src["featurizer_seed"], src["dim"]),
-        layout["hidden"],
-        {group: (rec["kind"], rec["bias"][0]) for group, rec in layout["heads"].items()},
+        hidden,
+        heads,
         np.load(path, allow_pickle=False),
     )
     if model.layout != layout:

@@ -5,28 +5,28 @@ predict -> ensemble -> rank -> evaluate. Each stage reads earlier stages'
 artifacts from the output directory and writes its own, so any stage can be
 re-run independently. run_stage hands each stage a StageRun, its only reader
 of upstream artifacts: each upstream index and dataset file is read once,
-and an unreadable one fails the stage with "re-run <producer>". A stage
-decodes a dataset file only when neither it nor the stage before it in this
-process decoded or wrote the same bytes: `_DECODED` maps the sha256 of each
-file's bytes to the samples decoded from them, and run_stage starts a new
-generation and drops the one before the last, so it holds at most two
-consecutive stages' reads and writes. A hit is exact: it is keyed by the
-bytes on disk now, only a successful decode or a StageRun write (a stage's
-dataset files and CV folds, through `save_samples`, which stores nothing
-when a decode would not give equal samples) stores an entry, and the hit is
-built into a new Dataset under the reading stage's metadata and validated
-again. So on a run only ingest decodes rows, apart from the eval splits
-that predict and evaluate read and no stage just before them touched. Stages
-never change a SamplePair after building it (the same invariant
-FeatureCache relies on), so sharing the samples is safe. A stage run alone
-(`mixtask <stage>`) decodes everything it reads. run_stage is
-the one place that tags a failure with its stage. It writes the stage's
-index.json, the one record of the stage: the config it ran with, its
-payload, and under "inputs" the sha256 of the bytes of each upstream index
-it parsed; a reader refuses an index whose inputs no longer match. Files go
-through the codec in data.py. A (member, task) model is the checkpoint the
-finetune index lists, else the member's train checkpoint, never a file
-merely present on disk.
+and an unreadable one fails the stage with "re-run <producer>". On a run
+only ingest decodes dataset rows: every dataset file a later stage reads is
+one that ingest, transform or split (CV folds included) wrote in the same
+process. `_WRITTEN` maps the sha256 of each file the latest of those stages
+wrote to the samples it wrote as those bytes, and a StageRun takes a file's
+samples from it when the bytes on disk match. run_stage swaps in a stage's
+files when the stage succeeds having written some, ingest empties the
+mapping before it decodes the manifest's files, and it is empty after
+evaluate; so it holds one writing stage's files, plus those of the stage
+running. A hit is exact: it is keyed by the bytes on disk now,
+`save_samples` adds no entry when a decode would not give equal samples,
+and the hit is built into a new Dataset under the reading stage's metadata
+and validated again. Stages never change a SamplePair after building it
+(the same invariant FeatureCache relies on), so sharing the samples is
+safe. A stage run alone (`mixtask <stage>`) decodes everything it reads.
+run_stage is the one place that tags a failure with its stage. It writes
+the stage's index.json, the one record of the stage: the config it ran
+with, its payload, and under "inputs" the sha256 of the bytes of each
+upstream index it parsed; a reader refuses an index whose inputs no longer
+match. Files go through the codec in data.py. A (member, task) model is the
+checkpoint the finetune index lists, else the member's train checkpoint,
+never a file merely present on disk.
 Each row is featurized once per run, for all sources in one call: finetune
 and predict open train's FeatureCache through the train index. Every
 artifact is reproducible from (config, master seed): stage seeds derive
@@ -41,15 +41,16 @@ import io
 import json
 import shutil
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .config import PipelineConfig
 from .corpus import apply_qa_modified_scores, apply_split_recipe, cv_folds, medquad_negative_sample
 from .data import (
     Dataset,
-    DecodedSamples,
+    SamplePair,
     TaskKind,
     decode_json,
+    is_file_name,
     is_finite_number,
     load_dataset,
     load_manifest_datasets,
@@ -78,10 +79,9 @@ from .training import TaskData, build_member_epoch_plan, dev_gold, fine_tune_tas
 
 SCHEMA_VERSION = 1
 
-# Samples decoded from dataset files by the current and the previous stage of
-# this process, by the sha256 of each file's bytes: run_stage starts a new
-# generation per stage, so a stage reuses what the stage before it decoded.
-_DECODED = DecodedSamples()
+# The samples of the dataset files the latest dataset-writing stage of this
+# run wrote, by the sha256 of each file's bytes; run_stage swaps them in.
+_WRITTEN: dict[bytes, tuple[SamplePair, ...]] = {}
 
 
 class PipelineStageError(RuntimeError):
@@ -95,9 +95,7 @@ class PipelineStageError(RuntimeError):
 # -- artifact helpers ----------------------------------------------------------
 
 
-def _save_datasets(
-    stage_dir: Path, bundles: dict[str, dict[str, Dataset]]
-) -> dict[str, dict]:
+def _save_datasets(run: StageRun, bundles: dict[str, dict[str, Dataset]]) -> dict[str, dict]:
     entries = {}
     for name in sorted(bundles):
         bundle = bundles[name]
@@ -105,7 +103,7 @@ def _save_datasets(
         splits = {}
         for split in sorted(bundle):
             filename = f"{name}__{split}.jsonl"
-            save_samples(bundle[split].samples, stage_dir / filename, decoded=_DECODED)
+            save_samples(bundle[split].samples, run.dir / filename, written=run.written)
             splits[split] = filename
         entries[name] = {
             "task_kind": str(any_split.task_kind),
@@ -117,14 +115,15 @@ def _save_datasets(
 
 
 class StageRun:
-    """One run of one stage: `dir`, where it writes, and the only reader of
-    upstream artifacts. Each index, dataset file and checkpoint is read at most
-    once, so members share one Dataset per file. A dataset file's samples come
-    from `_DECODED` when this stage or the one before it decoded or wrote the
-    same bytes. An index file's one read serves both its parse and every check of
-    its digest, and `inputs` maps each index parsed to the sha256 of the
-    bytes it was parsed from; a failed read fails the stage with
-    "re-run <producer>".
+    """One run of one stage: `dir`, where it writes, `written`, the samples of
+    the dataset files it writes there, and the only reader of upstream
+    artifacts. Each index, dataset file and checkpoint is read at most once,
+    so members share one Dataset per file. A dataset file's samples come from
+    `_WRITTEN` when the latest dataset-writing stage wrote the same bytes. An
+    index file's one read serves both its parse and every check of its
+    digest, and `inputs` maps each index parsed to the sha256 of the bytes it
+    was parsed from; a failed read, or a file name an index lists that is
+    none, fails the stage with "re-run <producer>".
     """
 
     def __init__(self, cfg: PipelineConfig, out_dir: Path, stage: str):
@@ -133,10 +132,11 @@ class StageRun:
         self.stage = stage
         self.dir = out_dir / stage
         self.inputs: dict[str, str] = {}
+        self.written: dict[bytes, tuple[SamplePair, ...]] = {}
         self._index_files: dict[str, tuple[bytes, str]] = {}
         self._indexes: dict[str, dict] = {}
-        self._datasets: dict[tuple[str, str], Dataset] = {}
-        self._checkpoints: dict[tuple[str, str], Checkpoint] = {}
+        self._datasets: dict[Path, Dataset] = {}
+        self._checkpoints: dict[Path, Checkpoint] = {}
 
     def error(self, message: str) -> PipelineStageError:
         return PipelineStageError(self.stage, message)
@@ -174,17 +174,24 @@ class StageRun:
             self.inputs[producer] = digest
         return self._indexes[producer]
 
+    def _path(self, producer: str, filename) -> Path:
+        """Where a file a producer's index lists is; an index that lists
+        something other than a file name below its directory is unreadable."""
+        with self.reading(f"{producer}/index.json", producer):
+            if not is_file_name(filename):
+                raise ValueError(f"{json.dumps(filename)} is not a file name")
+        return self.out_dir / producer / filename
+
     def _dataset(self, producer: str, name: str, filename: str) -> Dataset:
         """One dataset file a producer's index lists, typed by its entry."""
-        if (producer, filename) not in self._datasets:
+        path = self._path(producer, filename)
+        if path not in self._datasets:
             entry = self.index(producer)["datasets"][name]
             with self.reading(f"{producer}/{filename}", producer):
                 kind = TaskKind.parse(entry["task_kind"])
-                self._datasets[producer, filename] = load_dataset(
-                    self.out_dir / producer / filename, name, kind, entry["role"],
-                    entry["head_group"], decoded=_DECODED,
-                )
-        return self._datasets[producer, filename]
+                self._datasets[path] = load_dataset(path, name, kind, entry["role"],
+                                                    entry["head_group"], written=_WRITTEN)
+        return self._datasets[path]
 
     def bundles(self, producer: str) -> dict[str, dict[str, Dataset]]:
         """Every dataset split a producer's index lists, by name and split."""
@@ -238,19 +245,20 @@ class StageRun:
             producer, entry = "train", self.index("train")["members"].get(member_id)
         if entry is None:
             raise self.error(f"no trained checkpoint for member {member_id}; re-run train")
-        key = (producer, entry.get("checkpoint"))
-        if key not in self._checkpoints:
-            with self.reading(f"{producer} checkpoint {key[1]!r}", producer):
-                self._checkpoints[key] = load_checkpoint(self.out_dir / producer / key[1], entry)
-        return self._checkpoints[key]
+        path = self._path(producer, entry.get("checkpoint"))
+        if path not in self._checkpoints:
+            with self.reading(f"{producer} checkpoint {entry['checkpoint']!r}", producer):
+                self._checkpoints[path] = load_checkpoint(path, entry)
+        return self._checkpoints[path]
 
     def records_by_sample(self, producer: str, filename: str, task: str,
                           expected: Optional[set] = None) -> dict[str, dict]:
         """The records of one per-sample JSON-Lines file a producer wrote, by
         sample id. Fails with "re-run <producer>" when a sample id repeats or,
         given the expected ids, when one is missing or foreign."""
+        path = self._path(producer, filename)
         with self.reading(f"{producer}/{filename}", producer):
-            records = [rec for _, rec in read_jsonl(self.out_dir / producer / filename)]
+            records = [rec for _, rec in read_jsonl(path)]
             by_id = {rec["sample_id"]: rec for rec in records}
         expected = by_id.keys() if expected is None else expected
         self._check_coverage(producer, filename, task, by_id.keys(), expected,
@@ -265,9 +273,9 @@ class StageRun:
             filename, metric = entry["file"], entry["dev_metric"]
             if not is_finite_number(metric):
                 raise ValueError(f"dev_metric must be a finite number, got {json.dumps(metric)}")
+        path = self._path("predict", filename)
         with self.reading(f"predict/{filename}", "predict"):
-            ps = load_prediction_set(self.out_dir / "predict" / filename, member_id,
-                                     eval_set.task_kind, metric)
+            ps = load_prediction_set(path, member_id, eval_set.task_kind, metric)
         self._check_coverage("predict", filename, task, ps.predictions.keys(),
                              {s.id for s in eval_set})
         return ps
@@ -290,8 +298,9 @@ class StageRun:
 
 def stage_ingest(run: StageRun) -> dict:
     """Load and validate every manifest dataset; write normalized copies."""
-    bundles = load_manifest_datasets(run.cfg.manifest_path, decoded=_DECODED)
-    return {"datasets": _save_datasets(run.dir, bundles)}
+    _WRITTEN.clear()  # a new run: what an earlier one wrote is read no more
+    bundles = load_manifest_datasets(run.cfg.manifest_path)
+    return {"datasets": _save_datasets(run, bundles)}
 
 
 def _check_names(run: StageRun, kind: str, known, **config_entries) -> None:
@@ -326,7 +335,7 @@ def stage_transform(run: StageRun) -> dict:
                 ]
             else:
                 raise run.error(f"unknown transform {op!r} for {name!r}")
-    entries = _save_datasets(run.dir, bundles)
+    entries = _save_datasets(run, bundles)
     return {"datasets": entries, "applied": notes}
 
 
@@ -336,7 +345,7 @@ def stage_split(run: StageRun) -> dict:
     _check_names(run, "dataset", bundles, splits=cfg.split_recipes,
                  random_split=cfg.random_split_counts)
     bundles = {name: apply_split_recipe(cfg, name, b) for name, b in bundles.items()}
-    entries = _save_datasets(run.dir, bundles)
+    entries = _save_datasets(run, bundles)
 
     folds_meta = []
     if cfg.cv_enabled:
@@ -352,8 +361,8 @@ def stage_split(run: StageRun) -> dict:
         for j, (train, dev) in enumerate(cv_folds(pool, cfg.cv_folds)):
             train_file = f"{cfg.cv_task}__fold{j}__train.jsonl"
             dev_file = f"{cfg.cv_task}__fold{j}__dev.jsonl"
-            save_samples(train.samples, fold_dir / train_file, decoded=_DECODED)
-            save_samples(dev.samples, fold_dir / dev_file, decoded=_DECODED)
+            save_samples(train.samples, fold_dir / train_file, written=run.written)
+            save_samples(dev.samples, fold_dir / dev_file, written=run.written)
             folds_meta.append(
                 {"fold": j, "train": f"folds/{train_file}", "dev": f"folds/{dev_file}"}
             )
@@ -510,6 +519,32 @@ def stage_ensemble(run: StageRun) -> dict:
     return {"ensembles": ensembles_meta}
 
 
+def _class_index(sample_id: str, label, classes: int) -> int:
+    """An ensemble or rank row's label; ValueError unless it is a class index."""
+    if type(label) is not int or not 0 <= label < classes:
+        raise ValueError(f"sample {sample_id!r}: label {json.dumps(label)} "
+                         f"is not a class index below {classes}")
+    return label
+
+
+def _answers_by_question(rows: Iterable[tuple[str, dict]]) -> dict[str, list]:
+    """(sample id, label, score) of each (sample id, ensemble or rank row) by
+    its question id, in row order; ValueError naming the first row whose
+    label is not 0 or 1, score not a finite number or question id not a string."""
+    by_question: dict[str, list] = {}
+    for sample_id, rec in rows:
+        label, score, question_id = rec["label"], rec["score"], rec.get("question_id")
+        _class_index(sample_id, label, 2)
+        if not is_finite_number(score):
+            raise ValueError(f"sample {sample_id!r}: score {json.dumps(score)} "
+                             f"is not a finite number")
+        if type(question_id) is not str:
+            raise ValueError(f"sample {sample_id!r}: question_id {json.dumps(question_id)} "
+                             f"is not a string")
+        by_question.setdefault(question_id, []).append((sample_id, label, score))
+    return by_question
+
+
 def stage_rank(run: StageRun) -> dict:
     """Order each ranking task's answers per question: positives first."""
     ensembles = run.index("ensemble")["ensembles"]
@@ -517,16 +552,10 @@ def stage_rank(run: StageRun) -> dict:
     for task_name in run.cfg.ranking_tasks:
         if task_name not in ensembles:
             raise run.error(f"no ensemble outputs for task {task_name!r}")
-        by_question: dict[str, list] = {}
         source = ensembles[task_name]["file"]
         outputs = run.records_by_sample("ensemble", source, task_name)
         with run.reading(f"ensemble/{source}", "ensemble"):
-            for sample_id, rec in sorted(outputs.items()):
-                if rec.get("question_id") is None:
-                    raise run.error(f"sample {sample_id!r} lacks a question id")
-                by_question.setdefault(rec["question_id"], []).append(
-                    (sample_id, rec["label"], rec["score"])
-                )
+            by_question = _answers_by_question(sorted(outputs.items()))
         filename = f"{task_name}.jsonl"
         save_rankings((rank_answers(q, by_question[q]) for q in sorted(by_question)),
                       run.dir / filename)
@@ -545,19 +574,10 @@ def stage_evaluate(run: StageRun) -> dict:
         if task_name in run.cfg.ranking_tasks:
             if task_name not in rankings:
                 raise run.error(f"no rankings for task {task_name!r}; re-run rank")
-            scored: dict[str, list] = {}
             filename = rankings[task_name]["file"]
             ranked = run.records_by_sample("rank", filename, task_name, eval_ids)
             with run.reading(f"rank/{filename}", "rank"):
-                for sample_id, rec in ranked.items():
-                    label, score = rec["label"], rec["score"]
-                    if type(label) is not int or label not in (0, 1):
-                        raise ValueError(f"sample {sample_id!r}: label {json.dumps(label)} "
-                                         f"is not a class index below 2")
-                    if not is_finite_number(score):
-                        raise ValueError(f"sample {sample_id!r}: score {json.dumps(score)} "
-                                         f"is not a finite number")
-                    scored.setdefault(rec["question_id"], []).append((sample_id, label, score))
+                scored = _answers_by_question(ranked.items())
             report = build_ranking_report(task_name, scored, *ranking_gold(eval_set))
         else:
             filename = ensembles[task_name]["file"]
@@ -565,11 +585,8 @@ def stage_evaluate(run: StageRun) -> dict:
             kind = eval_set.task_kind
             classes = kind.num_classes or 2  # a regression ensemble votes 0 or 1
             with run.reading(f"ensemble/{filename}", "ensemble"):
-                predicted = [outputs[s.id]["label"] for s in eval_set]
-                for sample, label in zip(eval_set, predicted):
-                    if type(label) is not int or not 0 <= label < classes:
-                        raise ValueError(f"sample {sample.id!r}: label {json.dumps(label)} "
-                                         f"is not a class index below {classes}")
+                predicted = [_class_index(s.id, outputs[s.id]["label"], classes)
+                             for s in eval_set]
             gold = dev_gold(eval_set)
             binary = not kind.is_classification or kind.num_classes == 2
             report = EvalReport(
@@ -604,18 +621,18 @@ STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
-    """Run one stage: start a new generation of the decoded-sample memo,
-    empty the stage's directory, let it write its artifacts, then
-    write its index.json, the stage's one record (header, the config itself,
-    payload, inputs), whole and renamed into place. No stage reads its own
-    directory, so a re-run leaves no file of an earlier run behind. This is the
-    one place that tags a failure: a ValueError, FloatingPointError, OSError or
-    MemoryError (a model or feature matrix too large to allocate) escaping the
-    stage becomes PipelineStageError(name, ...).
+    """Run one stage: empty the stage's directory, let it write its
+    artifacts, then write its index.json, the stage's one record (header, the
+    config itself, payload, inputs), whole and renamed into place. No stage
+    reads its own directory, so a re-run leaves no file of an earlier run
+    behind. When the stage succeeds, the dataset files it wrote, if any,
+    replace those in `_WRITTEN`, and after evaluate, the last stage, it is
+    empty. This is the one place that tags a failure: a ValueError,
+    FloatingPointError, OSError or MemoryError (a model or feature matrix too
+    large to allocate) escaping the stage becomes PipelineStageError(name, ...).
     """
     if name not in _STAGE_FUNCS:
         raise PipelineStageError(name, f"unknown stage; expected one of {', '.join(STAGES)}")
-    _DECODED.next_generation()
     run = StageRun(cfg, Path(out_dir), name)
     try:
         if run.dir.exists():
@@ -629,6 +646,9 @@ def run_stage(name: str, cfg: PipelineConfig, out_dir: str | Path) -> None:
         })
     except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         raise PipelineStageError(name, str(exc)) from exc
+    if run.written or name == STAGES[-1]:
+        _WRITTEN.clear()
+        _WRITTEN.update(run.written)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path, quiet: bool = False) -> Path:

@@ -36,6 +36,23 @@ def train_features(key, value, problem):
     return edit
 
 
+def index_value(producer, keys, value, what, problem):
+    """An edit that sets the value under keys in producer's index; the
+    reading stage must fail naming what it read, then problem."""
+    def edit(run):
+        path = run / producer / "index.json"
+        index = json.loads(path.read_text())
+        *parents, last = keys
+        entry = index
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        path.write_text(json.dumps(index))
+        return f"unreadable {what}: ValueError: {problem}; re-run {producer}"
+    edit.__name__ = f"{producer}_{keys[-1]}_{json.dumps(value)}"
+    return edit
+
+
 def first_row(producer, filename, key, value, problem):
     """An edit that sets key to value in the first row of producer/filename.
     It returns the error the reading stage must give: the row's path and
@@ -78,6 +95,38 @@ def first_row(producer, filename, key, value, problem):
                'score "high" is not a finite number'), "evaluate"),
     (first_row("rank", "toy_qa.jsonl", "score", [0.5],
                "score [0.5] is not a finite number"), "evaluate"),
+    (first_row("ensemble", "toy_qa.jsonl", "label", 1.7,
+               "label 1.7 is not a class index below 2"), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "label", True,
+               "label true is not a class index below 2"), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "label", 5,
+               "label 5 is not a class index below 2"), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "label", [1],
+               "label [1] is not a class index below 2"), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "label", "x",
+               'label "x" is not a class index below 2'), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "score", [0.5],
+               "score [0.5] is not a finite number"), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "score", float("nan"),
+               "score NaN is not a finite number"), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "score", "high",
+               'score "high" is not a finite number'), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "question_id", 3,
+               "question_id 3 is not a string"), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "question_id", ["q"],
+               'question_id ["q"] is not a string'), "rank"),
+    (first_row("ensemble", "toy_qa.jsonl", "question_id", None,
+               "question_id null is not a string"), "rank"),
+    (index_value("train", ["members", "family_a-m0", "checkpoint"], ["x"], "train/index.json",
+                 '["x"] is not a file name'), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "layout", "hidden"], "24",
+                 "train checkpoint 'family_a-m0__multitask.npy'",
+                 "the index entry's checkpoint layout has hidden \"24\", not an int >= 1"),
+     "finetune"),
+    (index_value("predict", ["predictions", "toy_nli", "family_a-m0", "file"], 3,
+                 "predict/index.json", "3 is not a file name"), "ensemble"),
+    (index_value("ensemble", ["ensembles", "toy_qa", "file"], None, "ensemble/index.json",
+                 "null is not a file name"), "rank"),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_an_edited_artifact_fails_its_reader_naming_the_producer(toy_corpus_dir, toy_run_dir,
                                                                   tmp_path, edit, stage):

@@ -247,7 +247,7 @@ _FILLER = "".join(_SAMPLE % (i, i) + "\n" for i in range(200)).encode("utf-8")  
     pytest.param(b'{"id": "\xe2\x82"}\n', id="invalid-utf8-in-first-chunk"),
 ])
 def test_decoder_matches_the_json_loads_reader(tmp_path, content):
-    """read_jsonl and load_dataset, with and without a memo, give the records
+    """read_jsonl and load_dataset, with and without a mapping, give the records
     and the path:line errors of a line-by-line json.loads reader. The reader
     decodes a NaN score as json.loads does, and load_dataset refuses it."""
     path = tmp_path / "d.jsonl"
@@ -259,11 +259,11 @@ def test_decoder_matches_the_json_loads_reader(tmp_path, content):
     if b"NaN" in content:
         expected = "DatasetFormatError", f"{path}:1: target_score must be a finite number, got NaN"
     kind = TaskKind.parse("regression")
-    for memo in (None, data.DecodedSamples()):
+    for written in (None, {}):
         loaded = _outcome(lambda: [s.to_record() for s in load_dataset(path, "fix", kind,
-                                                                       decoded=memo)])
+                                                                       written=written)])
         assert loaded == expected
-        assert not memo or len(memo) == (expected[0] == "ok")
+        assert not written  # a load adds nothing to the mapping
 
 
 # Every optional key, with non-ASCII text and a rank beyond 64 bits.
@@ -310,11 +310,11 @@ def test_sample_writer_lines_equal_json_dumps(tmp_path):
 ], ids=lambda value: value if isinstance(value, str) else repr(value))
 def test_a_write_stores_its_samples_only_when_a_decode_would_give_them(tmp_path, monkeypatch,
                                                                        kind, changes):
-    """Given a memo, save_samples stores the samples under the sha256 of the
+    """Given a mapping, save_samples adds the samples under the sha256 of the
     bytes it wrote, so the next load decodes nothing, unless decoding those
-    bytes would not give equal samples, type for type. Then it stores
-    nothing, and the next load decodes, converting or refusing the value as
-    a load without the memo does."""
+    bytes would not give equal samples, type for type. Then it adds nothing,
+    and the next load decodes, converting or refusing the value as a load
+    without the mapping does."""
     task_kind = TaskKind.parse(kind)
     supervision = {"label": 0} if task_kind.is_classification else {"target_score": 0.5}
     samples = [SamplePair(f"s{i}", "x", f"y {i}", **supervision) for i in range(3)]
@@ -326,15 +326,15 @@ def test_a_write_stores_its_samples_only_when_a_decode_would_give_them(tmp_path,
         return real_decode(raw, where)
 
     monkeypatch.setattr(data, "_decode_samples", counting_decode)
-    memo, path = data.DecodedSamples(), tmp_path / "d.jsonl"
-    save_samples(samples, path, decoded=memo)
+    written, path = {}, tmp_path / "d.jsonl"
+    save_samples(samples, path, written=written)
     exact = changes in ({}, {**_EVERY_KEY, "gold_rank": 1})
-    assert len(memo) == exact
-    records = lambda decoded: [s.to_record() for s in load_dataset(path, "fix", task_kind,
-                                                                   decoded=decoded)]
+    assert len(written) == exact
+    records = lambda mapping: [s.to_record() for s in load_dataset(path, "fix", task_kind,
+                                                                   written=mapping)]
     expected = _outcome(lambda: records(None))
     decodes.clear()
-    assert _outcome(lambda: records(memo)) == expected
+    assert _outcome(lambda: records(written)) == expected
     assert len(decodes) == (not exact)
     if exact:
         assert expected == ("ok", json.dumps([s.to_record() for s in samples], sort_keys=True))

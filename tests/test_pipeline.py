@@ -482,11 +482,9 @@ def test_nli_triples_get_one_label_of_each_kind(toy_run_dir):
         for line in (toy_run_dir / "ensemble" / "toy_nli.jsonl").read_text().splitlines()
         if line.strip()
     }
-    eval_rows = [
-        json.loads(line)
-        for line in (toy_run_dir / "split" / "toy_nli__eval.jsonl").read_text().splitlines()
-        if line.strip()
-    ]
+    splits = read_index(toy_run_dir, "split")["datasets"]["toy_nli"]["splits"]
+    eval_path = toy_run_dir / "split" / splits.get("eval", splits["dev"])
+    eval_rows = [json.loads(line) for line in eval_path.read_text().splitlines() if line.strip()]
     groups = {}
     for row in eval_rows:
         groups.setdefault(row["premise_group"], []).append(row["id"])
@@ -870,8 +868,9 @@ def test_finetune_and_predict_featurize_only_eval_rows(
     datasets = read_index(run, "split")["datasets"]
     eval_pairs = set()
     for entry in datasets.values():
-        if entry["role"] == "in_domain" and "eval" in entry["splits"]:
-            lines = (run / "split" / entry["splits"]["eval"]).read_text().splitlines()
+        if entry["role"] == "in_domain":
+            eval_file = entry["splits"].get("eval", entry["splits"]["dev"])
+            lines = (run / "split" / eval_file).read_text().splitlines()
             eval_pairs.update((row["text_a"], row["text_b"]) for row in map(json.loads, lines))
     predicted = featurized["predict"]
     assert predicted and len(set(predicted)) == len(predicted)
@@ -1231,21 +1230,21 @@ def test_finetune_writes_only_models_it_changed(toy_run_dir):
     assert all(entry["provenance"]["epoch"] >= 1 for entry in entries)
 
 
-# -- decoded samples handed from stage to stage ------------------------------------
+# -- the samples of the dataset files a run wrote, handed to the stages that read them
 
 
 def test_train_decodes_a_split_file_rewritten_after_schedule(toy_corpus_dir, tmp_path,
                                                              monkeypatch):
-    """The memo is keyed by a file's bytes, not its name or size: a split file
-    rewritten between schedule and train with other bytes of the same length
-    reaches train as its new content."""
+    """The mapping is keyed by a file's bytes, not its name or size: a split
+    file rewritten between schedule and train with other bytes of the same
+    length reaches train as its new content."""
     from mixtask import pipeline
 
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     run = tmp_path / "run"
     for stage in STAGES[: STAGES.index("schedule") + 1]:
         run_stage(stage, cfg, run)
-    assert len(pipeline._DECODED) > 0
+    assert len(pipeline._WRITTEN) > 0
     path = run / "split" / "toy_rqe__train.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     record = json.loads(lines[0])
@@ -1266,13 +1265,12 @@ def test_train_decodes_a_split_file_rewritten_after_schedule(toy_corpus_dir, tmp
     assert seen == [record["text_a"]] * len(cfg.member_plan())
 
 
-def test_a_memo_hit_is_validated_under_the_callers_task_kind(tmp_path, monkeypatch):
+def test_a_hit_is_validated_under_the_callers_task_kind(tmp_path, monkeypatch):
     from mixtask import data
 
-    path = tmp_path / "d.jsonl"
-    path.write_text("".join(
-        json.dumps({"id": f"s{i}", "text_a": "a", "text_b": "b", "label": i}) + "\n"
-        for i in range(3)), encoding="utf-8")
+    path, written = tmp_path / "d.jsonl", {}
+    data.save_samples([data.SamplePair(f"s{i}", "a", "b", label=i) for i in range(3)], path,
+                      written=written)
     decodes, real_decode = [], data._decode_samples
 
     def counting_decode(raw, where):
@@ -1280,32 +1278,56 @@ def test_a_memo_hit_is_validated_under_the_callers_task_kind(tmp_path, monkeypat
         return real_decode(raw, where)
 
     monkeypatch.setattr(data, "_decode_samples", counting_decode)
-    memo = data.DecodedSamples()
     three = data.TaskKind.parse("classification:3")
-    first = data.load_dataset(path, "fix", three, decoded=memo)
+    first = data.load_dataset(path, "fix", three, written=written)
     with pytest.raises(data.DatasetFormatError, match="label 2 out of range for 2 classes"):
-        data.load_dataset(path, "fix", data.TaskKind.parse("classification:2"), decoded=memo)
+        data.load_dataset(path, "fix", data.TaskKind.parse("classification:2"), written=written)
     with pytest.raises(data.DatasetFormatError, match="regression dataset 'fix' requires"):
-        data.load_dataset(path, "fix", data.TaskKind.parse("regression"), decoded=memo)
-    again = data.load_dataset(path, "other", three, "external", "shared", decoded=memo)
-    assert len(decodes) == 1
+        data.load_dataset(path, "fix", data.TaskKind.parse("regression"), written=written)
+    again = data.load_dataset(path, "other", three, "external", "shared", written=written)
+    assert decodes == []
     assert (again.name, again.role, again.head_group) == ("other", "external", "shared")
     assert again.samples is not first.samples and again.samples == first.samples
 
 
-def test_the_memo_holds_only_the_last_two_stages_reads(toy_corpus_dir, toy_run_dir, tmp_path):
-    """run_stage starts a new generation per stage: after two stages that
-    load no dataset file (rank twice), the memo is empty."""
+def test_the_mapping_holds_only_the_latest_writing_stages_files(toy_corpus_dir, tmp_path):
+    """After a run the mapping is empty; after split it holds exactly split's
+    files, CV folds included; a stage that writes no dataset file leaves it
+    as it is, and so does a writing stage that fails; evaluate empties it."""
+    import yaml
     from mixtask import pipeline
 
-    run = _copy_run(toy_run_dir, tmp_path)
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    run = tmp_path / "run"
+    pipeline.run_pipeline(cfg, run, quiet=True)
+    assert pipeline._WRITTEN == {}
+
+    def written_by(stage):
+        return {hashlib.sha256(path.read_bytes()).digest()
+                for path in (run / stage).rglob("*.jsonl")}
+
+    for stage in ("ingest", "transform", "split"):
+        run_stage(stage, cfg, run)
+        assert pipeline._WRITTEN.keys() == written_by(stage)
+    assert list((run / "split" / "folds").glob("*.jsonl"))
+    after_split = dict(pipeline._WRITTEN)
+    for stage in STAGES[STAGES.index("split") + 1 : -1]:
+        run_stage(stage, cfg, run)
+        assert pipeline._WRITTEN == after_split, stage
+
+    # a split of other rows that fails after writing its dataset files
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["master_seed"] += 1
+    raw["cv"]["task"] = "toy_nope"
+    failing = PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+    with pytest.raises(PipelineStageError, match="cv task 'toy_nope' not in manifest"):
+        run_stage("split", failing, run)
+    assert written_by("split") - after_split.keys()
+    assert pipeline._WRITTEN == after_split
+
+    run_stage("split", cfg, run)
     run_stage("evaluate", cfg, run)
-    assert len(pipeline._DECODED) > 0
-    run_stage("rank", cfg, run)
-    assert len(pipeline._DECODED) > 0
-    run_stage("rank", cfg, run)
-    assert len(pipeline._DECODED) == 0
+    assert pipeline._WRITTEN == {}
 
 
 def test_loads_without_a_memo_share_no_sample(tmp_path):
@@ -1318,44 +1340,6 @@ def test_loads_without_a_memo_share_no_sample(tmp_path):
     first, second = (load_dataset(path, "fix", TaskKind.parse("regression")) for _ in range(2))
     assert first.samples == second.samples
     assert not any(a is b for a, b in zip(first.samples, second.samples))
-
-
-def test_train_finetune_and_ensemble_decode_no_dataset_row(toy_corpus_dir, tmp_path,
-                                                           monkeypatch):
-    """In one run, ingest decodes each manifest file once, and no stage after
-    it decodes a file it or the stage before it read or wrote: transform,
-    split, schedule, train, finetune, ensemble and rank decode nothing.
-    Predict and evaluate may decode eval splits, each at most once: split
-    wrote them, but no stage just before predict or evaluate read them."""
-    from mixtask import data, pipeline
-
-    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
-    run = tmp_path / "run"
-    current, decodes = [None], []
-    real_run_stage, real_decode = pipeline.run_stage, data._decode_samples
-
-    def recording_run_stage(name, *args):
-        current[0] = name
-        return real_run_stage(name, *args)
-
-    def recording_decode(raw, path):
-        decodes.append((current[0], Path(path)))
-        return real_decode(raw, path)
-
-    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
-    monkeypatch.setattr(data, "_decode_samples", recording_decode)
-    pipeline.run_pipeline(cfg, run, quiet=True)
-    manifest = [Path(path) for entry in data.read_manifest(cfg.manifest_path)
-                for path in (entry.path, entry.dev_path, entry.eval_path) if path]
-    assert [path for stage, path in decodes if stage == "ingest"] == manifest
-    later = [(stage, path.relative_to(run).as_posix()) for stage, path in decodes
-             if stage != "ingest"]
-    eval_files = {f"split/{entry['splits']['eval']}"
-                  for entry in read_index(run, "split")["datasets"].values()
-                  if "eval" in entry["splits"]}
-    assert {stage for stage, _ in later} <= {"predict", "evaluate"}
-    assert {path for _, path in later} <= eval_files, later
-    assert len(later) == len(set(later))
 
 
 def _perfbench_workloads(monkeypatch):
@@ -1376,52 +1360,91 @@ def _fields(samples):
             for s in samples]
 
 
+def _corpus_config(corpus, toy_corpus_dir, tmp_path, monkeypatch) -> Path:
+    """The config of the toy corpus, or of perfbench's tiny scaled-train corpus."""
+    if corpus == "toy":
+        return toy_corpus_dir / "config.yaml"
+    workloads = _perfbench_workloads(monkeypatch)
+    return workloads.write_corpus(tmp_path / "corpus", 7,
+                                  workloads.workload("scaled-train", tiny=True))[0]
+
+
+@pytest.mark.parametrize("corpus", ["toy", "tiny-scaled-train"])
+def test_only_ingest_decodes_a_dataset_row(toy_corpus_dir, tmp_path, monkeypatch, corpus):
+    """On every run, a later one in the same process too, ingest decodes each
+    manifest file once and no other stage decodes a file: each dataset file a
+    stage reads after ingest is one the run wrote."""
+    from mixtask import data, pipeline
+
+    cfg = PipelineConfig.from_file(_corpus_config(corpus, toy_corpus_dir, tmp_path, monkeypatch))
+    current, decodes = [None], []
+    real_run_stage, real_decode = pipeline.run_stage, data._decode_samples
+
+    def recording_run_stage(name, *args):
+        current[0] = name
+        return real_run_stage(name, *args)
+
+    def recording_decode(raw, path):
+        decodes.append((current[0], Path(path)))
+        return real_decode(raw, path)
+
+    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(data, "_decode_samples", recording_decode)
+    manifest = [("ingest", Path(path)) for entry in data.read_manifest(cfg.manifest_path)
+                for path in (entry.path, entry.dev_path, entry.eval_path) if path]
+    for _ in range(2):
+        decodes.clear()
+        pipeline.run_pipeline(cfg, tmp_path / "run", quiet=True)
+        assert decodes == manifest
+
+
 @pytest.mark.parametrize("corpus", ["toy", "tiny-scaled-train"])
 def test_every_dataset_file_a_stage_writes_decodes_to_the_samples_it_stored(
         toy_corpus_dir, tmp_path, monkeypatch, corpus):
     """Each dataset file ingest, transform and split write (CV folds
-    included) is stored in the memo with its samples, and decoding the file's
-    bytes gives those samples, field by field and type by type."""
+    included) is in the mapping after the stage, with its samples, and
+    decoding the file's bytes gives those samples, field by field and type
+    by type."""
     from mixtask import data, pipeline
 
-    if corpus == "toy":
-        config = toy_corpus_dir / "config.yaml"
-    else:
-        workloads = _perfbench_workloads(monkeypatch)
-        config = workloads.write_corpus(tmp_path / "corpus", 7,
-                                        workloads.workload("scaled-train", tiny=True))[0]
-    stored, real_store = {}, data.DecodedSamples.store
+    config = _corpus_config(corpus, toy_corpus_dir, tmp_path, monkeypatch)
+    stored, real_run_stage = {}, pipeline.run_stage
 
-    def recording_store(memo, raw, samples):
-        stored[hashlib.sha256(raw).hexdigest()] = raw, tuple(samples)
-        return real_store(memo, raw, samples)
+    def recording_run_stage(name, *args):
+        real_run_stage(name, *args)
+        stored.update(pipeline._WRITTEN)
 
-    monkeypatch.setattr(data.DecodedSamples, "store", recording_store)
+    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
     run = tmp_path / "run"
     pipeline.run_pipeline(PipelineConfig.from_file(config), run, quiet=True)
-    written = [path for stage in ("ingest", "transform", "split")
-               for path in sorted((run / stage).rglob("*.jsonl"))]
-    assert any("folds" in path.parts for path in written) == (corpus == "toy")
-    assert {hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == stored.keys()
-    for raw, samples in stored.values():
-        assert _fields(data._decode_samples(raw, "stored")) == _fields(samples)
+    written = {hashlib.sha256(raw).digest(): raw
+               for stage in ("ingest", "transform", "split")
+               for raw in map(Path.read_bytes, sorted((run / stage).rglob("*.jsonl")))}
+    assert any((run / "split" / "folds").glob("*.jsonl")) == (corpus == "toy")
+    assert written.keys() == stored.keys()
+    for digest, raw in written.items():
+        assert _fields(data._decode_samples(raw, "stored")) == _fields(stored[digest])
 
 
+@pytest.mark.parametrize("corpus", ["toy", "tiny-scaled-train"])
 def test_a_run_and_its_stages_run_alone_write_the_same_files(toy_corpus_dir, toy_run_dir,
-                                                             tmp_path, monkeypatch):
-    """A memo hit is as good as a fresh decode: running each stage with an
-    empty memo, as `mixtask <stage>` in a fresh process does, writes every
-    file of a run_pipeline run byte for byte."""
-    from mixtask import data, pipeline
+                                                             tmp_path, monkeypatch, corpus):
+    """A hit is as good as a fresh decode: running each stage with an empty
+    mapping, as `mixtask <stage>` in a fresh process does, writes every file
+    of a run_pipeline run byte for byte."""
+    from mixtask import pipeline
 
-    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    cfg = PipelineConfig.from_file(_corpus_config(corpus, toy_corpus_dir, tmp_path, monkeypatch))
+    whole = toy_run_dir
+    if corpus != "toy":
+        whole = pipeline.run_pipeline(cfg, tmp_path / "whole", quiet=True)
     run = tmp_path / "run"
     for stage in STAGES:
-        monkeypatch.setattr(pipeline, "_DECODED", data.DecodedSamples())
+        monkeypatch.setattr(pipeline, "_WRITTEN", {})
         run_stage(stage, cfg, run)
 
     def digests(root):
         return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(root.rglob("*")) if path.is_file()}
 
-    assert digests(run) == digests(toy_run_dir)
+    assert digests(run) == digests(whole)
