@@ -17,7 +17,6 @@ from .experiment import run_multisource_experiment
 from .featurize import SourceSpec, featurize
 from .inference import (
     PredictionSet,
-    RankedAnswerList,
     combine_predictions,
     ensemble_classify,
     ensemble_regress,
@@ -72,7 +71,6 @@ __all__ = [
     "train_multitask",
     "fine_tune_task",
     "PredictionSet",
-    "RankedAnswerList",
     "ensemble_classify",
     "ensemble_regress",
     "rank_answers",

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import NoiseModelConfig, run_multisource_experiment
+from .experiment import run_multisource_experiment
 from .pipeline import STAGES, PipelineConfig, PipelineStageError, run_pipeline, run_stage
 from .toydata import write_toy_corpus
 
@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                 mode=args.mode,
                 n_trials=args.trials,
                 master_seed=args.seed,
-                noise_config=NoiseModelConfig(n_samples=args.samples),
+                n_samples=args.samples,
             )
             print(report.table())
             return 0

@@ -9,17 +9,20 @@ Two member pools are supported:
 
 * a synthetic noise model (default): member predictions are generated with
   a per-family shared error component plus independent per-member errors,
-  calibrated so member accuracy falls in a configured window. On a shared
+  calibrated so member accuracy falls in MEMBER_ACCURACY_RANGE. On a shared
   family error, every erring member picks its wrong class independently, so
   a mixed ensemble often splits a family's shared error into a three-way
   vote tie that the summed-probability tie-break resolves correctly. A
-  single-source ensemble cannot recover those samples. Needs >= 3 classes.
+  single-source ensemble cannot recover those samples. The calibration is
+  fixed by the module constants (3 classes, which a split vote needs; 2
+  families of 3 members); only the samples per trial vary.
 
 * trained toy models: >= 3 base members per configured source family. The
   pipeline's ingest, transform, split, train, finetune and predict stages run
   on the configured corpus under a derived config with cross validation off
   and zero fine-tuning epochs, so each member predicts from its multi-task
-  checkpoint. The members' prediction sets for the first in-domain
+  checkpoint. The derived config keeps the config file's own manifest
+  value, so the members' indexes embed no absolute path. The members' prediction sets for the first in-domain
   classification task's eval split are compared.
 
 run_multisource_experiment runs either and writes experiment_report.json.
@@ -27,7 +30,7 @@ run_multisource_experiment runs either and writes experiment_report.json.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,55 +44,45 @@ from .pipeline import PipelineStageError, StageRun, run_stage
 from .seeding import derive_rng, derive_seed
 
 
-@dataclass(frozen=True)
-class NoiseModelConfig:
-    """Parameters of the constructed noise model."""
-
-    n_samples: int = 1000
-    n_classes: int = 3
-    members_per_family: int = 3
-    family_names: tuple[str, ...] = ("family_a", "family_b")
-    shared_error_range: tuple[float, float] = (0.05, 0.10)
-    member_accuracy_range: tuple[float, float] = (0.75, 0.92)
-    confident_range: tuple[float, float] = (0.65, 0.90)
-    wrong_range: tuple[float, float] = (0.45, 0.65)
-
-    def __post_init__(self):
-        if self.n_classes < 3:
-            raise ValueError("noise model needs >= 3 classes for split-vote ties")
-        if len(self.family_names) < 2:
-            raise ValueError("need >= 2 source families")
-        if self.members_per_family < 3:
-            raise ValueError("need >= 3 members per family")
+# The noise model's calibration: members per source family, and the ranges
+# each family's shared error rate, each member's accuracy, and the top
+# probability of a correct and of a wrong prediction are drawn from.
+N_CLASSES = 3
+FAMILY_NAMES = ("family_a", "family_b")
+MEMBERS_PER_FAMILY = 3
+SHARED_ERROR_RANGE = (0.05, 0.10)
+MEMBER_ACCURACY_RANGE = (0.75, 0.92)
+CONFIDENT_RANGE = (0.65, 0.90)
+WRONG_RANGE = (0.45, 0.65)
 
 
 def synthesize_family_predictions(
-    config: NoiseModelConfig, trial_seed: int
+    trial_seed: int, n_samples: int = 1000
 ) -> tuple[dict[str, int], dict[str, list[PredictionSet]]]:
     """Generate gold labels and per-family member prediction sets.
 
     Per family, a set of shared-error samples flips every member; each
     member errs on an additional personal set drawn from the remaining
     samples, sized so that realized accuracy lands within 2/n of a target
-    drawn inside the configured accuracy window. Erring members place
-    wrong_range mass on an independently chosen wrong class; correct
-    members place confident_range mass on the truth; leftover mass is split
-    evenly over the other classes.
+    drawn inside MEMBER_ACCURACY_RANGE. Erring members place WRONG_RANGE
+    mass on an independently chosen wrong class; correct members place
+    CONFIDENT_RANGE mass on the truth; leftover mass is split evenly over
+    the other classes.
     """
     rng = derive_rng(trial_seed, "noise-gold")
-    gold_arr = rng.integers(0, config.n_classes, size=config.n_samples)
-    n = config.n_samples
-    lo_acc, hi_acc = config.member_accuracy_range
+    gold_arr = rng.integers(0, N_CLASSES, size=n_samples)
+    n = n_samples
+    lo_acc, hi_acc = MEMBER_ACCURACY_RANGE
     families: dict[str, list[PredictionSet]] = {}
-    for family in config.family_names:
+    for family in FAMILY_NAMES:
         family_rng = derive_rng(trial_seed, "noise-family", family)
-        shared_rate = family_rng.uniform(*config.shared_error_range)
+        shared_rate = family_rng.uniform(*SHARED_ERROR_RANGE)
         shared_idx = family_rng.choice(n, size=round(shared_rate * n), replace=False)
         shared_error = np.zeros(n, dtype=bool)
         shared_error[shared_idx] = True
         clean_idx = np.flatnonzero(~shared_error)
         members = []
-        for member_idx in range(config.members_per_family):
+        for member_idx in range(MEMBERS_PER_FAMILY):
             member_rng = derive_rng(trial_seed, "noise-member", family, member_idx)
             target_acc = member_rng.uniform(lo_acc + 0.01, hi_acc - 0.01)
             personal_rate = max(0.0, 1.0 - target_acc / (1.0 - shared_rate))
@@ -98,16 +91,16 @@ def synthesize_family_predictions(
             wrong = shared_error.copy()
             wrong[personal_idx] = True
             preds = {}
-            for i in range(config.n_samples):
+            for i in range(n):
                 truth = int(gold_arr[i])
                 if wrong[i]:
-                    offset = int(member_rng.integers(1, config.n_classes))
-                    predicted = (truth + offset) % config.n_classes
-                    top_mass = member_rng.uniform(*config.wrong_range)
+                    offset = int(member_rng.integers(1, N_CLASSES))
+                    predicted = (truth + offset) % N_CLASSES
+                    top_mass = member_rng.uniform(*WRONG_RANGE)
                 else:
                     predicted = truth
-                    top_mass = member_rng.uniform(*config.confident_range)
-                vec = np.full(config.n_classes, (1.0 - top_mass) / (config.n_classes - 1))
+                    top_mass = member_rng.uniform(*CONFIDENT_RANGE)
+                vec = np.full(N_CLASSES, (1.0 - top_mass) / (N_CLASSES - 1))
                 vec[predicted] = top_mass
                 preds[f"s{i:05d}"] = vec
             dev_acc = float(np.mean(~wrong))
@@ -151,13 +144,7 @@ class EnsembleRow:
         return self.ensemble_accuracy - self.avg_member_accuracy
 
     def to_dict(self) -> dict:
-        return {
-            "grouping": self.grouping,
-            "members": self.members,
-            "avg_member_accuracy": self.avg_member_accuracy,
-            "ensemble_accuracy": self.ensemble_accuracy,
-            "improvement": self.improvement,
-        }
+        return {**asdict(self), "improvement": self.improvement}
 
 
 @dataclass
@@ -247,14 +234,13 @@ class ExperimentReport:
 
 
 def run_noise_model_experiment(
-    config: NoiseModelConfig | None = None, n_trials: int = 20, master_seed: int = 0
+    n_trials: int = 20, master_seed: int = 0, n_samples: int = 1000
 ) -> ExperimentReport:
-    """Run the synthetic-noise comparison over seeded trials."""
-    config = config or NoiseModelConfig()
+    """Run the synthetic-noise comparison over seeded trials of n_samples."""
     trials = []
     for trial in range(n_trials):
         trial_seed = derive_seed(master_seed, "experiment-trial", trial)
-        gold, families = synthesize_family_predictions(config, trial_seed)
+        gold, families = synthesize_family_predictions(trial_seed, n_samples)
         trials.append(compare_groupings(families, gold, trial=trial))
     return summarize_trials(trials)
 
@@ -277,22 +263,20 @@ def run_multisource_experiment(
     mode: str = "noise",
     n_trials: int = 20,
     master_seed: Optional[int] = None,
-    noise_config: Optional[NoiseModelConfig] = None,
+    n_samples: int = 1000,
 ) -> ExperimentReport:
     """Compare single-source vs mixed-source ensembles.
 
     mode "noise" uses the documented synthetic noise model over n_trials
-    seeded trials. mode "trained" trains >= 3 members per configured source
-    family on the configured corpus and compares ensembles of their
-    predictions on the first classification task's eval split.
+    seeded trials of n_samples each. mode "trained" trains >= 3 members per
+    configured source family on the configured corpus and compares ensembles
+    of their predictions on the first classification task's eval split.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "noise":
         seed = master_seed if master_seed is not None else (cfg.master_seed if cfg else 0)
-        report = run_noise_model_experiment(
-            noise_config or NoiseModelConfig(), n_trials=n_trials, master_seed=seed
-        )
+        report = run_noise_model_experiment(n_trials, seed, n_samples)
     elif mode == "trained":
         if cfg is None:
             raise PipelineStageError("experiment", "trained mode requires a pipeline config")
@@ -315,8 +299,10 @@ def _trained_experiment(cfg: PipelineConfig, out_dir: Path) -> ExperimentReport:
     raw = copy.deepcopy(cfg.raw)
     raw["cv"] = {**(raw.get("cv") or {}), "enabled": False}
     raw["train"] = {**(raw.get("train") or {}), "epochs_finetune": 0}
-    raw["manifest"] = str(cfg.manifest_path)
-    members_cfg = PipelineConfig.from_dict(raw)
+    # the parsed config already holds the manifest's resolved path, so raw
+    # keeps the config file's own manifest value
+    members_cfg = replace(cfg, raw=raw, cv_enabled=False,
+                          train=replace(cfg.train, epochs_finetune=0))
     work = out_dir / "trained_members"
     for stage in ("ingest", "transform", "split", "train", "finetune", "predict"):
         run_stage(stage, members_cfg, work)

@@ -7,6 +7,9 @@ by summed prediction probabilities (classification) or the sign of the mean
 score (regression).
 A prediction file holds only rows; the predict index that lists it records
 the set's member, task and dev metric, and its kind is its task's.
+An answer is an (answer id, label, score) triple from the ensemble row to
+the evaluation report: rank_answers sorts one question's triples, and
+save_rankings writes (question id, triples) pairs as rank rows.
 """
 from __future__ import annotations
 
@@ -94,44 +97,15 @@ def ensemble_regress(scores: Sequence[float]) -> tuple[int, float]:
     return label, mean
 
 
-@dataclass(frozen=True)
-class RankedAnswer:
-    answer_id: str
-    label: int
-    score: float
-
-
-@dataclass
-class RankedAnswerList:
-    """Per-question answer ordering: predicted positives first."""
-
-    question_id: str
-    answers: list[RankedAnswer]
-
-    def __post_init__(self):
-        labels = [a.label for a in self.answers]
-        if any(l == 0 for l in labels) and any(l == 1 for l in labels):
-            first_negative = labels.index(0)
-            if any(l == 1 for l in labels[first_negative:]):
-                raise ValueError("positives must precede negatives")
-
-    def __len__(self) -> int:
-        return len(self.answers)
-
-    @property
-    def answer_ids(self) -> list[str]:
-        return [a.answer_id for a in self.answers]
-
-
-def rank_answers(question_id: str, outputs: Iterable[tuple[str, int, float]]) -> RankedAnswerList:
-    """Order one question's answers: predicted positives by score descending,
-    then predicted negatives by score descending; ties break by answer id
-    ascending."""
-    answers = [RankedAnswer(a, int(label), float(score)) for a, label, score in outputs]
-    if not answers:
+def rank_answers(outputs: Iterable[tuple[str, int, float]]) -> list[tuple[str, int, float]]:
+    """One question's (answer id, label, score) triples in rank order:
+    predicted positives by score descending, then predicted negatives by
+    score descending; ties break by answer id ascending."""
+    ranked = sorted(((a, int(label), float(score)) for a, label, score in outputs),
+                    key=lambda t: (0 if t[1] == 1 else 1, -t[2], t[0]))
+    if not ranked:
         raise ValueError("need at least one answer")
-    answers.sort(key=lambda a: (0 if a.label == 1 else 1, -a.score, a.answer_id))
-    return RankedAnswerList(question_id=question_id, answers=answers)
+    return ranked
 
 
 def mednli_constrained_decode(prob_matrix: Sequence[Sequence[float]]) -> tuple[int, int, int]:
@@ -294,11 +268,14 @@ def save_ensemble_outputs(outputs: Iterable[EnsembleOutput], path: str | Path) -
     ))
 
 
-def save_rankings(ranked: Iterable[RankedAnswerList], path: str | Path) -> None:
-    """JSON-Lines: one record per answer, questions in the given order and
-    each question's answers in rank order, rank counting from 1."""
+def save_rankings(ranked: Iterable[tuple[str, list[tuple[str, int, float]]]],
+                  path: str | Path) -> None:
+    """JSON-Lines from (question id, ranked triples) pairs: one record per
+    answer, questions in the given order and each question's answers in rank
+    order, rank counting from 1."""
     write_jsonl(path, (
-        {"question_id": r.question_id, "sample_id": a.answer_id, "label": a.label,
-         "score": a.score, "rank": position}
-        for r in ranked for position, a in enumerate(r.answers, start=1)
+        {"question_id": question_id, "sample_id": answer_id, "label": label,
+         "score": score, "rank": position}
+        for question_id, answers in ranked
+        for position, (answer_id, label, score) in enumerate(answers, start=1)
     ))

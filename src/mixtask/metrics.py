@@ -9,7 +9,7 @@ count of questions that actually qualified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -138,17 +138,7 @@ class EvalReport:
     per_question: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "mrr": self.mrr,
-            "spearman": self.spearman,
-            "spearman_question_count": self.spearman_question_count,
-            "n_samples": self.n_samples,
-            "n_questions": self.n_questions,
-            "per_question": self.per_question,
-        }
+        return asdict(self)
 
     def table(self) -> str:
         """Human-readable two-column summary."""

@@ -79,6 +79,8 @@ from .training import TaskData, build_member_epoch_plan, dev_gold, fine_tune_tas
 
 SCHEMA_VERSION = 1
 
+_JSON_KINDS = {dict: "a mapping", list: "a list", str: "a string"}
+
 # The samples of the dataset files the latest dataset-writing stage of this
 # run wrote, by the sha256 of each file's bytes; run_stage swaps them in.
 _WRITTEN: dict[bytes, tuple[SamplePair, ...]] = {}
@@ -122,8 +124,10 @@ class StageRun:
     `_WRITTEN` when the latest dataset-writing stage wrote the same bytes. An
     index file's one read serves both its parse and every check of its
     digest, and `inputs` maps each index parsed to the sha256 of the bytes it
-    was parsed from; a failed read, or a file name an index lists that is
-    none, fails the stage with "re-run <producer>".
+    was parsed from; `entry` reads a value of an index, checking its JSON
+    type. A failed read, an index value that is missing or of the wrong
+    type, or a file name an index lists that is none, fails the stage with
+    "re-run <producer>".
     """
 
     def __init__(self, cfg: PipelineConfig, out_dir: Path, stage: str):
@@ -166,13 +170,33 @@ class StageRun:
             raw, digest = self._index_file(producer)
             with self.reading(f"{producer}/index.json", producer):
                 index = decode_json(raw)
-            for upstream, expected in sorted(index.get("inputs", {}).items()):
+                inputs = index.get("inputs", {}) if isinstance(index, dict) else None
+                if not isinstance(inputs, dict) or not set(inputs) <= set(STAGES):
+                    raise ValueError("an index must be a mapping whose inputs are by stage name")
+            for upstream, expected in sorted(inputs.items()):
                 if self._index_file(upstream)[1] != expected:
                     raise self.error(f"{producer}/index.json was built from another "
                                      f"{upstream}/index.json; re-run {producer}")
             self._indexes[producer] = index
             self.inputs[producer] = digest
         return self._indexes[producer]
+
+    def entry(self, producer: str, *keys: str, kind: type = dict, optional: bool = False):
+        """The value under keys in a producer's index, which must be a `kind`
+        (dict, list, str, or object for any), or None when optional and the
+        last key is absent. A missing key, or a value on the way that is not
+        a mapping, makes the index unreadable."""
+        value = self.index(producer)
+        with self.reading(f"{producer}/index.json", producer):
+            for depth, key in enumerate(keys, start=1):
+                if optional and depth == len(keys) and key not in value:
+                    return None
+                value = value[key]
+                expected = kind if depth == len(keys) else dict
+                if not isinstance(value, expected):
+                    raise ValueError(f"{'.'.join(keys[:depth])} must be {_JSON_KINDS[expected]}, "
+                                     f"got {json.dumps(value)}")
+        return value
 
     def _path(self, producer: str, filename) -> Path:
         """Where a file a producer's index lists is; an index that lists
@@ -186,26 +210,28 @@ class StageRun:
         """One dataset file a producer's index lists, typed by its entry."""
         path = self._path(producer, filename)
         if path not in self._datasets:
-            entry = self.index(producer)["datasets"][name]
-            with self.reading(f"{producer}/{filename}", producer):
+            entry = self.entry(producer, "datasets", name)
+            for key in ("task_kind", "role", "head_group"):
+                self.entry(producer, "datasets", name, key, kind=str)
+            with self.reading(f"{producer}/index.json", producer):
                 kind = TaskKind.parse(entry["task_kind"])
+            with self.reading(f"{producer}/{filename}", producer):
                 self._datasets[path] = load_dataset(path, name, kind, entry["role"],
                                                     entry["head_group"], written=_WRITTEN)
         return self._datasets[path]
 
     def bundles(self, producer: str) -> dict[str, dict[str, Dataset]]:
         """Every dataset split a producer's index lists, by name and split."""
-        with self.reading(f"{producer} datasets", producer):
-            return {
-                name: {
-                    split: self._dataset(producer, name, filename)
-                    for split, filename in entry["splits"].items()
-                }
-                for name, entry in self.index(producer)["datasets"].items()
+        return {
+            name: {
+                split: self._dataset(producer, name, filename)
+                for split, filename in self.entry(producer, "datasets", name, "splits").items()
             }
+            for name in self.entry(producer, "datasets")
+        }
 
     def split(self, name: str, split: str) -> Optional[Dataset]:
-        filename = self.index("split")["datasets"][name]["splits"].get(split)
+        filename = self.entry("split", "datasets", name, "splits").get(split)
         return None if filename is None else self._dataset("split", name, filename)
 
     def eval_set(self, name: str) -> Optional[Dataset]:
@@ -216,16 +242,21 @@ class StageRun:
         """A member's train or dev split of one task: the member's fold for the
         CV task of a CV member, else the standard split."""
         if member["fold"] is not None and name == self.cfg.cv_task:
+            folds = self.entry("split", "folds", kind=list)
             with self.reading(f"fold {member['fold']} of split/index.json", "split"):
-                fold = {meta["fold"]: meta for meta in self.index("split")["folds"]}[member["fold"]]
-            return self._dataset("split", name, fold[split])
+                if not all(isinstance(meta, dict) for meta in folds):
+                    raise ValueError("folds must be a list of mappings")
+                fold = [meta for meta in folds if meta.get("fold") == member["fold"]]
+                if len(fold) != 1:
+                    raise ValueError(f"folds lists fold {member['fold']} {len(fold)} times")
+            return self._dataset("split", name, fold[0].get(split))
         return self.split(name, split)
 
     def member_tasks(self, member: dict) -> list[TaskData]:
         """Task list for one member, every task's train and dev split."""
         return [
             TaskData(*(self.member_split(member, name, split) for split in ("train", "dev")))
-            for name in sorted(self.index("split")["datasets"])
+            for name in sorted(self.entry("split", "datasets"))
         ]
 
     def features(self) -> FeatureCache:
@@ -239,10 +270,12 @@ class StageRun:
         """A member's model: for a task, the fine-tuned checkpoint the finetune
         index lists for (member, task), else the member's multi-task
         checkpoint from the train index; never a file merely present on disk."""
-        finetuned = {} if task is None else self.index("finetune")["finetuned"].get(member_id, {})
-        producer, entry = "finetune", finetuned.get(task)
-        if entry is None:
-            producer, entry = "train", self.index("train")["members"].get(member_id)
+        finetuned = None if task is None else self.entry("finetune", "finetuned", member_id,
+                                                         optional=True)
+        producer, keys = "finetune", ("finetuned", member_id, task)
+        if task not in (finetuned or {}):
+            producer, keys = "train", ("members", member_id)
+        entry = self.entry(producer, *keys, optional=True)
         if entry is None:
             raise self.error(f"no trained checkpoint for member {member_id}; re-run train")
         path = self._path(producer, entry.get("checkpoint"))
@@ -268,8 +301,8 @@ class StageRun:
     def prediction_set(self, task: str, member_id: str, eval_set: Dataset) -> PredictionSet:
         """A member's predictions for a task, as the predict index lists them,
         which must cover exactly the eval split's ids."""
+        entry = self.entry("predict", "predictions", task, member_id)
         with self.reading(f"predictions of {member_id} for {task}", "predict"):
-            entry = self.index("predict")["predictions"][task][member_id]
             filename, metric = entry["file"], entry["dev_metric"]
             if not is_finite_number(metric):
                 raise ValueError(f"dev_metric must be a finite number, got {json.dumps(metric)}")
@@ -462,8 +495,9 @@ def stage_predict(run: StageRun) -> dict:
     """
     cache = run.features()
     files = {}
-    for task_name, entry in sorted(run.index("split")["datasets"].items()):
-        eval_set = run.eval_set(task_name) if entry["role"] == "in_domain" else None
+    for task_name in sorted(run.entry("split", "datasets")):
+        role = run.entry("split", "datasets", task_name, "role", kind=str)
+        eval_set = run.eval_set(task_name) if role == "in_domain" else None
         if eval_set is None:
             continue
         for member in run.cfg.member_plan():
@@ -487,7 +521,7 @@ def stage_predict(run: StageRun) -> dict:
 
 def stage_ensemble(run: StageRun) -> dict:
     """Select members by dev-metric threshold and combine their predictions."""
-    cfg, predictions = run.cfg, run.index("predict")["predictions"]
+    cfg, predictions = run.cfg, run.entry("predict", "predictions")
     _check_names(run, "task", predictions, thresholds=cfg.thresholds,
                  constrained_triples=cfg.constrained_triple_tasks)
     ensembles_meta = {}
@@ -495,7 +529,7 @@ def stage_ensemble(run: StageRun) -> dict:
         eval_set = run.eval_set(task_name)
         by_id = {s.id: s for s in eval_set}
         sets = [run.prediction_set(task_name, member_id, eval_set)
-                for member_id in sorted(predictions[task_name])]
+                for member_id in sorted(run.entry("predict", "predictions", task_name))]
         threshold = cfg.thresholds.get(task_name, 0.0)
         try:
             members = select_members(sets, threshold)
@@ -527,10 +561,12 @@ def _class_index(sample_id: str, label, classes: int) -> int:
     return label
 
 
-def _answers_by_question(rows: Iterable[tuple[str, dict]]) -> dict[str, list]:
+def _answers_by_question(rows: Iterable[tuple[str, dict]],
+                         ranked: bool = False) -> dict[str, list]:
     """(sample id, label, score) of each (sample id, ensemble or rank row) by
     its question id, in row order; ValueError naming the first row whose
-    label is not 0 or 1, score not a finite number or question id not a string."""
+    label is not 0 or 1, score not a finite number, question id not a
+    string or, for ranked (rank) rows, rank not its position in its question."""
     by_question: dict[str, list] = {}
     for sample_id, rec in rows:
         label, score, question_id = rec["label"], rec["score"], rec.get("question_id")
@@ -541,23 +577,27 @@ def _answers_by_question(rows: Iterable[tuple[str, dict]]) -> dict[str, list]:
         if type(question_id) is not str:
             raise ValueError(f"sample {sample_id!r}: question_id {json.dumps(question_id)} "
                              f"is not a string")
-        by_question.setdefault(question_id, []).append((sample_id, label, score))
+        answers = by_question.setdefault(question_id, [])
+        if ranked and (type(rec.get("rank")) is not int or rec["rank"] != len(answers) + 1):
+            raise ValueError(f"sample {sample_id!r}: rank {json.dumps(rec.get('rank'))} is not "
+                             f"its position {len(answers) + 1} in question {question_id!r}")
+        answers.append((sample_id, label, score))
     return by_question
 
 
 def stage_rank(run: StageRun) -> dict:
     """Order each ranking task's answers per question: positives first."""
-    ensembles = run.index("ensemble")["ensembles"]
+    ensembles = run.entry("ensemble", "ensembles")
     rank_meta = {}
     for task_name in run.cfg.ranking_tasks:
         if task_name not in ensembles:
             raise run.error(f"no ensemble outputs for task {task_name!r}")
-        source = ensembles[task_name]["file"]
+        source = run.entry("ensemble", "ensembles", task_name, "file", kind=object)
         outputs = run.records_by_sample("ensemble", source, task_name)
         with run.reading(f"ensemble/{source}", "ensemble"):
             by_question = _answers_by_question(sorted(outputs.items()))
         filename = f"{task_name}.jsonl"
-        save_rankings((rank_answers(q, by_question[q]) for q in sorted(by_question)),
+        save_rankings(((q, rank_answers(by_question[q])) for q in sorted(by_question)),
                       run.dir / filename)
         rank_meta[task_name] = {"file": filename, "n_questions": len(by_question)}
     return {"rankings": rank_meta}
@@ -565,8 +605,8 @@ def stage_rank(run: StageRun) -> dict:
 
 def stage_evaluate(run: StageRun) -> dict:
     """Score every task's ensemble outputs against gold; write and print reports."""
-    ensembles = run.index("ensemble")["ensembles"]
-    rankings = run.index("rank")["rankings"]
+    ensembles = run.entry("ensemble", "ensembles")
+    rankings = run.entry("rank", "rankings")
     reports: dict[str, EvalReport] = {}
     for task_name in sorted(ensembles):
         eval_set = run.eval_set(task_name)
@@ -574,13 +614,13 @@ def stage_evaluate(run: StageRun) -> dict:
         if task_name in run.cfg.ranking_tasks:
             if task_name not in rankings:
                 raise run.error(f"no rankings for task {task_name!r}; re-run rank")
-            filename = rankings[task_name]["file"]
+            filename = run.entry("rank", "rankings", task_name, "file", kind=object)
             ranked = run.records_by_sample("rank", filename, task_name, eval_ids)
             with run.reading(f"rank/{filename}", "rank"):
-                scored = _answers_by_question(ranked.items())
+                scored = _answers_by_question(ranked.items(), ranked=True)
             report = build_ranking_report(task_name, scored, *ranking_gold(eval_set))
         else:
-            filename = ensembles[task_name]["file"]
+            filename = run.entry("ensemble", "ensembles", task_name, "file", kind=object)
             outputs = run.records_by_sample("ensemble", filename, task_name, eval_ids)
             kind = eval_set.task_kind
             classes = kind.num_classes or 2  # a regression ensemble votes 0 or 1

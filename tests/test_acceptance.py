@@ -14,7 +14,7 @@ from scipy import stats
 
 from mixtask.corpus import medquad_negative_sample, qa_dev_reshuffle, qa_modified_score, random_split
 from mixtask.data import Dataset, SamplePair, TaskKind
-from mixtask.experiment import NoiseModelConfig, run_noise_model_experiment, synthesize_family_predictions
+from mixtask.experiment import run_noise_model_experiment, synthesize_family_predictions
 from mixtask.inference import ensemble_classify, ensemble_regress, mednli_constrained_decode
 from mixtask.metrics import accuracy, mrr, precision_positive, spearman_on_positives
 from mixtask.featurize import SourceSpec
@@ -260,11 +260,11 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 
 def test_criterion_9_multisource_advantage():
     with criterion(9, "mixed-source ensembles beat member average in >= 18/20 seeded trials"):
-        config = NoiseModelConfig()  # documented model: 2 families x 3 members, acc in [0.75, 0.92]
-        report = run_noise_model_experiment(config, n_trials=20, master_seed=0)
+        # documented model: 2 families x 3 members, acc in [0.75, 0.92]
+        report = run_noise_model_experiment(n_trials=20, master_seed=0)
         assert report.mixed_wins >= 18
         assert report.mean_mixed_improvement > report.mean_single_improvement
-        gold, families = synthesize_family_predictions(config, trial_seed=1234)
+        gold, families = synthesize_family_predictions(trial_seed=1234)
         ids = sorted(gold)
         for members in families.values():
             for ps in members:

@@ -36,9 +36,13 @@ def train_features(key, value, problem):
     return edit
 
 
-def index_value(producer, keys, value, what, problem):
-    """An edit that sets the value under keys in producer's index; the
-    reading stage must fail naming what it read, then problem."""
+MISSING = object()  # index_value deletes the key
+
+
+def index_value(producer, keys, value, what, problem, error="ValueError"):
+    """An edit that sets the value under keys in producer's index, or deletes
+    it for MISSING; the reading stage must fail naming what it read, then
+    the error and problem."""
     def edit(run):
         path = run / producer / "index.json"
         index = json.loads(path.read_text())
@@ -46,10 +50,14 @@ def index_value(producer, keys, value, what, problem):
         entry = index
         for key in parents:
             entry = entry[key]
-        entry[last] = value
+        if value is MISSING:
+            del entry[last]
+        else:
+            entry[last] = value
         path.write_text(json.dumps(index))
-        return f"unreadable {what}: ValueError: {problem}; re-run {producer}"
-    edit.__name__ = f"{producer}_{keys[-1]}_{json.dumps(value)}"
+        return f"unreadable {what}: {error}: {problem}; re-run {producer}"
+    shown = "missing" if value is MISSING else json.dumps(value)
+    edit.__name__ = f"{producer}_{keys[-1]}_{shown}"
     return edit
 
 
@@ -69,6 +77,30 @@ def first_row(producer, filename, key, value, problem):
                 f"re-run {producer}")
     edit.__name__ = f"{producer}_{key}_{json.dumps(value)}"
     return edit
+
+
+def rank_rows(change):
+    """An edit that changes the rows of rank/toy_qa.jsonl so that the first
+    row's rank is not 1; evaluate must fail on that row."""
+    def edit(run):
+        path = run / "rank" / "toy_qa.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        change(rows)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        first = rows[0]
+        return (f"unreadable rank/toy_qa.jsonl: ValueError: sample {first['sample_id']!r}: "
+                f"rank {json.dumps(first['rank'])} is not its position 1 in question "
+                f"{first['question_id']!r}; re-run rank")
+    edit.__name__ = change.__name__
+    return edit
+
+
+def rank_99(rows):
+    rows[0]["rank"] = 99
+
+
+def first_two_rank_rows_swapped(rows):
+    rows[0], rows[1] = rows[1], rows[0]
 
 
 @pytest.mark.parametrize("edit, stage", [
@@ -127,6 +159,30 @@ def first_row(producer, filename, key, value, problem):
                  "predict/index.json", "3 is not a file name"), "ensemble"),
     (index_value("ensemble", ["ensembles", "toy_qa", "file"], None, "ensemble/index.json",
                  "null is not a file name"), "rank"),
+    (index_value("ensemble", ["ensembles", "toy_qa", "file"], MISSING, "ensemble/index.json",
+                 "'file'", error="KeyError"), "rank"),
+    (index_value("rank", ["rankings", "toy_qa", "file"], MISSING, "rank/index.json",
+                 "'file'", error="KeyError"), "evaluate"),
+    (index_value("split", ["datasets", "toy_nli", "task_kind"], 3, "split/index.json",
+                 "datasets.toy_nli.task_kind must be a string, got 3"), "train"),
+    (index_value("split", ["folds"], "x", "split/index.json",
+                 'folds must be a list, got "x"'), "train"),
+    (index_value("split", ["datasets", "toy_nli", "splits"], ["x"], "split/index.json",
+                 'datasets.toy_nli.splits must be a mapping, got ["x"]'), "train"),
+    (index_value("split", ["datasets", "toy_nli", "head_group"], ["x"], "split/index.json",
+                 'datasets.toy_nli.head_group must be a string, got ["x"]'), "train"),
+    (index_value("ensemble", ["inputs"], ["predict"], "ensemble/index.json",
+                 "an index must be a mapping whose inputs are by stage name"), "rank"),
+    (index_value("ensemble", ["inputs", "../predict"], "x", "ensemble/index.json",
+                 "an index must be a mapping whose inputs are by stage name"), "rank"),
+    (index_value("predict", ["predictions", "toy_nli"], ["family_a-m0"], "predict/index.json",
+                 'predictions.toy_nli must be a mapping, got ["family_a-m0"]'), "ensemble"),
+    (index_value("train", ["members"], ["family_a-m0"], "train/index.json",
+                 'members must be a mapping, got ["family_a-m0"]'), "finetune"),
+    (index_value("finetune", ["finetuned", "family_a-m0"], ["toy_nli"], "finetune/index.json",
+                 'finetuned.family_a-m0 must be a mapping, got ["toy_nli"]'), "predict"),
+    (rank_rows(rank_99), "evaluate"),
+    (rank_rows(first_two_rank_rows_swapped), "evaluate"),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_an_edited_artifact_fails_its_reader_naming_the_producer(toy_corpus_dir, toy_run_dir,
                                                                   tmp_path, edit, stage):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mixtask.experiment import (
-    NoiseModelConfig,
     compare_groupings,
     run_noise_model_experiment,
     synthesize_family_predictions,
@@ -11,8 +10,7 @@ from mixtask.inference import PredictionSet
 
 
 def test_noise_model_member_accuracy_stays_in_window():
-    config = NoiseModelConfig(n_samples=500)
-    gold, families = synthesize_family_predictions(config, trial_seed=123)
+    gold, families = synthesize_family_predictions(trial_seed=123, n_samples=500)
     for members in families.values():
         assert len(members) == 3
         for ps in members:
@@ -23,8 +21,7 @@ def test_noise_model_member_accuracy_stays_in_window():
 
 
 def test_noise_model_shared_errors_correlate_within_family():
-    config = NoiseModelConfig(n_samples=800)
-    gold, families = synthesize_family_predictions(config, trial_seed=7)
+    gold, families = synthesize_family_predictions(trial_seed=7, n_samples=800)
     ids = sorted(gold)
 
     def errors(ps):
@@ -61,7 +58,7 @@ def test_compare_groupings_requires_roster():
 
 
 def test_report_schema_mirrors_comparison_rows():
-    report = run_noise_model_experiment(NoiseModelConfig(n_samples=200), n_trials=2, master_seed=5)
+    report = run_noise_model_experiment(n_trials=2, master_seed=5, n_samples=200)
     payload = report.to_dict()
     assert payload["n_trials"] == 2
     for trial in payload["trials"]:
@@ -73,15 +70,6 @@ def test_report_schema_mirrors_comparison_rows():
 
 
 def test_multisource_beats_singlesource_property():
-    report = run_noise_model_experiment(NoiseModelConfig(), n_trials=20, master_seed=0)
+    report = run_noise_model_experiment(n_trials=20, master_seed=0)
     assert report.mixed_wins >= 18
     assert report.mean_mixed_improvement > report.mean_single_improvement
-
-
-def test_noise_model_rejects_degenerate_configs():
-    with pytest.raises(ValueError):
-        NoiseModelConfig(n_classes=2)
-    with pytest.raises(ValueError):
-        NoiseModelConfig(members_per_family=2)
-    with pytest.raises(ValueError):
-        NoiseModelConfig(family_names=("solo",))

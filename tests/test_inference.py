@@ -181,18 +181,18 @@ def test_regress_permutation_invariant():
 
 
 def test_rank_positives_first():
-    ranked = rank_answers("q", [("a", 1, 1.2), ("b", 0, -0.3), ("c", 1, 0.4)])
-    assert ranked.answer_ids == ["a", "c", "b"]
+    ranked = rank_answers([("a", 1, 1.2), ("b", 0, -0.3), ("c", 1, 0.4)])
+    assert [a for a, _, _ in ranked] == ["a", "c", "b"]
 
 
 def test_rank_all_negative_by_score():
-    ranked = rank_answers("q", [("x", 0, -0.1), ("y", 0, -0.5)])
-    assert ranked.answer_ids == ["x", "y"]
+    ranked = rank_answers([("x", 0, -0.1), ("y", 0, -0.5)])
+    assert [a for a, _, _ in ranked] == ["x", "y"]
 
 
 def test_rank_ties_break_by_answer_id():
-    ranked = rank_answers("q", [("q2", 1, 0.5), ("q1", 1, 0.5)])
-    assert ranked.answer_ids == ["q1", "q2"]
+    ranked = rank_answers([("q2", 1, 0.5), ("q1", 1, 0.5)])
+    assert [a for a, _, _ in ranked] == ["q1", "q2"]
 
 
 def test_rank_output_is_permutation_and_partitioned():
@@ -200,9 +200,9 @@ def test_rank_output_is_permutation_and_partitioned():
     for _ in range(100):
         n = int(rng.integers(1, 12))
         answers = [(f"a{i}", int(rng.integers(0, 2)), float(rng.normal())) for i in range(n)]
-        ranked = rank_answers("q", answers)
-        assert sorted(ranked.answer_ids) == sorted(a for a, _, _ in answers)
-        labels = [a.label for a in ranked.answers]
+        ranked = rank_answers(answers)
+        assert sorted(a for a, _, _ in ranked) == sorted(a for a, _, _ in answers)
+        labels = [label for _, label, _ in ranked]
         assert labels == sorted(labels, reverse=True)
 
 

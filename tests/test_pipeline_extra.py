@@ -85,6 +85,27 @@ def test_trained_experiment_mode(toy_corpus_dir, tmp_path):
     assert set(predictions["toy_nli"]) == set(members)
 
 
+def test_trained_experiment_indexes_do_not_depend_on_the_corpus_location(toy_corpus_dir,
+                                                                        tmp_path):
+    """The members' config keeps the config file's own manifest value, so one
+    config run from two corpus directories writes byte-identical indexes."""
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["mixture"]["max_epoch"] = 1
+    for src in raw["sources"]:
+        src["members"] = 3
+    indexes = []
+    for place in ("here", "there"):
+        corpus = tmp_path / place / "corpus"
+        shutil.copytree(toy_corpus_dir, corpus)
+        cfg = write_config(corpus / "exp.yaml", raw)
+        run_multisource_experiment(cfg, tmp_path / place / "out", mode="trained")
+        work = tmp_path / place / "out" / "trained_members"
+        indexes.append({path.relative_to(work).as_posix(): path.read_bytes()
+                        for path in work.glob("*/index.json")})
+    assert len(indexes[0]) == 6 and indexes[0] == indexes[1]
+    assert json.loads(indexes[0]["train/index.json"])["config"]["manifest"] == raw["manifest"]
+
+
 def test_finetune_with_zero_epochs_reads_only_the_indexes(toy_corpus_dir, tmp_path,
                                                         monkeypatch):
     """Zero fine-tuning epochs change no model, so finetune loads no feature
