@@ -10,23 +10,28 @@ side-tagged unigrams and bigrams plus overlap unigrams. The statistics
 slots make lexical match directly visible to a linear model; the hashed
 bag carries the lexicalized content. The bag portion is L2-normalized.
 
-There is one featurization path: `featurize_pairs` maps a list of pairs to
-one (n, dim) matrix per source. A chunk of rows works on word ids, not token
-strings: each text is split into words once for all sources, each word is
-numbered once (`KeyCodes`), and the chunk's unigram, bigram and overlap
-tokens become integer keys built with a few numpy calls. Each source keeps
-the signed bucket code of every key it has seen, so a key is spelled out as
-its token string and hashed only the first time it is seen. The signed bag
-is then counted a chunk of rows at a time; bag entries are integer counts,
-so the result does not depend on token order or summation order.
-`FeatureCache` stores those matrices for a fixed list of sources, keyed by
-sample content, and hands training and prediction a dataset's matrix in
-sample order; mini-batches are then row selections of it. A miss featurizes
-the missing rows for all of the cache's sources in one call, and the cache's
-memo lives as long as the cache, so a token is hashed once per source however
-many lookups miss. A cache is saved as one row index (keys.npy) plus one .npy
-matrix per source and loaded again, so the rows one pipeline stage built
-serve the stages after it: each row of a run is featurized once.
+There is one featurization path: `featurize_sparse` maps a list of pairs
+to each source's rows as their non-zero entries (`SparseRows`: values,
+columns and per-row offsets); `featurize_pairs` makes those rows dense. A
+chunk of rows works on word ids, not token strings: each text is split into
+words once for all sources, each word is numbered once (`KeyCodes`), and the
+chunk's unigram, bigram and overlap tokens become integer keys built with a
+few numpy calls. Each source keeps the signed bucket code of every key it
+has seen, so a key is spelled out as its token string and hashed only the
+first time it is seen. The signed bag is then counted and normalized a
+chunk of rows at a time, and only the chunk's non-zero entries are kept.
+Bag entries are integer counts, so the result does not depend on token
+order or summation order, and every entry left out is the +0.0 a dense
+row would hold. A toy row has about 26 non-zero entries of 192.
+`FeatureCache` keeps those entries for a fixed list of sources, keyed by
+sample content, and hands training and prediction a new dense matrix of a
+dataset's rows in sample order; mini-batches are then row selections of it.
+A miss featurizes the missing rows for all of the cache's sources in one
+call, and the cache's memo lives as long as the cache, so a token is hashed
+once per source however many lookups miss. A cache is saved as one row
+index (keys.npy) plus each source's values, columns and offsets and loaded
+again, so the rows one pipeline stage built serve the stages after it: each
+row of a run is featurized once.
 """
 from __future__ import annotations
 
@@ -36,10 +41,9 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.lib import format as npy_format
 
 from .data import Dataset, SamplePair, is_file_name
 
@@ -179,13 +183,58 @@ class KeyCodes(dict):
         return self.bigrams[:, at]
 
 
-def featurize_pairs(
+class SparseRows(NamedTuple):
+    """Feature rows as their non-zero entries: row r holds the values
+    values[offsets[r]:offsets[r + 1]] at the columns of the same slice, in
+    ascending column order. Every entry left out is +0.0."""
+
+    values: np.ndarray  # float64
+    columns: np.ndarray  # _column_dtype(dim)
+    offsets: np.ndarray  # int64, one more than the rows
+
+    @classmethod
+    def empty(cls, dim: int) -> "SparseRows":
+        return cls(np.zeros(0), np.zeros(0, dtype=_column_dtype(dim)),
+                   np.zeros(1, dtype=np.int64))
+
+    @classmethod
+    def joined(cls, pieces: Sequence["SparseRows"]) -> "SparseRows":
+        """The rows of the pieces, one after another."""
+        ends = np.cumsum([p.offsets[-1] for p in pieces])
+        return cls(np.concatenate([p.values for p in pieces]),
+                   np.concatenate([p.columns for p in pieces]),
+                   np.concatenate([pieces[0].offsets] + [p.offsets[1:] + end for p, end
+                                                         in zip(pieces[1:], ends)]))
+
+    def dense(self, dim: int, rows: np.ndarray) -> np.ndarray:
+        """A new (len(rows), dim) float64 matrix of the given rows, in that order."""
+        out = np.zeros((len(rows), dim), dtype=np.float64)
+        if len(rows) and (np.diff(rows) == 1).all():  # a run of rows: one run of entries
+            offsets = self.offsets[rows[0] : rows[-1] + 2]
+            lengths, at = np.diff(offsets), slice(offsets[0], offsets[-1])
+        else:
+            starts = self.offsets[rows]
+            lengths = self.offsets[rows + 1] - starts
+            ends = np.cumsum(lengths)
+            at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths,
+                                                                     lengths)
+        out.reshape(-1)[np.repeat(np.arange(0, out.size, dim), lengths) + self.columns[at]] = \
+            self.values[at]
+        return out
+
+
+def _column_dtype(dim: int) -> np.dtype:
+    """The smallest unsigned integer type that holds every column below dim."""
+    return np.min_scalar_type(dim - 1)
+
+
+def featurize_sparse(
     pairs: Sequence[tuple[str, str]],
     sources: Sequence[SourceSpec],
     codes: Optional[KeyCodes] = None,
-) -> list[np.ndarray]:
-    """Map text pairs to one (n, source.dim) matrix per source, one row per
-    pair in order.
+) -> list[SparseRows]:
+    """Map text pairs to their feature rows under each source, one row per
+    pair in order, as the rows' non-zero entries.
 
     Deterministic for (texts, source); different featurizer seeds place the
     same tokens in different buckets with different signs. The two leading
@@ -199,7 +248,7 @@ def featurize_pairs(
     if not sources:
         return []
     codes = KeyCodes(len(sources)) if codes is None else codes
-    outs = [np.zeros((len(pairs), source.dim), dtype=np.float64) for source in sources]
+    chunks: list[list[SparseRows]] = [[SparseRows.empty(s.dim)] for s in sources]
     for start in range(0, len(pairs), CHUNK_ROWS):
         chunk = pairs[start : start + CHUNK_ROWS]
         rows = len(chunk)
@@ -232,18 +281,38 @@ def featurize_pairs(
         signed = np.concatenate([codes.unigram_codes(unigrams, sources),
                                  codes.bigram_codes(bigrams, sources)], axis=1)
         row_of = np.concatenate([row, shared // WORD_LIMIT, bigram_rows])
-        buckets, signs = np.abs(signed) - 1, np.sign(signed).astype(np.float64)
-        for source, out, bucket, sign in zip(sources, outs, buckets, signs):
-            n_buckets = source.dim - N_STATS
-            counts = np.bincount(row_of * n_buckets + bucket, weights=sign,
-                                 minlength=rows * n_buckets)
-            # bincount returns integers when there is no token at all.
-            bag = counts.astype(np.float64, copy=False).reshape(rows, n_buckets)
-            norms = np.sqrt(np.einsum("ij,ij->i", bag, bag))
-            norms[norms == 0] = 1.0  # an empty bag stays all zeros
-            out[start : start + rows, :N_STATS] = stats
-            np.divide(bag, norms[:, None], out=out[start : start + rows, N_STATS:])
-    return outs
+        buckets, signs = np.abs(signed) - 1 + N_STATS, np.sign(signed).astype(np.float64)
+        for source, pieces, column, sign in zip(sources, chunks, buckets, signs):
+            dim = source.dim
+            # The chunk's rows, counted dense; bincount returns integers when
+            # there is no token at all.
+            counts = np.bincount(row_of * dim + column, weights=sign,
+                                 minlength=rows * dim).astype(np.float64, copy=False)
+            dense = counts.reshape(rows, dim)
+            # Bag entries are integer counts, so their squares sum exactly in
+            # any order; an empty bag stays all zeros.
+            norms = np.sqrt(np.einsum("ij,ij->i", dense, dense))
+            norms[norms == 0] = 1.0
+            dense /= norms[:, None]
+            dense[:, :N_STATS] = stats
+            # Entries are selected by their bits, so a -0.0 would be kept.
+            at = (counts.view(np.int64) != 0).nonzero()[0]
+            row_at = at // dim
+            pieces.append(SparseRows(counts[at], (at - row_at * dim).astype(_column_dtype(dim)),
+                                     np.searchsorted(row_at, np.arange(rows + 1))))
+    return [SparseRows.joined(pieces) for pieces in chunks]
+
+
+def featurize_pairs(
+    pairs: Sequence[tuple[str, str]],
+    sources: Sequence[SourceSpec],
+    codes: Optional[KeyCodes] = None,
+) -> list[np.ndarray]:
+    """Map text pairs to one (n, source.dim) matrix per source, one row per
+    pair in order: featurize_sparse's rows, made dense."""
+    every = np.arange(len(pairs))
+    return [rows.dense(source.dim, every)
+            for source, rows in zip(sources, featurize_sparse(pairs, sources, codes=codes))]
 
 
 def featurize(text_a: str, text_b: str, source: SourceSpec) -> np.ndarray:
@@ -268,25 +337,33 @@ def _load_npy(path: Path) -> np.ndarray:
         raise ValueError(f"{path.name}: {exc}") from exc
 
 
-def _read_blocks(path: Path, block_rows: list[int], rows: int, dim: int) -> list[np.ndarray]:
-    """The row blocks of a matrix file that `FeatureCache.save` wrote, read one by one."""
-    with path.open("rb") as fh:
-        try:
-            version = npy_format.read_magic(fh)
-            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
-        except (EOFError, ValueError) as exc:
-            raise ValueError(f"{path.name}: {exc}") from exc
-        if (version, fortran_order, dtype, shape) != ((1, 0), False, np.float64, (rows, dim)):
-            raise ValueError(f"{path.name} holds {dtype} {shape}, expected float64 {(rows, dim)}")
-        blocks = []
-        for n in block_rows:
-            block = np.fromfile(fh, dtype=np.float64, count=n * dim)
-            if block.size != n * dim:
-                raise ValueError(f"{path.name} is truncated")
-            block = block.reshape(n, dim)
-            block.flags.writeable = False
-            blocks.append(block)
-    return blocks
+def _read_rows(directory: Path, saved: dict, rows: int, dim: int) -> SparseRows:
+    """One source's rows as `FeatureCache.save` wrote them, checked to be
+    rows that `featurize_sparse` could have built."""
+    stored = SparseRows(*(_load_npy(directory / saved[part]) for part in SparseRows._fields))
+    for part, array, dtype in zip(SparseRows._fields, stored,
+                                  (np.float64, _column_dtype(dim), np.int64)):
+        if array.dtype != dtype or array.ndim != 1:
+            raise ValueError(f"{saved[part]} holds {array.dtype} {array.shape}, "
+                             f"expected a vector of {np.dtype(dtype)}")
+    values, columns, offsets = stored
+    if (len(offsets) != rows + 1 or offsets[0] != 0 or offsets[-1] != len(values)
+            or (np.diff(offsets) < 0).any()):
+        raise ValueError(f"{saved['offsets']} does not split {len(values)} values into "
+                         f"{rows} rows")
+    if len(columns) != len(values):
+        raise ValueError(f"{saved['columns']} holds {len(columns)} columns for "
+                         f"{len(values)} values")
+    if len(columns) and columns.max() >= dim:
+        raise ValueError(f"{saved['columns']} holds column {columns.max()}, past dim {dim}")
+    places = np.repeat(np.arange(rows) * dim, np.diff(offsets)) + columns
+    if (np.diff(places) <= 0).any():
+        raise ValueError(f"{saved['columns']} does not ascend within a row")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{saved['values']} holds a value that is not finite")
+    if not values.view(np.int64).all():
+        raise ValueError(f"{saved['values']} holds a +0.0")
+    return stored
 
 
 def _check_entry(entry) -> None:
@@ -297,14 +374,9 @@ def _check_entry(entry) -> None:
         if not ok:
             raise ValueError(f"{field} must be {expected}, got {json.dumps(value)}")
 
-    def is_count(value) -> bool:
-        return type(value) is int and value >= 0
-
     check(type(entry) is dict, "the store entry", "a mapping", entry)
-    check(is_count(entry.get("rows")), "rows", "an int >= 0", entry.get("rows"))
-    blocks = entry.get("blocks")
-    check(type(blocks) is list and all(map(is_count, blocks)), "blocks",
-          "a list of ints >= 0", blocks)
+    rows = entry.get("rows")
+    check(type(rows) is int and rows >= 0, "rows", "an int >= 0", rows)
     check(is_file_name(entry.get("keys")), "keys", "a file name", entry.get("keys"))
     sources = entry.get("sources")
     check(type(sources) is dict, "sources", "a mapping of source names", sources)
@@ -313,87 +385,83 @@ def _check_entry(entry) -> None:
         for field in ("featurizer_seed", "dim"):
             check(type(saved.get(field)) is int, f"sources.{name}.{field}", "an int",
                   saved.get(field))
-        check(is_file_name(saved.get("matrix")), f"sources.{name}.matrix", "a file name",
-              saved.get("matrix"))
+        for field in SparseRows._fields:
+            check(is_file_name(saved.get(field)), f"sources.{name}.{field}", "a file name",
+                  saved.get(field))
 
 
 class FeatureCache:
-    """Feature matrices for a fixed list of sources, keyed by sample content.
+    """Feature rows for a fixed list of sources, keyed by sample content.
 
     Rows are keyed by sample content (id, text_a, text_b), so train, dev and
     eval splits of one dataset never share a row unless their samples are
     the same, while reloaded copies of a split and subsets of it (CV folds)
     reuse the stored rows. All sources share one row index: a lookup that
     misses featurizes the missing rows for every source in one call, so each
-    row is split into words once and every source's store gets the same block
-    of rows. The memo of all sources lives as long as the cache, so a token is
+    row is split into words once and every source's store gets the same
+    rows. The memo of all sources lives as long as the cache, so a token is
     hashed once per source. The cache keeps each
     Dataset object it has served with its rows, so a second lookup of it
     hashes no sample; the library never changes a Dataset's samples after
     building it, nor a SamplePair (which also lets the pipeline hand the
     samples a stage wrote to the stages that read them). A cache keeps
-    every matrix it has built until it is dropped; `save` writes it out and
-    `load` opens a saved one, which then featurizes only rows it does not
-    hold.
+    every row it has built, as the row's non-zero entries (`SparseRows`),
+    until it is dropped; only `lookup` builds dense rows, and each lookup's
+    matrix belongs to its caller. `save` writes the store out and `load`
+    opens a saved one, which then featurizes only rows it does not hold.
     """
 
     def __init__(self, sources: Sequence[SourceSpec]):
         self._sources = list(dict.fromkeys(sources))
-        # row blocks of each source, one per miss; the blocks of all sources line up
-        self._blocks: dict[SourceSpec, list[np.ndarray]] = {s: [] for s in self._sources}
+        # the rows of each source, a block per miss; the blocks of all sources line up
+        self._blocks = {s: [SparseRows.empty(s.dim)] for s in self._sources}
+        self._starts = [0]  # first row of each block
         self._codes = KeyCodes(len(self._sources))
-        self._starts: list[int] = []  # first row of each block
         self._where: dict[bytes, int] = {}  # content key -> row
         self._served: dict[int, tuple[Dataset, np.ndarray]] = {}  # id -> (dataset, its rows)
 
     def save(self, directory: Path) -> dict:
         """Write the row index as keys.npy, each row's 16-byte content key in
-        row order, and each source's rows as <name>.npy, a (rows, dim) float64
-        matrix.
+        row order, and each source's rows as three vectors in that order:
+        <name>.values.npy (float64), <name>.columns.npy (the smallest unsigned
+        integer type that holds dim - 1) and <name>.offsets.npy (int64, one
+        more than the rows), as `SparseRows` lays them out.
 
-        A matrix's blocks are written one after another behind one .npy
-        header, so saving holds no second copy of the rows. Returns the entry
-        `load` reads: the row count, the rows per block, the keys file and,
-        per source name, its featurizer seed, dim and matrix file.
+        Returns the entry `load` reads: the row count, the keys file and, per
+        source name, its featurizer seed, dim and three files.
         """
         directory.mkdir(parents=True, exist_ok=True)
-        rows = len(self._where)
         keys = np.frombuffer(b"".join(self._where), dtype=np.uint8).reshape(-1, KEY_BYTES)
         np.save(directory / "keys.npy", keys, allow_pickle=False)
         sources = {}
-        for source, blocks in self._blocks.items():
-            matrix = f"{source.name}.npy"
-            header = {"descr": npy_format.dtype_to_descr(np.dtype(np.float64)),
-                      "fortran_order": False, "shape": (rows, source.dim)}
-            with (directory / matrix).open("wb") as fh:
-                npy_format.write_array_header_1_0(fh, header)
-                for block in blocks:
-                    block.tofile(fh)
+        self._merge()
+        for source, (stored,) in self._blocks.items():
+            files = {part: f"{source.name}.{part}.npy" for part in SparseRows._fields}
+            for part, array in zip(SparseRows._fields, stored):
+                np.save(directory / files[part], array, allow_pickle=False)
             sources[source.name] = {"featurizer_seed": source.featurizer_seed,
-                                    "dim": source.dim, "matrix": matrix}
-        return {"rows": rows, "blocks": np.diff([*self._starts, rows]).tolist(),
-                "keys": "keys.npy", "sources": sources}
+                                    "dim": source.dim, **files}
+        return {"rows": len(self._where), "keys": "keys.npy", "sources": sources}
 
     @classmethod
     def load(cls, directory: Path, entry: dict, sources: Sequence[SourceSpec]) -> "FeatureCache":
         """A cache of the given sources, seeded with the rows saved in
         directory, through the entry `save` returned.
 
-        Reads only the keys file and the given sources' matrices, without
-        pickles. Each matrix is read block by block into read-only blocks of
-        the saved layout: blocks of the sizes the saving stage featurized can
-        reuse memory it freed, where one whole-matrix array would not.
-        Raises ValueError naming the field when the entry is not of the form
-        `save` returns, when it lists no source of that name, seed and dim,
-        when its blocks do not add up to its rows, when a file is
-        malformed, truncated or of another shape, or when a key repeats;
-        OSError when a file is missing.
+        Reads only the keys file and the given sources' files, without
+        pickles. Raises ValueError naming the field when the entry is not of
+        the form `save` returns, or when it lists no source of that name,
+        seed and dim; naming the file when a file is malformed or truncated,
+        when a key repeats or the keys do not match the row count, and when a
+        source's vectors are not rows `featurize_sparse` could have built:
+        offsets that do not start at 0, rise and end at the value count,
+        columns at or past dim or not ascending within a row, values that are
+        not finite or are +0.0, or another dtype. OSError when a file is
+        missing.
         """
         _check_entry(entry)
         cache = cls(sources)
-        rows, block_rows = entry["rows"], entry["blocks"]
-        if sum(block_rows) != rows:
-            raise ValueError(f"the store's blocks hold {sum(block_rows)} rows, not {rows}")
+        rows = entry["rows"]
         keys = _load_npy(directory / entry["keys"])
         if keys.dtype != np.uint8 or keys.shape != (rows, KEY_BYTES):
             raise ValueError(f"{entry['keys']} holds {keys.dtype} {keys.shape} for {rows} rows")
@@ -401,7 +469,6 @@ class FeatureCache:
         cache._where = {flat[r * KEY_BYTES : (r + 1) * KEY_BYTES]: r for r in range(rows)}
         if len(cache._where) != rows:
             raise ValueError(f"{entry['keys']} repeats a key")
-        cache._starts = [sum(block_rows[:b]) for b in range(len(block_rows))]
         for source in cache._sources:
             saved = entry["sources"].get(source.name, {})
             if (saved.get("featurizer_seed"), saved.get("dim")) != (source.featurizer_seed, source.dim):
@@ -409,19 +476,15 @@ class FeatureCache:
                     f"the store lists no source {source.name!r} with featurizer seed "
                     f"{source.featurizer_seed} and dim {source.dim}"
                 )
-            cache._blocks[source] = _read_blocks(directory / saved["matrix"], block_rows, rows,
-                                                 source.dim)
+            cache._blocks[source] = [_read_rows(directory, saved, rows, source.dim)]
         return cache
 
     def lookup(self, dataset: Dataset, source: SourceSpec) -> np.ndarray:
-        """The dataset's (n, dim) feature matrix under the source, in sample order.
-
-        Read-only. A dataset whose rows were featurized together, in this
-        order, gets a view of the stored block rather than a copy. Raises
-        ValueError for a source the cache was not built for.
+        """A new read-only (n, dim) float64 matrix of the dataset's feature
+        rows under the source, in sample order, made dense from the stored
+        entries. Raises ValueError for a source the cache was not built for.
         """
-        blocks = self._blocks.get(source)
-        if blocks is None:
+        if source not in self._blocks:
             raise ValueError(
                 f"the feature cache holds no source {source.name!r} with featurizer seed "
                 f"{source.featurizer_seed} and dim {source.dim}"
@@ -434,25 +497,25 @@ class FeatureCache:
             if missing:
                 first = len(where)
                 pairs = [(dataset.samples[i].text_a, dataset.samples[i].text_b) for i in missing]
-                matrices = featurize_pairs(pairs, self._sources, codes=self._codes)
-                for store, block in zip(self._blocks.values(), matrices):
-                    block.flags.writeable = False
-                    store.append(block)
+                built = featurize_sparse(pairs, self._sources, codes=self._codes)
+                for blocks, rows in zip(self._blocks.values(), built):
+                    blocks.append(rows)
                 self._starts.append(first)
                 where.update((keys[i], first + r) for r, i in enumerate(missing))
             rows = np.fromiter((where[k] for k in keys), dtype=np.intp, count=len(keys))
             served = self._served[id(dataset)] = (dataset, rows)
         rows = served[1]
-        if not len(rows):
-            return np.zeros((0, source.dim), dtype=np.float64)
         block_of = np.searchsorted(self._starts, rows, side="right") - 1
-        local = rows - np.asarray(self._starts, dtype=np.intp)[block_of]
-        if (block_of == block_of[0]).all() and (np.diff(local) == 1).all():
-            return blocks[block_of[0]][local[0] : local[0] + len(rows)]
-        out = np.empty((len(rows), source.dim), dtype=np.float64)
-        for b, block in enumerate(blocks):
-            mask = block_of == b
-            if mask.any():
-                out[mask] = block[local[mask]]
+        block = int(block_of[0]) if len(rows) else 0
+        if (block_of != block).any():
+            self._merge()
+            block = 0
+        out = self._blocks[source][block].dense(source.dim, rows - self._starts[block])
         out.flags.writeable = False
         return out
+
+    def _merge(self) -> None:
+        """Make each source's rows one block."""
+        for blocks in self._blocks.values():
+            blocks[:] = [SparseRows.joined(blocks)]
+        self._starts = [0]

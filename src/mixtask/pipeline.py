@@ -181,21 +181,27 @@ class StageRun:
             self.inputs[producer] = digest
         return self._indexes[producer]
 
-    def entry(self, producer: str, *keys: str, kind: type = dict, optional: bool = False):
+    def entry(self, producer: str, *keys: str | int, kind: type = dict, optional: bool = False,
+              what: Optional[str] = None):
         """The value under keys in a producer's index, which must be a `kind`
         (dict, list, str, or object for any), or None when optional and the
-        last key is absent. A missing key, or a value on the way that is not
-        a mapping, makes the index unreadable."""
+        last key is absent. An int key picks an item of a list. A missing key,
+        or a value on the way that is not a mapping (a list before an int
+        key), makes the index unreadable; the error names `what`, by default
+        the index file."""
         value = self.index(producer)
-        with self.reading(f"{producer}/index.json", producer):
+        with self.reading(what or f"{producer}/index.json", producer):
             for depth, key in enumerate(keys, start=1):
                 if optional and depth == len(keys) and key not in value:
                     return None
                 value = value[key]
-                expected = kind if depth == len(keys) else dict
+                if depth == len(keys):
+                    expected = kind
+                else:
+                    expected = list if type(keys[depth]) is int else dict
                 if not isinstance(value, expected):
-                    raise ValueError(f"{'.'.join(keys[:depth])} must be {_JSON_KINDS[expected]}, "
-                                     f"got {json.dumps(value)}")
+                    raise ValueError(f"{'.'.join(map(str, keys[:depth]))} must be "
+                                     f"{_JSON_KINDS[expected]}, got {json.dumps(value)}")
         return value
 
     def _path(self, producer: str, filename) -> Path:
@@ -243,13 +249,15 @@ class StageRun:
         CV task of a CV member, else the standard split."""
         if member["fold"] is not None and name == self.cfg.cv_task:
             folds = self.entry("split", "folds", kind=list)
-            with self.reading(f"fold {member['fold']} of split/index.json", "split"):
+            what = f"fold {member['fold']} of split/index.json"
+            with self.reading(what, "split"):
                 if not all(isinstance(meta, dict) for meta in folds):
                     raise ValueError("folds must be a list of mappings")
-                fold = [meta for meta in folds if meta.get("fold") == member["fold"]]
-                if len(fold) != 1:
-                    raise ValueError(f"folds lists fold {member['fold']} {len(fold)} times")
-            return self._dataset("split", name, fold[0].get(split))
+                at = [j for j, meta in enumerate(folds) if meta.get("fold") == member["fold"]]
+                if len(at) != 1:
+                    raise ValueError(f"folds lists fold {member['fold']} {len(at)} times")
+            filename = self.entry("split", "folds", at[0], split, kind=object, what=what)
+            return self._dataset("split", name, filename)
         return self.split(name, split)
 
     def member_tasks(self, member: dict) -> list[TaskData]:
@@ -278,9 +286,10 @@ class StageRun:
         entry = self.entry(producer, *keys, optional=True)
         if entry is None:
             raise self.error(f"no trained checkpoint for member {member_id}; re-run train")
-        path = self._path(producer, entry.get("checkpoint"))
+        filename = self.entry(producer, *keys, "checkpoint", kind=object)
+        path = self._path(producer, filename)
         if path not in self._checkpoints:
-            with self.reading(f"{producer} checkpoint {entry['checkpoint']!r}", producer):
+            with self.reading(f"{producer} checkpoint {filename!r}", producer):
                 self._checkpoints[path] = load_checkpoint(path, entry)
         return self._checkpoints[path]
 

@@ -116,7 +116,7 @@ def first_two_rank_rows_swapped(rows):
                'label "x" is not a class index below 3'), "evaluate"),
     (first_row("ensemble", "toy_rqe.jsonl", "label", 2,
                "label 2 is not a class index below 2"), "evaluate"),
-    (train_features("blocks", "x", 'blocks must be a list of ints >= 0, got "x"'), "predict"),
+    (train_features("rows", "x", 'rows must be an int >= 0, got "x"'), "predict"),
     (train_features("sources", ["family_a"],
                     'sources must be a mapping of source names, got ["family_a"]'), "predict"),
     (first_row("rank", "toy_qa.jsonl", "label", "x",
@@ -151,6 +151,10 @@ def first_two_rank_rows_swapped(rows):
                "question_id null is not a string"), "rank"),
     (index_value("train", ["members", "family_a-m0", "checkpoint"], ["x"], "train/index.json",
                  '["x"] is not a file name'), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "checkpoint"], MISSING, "train/index.json",
+                 "'checkpoint'", error="KeyError"), "finetune"),
+    (index_value("split", ["folds", 0, "train"], MISSING, "fold 0 of split/index.json",
+                 "'train'", error="KeyError"), "train"),
     (index_value("train", ["members", "family_a-m0", "layout", "hidden"], "24",
                  "train checkpoint 'family_a-m0__multitask.npy'",
                  "the index entry's checkpoint layout has hidden \"24\", not an int >= 1"),

@@ -162,28 +162,29 @@ def test_featurize_dataset_order_and_cache():
     table = cache.lookup(ds, src)
     assert np.array_equal(table, mat)
     again = cache.lookup(ds, src)
-    assert np.shares_memory(again, table) and again.base is not None  # a view, not a copy
+    assert again.tobytes() == table.tobytes() and not np.shares_memory(again, table)
     assert not again.flags.writeable
 
 
 def test_cache_featurizes_each_row_once_per_content(monkeypatch):
     calls = []
-    real = featurize_module.featurize_pairs
+    real = featurize_module.featurize_sparse
 
     def counting(pairs, sources, **memo):
         calls.append((len(pairs), [s.name for s in sources]))
         return real(pairs, sources, **memo)
 
-    monkeypatch.setattr(featurize_module, "featurize_pairs", counting)
     ds = make_dataset(30, name="d")
     src, other = SourceSpec("fam", 7, 40), SourceSpec("fam2", 8, 40)
+    expected = featurize_rows(ds, other)
+    monkeypatch.setattr(featurize_module, "featurize_sparse", counting)
     cache = FeatureCache([src, other])
     full = cache.lookup(ds, src)
     reloaded = ds.with_samples([s.copy() for s in ds])
-    assert np.shares_memory(cache.lookup(reloaded, src), full)
+    assert cache.lookup(reloaded, src).tobytes() == full.tobytes()
     fold = ds.with_samples(ds.samples[20:] + ds.samples[:5])  # a reordered subset
     assert np.array_equal(cache.lookup(fold, src), np.concatenate([full[20:], full[:5]]))
-    assert cache.lookup(ds, other).tobytes() == featurize_rows(ds, other).tobytes()
+    assert cache.lookup(ds, other).tobytes() == expected.tobytes()
     assert calls == [(30, ["fam", "fam2"])]  # one call featurized both sources
 
 
@@ -236,15 +237,16 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
     cache.lookup(train, src)
     cache.lookup(dev, src)
     entry = cache.save(tmp_path)
-    assert entry == {"rows": 41, "blocks": [40, 1], "keys": "keys.npy",
-                     "sources": {"fam": {"featurizer_seed": 7, "dim": 64, "matrix": "fam.npy"}}}
+    assert entry == {"rows": 41, "keys": "keys.npy", "sources": {"fam": {
+        "featurizer_seed": 7, "dim": 64, "values": "fam.values.npy",
+        "columns": "fam.columns.npy", "offsets": "fam.offsets.npy"}}}
 
     expected = [featurize_rows(ds, src).tobytes() for ds in (train, fold, dev)]
 
     def no_featurizing(pairs, sources, **memo):
         raise AssertionError(f"featurized {len(pairs)} rows")
 
-    monkeypatch.setattr(featurize_module, "featurize_pairs", no_featurizing)
+    monkeypatch.setattr(featurize_module, "featurize_sparse", no_featurizing)
     loaded = FeatureCache.load(tmp_path, entry, [src])
     for ds, rows in zip((train, fold, dev), expected):
         got = loaded.lookup(ds, src)
@@ -275,11 +277,11 @@ def test_loading_a_store_checks_keys_against_rows(tmp_path):
     with pytest.raises(ValueError, match="repeats a key"):
         FeatureCache.load(tmp_path, entry, [src])
     np.save(tmp_path / "keys.npy", keys)
-    with pytest.raises(ValueError, match=r"^the store's blocks hold 6 rows, not 5$"):
-        FeatureCache.load(tmp_path, {**entry, "blocks": [5, 1]}, [src])
+    with pytest.raises(ValueError, match=r"^keys.npy holds uint8 \(5, 16\) for 6 rows$"):
+        FeatureCache.load(tmp_path, {**entry, "rows": 6}, [src])
 
 
-def test_save_writes_one_row_index_and_one_matrix_per_source(tmp_path):
+def test_save_writes_one_row_index_and_three_vectors_per_source(tmp_path):
     sources = [SourceSpec("fam", 7, 16), SourceSpec("fam2", 8, 24)]
     first = make_dataset(5, name="d")
     second = make_dataset(7, name="d", text_a=lambda i: f"other words {i}")
@@ -287,21 +289,27 @@ def test_save_writes_one_row_index_and_one_matrix_per_source(tmp_path):
     cache.lookup(first, sources[0])
     cache.lookup(second, sources[1])
     entry = cache.save(tmp_path)
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["fam.npy", "fam2.npy", "keys.npy"]
-    assert entry == {"rows": 12, "blocks": [5, 7], "keys": "keys.npy", "sources": {
-        "fam": {"featurizer_seed": 7, "dim": 16, "matrix": "fam.npy"},
-        "fam2": {"featurizer_seed": 8, "dim": 24, "matrix": "fam2.npy"},
+    files = {src.name: {part: f"{src.name}.{part}.npy" for part in ("values", "columns", "offsets")}
+             for src in sources}
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["keys.npy", *files["fam"].values(), *files["fam2"].values()])
+    assert entry == {"rows": 12, "keys": "keys.npy", "sources": {
+        "fam": {"featurizer_seed": 7, "dim": 16, **files["fam"]},
+        "fam2": {"featurizer_seed": 8, "dim": 24, **files["fam2"]},
     }}
     assert np.load(tmp_path / "keys.npy").shape == (12, 16)
     for src in sources:
         expected = np.concatenate([featurize_rows(first, src), featurize_rows(second, src)])
-        assert np.load(tmp_path / f"{src.name}.npy").tobytes() == expected.tobytes()
+        stored = [np.load(tmp_path / files[src.name][part]) for part in ("values", "columns",
+                                                                         "offsets")]
+        rows = featurize_module.SparseRows(*stored).dense(src.dim, np.arange(12))
+        assert rows.tobytes() == expected.tobytes()
+        assert stored[0].tobytes() == expected[expected.view(np.int64) != 0].tobytes()
 
-    # Only the requested sources are read, and each block stays its own array.
+    # Only the requested sources are read.
     loaded = FeatureCache.load(tmp_path, entry, sources[1:])
     a, b = loaded.lookup(first, sources[1]), loaded.lookup(second, sources[1])
-    assert a.tobytes() + b.tobytes() == np.load(tmp_path / "fam2.npy").tobytes()
-    assert a.base is not None and b.base is not None and a.base is not b.base
+    assert a.tobytes() + b.tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="holds no source 'fam'"):
         loaded.lookup(first, sources[0])
 
@@ -415,3 +423,94 @@ def test_a_word_id_past_the_packing_limit_is_refused(monkeypatch):
         featurize_pairs([("one seven", "two")], [src], codes=codes)
     with pytest.raises(ValueError, match="word id 6 is past"):
         featurize_pairs([("seven", "")], [src], codes=codes)
+
+
+def test_lookup_gives_the_bytes_of_featurize_pairs_from_fresh_loaded_and_resaved_stores(tmp_path):
+    """Bit for bit (`tobytes`, so a -0.0 would differ from a 0.0) through a
+    fresh store, one saved and loaded, and one loaded, saved and loaded again,
+    for a whole dataset and a reordered subset (a CV fold), with a row whose
+    bag is empty and whose statistics are zero, and a source of dim 3."""
+    sources = [SourceSpec("tiny", 41, 3), SourceSpec("fam", 42, 64)]
+    whole = make_dataset(0, name="d").with_samples(
+        [SamplePair(id=f"p{i}", text_a=a, text_b=b, label=0)
+         for i, (a, b) in enumerate(_toy_pairs())])
+    empty = next(i for i, s in enumerate(whole) if (s.text_a, s.text_b) == ("", ""))
+    fold = whole.with_samples(whole.samples[empty:][::-1] + whole.samples[:40])
+    expected = [(ds, src, featurize_rows(ds, src)) for ds in (whole, fold) for src in sources]
+    assert not expected[0][2][empty].view(np.int64).any()  # +0.0 throughout, statistics included
+
+    fresh = FeatureCache(sources)
+    fresh.lookup(whole.with_samples(whole.samples[:100]), sources[1])
+    fresh.lookup(whole, sources[0])  # featurizes the other rows; the fold spans both misses
+    entry = fresh.save(tmp_path / "a")
+    loaded = FeatureCache.load(tmp_path / "a", entry, sources)
+    resaved = FeatureCache.load(tmp_path / "b", loaded.save(tmp_path / "b"), sources)
+    for cache in (fresh, loaded, resaved):
+        for ds, src, rows in expected:
+            got = cache.lookup(ds, src)
+            assert not got.flags.writeable and got.dtype == np.float64
+            assert got.tobytes() == rows.tobytes()
+    assert resaved.save(tmp_path / "c") == entry
+    for name in sorted(path.name for path in (tmp_path / "a").iterdir()):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+    for src in sources:
+        offsets = np.load(tmp_path / "a" / f"{src.name}.offsets.npy")
+        assert offsets[empty + 1] == offsets[empty]  # no entry stored for the empty row
+
+
+def _damaged(values=None, columns=None, offsets=None):
+    """A store edit: each given function maps a source's saved vector to the damaged one."""
+    def edit(directory):
+        for part, change in (("values", values), ("columns", columns), ("offsets", offsets)):
+            if change is not None:
+                path = directory / f"fam.{part}.npy"
+                np.save(path, change(np.load(path)))
+    return edit
+
+
+def _set(at, value):
+    def change(array):
+        array = array.copy()
+        array[at] = value
+        return array
+    return change
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (_damaged(columns=_set(-1, 16)), "fam.columns.npy holds column 16, past dim 16"),
+    (_damaged(offsets=lambda o: np.append(o[:-1], o[-1] - 1)), "fam.offsets.npy does not split"),
+    (_damaged(values=lambda v: v[:-1]), r"fam.offsets.npy does not split \d+ values into 5 rows"),
+    (_damaged(offsets=lambda o: o + 1), "fam.offsets.npy does not split"),
+    (_damaged(offsets=lambda o: o[:-1]), "fam.offsets.npy does not split"),
+    (_damaged(offsets=_set(2, 0)), "fam.offsets.npy does not split"),
+    (_damaged(columns=lambda c: c[:-1]), r"fam.columns.npy holds \d+ columns for \d+ values"),
+    (_damaged(columns=_set(1, 0)), "fam.columns.npy does not ascend within a row"),
+    (_damaged(values=_set(0, np.nan)), "fam.values.npy holds a value that is not finite"),
+    (_damaged(values=_set(0, np.inf)), "fam.values.npy holds a value that is not finite"),
+    (_damaged(values=_set(3, 0.0)), r"fam.values.npy holds a \+0.0"),
+    (_damaged(values=lambda v: v.astype(np.float32)),
+     r"fam.values.npy holds float32 \(\d+,\), expected a vector of float64"),
+    (_damaged(columns=lambda c: c.astype(np.int64)),
+     r"fam.columns.npy holds int64 \(\d+,\), expected a vector of uint8"),
+    (_damaged(offsets=lambda o: o.reshape(1, -1)),
+     r"fam.offsets.npy holds int64 \(1, 6\), expected a vector of int64"),
+], ids=["column_at_dim", "offsets_end_short", "values_one_short", "offsets_start_past_0",
+        "offsets_one_short", "offsets_fall", "columns_one_short", "columns_not_ascending",
+        "nan_value", "inf_value", "zero_value", "float32_values", "int64_columns",
+        "offsets_not_a_vector"])
+def test_loading_checks_each_source_s_vectors(tmp_path, edit, problem):
+    src = SourceSpec("fam", 7, 16)
+    cache = FeatureCache([src])
+    cache.lookup(make_dataset(5, name="d"), src)
+    entry = cache.save(tmp_path)
+    edit(tmp_path)
+    with pytest.raises(ValueError, match=f"^{problem}"):
+        FeatureCache.load(tmp_path, entry, [src])
+
+
+def test_a_negative_zero_is_a_stored_value():
+    """Entries are kept by their bits: a -0.0 survives the store, a +0.0 is left out."""
+    rows = featurize_module.SparseRows(np.array([-0.0, 2.0]), np.array([0, 2], dtype=np.uint8),
+                                       np.array([0, 1, 2]))
+    dense = rows.dense(3, np.array([1, 0]))
+    assert dense.tobytes() == np.array([[0.0, 0.0, 2.0], [-0.0, 0.0, 0.0]]).tobytes()

@@ -853,7 +853,7 @@ def test_finetune_and_predict_featurize_only_eval_rows(
     # A file the train index does not list is never read.
     (run / "train" / "features" / "unlisted.npy").write_bytes(b"not an array")
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
-    featurized, real = {}, featurize_module.featurize_pairs
+    featurized, real = {}, featurize_module.featurize_sparse
     for stage in ("finetune", "predict"):
         rows = featurized.setdefault(stage, [])
 
@@ -861,7 +861,7 @@ def test_finetune_and_predict_featurize_only_eval_rows(
             rows.extend((source.name, pair) for source in sources for pair in pairs)
             return real(pairs, sources, **memo)
 
-        monkeypatch.setattr(featurize_module, "featurize_pairs", counting)
+        monkeypatch.setattr(featurize_module, "featurize_sparse", counting)
         run_stage(stage, cfg, run)
     assert featurized["finetune"] == []
 
@@ -900,12 +900,22 @@ def test_train_tokenizes_each_stored_row_once_for_all_sources(
     assert len(calls) == 2 * features["rows"]
 
 
+def test_the_feature_store_takes_a_quarter_of_the_dense_bytes_or_less(toy_run_dir):
+    features = read_index(toy_run_dir, "train")["features"]
+    dense = 8 * features["rows"] * sum(saved["dim"] for saved in features["sources"].values())
+    stored = sum(path.stat().st_size for path in (toy_run_dir / "train" / "features").iterdir())
+    assert 0 < stored <= dense / 4
+
+
 @pytest.mark.parametrize("stage, damage", [
     ("finetune", "truncate_matrix"),
     ("predict", "delete_keys"),
     ("finetune", "drop_a_key"),
     ("predict", "other_seed"),
-    ("finetune", "blocks_disagree"),
+    ("finetune", "rows_disagree"),
+    ("predict", "column_at_dim"),
+    ("finetune", "offsets_end_short"),
+    ("predict", "values_one_short"),
 ])
 def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
                                                  stage, damage):
@@ -915,20 +925,36 @@ def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tm
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     features = run / "train" / "features"
     if damage == "truncate_matrix":
-        matrix = features / "family_a.npy"
+        matrix = features / "family_a.values.npy"
         matrix.write_bytes(matrix.read_bytes()[:-100])
+    elif damage == "column_at_dim":
+        columns = np.load(features / "family_b.columns.npy")
+        columns[-1] = 192
+        np.save(features / "family_b.columns.npy", columns)
+    elif damage == "offsets_end_short":
+        offsets = np.load(features / "family_a.offsets.npy")
+        offsets[-1] -= 1
+        np.save(features / "family_a.offsets.npy", offsets)
+    elif damage == "values_one_short":
+        np.save(features / "family_b.values.npy", np.load(features / "family_b.values.npy")[:-1])
     elif damage == "delete_keys":
         (features / "keys.npy").unlink()
     elif damage == "drop_a_key":
         np.save(features / "keys.npy", np.load(features / "keys.npy")[1:])
     else:
         index = read_index(run, "train")
-        if damage == "blocks_disagree":  # the blocks no longer add up to the rows
-            index["features"]["blocks"][0] += 1
+        if damage == "rows_disagree":  # the keys no longer match the rows
+            index["features"]["rows"] += 1
         else:
             index["features"]["sources"]["family_b"]["featurizer_seed"] += 1
         (run / "train" / "index.json").write_text(json.dumps(index))
-    with pytest.raises(PipelineStageError, match=rf"^\[{stage}\] .*re-run train"):
+    problem = {
+        "column_at_dim": "family_b.columns.npy holds column 192, past dim 192",
+        "offsets_end_short": r"family_a.offsets.npy does not split \d+ values into \d+ rows",
+        "values_one_short": r"family_b.offsets.npy does not split \d+ values into \d+ rows",
+    }.get(damage, "")
+    with pytest.raises(PipelineStageError,
+                       match=rf"^\[{stage}\] unreadable train features: .*{problem}.*re-run train"):
         run_stage(stage, cfg, run)
 
 
