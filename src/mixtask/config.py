@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -78,6 +79,9 @@ class PipelineConfig:
             raise ValueError("cv fold count must be >= 2")
         if self.cv_enabled and not self.cv_task:
             raise ValueError("cv requires a task name")
+        for task, threshold in self.thresholds.items():
+            if not math.isfinite(threshold):
+                raise ValueError(f"thresholds.{task} must be finite, not {threshold}")
 
     @property
     def config_hash(self) -> str:

@@ -13,6 +13,7 @@ documents (`write_json`, `decode_json`), both with sorted keys. The JSON-Lines
 reader reads a file whole and decodes each line with one `raw_decode`; a
 line that fails it, or holds more than one value, goes through `json.loads`,
 so every malformed line fails with the message `json.loads` gives.
+`check_shape` checks a decoded JSON document against a declared shape.
 
 `save_samples` is the one writer of dataset files: it formats each sample's
 line itself, as the JSON-Lines encoder would, and writes the file in one
@@ -78,11 +79,46 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def is_file_name(value) -> bool:
-    """Whether a decoded JSON value names a file below the directory of the
-    index that lists it: a str of names joined by "/" (split's
-    `folds/<file>`), none of them empty, "." or ".."."""
-    return type(value) is str and all(part not in ("", ".", "..") for part in value.split("/"))
+# The leaves of a shape besides str and int: (what a value must be, its test).
+# A file name names a file below the directory of the index that lists it:
+# names joined by "/" (split's `folds/<file>`), none of them empty, "." or "..".
+NATURAL = ("an int >= 0", lambda value: type(value) is int and value >= 0)
+POSITIVE = ("an int >= 1", lambda value: type(value) is int and value >= 1)
+FINITE = ("a finite number", is_finite_number)
+FILE_NAME = ("a file name", lambda value: type(value) is str
+             and all(part not in ("", ".", "..") for part in value.split("/")))
+ANY = ("any value", lambda value: True)
+_KINDS = {str: ("a string", lambda value: type(value) is str),
+          int: ("an int", lambda value: type(value) is int),
+          dict: ("a mapping", lambda value: type(value) is dict),
+          list: ("a list", lambda value: type(value) is list)}
+
+
+def check_shape(value, shape, path: str = "") -> None:
+    """Check a decoded JSON value against a shape, a nested literal of:
+    `{str: s}`, a mapping of any keys to values of shape s; any other dict, a
+    record with exactly its keys; `[s]`, a list of s; and leaves: str, int
+    and the pairs above. Raises ValueError naming the dotted path of the
+    first value that does not fit, or key the shape lacks, and KeyError
+    naming the path of the first key the value lacks."""
+    kind, fits = _KINDS[type(shape)] if type(shape) in (dict, list) else _KINDS.get(shape, shape)
+    if not fits(value):
+        raise ValueError(f"{path or 'the value'} must be {kind}, got {json.dumps(value)}")
+    prefix, items = f"{path}." if path else "", []
+    if type(shape) is list:
+        items = [(str(i), item, shape[0]) for i, item in enumerate(value)]
+    elif type(shape) is dict and list(shape) == [str]:
+        items = [(key, item, shape[str]) for key, item in value.items()]
+    elif type(shape) is dict:
+        unknown = sorted(value.keys() - shape.keys())
+        if unknown:
+            raise ValueError(f"unknown key {prefix}{unknown[0]}")
+        missing = [key for key in shape if key not in value]
+        if missing:
+            raise KeyError(prefix + missing[0])
+        items = [(key, value[key], shape[key]) for key in shape]
+    for key, item, item_shape in items:
+        check_shape(item, item_shape, prefix + key)
 
 
 def _finite_score(value) -> float:

@@ -36,7 +36,6 @@ row of a run is featurized once.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -45,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, SamplePair, is_file_name
+from .data import FILE_NAME, NATURAL, Dataset, SamplePair
 
 _WORD = re.compile(r"[a-z0-9]+")
 # An ASCII byte's word character: itself for [a-z0-9], lower case for [A-Z],
@@ -366,28 +365,13 @@ def _read_rows(directory: Path, saved: dict, rows: int, dim: int) -> SparseRows:
     return stored
 
 
-def _check_entry(entry) -> None:
-    """Raise ValueError naming the first field of a store entry that is not
-    of the form `FeatureCache.save` returns."""
-
-    def check(ok: bool, field: str, expected: str, value) -> None:
-        if not ok:
-            raise ValueError(f"{field} must be {expected}, got {json.dumps(value)}")
-
-    check(type(entry) is dict, "the store entry", "a mapping", entry)
-    rows = entry.get("rows")
-    check(type(rows) is int and rows >= 0, "rows", "an int >= 0", rows)
-    check(is_file_name(entry.get("keys")), "keys", "a file name", entry.get("keys"))
-    sources = entry.get("sources")
-    check(type(sources) is dict, "sources", "a mapping of source names", sources)
-    for name, saved in sources.items():
-        check(type(saved) is dict, f"sources.{name}", "a mapping", saved)
-        for field in ("featurizer_seed", "dim"):
-            check(type(saved.get(field)) is int, f"sources.{name}.{field}", "an int",
-                  saved.get(field))
-        for field in SparseRows._fields:
-            check(is_file_name(saved.get(field)), f"sources.{name}.{field}", "a file name",
-                  saved.get(field))
+# The entry FeatureCache.save returns, as a data.check_shape shape.
+STORE_SHAPE = {
+    "rows": NATURAL,
+    "keys": FILE_NAME,
+    "sources": {str: {"featurizer_seed": int, "dim": int,
+                      **{part: FILE_NAME for part in SparseRows._fields}}},
+}
 
 
 class FeatureCache:
@@ -449,17 +433,15 @@ class FeatureCache:
         directory, through the entry `save` returned.
 
         Reads only the keys file and the given sources' files, without
-        pickles. Raises ValueError naming the field when the entry is not of
-        the form `save` returns, or when it lists no source of that name,
-        seed and dim; naming the file when a file is malformed or truncated,
-        when a key repeats or the keys do not match the row count, and when a
-        source's vectors are not rows `featurize_sparse` could have built:
-        offsets that do not start at 0, rise and end at the value count,
-        columns at or past dim or not ascending within a row, values that are
-        not finite or are +0.0, or another dtype. OSError when a file is
-        missing.
+        pickles. The entry is one of STORE_SHAPE. Raises ValueError when it
+        lists no source of that name, seed and dim; naming the file when a
+        file is malformed or truncated, when a key repeats or the keys do not
+        match the row count, and when a source's vectors are not rows
+        `featurize_sparse` could have built: offsets that do not start at 0,
+        rise and end at the value count, columns at or past dim or not
+        ascending within a row, values that are not finite or are +0.0, or
+        another dtype. OSError when a file is missing.
         """
-        _check_entry(entry)
         cache = cls(sources)
         rows = entry["rows"]
         keys = _load_npy(directory / entry["keys"])

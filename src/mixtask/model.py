@@ -32,7 +32,6 @@ with no step context, so no model holds views of another's vector.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -40,7 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, TaskKind
+from .data import CLASSIFICATION, FILE_NAME, FINITE, NATURAL, POSITIVE, REGRESSION, TaskKind
 from .featurize import SourceSpec
 from .seeding import derive_rng
 
@@ -362,6 +361,19 @@ def grad_step(model: ToyModel, features: np.ndarray, gold: np.ndarray, head_grou
 
 CHECKPOINT_SCHEMA = 2
 
+# The index entry save_checkpoint returns, as a data.check_shape shape.
+CHECKPOINT_SHAPE = {
+    "checkpoint": FILE_NAME,
+    "layout": {
+        "schema_version": int,
+        "source": {"name": str, "featurizer_seed": NATURAL, "dim": POSITIVE},
+        "hidden": POSITIVE,
+        "heads": {str: {"kind": str, "weights": [POSITIVE], "bias": [POSITIVE]}},
+    },
+    "provenance": {"stage": str, "epoch": NATURAL, "dev_metrics": {str: FINITE},
+                   "selection_value": FINITE},
+}
+
 
 @dataclass
 class Checkpoint:
@@ -376,8 +388,8 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> dict:
     """Write the model's parameter vector to path as one .npy file and
-    return the index entry that lists it: the file name, the model's layout
-    and the checkpoint's provenance."""
+    return the index entry that lists it, of CHECKPOINT_SHAPE: the file name,
+    the model's layout and the checkpoint's provenance."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
@@ -389,45 +401,25 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> dict:
     }
 
 
-_PROVENANCE_FIELDS = {f.name for f in fields(Checkpoint)} - {"model"}
-
-
-def _is_size(value) -> bool:
-    return type(value) is int and value >= 1
-
-
 def load_checkpoint(path: str | Path, entry: dict) -> Checkpoint:
     """Rebuild a checkpoint from its .npy file and the index entry that lists
-    it. Raises ValueError when the entry has no layout of this schema or the
-    vector does not fit it, and OSError, EOFError or ValueError when the
-    file is missing or truncated. A hidden size or a head's bias shape that is
-    not a positive int, or a provenance that is not a mapping of checkpoint
-    fields, is a ValueError too."""
-    layout = entry.get("layout") or {}
-    if layout.get("schema_version") != CHECKPOINT_SCHEMA:
+    it, an entry of CHECKPOINT_SHAPE. Raises ValueError when the layout is of
+    another schema or inconsistent, or the vector does not fit it, and
+    OSError, EOFError or ValueError when the file is missing or truncated."""
+    layout = entry["layout"]
+    if layout["schema_version"] != CHECKPOINT_SCHEMA:
         raise ValueError(f"the index entry has no schema-{CHECKPOINT_SCHEMA} checkpoint layout")
-    hidden = layout.get("hidden")
-    if not _is_size(hidden):
-        raise ValueError(f"the index entry's checkpoint layout has hidden {json.dumps(hidden)}, "
-                         f"not an int >= 1")
     heads = {}
     for group, rec in layout["heads"].items():
-        bias = rec.get("bias")
-        if not (type(bias) is list and len(bias) == 1 and _is_size(bias[0])):
-            raise ValueError(f"the index entry's checkpoint layout has heads.{group}.bias "
-                             f"{json.dumps(bias)}, not [an int >= 1]")
-        heads[group] = (rec["kind"], bias[0])
+        (outputs,) = rec["bias"]  # a ValueError unless the bias shape is [outputs]
+        heads[group] = (rec["kind"], outputs)
     src = layout["source"]
     model = ToyModel(
         SourceSpec(src["name"], src["featurizer_seed"], src["dim"]),
-        hidden,
+        layout["hidden"],
         heads,
         np.load(path, allow_pickle=False),
     )
     if model.layout != layout:
         raise ValueError("the index entry's checkpoint layout is inconsistent")
-    provenance = entry.get("provenance")
-    if not isinstance(provenance, dict) or not provenance.keys() <= _PROVENANCE_FIELDS:
-        raise ValueError("the index entry's checkpoint provenance is not a mapping of "
-                         f"{sorted(_PROVENANCE_FIELDS)}")
-    return Checkpoint(model=model, **provenance)
+    return Checkpoint(model=model, **entry["provenance"])

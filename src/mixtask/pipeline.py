@@ -5,6 +5,7 @@ predict -> ensemble -> rank -> evaluate. Each stage reads earlier stages'
 artifacts from the output directory and writes its own, so any stage can be
 re-run independently. run_stage hands each stage a StageRun, its only reader
 of upstream artifacts: each upstream index and dataset file is read once,
+each index is checked against its shape in INDEX_SHAPES as it is parsed,
 and an unreadable one fails the stage with "re-run <producer>". On a run
 only ingest decodes dataset rows: every dataset file a later stage reads is
 one that ingest, transform or split (CV folds included) wrote in the same
@@ -46,11 +47,15 @@ from typing import Iterable, Optional
 from .config import PipelineConfig
 from .corpus import apply_qa_modified_scores, apply_split_recipe, cv_folds, medquad_negative_sample
 from .data import (
+    ANY,
+    FILE_NAME,
+    FINITE,
+    NATURAL,
     Dataset,
     SamplePair,
     TaskKind,
+    check_shape,
     decode_json,
-    is_file_name,
     is_finite_number,
     load_dataset,
     load_manifest_datasets,
@@ -58,7 +63,7 @@ from .data import (
     save_samples,
     write_json,
 )
-from .featurize import FeatureCache
+from .featurize import STORE_SHAPE, FeatureCache
 from .inference import (
     PredictionSet,
     combine_predictions,
@@ -72,14 +77,12 @@ from .inference import (
     select_members,
 )
 from .metrics import EvalReport, accuracy, build_ranking_report, precision_positive, ranking_gold
-from .model import Checkpoint, load_checkpoint, save_checkpoint
+from .model import CHECKPOINT_SHAPE, Checkpoint, load_checkpoint, save_checkpoint
 from .scheduler import save_plan
 from .seeding import derive_seed
 from .training import TaskData, build_member_epoch_plan, dev_gold, fine_tune_task, train_multitask
 
 SCHEMA_VERSION = 1
-
-_JSON_KINDS = {dict: "a mapping", list: "a list", str: "a string"}
 
 # The samples of the dataset files the latest dataset-writing stage of this
 # run wrote, by the sha256 of each file's bytes; run_stage swaps them in.
@@ -122,13 +125,10 @@ class StageRun:
     artifacts. Each index, dataset file and checkpoint is read at most once,
     so members share one Dataset per file. A dataset file's samples come from
     `_WRITTEN` when the latest dataset-writing stage wrote the same bytes. An
-    index file's one read serves both its parse and every check of its
-    digest, and `inputs` maps each index parsed to the sha256 of the bytes it
-    was parsed from; `entry` reads a value of an index, checking its JSON
-    type. A failed read, an index value that is missing or of the wrong
-    type, or a file name an index lists that is none, fails the stage with
-    "re-run <producer>".
-    """
+    index file's one read serves its parse, its shape check and every check
+    of its digest; `inputs` maps each index parsed to the sha256 of its
+    bytes. A failed read or an index that does not fit its shape fails the
+    stage with "re-run <producer>"; readers then index plain dicts."""
 
     def __init__(self, cfg: PipelineConfig, out_dir: Path, stage: str):
         self.cfg = cfg
@@ -164,14 +164,15 @@ class StageRun:
         return self._index_files[producer]
 
     def index(self, producer: str) -> dict:
-        """A producer's index.json, checked against the upstream indexes it
-        lists as its inputs."""
+        """A producer's index.json, checked against its INDEX_SHAPES shape and
+        the upstream indexes it lists as its inputs."""
         if producer not in self._indexes:
             raw, digest = self._index_file(producer)
             with self.reading(f"{producer}/index.json", producer):
                 index = decode_json(raw)
-                inputs = index.get("inputs", {}) if isinstance(index, dict) else None
-                if not isinstance(inputs, dict) or not set(inputs) <= set(STAGES):
+                check_shape(index, INDEX_SHAPES[producer])
+                inputs = index.get("inputs", {})
+                if not set(inputs) <= set(STAGES):
                     raise ValueError("an index must be a mapping whose inputs are by stage name")
             for upstream, expected in sorted(inputs.items()):
                 if self._index_file(upstream)[1] != expected:
@@ -181,44 +182,11 @@ class StageRun:
             self.inputs[producer] = digest
         return self._indexes[producer]
 
-    def entry(self, producer: str, *keys: str | int, kind: type = dict, optional: bool = False,
-              what: Optional[str] = None):
-        """The value under keys in a producer's index, which must be a `kind`
-        (dict, list, str, or object for any), or None when optional and the
-        last key is absent. An int key picks an item of a list. A missing key,
-        or a value on the way that is not a mapping (a list before an int
-        key), makes the index unreadable; the error names `what`, by default
-        the index file."""
-        value = self.index(producer)
-        with self.reading(what or f"{producer}/index.json", producer):
-            for depth, key in enumerate(keys, start=1):
-                if optional and depth == len(keys) and key not in value:
-                    return None
-                value = value[key]
-                if depth == len(keys):
-                    expected = kind
-                else:
-                    expected = list if type(keys[depth]) is int else dict
-                if not isinstance(value, expected):
-                    raise ValueError(f"{'.'.join(map(str, keys[:depth]))} must be "
-                                     f"{_JSON_KINDS[expected]}, got {json.dumps(value)}")
-        return value
-
-    def _path(self, producer: str, filename) -> Path:
-        """Where a file a producer's index lists is; an index that lists
-        something other than a file name below its directory is unreadable."""
-        with self.reading(f"{producer}/index.json", producer):
-            if not is_file_name(filename):
-                raise ValueError(f"{json.dumps(filename)} is not a file name")
-        return self.out_dir / producer / filename
-
     def _dataset(self, producer: str, name: str, filename: str) -> Dataset:
         """One dataset file a producer's index lists, typed by its entry."""
-        path = self._path(producer, filename)
+        path = self.out_dir / producer / filename
         if path not in self._datasets:
-            entry = self.entry(producer, "datasets", name)
-            for key in ("task_kind", "role", "head_group"):
-                self.entry(producer, "datasets", name, key, kind=str)
+            entry = self.index(producer)["datasets"][name]
             with self.reading(f"{producer}/index.json", producer):
                 kind = TaskKind.parse(entry["task_kind"])
             with self.reading(f"{producer}/{filename}", producer):
@@ -229,42 +197,42 @@ class StageRun:
     def bundles(self, producer: str) -> dict[str, dict[str, Dataset]]:
         """Every dataset split a producer's index lists, by name and split."""
         return {
-            name: {
-                split: self._dataset(producer, name, filename)
-                for split, filename in self.entry(producer, "datasets", name, "splits").items()
-            }
-            for name in self.entry(producer, "datasets")
+            name: {split: self._dataset(producer, name, filename)
+                   for split, filename in entry["splits"].items()}
+            for name, entry in self.index(producer)["datasets"].items()
         }
 
     def split(self, name: str, split: str) -> Optional[Dataset]:
-        filename = self.entry("split", "datasets", name, "splits").get(split)
+        filename = self.index("split")["datasets"][name]["splits"].get(split)
         return None if filename is None else self._dataset("split", name, filename)
 
-    def eval_set(self, name: str) -> Optional[Dataset]:
-        """The split a task is evaluated on: eval, or dev when eval is absent or empty."""
-        return self.split(name, "eval") or self.split(name, "dev")
+    def eval_set(self, name: str, listed_by: str = "split") -> Optional[Dataset]:
+        """The split a task is evaluated on: eval, or dev when eval is absent
+        or empty. A task that another producer's index (listed_by) names must
+        have one in the split index, else that index is at fault."""
+        listed = name in self.index("split")["datasets"]
+        found = (self.split(name, "eval") or self.split(name, "dev")) if listed else None
+        if found is None and listed_by != "split":
+            raise self.error(f"{listed_by}/index.json lists task {name!r}, for which "
+                             f"split/index.json lists no eval or dev split; re-run {listed_by}")
+        return found
 
     def member_split(self, member: dict, name: str, split: str) -> Optional[Dataset]:
         """A member's train or dev split of one task: the member's fold for the
         CV task of a CV member, else the standard split."""
         if member["fold"] is not None and name == self.cfg.cv_task:
-            folds = self.entry("split", "folds", kind=list)
-            what = f"fold {member['fold']} of split/index.json"
-            with self.reading(what, "split"):
-                if not all(isinstance(meta, dict) for meta in folds):
-                    raise ValueError("folds must be a list of mappings")
-                at = [j for j, meta in enumerate(folds) if meta.get("fold") == member["fold"]]
-                if len(at) != 1:
-                    raise ValueError(f"folds lists fold {member['fold']} {len(at)} times")
-            filename = self.entry("split", "folds", at[0], split, kind=object, what=what)
-            return self._dataset("split", name, filename)
+            at = [meta for meta in self.index("split")["folds"] if meta["fold"] == member["fold"]]
+            if len(at) != 1:
+                raise self.error(f"split/index.json lists fold {member['fold']} {len(at)} "
+                                 f"times; re-run split")
+            return self._dataset("split", name, at[0][split])
         return self.split(name, split)
 
     def member_tasks(self, member: dict) -> list[TaskData]:
         """Task list for one member, every task's train and dev split."""
         return [
             TaskData(*(self.member_split(member, name, split) for split in ("train", "dev")))
-            for name in sorted(self.entry("split", "datasets"))
+            for name in sorted(self.index("split")["datasets"])
         ]
 
     def features(self) -> FeatureCache:
@@ -278,18 +246,16 @@ class StageRun:
         """A member's model: for a task, the fine-tuned checkpoint the finetune
         index lists for (member, task), else the member's multi-task
         checkpoint from the train index; never a file merely present on disk."""
-        finetuned = None if task is None else self.entry("finetune", "finetuned", member_id,
-                                                         optional=True)
-        producer, keys = "finetune", ("finetuned", member_id, task)
-        if task not in (finetuned or {}):
-            producer, keys = "train", ("members", member_id)
-        entry = self.entry(producer, *keys, optional=True)
-        if entry is None:
-            raise self.error(f"no trained checkpoint for member {member_id}; re-run train")
-        filename = self.entry(producer, *keys, "checkpoint", kind=object)
-        path = self._path(producer, filename)
+        finetuned = {} if task is None else self.index("finetune")["finetuned"].get(member_id, {})
+        if task in finetuned:
+            producer, entry = "finetune", finetuned[task]
+        else:
+            producer, entry = "train", self.index("train")["members"].get(member_id)
+            if entry is None:
+                raise self.error(f"no trained checkpoint for member {member_id}; re-run train")
+        path = self.out_dir / producer / entry["checkpoint"]
         if path not in self._checkpoints:
-            with self.reading(f"{producer} checkpoint {filename!r}", producer):
+            with self.reading(f"{producer} checkpoint {entry['checkpoint']!r}", producer):
                 self._checkpoints[path] = load_checkpoint(path, entry)
         return self._checkpoints[path]
 
@@ -298,9 +264,8 @@ class StageRun:
         """The records of one per-sample JSON-Lines file a producer wrote, by
         sample id. Fails with "re-run <producer>" when a sample id repeats or,
         given the expected ids, when one is missing or foreign."""
-        path = self._path(producer, filename)
         with self.reading(f"{producer}/{filename}", producer):
-            records = [rec for _, rec in read_jsonl(path)]
+            records = [rec for _, rec in read_jsonl(self.out_dir / producer / filename)]
             by_id = {rec["sample_id"]: rec for rec in records}
         expected = by_id.keys() if expected is None else expected
         self._check_coverage(producer, filename, task, by_id.keys(), expected,
@@ -310,14 +275,12 @@ class StageRun:
     def prediction_set(self, task: str, member_id: str, eval_set: Dataset) -> PredictionSet:
         """A member's predictions for a task, as the predict index lists them,
         which must cover exactly the eval split's ids."""
-        entry = self.entry("predict", "predictions", task, member_id)
-        with self.reading(f"predictions of {member_id} for {task}", "predict"):
-            filename, metric = entry["file"], entry["dev_metric"]
-            if not is_finite_number(metric):
-                raise ValueError(f"dev_metric must be a finite number, got {json.dumps(metric)}")
-        path = self._path("predict", filename)
+        with self.reading("predict/index.json", "predict"):
+            entry = self.index("predict")["predictions"][task][member_id]
+        filename = entry["file"]
         with self.reading(f"predict/{filename}", "predict"):
-            ps = load_prediction_set(path, member_id, eval_set.task_kind, metric)
+            ps = load_prediction_set(self.out_dir / "predict" / filename, member_id,
+                                     eval_set.task_kind, entry["dev_metric"])
         self._check_coverage("predict", filename, task, ps.predictions.keys(),
                              {s.id for s in eval_set})
         return ps
@@ -336,6 +299,28 @@ class StageRun:
 # -- stages ---------------------------------------------------------------------
 
 # A stage writes its artifacts under run.dir and returns its index payload.
+# INDEX_SHAPES holds the shape of each index a later stage reads, which
+# StageRun.index checks: run_stage's header, the inputs of every stage that
+# reads an upstream index (all but ingest), and the stage's payload.
+
+_HEADER = {"schema_version": int, "config_hash": str, "master_seed": int, "config": ANY,
+           "stage": str}
+_READER = {**_HEADER, "inputs": {str: str}}
+_DATASETS = {str: {"task_kind": str, "role": str, "head_group": str, "splits": {str: FILE_NAME}}}
+INDEX_SHAPES = {
+    "ingest": {**_HEADER, "datasets": _DATASETS},
+    "transform": {**_READER, "datasets": _DATASETS, "applied": {str: [str]}},
+    "split": {**_READER, "datasets": _DATASETS,
+              "folds": [{"fold": NATURAL, "train": FILE_NAME, "dev": FILE_NAME}]},
+    "train": {**_READER, "members": {str: {**CHECKPOINT_SHAPE, "history": FILE_NAME}},
+              "features": STORE_SHAPE},
+    "finetune": {**_READER, "finetuned": {str: {str: CHECKPOINT_SHAPE}}},
+    "predict": {**_READER,
+                "predictions": {str: {str: {"file": FILE_NAME, "dev_metric": FINITE}}}},
+    "ensemble": {**_READER, "ensembles": {str: {"file": FILE_NAME, "members": [str],
+                                                "dropped": [str], "threshold": FINITE}}},
+    "rank": {**_READER, "rankings": {str: {"file": FILE_NAME, "n_questions": NATURAL}}},
+}
 
 
 def stage_ingest(run: StageRun) -> dict:
@@ -504,9 +489,8 @@ def stage_predict(run: StageRun) -> dict:
     """
     cache = run.features()
     files = {}
-    for task_name in sorted(run.entry("split", "datasets")):
-        role = run.entry("split", "datasets", task_name, "role", kind=str)
-        eval_set = run.eval_set(task_name) if role == "in_domain" else None
+    for task_name, entry in sorted(run.index("split")["datasets"].items()):
+        eval_set = run.eval_set(task_name) if entry["role"] == "in_domain" else None
         if eval_set is None:
             continue
         for member in run.cfg.member_plan():
@@ -530,15 +514,15 @@ def stage_predict(run: StageRun) -> dict:
 
 def stage_ensemble(run: StageRun) -> dict:
     """Select members by dev-metric threshold and combine their predictions."""
-    cfg, predictions = run.cfg, run.entry("predict", "predictions")
+    cfg, predictions = run.cfg, run.index("predict")["predictions"]
     _check_names(run, "task", predictions, thresholds=cfg.thresholds,
                  constrained_triples=cfg.constrained_triple_tasks)
     ensembles_meta = {}
     for task_name in sorted(predictions):
-        eval_set = run.eval_set(task_name)
+        eval_set = run.eval_set(task_name, listed_by="predict")
         by_id = {s.id: s for s in eval_set}
         sets = [run.prediction_set(task_name, member_id, eval_set)
-                for member_id in sorted(run.entry("predict", "predictions", task_name))]
+                for member_id in sorted(predictions[task_name])]
         threshold = cfg.thresholds.get(task_name, 0.0)
         try:
             members = select_members(sets, threshold)
@@ -596,12 +580,12 @@ def _answers_by_question(rows: Iterable[tuple[str, dict]],
 
 def stage_rank(run: StageRun) -> dict:
     """Order each ranking task's answers per question: positives first."""
-    ensembles = run.entry("ensemble", "ensembles")
+    ensembles = run.index("ensemble")["ensembles"]
     rank_meta = {}
     for task_name in run.cfg.ranking_tasks:
         if task_name not in ensembles:
             raise run.error(f"no ensemble outputs for task {task_name!r}")
-        source = run.entry("ensemble", "ensembles", task_name, "file", kind=object)
+        source = ensembles[task_name]["file"]
         outputs = run.records_by_sample("ensemble", source, task_name)
         with run.reading(f"ensemble/{source}", "ensemble"):
             by_question = _answers_by_question(sorted(outputs.items()))
@@ -614,22 +598,22 @@ def stage_rank(run: StageRun) -> dict:
 
 def stage_evaluate(run: StageRun) -> dict:
     """Score every task's ensemble outputs against gold; write and print reports."""
-    ensembles = run.entry("ensemble", "ensembles")
-    rankings = run.entry("rank", "rankings")
+    ensembles = run.index("ensemble")["ensembles"]
+    rankings = run.index("rank")["rankings"]
     reports: dict[str, EvalReport] = {}
     for task_name in sorted(ensembles):
-        eval_set = run.eval_set(task_name)
+        eval_set = run.eval_set(task_name, listed_by="ensemble")
         eval_ids = {s.id for s in eval_set}
         if task_name in run.cfg.ranking_tasks:
             if task_name not in rankings:
                 raise run.error(f"no rankings for task {task_name!r}; re-run rank")
-            filename = run.entry("rank", "rankings", task_name, "file", kind=object)
+            filename = rankings[task_name]["file"]
             ranked = run.records_by_sample("rank", filename, task_name, eval_ids)
             with run.reading(f"rank/{filename}", "rank"):
                 scored = _answers_by_question(ranked.items(), ranked=True)
             report = build_ranking_report(task_name, scored, *ranking_gold(eval_set))
         else:
-            filename = run.entry("ensemble", "ensembles", task_name, "file", kind=object)
+            filename = ensembles[task_name]["file"]
             outputs = run.records_by_sample("ensemble", filename, task_name, eval_ids)
             kind = eval_set.task_kind
             classes = kind.num_classes or 2  # a regression ensemble votes 0 or 1

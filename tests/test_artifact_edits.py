@@ -1,7 +1,8 @@
-"""A stage that reads an upstream artifact holding a value of the wrong type
-fails with a stage-tagged error that names the artifact and the producer to
-re-run. Each case edits one value in a copy of the finished seed-7 toy run,
-then runs the stage that reads it."""
+"""A stage that reads an upstream artifact holding a value of the wrong type,
+or an index naming what the index it names it from lacks, fails with a
+stage-tagged error that names the artifact and the producer to re-run. Each
+case edits one value in a copy of the finished seed-7 toy run, then runs the
+stage that reads it."""
 import json
 import re
 import shutil
@@ -11,51 +12,33 @@ import pytest
 from mixtask.pipeline import PipelineConfig, PipelineStageError, run_stage
 
 
-def predict_index_dev_metric(value):
-    def edit(run):
-        path = run / "predict" / "index.json"
-        index = json.loads(path.read_text())
-        index["predictions"]["toy_nli"]["family_a-m0"]["dev_metric"] = value
-        path.write_text(json.dumps(index))
-        return (f"unreadable predictions of family_a-m0 for toy_nli: ValueError: dev_metric "
-                f"must be a finite number, got {json.dumps(value)}; re-run predict")
-    edit.__name__ = f"dev_metric_{json.dumps(value)}"
-    return edit
-
-
-def train_features(key, value, problem):
-    """An edit that sets key to value in the train index's features entry;
-    predict, which opens the store first, must fail with problem."""
-    def edit(run):
-        path = run / "train" / "index.json"
-        index = json.loads(path.read_text())
-        index["features"][key] = value
-        path.write_text(json.dumps(index))
-        return f"unreadable train features: ValueError: {problem}; re-run train"
-    edit.__name__ = f"features_{key}_{json.dumps(value)}"
-    return edit
-
-
 MISSING = object()  # index_value deletes the key
 
 
-def index_value(producer, keys, value, what, problem, error="ValueError"):
+def edit_index(run, producer, change):
+    """Apply change to the parsed index.json of producer and write it back."""
+    path = run / producer / "index.json"
+    index = json.loads(path.read_text())
+    change(index)
+    path.write_text(json.dumps(index))
+
+
+def index_value(producer, keys, value, problem, error="ValueError"):
     """An edit that sets the value under keys in producer's index, or deletes
-    it for MISSING; the reading stage must fail naming what it read, then
-    the error and problem."""
-    def edit(run):
-        path = run / producer / "index.json"
-        index = json.loads(path.read_text())
+    it for MISSING; the reading stage must fail naming the index, then the
+    error and problem."""
+    def change(index):
         *parents, last = keys
-        entry = index
         for key in parents:
-            entry = entry[key]
+            index = index[key]
         if value is MISSING:
-            del entry[last]
+            del index[last]
         else:
-            entry[last] = value
-        path.write_text(json.dumps(index))
-        return f"unreadable {what}: {error}: {problem}; re-run {producer}"
+            index[last] = value
+
+    def edit(run):
+        edit_index(run, producer, change)
+        return f"unreadable {producer}/index.json: {error}: {problem}; re-run {producer}"
     shown = "missing" if value is MISSING else json.dumps(value)
     edit.__name__ = f"{producer}_{keys[-1]}_{shown}"
     return edit
@@ -103,9 +86,32 @@ def first_two_rank_rows_swapped(rows):
     rows[0], rows[1] = rows[1], rows[0]
 
 
+def predict_lists(task):
+    """An edit that makes predict's index list toy_nli's predictions under
+    task, which split's index lacks or lists no eval or dev split for.
+    Predict's index, not split's, is at fault: predict's recorded split
+    digest still matches."""
+    def edit(run):
+        edit_index(run, "predict", lambda index: index["predictions"].update(
+            {task: index["predictions"]["toy_nli"]}))
+        return (f"predict/index.json lists task {task!r}, for which split/index.json lists no "
+                f"eval or dev split; re-run predict")
+    edit.__name__ = f"predict_lists_{task}"
+    return edit
+
+
+def fold_listed_twice(run):
+    edit_index(run, "split", lambda index: index["folds"][1].update(fold=0))
+    return "split/index.json lists fold 0 2 times; re-run split"
+
+
 @pytest.mark.parametrize("edit, stage", [
-    (predict_index_dev_metric("high"), "ensemble"),
-    (predict_index_dev_metric(True), "ensemble"),
+    (index_value("predict", ["predictions", "toy_nli", "family_a-m0", "dev_metric"], "high",
+                 'predictions.toy_nli.family_a-m0.dev_metric must be a finite number, got "high"'),
+     "ensemble"),
+    (index_value("predict", ["predictions", "toy_nli", "family_a-m0", "dev_metric"], True,
+                 "predictions.toy_nli.family_a-m0.dev_metric must be a finite number, got true"),
+     "ensemble"),
     (first_row("predict", "family_a-m0__toy_qa.jsonl", "score", [0.5],
                "score must be a finite number, got [0.5]"), "ensemble"),
     (first_row("predict", "family_a-m0__toy_nli.jsonl", "probs", ["a", "b", "c"],
@@ -116,9 +122,10 @@ def first_two_rank_rows_swapped(rows):
                'label "x" is not a class index below 3'), "evaluate"),
     (first_row("ensemble", "toy_rqe.jsonl", "label", 2,
                "label 2 is not a class index below 2"), "evaluate"),
-    (train_features("rows", "x", 'rows must be an int >= 0, got "x"'), "predict"),
-    (train_features("sources", ["family_a"],
-                    'sources must be a mapping of source names, got ["family_a"]'), "predict"),
+    (index_value("train", ["features", "rows"], "x",
+                 'features.rows must be an int >= 0, got "x"'), "predict"),
+    (index_value("train", ["features", "sources"], ["family_a"],
+                 'features.sources must be a mapping, got ["family_a"]'), "predict"),
     (first_row("rank", "toy_qa.jsonl", "label", "x",
                'label "x" is not a class index below 2'), "evaluate"),
     (first_row("rank", "toy_qa.jsonl", "label", 2,
@@ -149,42 +156,61 @@ def first_two_rank_rows_swapped(rows):
                'question_id ["q"] is not a string'), "rank"),
     (first_row("ensemble", "toy_qa.jsonl", "question_id", None,
                "question_id null is not a string"), "rank"),
-    (index_value("train", ["members", "family_a-m0", "checkpoint"], ["x"], "train/index.json",
-                 '["x"] is not a file name'), "finetune"),
-    (index_value("train", ["members", "family_a-m0", "checkpoint"], MISSING, "train/index.json",
-                 "'checkpoint'", error="KeyError"), "finetune"),
-    (index_value("split", ["folds", 0, "train"], MISSING, "fold 0 of split/index.json",
-                 "'train'", error="KeyError"), "train"),
+    (index_value("train", ["members", "family_a-m0", "checkpoint"], ["x"],
+                 'members.family_a-m0.checkpoint must be a file name, got ["x"]'), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "checkpoint"], MISSING,
+                 "'members.family_a-m0.checkpoint'", error="KeyError"), "finetune"),
+    (index_value("split", ["folds", 0, "train"], MISSING, "'folds.0.train'", error="KeyError"),
+     "train"),
     (index_value("train", ["members", "family_a-m0", "layout", "hidden"], "24",
-                 "train checkpoint 'family_a-m0__multitask.npy'",
-                 "the index entry's checkpoint layout has hidden \"24\", not an int >= 1"),
-     "finetune"),
+                 'members.family_a-m0.layout.hidden must be an int >= 1, got "24"'), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "layout", "heads"], [],
+                 "members.family_a-m0.layout.heads must be a mapping, got []"), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "layout", "source"], "x",
+                 'members.family_a-m0.layout.source must be a mapping, got "x"'), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "layout", "source", "name"], 3,
+                 "members.family_a-m0.layout.source.name must be a string, got 3"), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "layout", "heads", "nli", "kind"], 3,
+                 "members.family_a-m0.layout.heads.nli.kind must be a string, got 3"), "predict"),
+    (index_value("finetune", ["finetuned", "family_a-m0", "toy_qa", "layout", "source",
+                              "featurizer_seed"], "x",
+                 "finetuned.family_a-m0.toy_qa.layout.source.featurizer_seed must be an int >= 0, "
+                 'got "x"'), "predict"),
+    (index_value("finetune", ["finetuned", "family_b-m0", "toy_nli", "provenance", "dev_metrics",
+                              "toy_nli"], "x",
+                 "finetuned.family_b-m0.toy_nli.provenance.dev_metrics.toy_nli must be a finite "
+                 'number, got "x"'), "predict"),
+    (index_value("finetune", ["finetuned", "family_b-m0", "toy_nli", "provenance", "dev_metrics"],
+                 [], "finetuned.family_b-m0.toy_nli.provenance.dev_metrics must be a mapping, "
+                 "got []"), "predict"),
     (index_value("predict", ["predictions", "toy_nli", "family_a-m0", "file"], 3,
-                 "predict/index.json", "3 is not a file name"), "ensemble"),
-    (index_value("ensemble", ["ensembles", "toy_qa", "file"], None, "ensemble/index.json",
-                 "null is not a file name"), "rank"),
-    (index_value("ensemble", ["ensembles", "toy_qa", "file"], MISSING, "ensemble/index.json",
-                 "'file'", error="KeyError"), "rank"),
-    (index_value("rank", ["rankings", "toy_qa", "file"], MISSING, "rank/index.json",
-                 "'file'", error="KeyError"), "evaluate"),
-    (index_value("split", ["datasets", "toy_nli", "task_kind"], 3, "split/index.json",
+                 "predictions.toy_nli.family_a-m0.file must be a file name, got 3"), "ensemble"),
+    (index_value("ensemble", ["ensembles", "toy_qa", "file"], None,
+                 "ensembles.toy_qa.file must be a file name, got null"), "rank"),
+    (index_value("ensemble", ["ensembles", "toy_qa", "file"], MISSING,
+                 "'ensembles.toy_qa.file'", error="KeyError"), "rank"),
+    (index_value("rank", ["rankings", "toy_qa", "file"], MISSING,
+                 "'rankings.toy_qa.file'", error="KeyError"), "evaluate"),
+    (index_value("split", ["datasets", "toy_nli", "task_kind"], 3,
                  "datasets.toy_nli.task_kind must be a string, got 3"), "train"),
-    (index_value("split", ["folds"], "x", "split/index.json",
-                 'folds must be a list, got "x"'), "train"),
-    (index_value("split", ["datasets", "toy_nli", "splits"], ["x"], "split/index.json",
+    (index_value("split", ["folds"], "x", 'folds must be a list, got "x"'), "train"),
+    (index_value("split", ["datasets", "toy_nli", "splits"], ["x"],
                  'datasets.toy_nli.splits must be a mapping, got ["x"]'), "train"),
-    (index_value("split", ["datasets", "toy_nli", "head_group"], ["x"], "split/index.json",
+    (index_value("split", ["datasets", "toy_nli", "head_group"], ["x"],
                  'datasets.toy_nli.head_group must be a string, got ["x"]'), "train"),
-    (index_value("ensemble", ["inputs"], ["predict"], "ensemble/index.json",
+    (index_value("ensemble", ["inputs"], ["predict"],
+                 'inputs must be a mapping, got ["predict"]'), "rank"),
+    (index_value("ensemble", ["inputs", "../predict"], "x",
                  "an index must be a mapping whose inputs are by stage name"), "rank"),
-    (index_value("ensemble", ["inputs", "../predict"], "x", "ensemble/index.json",
-                 "an index must be a mapping whose inputs are by stage name"), "rank"),
-    (index_value("predict", ["predictions", "toy_nli"], ["family_a-m0"], "predict/index.json",
+    (index_value("predict", ["predictions", "toy_nli"], ["family_a-m0"],
                  'predictions.toy_nli must be a mapping, got ["family_a-m0"]'), "ensemble"),
-    (index_value("train", ["members"], ["family_a-m0"], "train/index.json",
+    (index_value("train", ["members"], ["family_a-m0"],
                  'members must be a mapping, got ["family_a-m0"]'), "finetune"),
-    (index_value("finetune", ["finetuned", "family_a-m0"], ["toy_nli"], "finetune/index.json",
+    (index_value("finetune", ["finetuned", "family_a-m0"], ["toy_nli"],
                  'finetuned.family_a-m0 must be a mapping, got ["toy_nli"]'), "predict"),
+    (predict_lists("toy_x"), "ensemble"),
+    (predict_lists("toy_nli_ext"), "ensemble"),
+    (fold_listed_twice, "train"),
     (rank_rows(rank_99), "evaluate"),
     (rank_rows(first_two_rank_rows_swapped), "evaluate"),
 ], ids=lambda value: getattr(value, "__name__", None))

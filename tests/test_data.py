@@ -338,3 +338,92 @@ def test_a_write_stores_its_samples_only_when_a_decode_would_give_them(tmp_path,
     assert len(decodes) == (not exact)
     if exact:
         assert expected == ("ok", json.dumps([s.to_record() for s in samples], sort_keys=True))
+
+
+SHAPE = {"name": str, "count": data.NATURAL, "files": {str: data.FILE_NAME},
+         "scores": [data.FINITE], "extra": data.ANY}
+FITS = {"name": "a", "count": 0, "files": {"x": "dir/x.npy"}, "scores": [1, 0.5], "extra": None}
+
+
+@pytest.mark.parametrize("value, shape", [
+    ({}, {str: int}),
+    ({"a": 1, "b": -2}, {str: int}),
+    ([], [str]),
+    (["a", "b"], [str]),
+    (FITS, SHAPE),
+    ("", str),
+    (-3, int),
+    (0, data.NATURAL),
+    (1, data.POSITIVE),
+    (-1e308, data.FINITE),
+    (2, data.FINITE),
+    ("folds/f.jsonl", data.FILE_NAME),
+    ({"any": [None]}, data.ANY),
+])
+def test_a_value_that_fits_its_shape_passes(value, shape):
+    data.check_shape(value, shape)
+
+
+@pytest.mark.parametrize("value, shape, message", [
+    ([1], {str: int}, "the value must be a mapping, got [1]"),
+    ({"a": 1, "b": "2"}, {str: int}, 'b must be an int, got "2"'),
+    ({"a": 1}, [int], 'the value must be a list, got {"a": 1}'),
+    ([1, True], [int], "1 must be an int, got true"),
+    (1, str, "the value must be a string, got 1"),
+    (True, int, "the value must be an int, got true"),
+    (1.0, int, "the value must be an int, got 1.0"),
+    (-1, data.NATURAL, "the value must be an int >= 0, got -1"),
+    (0, data.POSITIVE, "the value must be an int >= 1, got 0"),
+    (float("nan"), data.FINITE, "the value must be a finite number, got NaN"),
+    (float("inf"), data.FINITE, "the value must be a finite number, got Infinity"),
+    (False, data.FINITE, "the value must be a finite number, got false"),
+    ("1", data.FINITE, 'the value must be a finite number, got "1"'),
+    ("../x", data.FILE_NAME, 'the value must be a file name, got "../x"'),
+    ("a//b", data.FILE_NAME, 'the value must be a file name, got "a//b"'),
+    (["x"], data.FILE_NAME, 'the value must be a file name, got ["x"]'),
+    ({**FITS, "count": "1"}, SHAPE, 'count must be an int >= 0, got "1"'),
+    ({**FITS, "files": {"x": ".."}}, SHAPE, 'files.x must be a file name, got ".."'),
+    ({**FITS, "scores": [1, None]}, SHAPE, "scores.1 must be a finite number, got null"),
+    ({**FITS, "files": {"x": "x", "y": 2}}, SHAPE, "files.y must be a file name, got 2"),
+    ({**FITS, "bogus": 1}, SHAPE, "unknown key bogus"),
+    ({"outer": {**FITS, "z": 1, "y": 1}}, {"outer": SHAPE}, "unknown key outer.y"),
+])
+def test_a_value_that_does_not_fit_names_its_dotted_path(value, shape, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        data.check_shape(value, shape)
+
+
+def test_a_missing_key_is_a_key_error_naming_its_dotted_path():
+    value = {"outer": [{k: v for k, v in FITS.items() if k != "files"}]}
+    with pytest.raises(KeyError, match=r"^'outer\.0\.files'$"):
+        data.check_shape(value, {"outer": [SHAPE]})
+
+
+@pytest.fixture(scope="module")
+def run_without_cv_or_finetuning(toy_corpus_dir, tmp_path_factory):
+    import yaml
+
+    from mixtask.pipeline import PipelineConfig, run_pipeline
+
+    out = tmp_path_factory.mktemp("nocv")
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
+    raw["cv"] = {"enabled": False}
+    raw["train"]["epochs_finetune"] = 0
+    (out / "config.yaml").write_text(yaml.safe_dump(raw))
+    return run_pipeline(PipelineConfig.from_file(out / "config.yaml"), out / "run", quiet=True)
+
+
+@pytest.mark.parametrize("which", ["toy_run_dir", "run_without_cv_or_finetuning"])
+def test_every_index_a_run_writes_fits_its_shape(request, which):
+    """Each index a later stage reads fits the shape StageRun.index checks;
+    no stage reads the schedule or evaluate index."""
+    from mixtask.pipeline import INDEX_SHAPES, STAGES
+
+    run = request.getfixturevalue(which)
+    assert set(INDEX_SHAPES) == set(STAGES) - {"schedule", "evaluate"}
+    for producer, shape in INDEX_SHAPES.items():
+        data.check_shape(json.loads((run / producer / "index.json").read_text()), shape)
+    if which == "run_without_cv_or_finetuning":
+        assert json.loads((run / "finetune" / "index.json").read_text())["finetuned"] == {}
+        assert json.loads((run / "split" / "index.json").read_text())["folds"] == []

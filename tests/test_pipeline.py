@@ -589,6 +589,7 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
      r"random_split\.toy_pages\.eval_count: invalid literal for int\(\) .+: 'x'"),
     (("thresholds",), {"toy_nli": [40]},
      r"thresholds\.toy_nli: float\(\) argument must be .+, not 'list'"),
+    (("thresholds",), {"toy_nli": float("-inf")}, r"thresholds\.toy_nli must be finite, not -inf"),
     (("mixture", "alpha"), 1e300, r"mixture: alpha must be <= 100, not 1e\+300"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
@@ -596,8 +597,8 @@ def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, mes
     without a name, a list that is not a list of strings, a split recipe that
     is not a string, a flag that is not a bool, a source seed or dim out of
     range, a hidden_dim below 1, a negative member or question count, an
-    alpha or learning rate that is not finite or out of range, an infinite
-    integer, a list or mapping where a number belongs, a string that is no
+    alpha or learning rate that is not finite or out of range, a threshold
+    that is not finite, an infinite integer, a list or mapping where a number belongs, a string that is no
     number, a source batch size below 1, a negative negatives count and an
     alpha above MAX_ALPHA each fail parsing (value None deletes the key). A
     value its key's converter cannot convert names the key path once."""
@@ -966,6 +967,7 @@ def test_damaged_feature_store_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tm
     ("finetune", "schema_1_entry"),
     ("finetune", "provenance_extra_key"),
     ("predict", "provenance_not_a_mapping"),
+    ("finetune", "no_bias_size"),
 ])
 def test_damaged_checkpoint_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
                                               stage, damage):
@@ -989,6 +991,9 @@ def test_damaged_checkpoint_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_p
         np.save(path, np.load(path)[:-1])
     elif damage == "float32":
         np.save(path, np.load(path).astype(np.float32))
+    elif damage == "no_bias_size":
+        next(iter(entries[key]["layout"]["heads"].values()))["bias"] = []
+        (run / producer / "index.json").write_text(json.dumps(index))
     elif damage.startswith("provenance"):
         provenance = entries[key]["provenance"]
         entries[key]["provenance"] = ({**provenance, "bogus": 1} if damage.endswith("extra_key")
