@@ -404,13 +404,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> dict:
 def load_checkpoint(path: str | Path, entry: dict) -> Checkpoint:
     """Rebuild a checkpoint from its .npy file and the index entry that lists
     it, an entry of CHECKPOINT_SHAPE. Raises ValueError when the layout is of
-    another schema or inconsistent, or the vector does not fit it, and
+    another schema, names a head kind other than classification or
+    regression, or is inconsistent, or the vector does not fit it, and
     OSError, EOFError or ValueError when the file is missing or truncated."""
     layout = entry["layout"]
     if layout["schema_version"] != CHECKPOINT_SCHEMA:
         raise ValueError(f"the index entry has no schema-{CHECKPOINT_SCHEMA} checkpoint layout")
     heads = {}
     for group, rec in layout["heads"].items():
+        if rec["kind"] not in (CLASSIFICATION, REGRESSION):
+            raise ValueError(f"head {group!r} has kind {rec['kind']!r}, not "
+                             f"{CLASSIFICATION} or {REGRESSION}")
         (outputs,) = rec["bias"]  # a ValueError unless the bias shape is [outputs]
         heads[group] = (rec["kind"], outputs)
     src = layout["source"]

@@ -242,10 +242,12 @@ class StageRun:
             return FeatureCache.load(self.out_dir / "train" / "features",
                                      self.index("train")["features"], self.cfg.member_sources())
 
-    def checkpoint(self, member_id: str, task: Optional[str] = None) -> Checkpoint:
+    def checkpoint(self, member: dict, task: Optional[str] = None) -> Checkpoint:
         """A member's model: for a task, the fine-tuned checkpoint the finetune
         index lists for (member, task), else the member's multi-task
-        checkpoint from the train index; never a file merely present on disk."""
+        checkpoint from the train index; never a file merely present on disk.
+        Its layout must name the member's source."""
+        member_id = member["member_id"]
         finetuned = {} if task is None else self.index("finetune")["finetuned"].get(member_id, {})
         if task in finetuned:
             producer, entry = "finetune", finetuned[task]
@@ -256,7 +258,11 @@ class StageRun:
         path = self.out_dir / producer / entry["checkpoint"]
         if path not in self._checkpoints:
             with self.reading(f"{producer} checkpoint {entry['checkpoint']!r}", producer):
-                self._checkpoints[path] = load_checkpoint(path, entry)
+                checkpoint = load_checkpoint(path, entry)
+                if checkpoint.model.source != member["source"].spec:
+                    raise ValueError(f"its layout source {checkpoint.model.source} is not "
+                                     f"member {member_id}'s source {member['source'].spec}")
+                self._checkpoints[path] = checkpoint
         return self._checkpoints[path]
 
     def records_by_sample(self, producer: str, filename: str, task: str,
@@ -463,7 +469,7 @@ def stage_finetune(run: StageRun) -> dict:
     cache = run.features()
     for member in run.cfg.member_plan():
         member_id = member["member_id"]
-        ckpt = run.checkpoint(member_id)
+        ckpt = run.checkpoint(member)
         train_cfg = run.cfg.member_train_config(member)
         for task in _finetune_targets(run.cfg, member, run.member_tasks(member)):
             try:
@@ -497,7 +503,7 @@ def stage_predict(run: StageRun) -> dict:
             member_id = member["member_id"]
             if member["fold"] is not None and task_name != run.cfg.cv_task:
                 continue  # CV members only serve their own task's ensemble
-            ckpt = run.checkpoint(member_id, task_name)
+            ckpt = run.checkpoint(member, task_name)
             if task_name not in ckpt.dev_metrics:
                 raise run.error(f"task {task_name!r} lacks a dev split")
             model, metric = ckpt.model, 100.0 * ckpt.dev_metrics[task_name]

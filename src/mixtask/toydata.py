@@ -9,12 +9,15 @@ The texts are built from topic word pools so that a hashed-n-gram linear
 model can actually learn each task: class-marker words for classification,
 and question/answer word overlap proportional to relevance for the ranking
 tasks.
+
+Words are drawn through `_pick` and `_draw`, whose numpy calls consume the
+same random stream and return the same words as `rng.choice(<word list>, ...)`
+does, only faster; a seed's corpus bytes do not depend on which of the two
+forms draws them.
 """
 from __future__ import annotations
 
 from pathlib import Path
-
-import numpy as np
 
 from .data import Dataset, SamplePair, TaskKind, save_samples
 from .seeding import derive_rng, derive_seed
@@ -31,9 +34,33 @@ N_TOPICS = 24
 _TOPIC_WORDS = [[f"t{i:02d}term{j}" for j in range(6)] for i in range(N_TOPICS)]
 
 
+def _pick(rng, pool: list[str], k: int) -> list[str]:
+    """k distinct words of `pool`, drawn without replacement.
+
+    Draws the indices with `rng.choice(len(pool), size=k, replace=False)`,
+    whose random stream and result equal those of
+    `rng.choice(pool, size=k, replace=False)` at a fraction of its cost.
+    For k = 0 it returns [] without a call; that choice draws nothing either.
+    """
+    if k == 0:
+        return []
+    return [pool[i] for i in rng.choice(len(pool), size=k, replace=False).tolist()]
+
+
+def _draw(rng, pool: list[str], k: int) -> list[str]:
+    """k words of `pool`, drawn with replacement.
+
+    Makes k scalar `rng.integers(0, len(pool))` calls, whose random stream
+    and result equal those of `rng.choice(pool, size=k)` at a fraction of
+    its cost.
+    """
+    n = len(pool)
+    return [pool[rng.integers(0, n)] for _ in range(k)]
+
+
 def _sentence(rng, topic: int, extra: list[str], n_topic: int = 3, n_filler: int = 2) -> str:
-    words = list(rng.choice(_TOPIC_WORDS[topic], size=min(n_topic, 6), replace=False))
-    words += list(rng.choice(_FILLER, size=n_filler))
+    words = _pick(rng, _TOPIC_WORDS[topic], min(n_topic, 6))
+    words += _draw(rng, _FILLER, n_filler)
     words += extra
     rng.shuffle(words)
     return " ".join(words)
@@ -52,7 +79,7 @@ def make_nli(name: str, n_triples: int, role: str, seed: int) -> Dataset:
         group = f"{name}-g{t:04d}"
         order = rng.permutation(3)
         for slot, label in enumerate(int(c) for c in order):
-            extra = list(rng.choice(markers[label], size=2, replace=False))
+            extra = _pick(rng, markers[label], 2)
             hypothesis = _sentence(rng, topic, extra, n_topic=2)
             samples.append(
                 SamplePair(
@@ -74,13 +101,13 @@ def make_rqe(name: str, n_pairs: int, seed: int) -> Dataset:
     for i in range(n_pairs):
         label = int(rng.integers(0, 2))
         topic = int(rng.integers(0, N_TOPICS))
-        q_words = list(rng.choice(_QUESTION_WORDS, size=2))
+        q_words = _draw(rng, _QUESTION_WORDS, 2)
         premise = _sentence(rng, topic, q_words, n_topic=4)
         if label == 1:
-            hypothesis = _sentence(rng, topic, [str(rng.choice(_QUESTION_WORDS))], n_topic=4)
+            hypothesis = _sentence(rng, topic, _draw(rng, _QUESTION_WORDS, 1), n_topic=4)
         else:
             other = int((topic + 1 + rng.integers(0, N_TOPICS - 1)) % N_TOPICS)
-            hypothesis = _sentence(rng, other, [str(rng.choice(_QUESTION_WORDS))], n_topic=4)
+            hypothesis = _sentence(rng, other, _draw(rng, _QUESTION_WORDS, 1), n_topic=4)
         samples.append(SamplePair(id=f"{name}-{i:04d}", text_a=premise, text_b=hypothesis, label=label))
     return Dataset(name=name, task_kind=TaskKind.parse("classification:2"), role="in_domain",
                    head_group="rqe", samples=samples)
@@ -106,7 +133,7 @@ def make_qa(
         topic = int(rng.integers(0, N_TOPICS))
         question_id = f"{name}-q{q:04d}"
         tag = tags[q % len(tags)] if tags else None
-        question = _sentence(rng, topic, list(rng.choice(_QUESTION_WORDS, size=2)))
+        question = _sentence(rng, topic, _draw(rng, _QUESTION_WORDS, 2))
         relevances = [4] + [int(rng.integers(1, 5)) for _ in range(answers_per_question - 1)]
         by_level: dict[int, list[int]] = {}
         for a, rel in enumerate(relevances):
@@ -116,9 +143,8 @@ def make_qa(
             for rank, idx in enumerate(rng.permutation(len(members)), start=1):
                 ranks[members[int(idx)]] = rank
         for a, rel in enumerate(relevances):
-            good = list(rng.choice(_QUALITY, size=rel - 1, replace=False)) if rel > 1 else []
-            bad = list(rng.choice(_VAGUE, size=4 - rel, replace=False)) if rel < 4 else []
-            answer = _sentence(rng, topic, good + bad, n_topic=rel, n_filler=3)
+            markers = _pick(rng, _QUALITY, rel - 1) + _pick(rng, _VAGUE, 4 - rel)
+            answer = _sentence(rng, topic, markers, n_topic=rel, n_filler=3)
             samples.append(
                 SamplePair(
                     id=f"{question_id}-a{a}",
@@ -145,8 +171,8 @@ def make_pages(name: str, n_pages: int, answers_per_page: int, seed: int) -> Dat
         page_id = f"{name}-p{p:04d}"
         for a in range(answers_per_page):
             aspect = [f"t{topic:02d}a{a}w{k}" for k in range(3)]
-            question = _sentence(rng, topic, aspect[:2] + [str(rng.choice(_QUESTION_WORDS))], n_topic=1)
-            answer = _sentence(rng, topic, aspect + list(rng.choice(_QUALITY, size=1)), n_topic=1, n_filler=3)
+            question = _sentence(rng, topic, aspect[:2] + _draw(rng, _QUESTION_WORDS, 1), n_topic=1)
+            answer = _sentence(rng, topic, aspect + _draw(rng, _QUALITY, 1), n_topic=1, n_filler=3)
             samples.append(
                 SamplePair(
                     id=f"{page_id}-a{a}",

@@ -1,5 +1,6 @@
 """A stage that reads an upstream artifact holding a value of the wrong type,
-or an index naming what the index it names it from lacks, fails with a
+an index naming what the index it names it from lacks, or a checkpoint
+layout naming an unknown head kind or another member's source, fails with a
 stage-tagged error that names the artifact and the producer to re-run. Each
 case edits one value in a copy of the finished seed-7 toy run, then runs the
 stage that reads it."""
@@ -23,10 +24,10 @@ def edit_index(run, producer, change):
     path.write_text(json.dumps(index))
 
 
-def index_value(producer, keys, value, problem, error="ValueError"):
+def index_value(producer, keys, value, problem, error="ValueError", what=None):
     """An edit that sets the value under keys in producer's index, or deletes
-    it for MISSING; the reading stage must fail naming the index, then the
-    error and problem."""
+    it for MISSING; the reading stage must fail naming what it could not read
+    (by default the index), then the error and problem."""
     def change(index):
         *parents, last = keys
         for key in parents:
@@ -38,7 +39,8 @@ def index_value(producer, keys, value, problem, error="ValueError"):
 
     def edit(run):
         edit_index(run, producer, change)
-        return f"unreadable {producer}/index.json: {error}: {problem}; re-run {producer}"
+        return (f"unreadable {what or producer + '/index.json'}: {error}: {problem}; "
+                f"re-run {producer}")
     shown = "missing" if value is MISSING else json.dumps(value)
     edit.__name__ = f"{producer}_{keys[-1]}_{shown}"
     return edit
@@ -172,6 +174,27 @@ def fold_listed_twice(run):
                  "members.family_a-m0.layout.source.name must be a string, got 3"), "finetune"),
     (index_value("train", ["members", "family_a-m0", "layout", "heads", "nli", "kind"], 3,
                  "members.family_a-m0.layout.heads.nli.kind must be a string, got 3"), "predict"),
+    (index_value("train", ["members", "family_a-m0", "layout", "heads", "nli", "kind"], "x",
+                 "head 'nli' has kind 'x', not classification or regression",
+                 what="train checkpoint 'family_a-m0__multitask.npy'"), "finetune"),
+    (index_value("finetune", ["finetuned", "family_b-m0", "toy_nli", "layout", "heads", "nli",
+                              "kind"], "x",
+                 "head 'nli' has kind 'x', not classification or regression",
+                 what="finetune checkpoint 'family_b-m0__ft__toy_nli.npy'"), "predict"),
+    (index_value("train", ["members", "family_a-m0", "layout", "source", "name"], "zzz",
+                 "its layout source SourceSpec(name='zzz', featurizer_seed=101, dim=192) is not "
+                 "member family_a-m0's source SourceSpec(name='family_a', featurizer_seed=101, "
+                 "dim=192)", what="train checkpoint 'family_a-m0__multitask.npy'"), "finetune"),
+    (index_value("train", ["members", "family_a-m0", "layout", "source"],
+                 {"name": "family_b", "featurizer_seed": 202, "dim": 192},
+                 "its layout source SourceSpec(name='family_b', featurizer_seed=202, dim=192) is "
+                 "not member family_a-m0's source SourceSpec(name='family_a', featurizer_seed=101, "
+                 "dim=192)", what="train checkpoint 'family_a-m0__multitask.npy'"), "finetune"),
+    (index_value("finetune", ["finetuned", "family_b-m0", "toy_nli", "layout", "source", "name"],
+                 "zzz", "its layout source SourceSpec(name='zzz', featurizer_seed=202, dim=192) "
+                 "is not member family_b-m0's source SourceSpec(name='family_b', "
+                 "featurizer_seed=202, dim=192)",
+                 what="finetune checkpoint 'family_b-m0__ft__toy_nli.npy'"), "predict"),
     (index_value("finetune", ["finetuned", "family_a-m0", "toy_qa", "layout", "source",
                               "featurizer_seed"], "x",
                  "finetuned.family_a-m0.toy_qa.layout.source.featurizer_seed must be an int >= 0, "
