@@ -32,7 +32,7 @@ from .metrics import (
     rank_correlation,
     spearman_on_positives,
 )
-from .model import Checkpoint, ToyModel, cross_entropy_loss, grad_step, mse_loss
+from .model import Checkpoint, ToyModel, grad_step
 from .pipeline import PipelineConfig, run_pipeline
 from .scheduler import EpochPlan, MiniBatch, MixtureConfig, build_epoch, partition_batches
 from .training import TaskData, TrainConfig, fine_tune_task, train_multitask
@@ -63,8 +63,6 @@ __all__ = [
     "featurize",
     "ToyModel",
     "Checkpoint",
-    "cross_entropy_loss",
-    "mse_loss",
     "grad_step",
     "TaskData",
     "TrainConfig",

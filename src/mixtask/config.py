@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 import yaml
 
+from .data import integer_field
 from .featurize import SourceSpec
 from .scheduler import MixtureConfig
 from .seeding import derive_seed
@@ -180,8 +181,8 @@ def _by_name(convert: Callable) -> Callable[[str, object], dict]:
 
 def _plain(kind: Callable) -> Callable[[str, object], object]:
     """Converter by kind(value), such as int or float, whose error names the
-    key: a string that is no number, an infinite float for an integer, or a
-    list or mapping where a number belongs."""
+    key: a string that is no number, or a list or mapping where a number
+    belongs."""
     def convert(key: str, value):
         try:
             return kind(value)
@@ -190,14 +191,34 @@ def _plain(kind: Callable) -> Callable[[str, object], object]:
     return convert
 
 
-def _at_least(least: int) -> Callable[[str, object], int]:
-    """Converter of an integer key that must be >= least."""
+def _integer(least: Optional[int] = None) -> Callable[[str, object], int]:
+    """Converter of an integer key, by the rule of a dataset record's integer
+    fields (`data.integer_field`): an int, an integral float or a string of
+    digits passes, and a bool, a float with a fraction or an infinite one
+    fails. When least is given, a number below it fails too."""
     def convert(key: str, value) -> int:
+        if isinstance(value, (bool, float)):
+            value = integer_field(key)(value)
         number = _plain(int)(key, value)
-        if number < least:
+        if least is not None and number < least:
             raise ValueError(f"{key} must be >= {least}, not {value}")
         return number
     return convert
+
+
+def _real(key: str, value) -> float:
+    """Converter of a float key: float(value), but a bool fails."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return _plain(float)(key, value)
+
+
+def _name(key: str, value) -> str:
+    """Converter of a name that becomes part of file names: it holds no "/"."""
+    name = _plain(str)(key, value)
+    if "/" in name:
+        raise ValueError(f"{key} must hold no '/', got {name!r}")
+    return name
 
 
 def _built(section: str, cls: type, **settings):
@@ -209,8 +230,8 @@ def _built(section: str, cls: type, **settings):
 
 
 def _source(section: str, value) -> SourceEntry:
-    settings = _keys(name=_plain(str), featurizer_seed=_plain(int), dim=_plain(int),
-                     members=_at_least(0), batch_size=_at_least(1))(section, value)
+    settings = _keys(name=_name, featurizer_seed=_integer(), dim=_integer(),
+                     members=_integer(0), batch_size=_integer(1))(section, value)
     if "name" not in settings:
         raise ValueError(f"{section} requires a name")
     settings.setdefault("featurizer_seed", derive_seed(0, "source", settings["name"]))
@@ -219,23 +240,22 @@ def _source(section: str, value) -> SourceEntry:
 
 
 _TOP_KEYS = {
-    "master_seed": ("master_seed", _plain(int)),
+    "master_seed": ("master_seed", _integer()),
     "manifest": ("manifest_path", _plain(Path)),
-    "mixture": ("mixture", _keys(alpha=_plain(float), max_epoch=_plain(int),
-                                 batch_size=_plain(int))),
-    "train": ("train", _keys(lr_multitask=_plain(float), lr_finetune=_plain(float),
-                             epochs_finetune=_plain(int), hidden_dim=_at_least(1))),
+    "mixture": ("mixture", _keys(alpha=_real, max_epoch=_integer(), batch_size=_integer())),
+    "train": ("train", _keys(lr_multitask=_real, lr_finetune=_real,
+                             epochs_finetune=_integer(), hidden_dim=_integer(1))),
     "sources": ("sources", lambda key, value: [
         _source(f"{key}[{i}]", entry) for i, entry in enumerate(_typed(list, key, value))]),
     "transforms": ("transforms", _by_name(partial(_typed, list, items=str))),
-    "negatives": ("negatives", _keys("negatives_", per_positive=_at_least(0))),
+    "negatives": ("negatives", _keys("negatives_", per_positive=_integer(0))),
     "splits": ("split_recipes", _by_name(partial(_typed, str))),
-    "random_split": ("random_split_counts", _by_name(_keys(eval_count=_plain(int)))),
-    "reshuffle": ("reshuffle", _keys("reshuffle_", dev_questions=_at_least(0),
-                                     tagged_questions=_at_least(0), tag=_plain(str))),
+    "random_split": ("random_split_counts", _by_name(_keys(eval_count=_integer()))),
+    "reshuffle": ("reshuffle", _keys("reshuffle_", dev_questions=_integer(0),
+                                     tagged_questions=_integer(0), tag=_plain(str))),
     "cv": ("cv", _keys("cv_", enabled=partial(_typed, bool), task=_plain(str),
-                       folds=_plain(int), finetune_members=partial(_typed, bool))),
-    "thresholds": ("thresholds", _by_name(_plain(float))),
+                       folds=_integer(), finetune_members=partial(_typed, bool))),
+    "thresholds": ("thresholds", _by_name(_real)),
     "ranking": ("ranking_tasks", partial(_typed, list, items=str)),
     "constrained_triples": ("constrained_triple_tasks", partial(_typed, list, items=str)),
 }

@@ -61,7 +61,7 @@ _OPTIONAL_KEYS = (
 _RELEVANCE = (None, 1, 2, 3, 4)  # the gold_relevance values a record may hold
 
 
-def _integer(key: str) -> Callable:
+def integer_field(key: str) -> Callable:
     """The converter of an integer field: an int, an integral float or a
     string of digits passes; a bool or a number with a fraction fails."""
     def convert(value):
@@ -130,8 +130,8 @@ def _finite_score(value) -> float:
 
 # Every optional key of a record with its converter, in the order
 # _parse_record converts them: the first bad value names the error.
-_CONVERTERS = (("label", _integer("label")), ("target_score", _finite_score)) + tuple(
-    (key, _integer(key) if key in ("gold_relevance", "gold_rank") else str)
+_CONVERTERS = (("label", integer_field("label")), ("target_score", _finite_score)) + tuple(
+    (key, integer_field(key) if key in ("gold_relevance", "gold_rank") else str)
     for key in _OPTIONAL_KEYS
 )
 
@@ -195,18 +195,6 @@ class SamplePair:
     gold_relevance: Optional[int] = None
     gold_rank: Optional[int] = None
     source_tag: Optional[str] = None
-
-    def to_record(self) -> dict:
-        rec = {"id": self.id, "text_a": self.text_a, "text_b": self.text_b}
-        if self.label is not None:
-            rec["label"] = self.label
-        if self.target_score is not None:
-            rec["target_score"] = self.target_score
-        for key in _OPTIONAL_KEYS:
-            value = getattr(self, key)
-            if value is not None:
-                rec[key] = value
-        return rec
 
     def copy(self, **changes) -> "SamplePair":
         return replace(self, **changes)
@@ -277,10 +265,10 @@ class Dataset:
                 f"sample {s.id!r}: regression dataset {self.name!r} requires target_score"
             )
 
-    def with_samples(self, samples: Iterable[SamplePair], name: Optional[str] = None) -> "Dataset":
+    def with_samples(self, samples: Iterable[SamplePair]) -> "Dataset":
         """New dataset with the same task metadata and the given samples."""
         return Dataset(
-            name=name or self.name,
+            name=self.name,
             task_kind=self.task_kind,
             role=self.role,
             head_group=self.head_group,
@@ -426,9 +414,10 @@ _REQUIRED_KEYS = ("id", "text_a", "text_b")
 
 
 def _encode_samples(samples: Iterable[SamplePair]) -> tuple[bytes, bool]:
-    """The JSON-Lines bytes of samples, each line the text
-    `_JSONL_ENCODER.encode(sample.to_record())` gives, and whether decoding
-    those bytes gives equal samples, type for type.
+    """The JSON-Lines bytes of samples, each line the text `_JSONL_ENCODER`
+    gives for the mapping of the sample's id, texts and every other field
+    that is not None, and whether decoding those bytes gives equal samples,
+    type for type.
 
     An exact str, int or finite float is formatted as that encoder formats it
     (encode_basestring_ascii, int.__repr__, float.__repr__); any other value
@@ -466,7 +455,8 @@ def _encode_samples(samples: Iterable[SamplePair]) -> tuple[bytes, bool]:
 def save_samples(samples: Iterable[SamplePair], path: str | Path,
                  written: Optional[dict[bytes, tuple[SamplePair, ...]]] = None) -> None:
     """Write the samples as JSON-Lines, in one write, creating the parent
-    directory: each line is `sample.to_record()` as `write_jsonl` writes it.
+    directory: each line is, as `write_jsonl` writes a record, the mapping of
+    the sample's id, texts and every other field that is not None.
 
     Given a mapping, the samples are added to it under the sha256 of the
     bytes written, unless decoding those bytes would not give equal samples,
@@ -502,7 +492,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     Required keys per section: task_kind, role, path. Optional: head_group
     (the section name when absent), dev_path, eval_path. Relative paths
     resolve against the manifest's directory; other keys are ignored. A
-    missing or invalid value fails naming the manifest and the section.
+    missing or invalid value fails naming the manifest and the section, and
+    so does a section name holding "/", since it becomes part of file names.
     """
     path = Path(path)
     parser = configparser.ConfigParser()
@@ -517,6 +508,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     for section in parser.sections():
         sec = parser[section]
         where = f"manifest {path}: section [{section}]"
+        if "/" in section:
+            raise DatasetFormatError(f"{where} name must hold no '/'")
         for key in ("task_kind", "role", "path"):
             if key not in sec:
                 raise DatasetFormatError(f"{where} missing {key!r}")

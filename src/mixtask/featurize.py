@@ -10,11 +10,11 @@ side-tagged unigrams and bigrams plus overlap unigrams. The statistics
 slots make lexical match directly visible to a linear model; the hashed
 bag carries the lexicalized content. The bag portion is L2-normalized.
 
-There is one featurization path: `featurize_sparse` maps a list of pairs
-to each source's rows as their non-zero entries (`SparseRows`: values,
-columns and per-row offsets); `featurize_pairs` makes those rows dense. A
-chunk of rows works on word ids, not token strings: each text is split into
-words once for all sources, each word is numbered once (`KeyCodes`), and the
+There is one featurization function: `featurize` maps a list of pairs to
+each source's rows as their non-zero entries (`SparseRows`: values, columns
+and per-row offsets), and `SparseRows.dense` makes rows dense. A chunk of
+rows works on word ids, not token strings: each text is split into words
+once for all sources, each word is numbered once (`KeyCodes`), and the
 chunk's unigram, bigram and overlap tokens become integer keys built with a
 few numpy calls. Each source keeps the signed bucket code of every key it
 has seen, so a key is spelled out as its token string and hashed only the
@@ -122,7 +122,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 class KeyCodes(dict):
-    """The memo of featurize_pairs for one list of sources.
+    """The memo of featurize for one list of sources.
 
     As a dict it maps a word to its id, numbered in order of first sight;
     looking up an unseen word gives it the next id. Per source (row i for the
@@ -227,7 +227,7 @@ def _column_dtype(dim: int) -> np.dtype:
     return np.min_scalar_type(dim - 1)
 
 
-def featurize_sparse(
+def featurize(
     pairs: Sequence[tuple[str, str]],
     sources: Sequence[SourceSpec],
     codes: Optional[KeyCodes] = None,
@@ -302,23 +302,6 @@ def featurize_sparse(
     return [SparseRows.joined(pieces) for pieces in chunks]
 
 
-def featurize_pairs(
-    pairs: Sequence[tuple[str, str]],
-    sources: Sequence[SourceSpec],
-    codes: Optional[KeyCodes] = None,
-) -> list[np.ndarray]:
-    """Map text pairs to one (n, source.dim) matrix per source, one row per
-    pair in order: featurize_sparse's rows, made dense."""
-    every = np.arange(len(pairs))
-    return [rows.dense(source.dim, every)
-            for source, rows in zip(sources, featurize_sparse(pairs, sources, codes=codes))]
-
-
-def featurize(text_a: str, text_b: str, source: SourceSpec) -> np.ndarray:
-    """Feature vector of length source.dim for one text pair."""
-    return featurize_pairs([(text_a, text_b)], [source])[0][0]
-
-
 def _content_key(sample: SamplePair) -> bytes:
     """128-bit digest of (id, text_a, text_b); unlike the texts, it is small to keep.
 
@@ -338,7 +321,7 @@ def _load_npy(path: Path) -> np.ndarray:
 
 def _read_rows(directory: Path, saved: dict, rows: int, dim: int) -> SparseRows:
     """One source's rows as `FeatureCache.save` wrote them, checked to be
-    rows that `featurize_sparse` could have built."""
+    rows that `featurize` could have built."""
     stored = SparseRows(*(_load_npy(directory / saved[part]) for part in SparseRows._fields))
     for part, array, dtype in zip(SparseRows._fields, stored,
                                   (np.float64, _column_dtype(dim), np.int64)):
@@ -437,7 +420,7 @@ class FeatureCache:
         lists no source of that name, seed and dim; naming the file when a
         file is malformed or truncated, when a key repeats or the keys do not
         match the row count, and when a source's vectors are not rows
-        `featurize_sparse` could have built: offsets that do not start at 0,
+        `featurize` could have built: offsets that do not start at 0,
         rise and end at the value count, columns at or past dim or not
         ascending within a row, values that are not finite or are +0.0, or
         another dtype. OSError when a file is missing.
@@ -479,7 +462,7 @@ class FeatureCache:
             if missing:
                 first = len(where)
                 pairs = [(dataset.samples[i].text_a, dataset.samples[i].text_b) for i in missing]
-                built = featurize_sparse(pairs, self._sources, codes=self._codes)
+                built = featurize(pairs, self._sources, codes=self._codes)
                 for blocks, rows in zip(self._blocks.values(), built):
                     blocks.append(rows)
                 self._starts.append(first)

@@ -47,24 +47,6 @@ LOG_EPS = 1e-12  # probability clamp inside log losses
 HEAD_INIT_SCALE = 0.05  # answer heads start uniform in [-scale, scale]
 
 
-def cross_entropy_loss(probs: np.ndarray, label: int) -> float:
-    """-log p[label] with the probability clamped at LOG_EPS."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[-1]:
-        raise ValueError(f"label {label} out of range for {probs.shape[-1]} classes")
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return -float(np.log(max(float(probs[label]), LOG_EPS)))
-
-
-def mse_loss(score: float, target: float) -> float:
-    """(target - score)^2."""
-    if not (np.isfinite(score) and np.isfinite(target)):
-        raise ValueError("mse_loss requires finite inputs")
-    return float((target - score) ** 2)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, numerically stabilized."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -252,13 +234,6 @@ class ToyModel(_FixedViews):
         return (hidden @ head.weights + head.bias)[:, 0]
 
     # -- training -----------------------------------------------------------
-
-    def batch_loss(self, features: np.ndarray, gold: np.ndarray, head_group: str) -> float:
-        """Summed loss over the batch, no gradient."""
-        if self._head(head_group).kind == CLASSIFICATION:
-            picked = self.class_probs(features, head_group)[np.arange(len(gold)), gold]
-            return float(-np.log(np.maximum(picked, LOG_EPS)).sum())
-        return float(((gold - self.reg_scores(features, head_group)) ** 2).sum())
 
     def _step_context(self, head_group: str) -> _StepContext:
         """The head group's step context, made on first use."""

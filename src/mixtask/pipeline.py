@@ -585,14 +585,16 @@ def _answers_by_question(rows: Iterable[tuple[str, dict]],
 
 
 def stage_rank(run: StageRun) -> dict:
-    """Order each ranking task's answers per question: positives first."""
+    """Order each ranking task's answers per question: positives first. A
+    task none of whose answers has a question id is not one to rank."""
     ensembles = run.index("ensemble")["ensembles"]
+    _check_names(run, "task", ensembles, ranking=run.cfg.ranking_tasks)
     rank_meta = {}
     for task_name in run.cfg.ranking_tasks:
-        if task_name not in ensembles:
-            raise run.error(f"no ensemble outputs for task {task_name!r}")
         source = ensembles[task_name]["file"]
         outputs = run.records_by_sample("ensemble", source, task_name)
+        if outputs and all(rec.get("question_id") is None for rec in outputs.values()):
+            raise run.error(f"task {task_name!r} in ranking has answers without question ids")
         with run.reading(f"ensemble/{source}", "ensemble"):
             by_question = _answers_by_question(sorted(outputs.items()))
         filename = f"{task_name}.jsonl"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_jsonl, write_jsonl
+from .data import Dataset, write_jsonl
 from .seeding import derive_rng
 
 
@@ -175,7 +175,3 @@ def save_plan(plan: EpochPlan, path: str | Path) -> None:
         for i, batch in enumerate(plan.batches)
     ))
 
-
-def load_plan(path: str | Path) -> list[dict]:
-    """Read back a plan audit file as a list of {position, dataset, sample_ids}."""
-    return sorted((rec for _, rec in read_jsonl(path)), key=lambda r: r["position"])

@@ -17,6 +17,7 @@ from mixtask.corpus import (
 from mixtask.data import Dataset, SamplePair, TaskKind
 
 from conftest import make_dataset, make_pairs
+from reference import record
 
 
 # -- score transform ------------------------------------------------------------
@@ -146,9 +147,9 @@ def test_negatives_deterministic_given_seed():
     ds = pages_dataset({"p1": 5, "p2": 4})
     a = medquad_negative_sample(ds, k=2, seed=77).dataset
     b = medquad_negative_sample(ds, k=2, seed=77).dataset
-    assert [s.to_record() for s in a] == [s.to_record() for s in b]
+    assert [record(s) for s in a] == [record(s) for s in b]
     c = medquad_negative_sample(ds, k=2, seed=78).dataset
-    assert [s.to_record() for s in a] != [s.to_record() for s in c]
+    assert [record(s) for s in a] != [record(s) for s in c]
 
 
 def test_negatives_keep_positive_targets():

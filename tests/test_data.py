@@ -16,6 +16,7 @@ from mixtask.data import (
 )
 
 from conftest import make_pairs
+from reference import record
 
 
 def write_jsonl(path, records):
@@ -109,7 +110,7 @@ def test_samples_round_trip(tmp_path):
     pairs = make_pairs(6, "regression", seed=3, question_id=lambda i: f"q{i % 2}")
     save_samples(pairs, tmp_path / "out.jsonl")
     ds = load_dataset(tmp_path / "out.jsonl", "fix", TaskKind.parse("regression"))
-    assert [s.to_record() for s in ds] == [s.to_record() for s in pairs]
+    assert [record(s) for s in ds] == [record(s) for s in pairs]
 
 
 def test_manifest_parses_sections_and_resolves_paths(tmp_path):
@@ -260,8 +261,8 @@ def test_decoder_matches_the_json_loads_reader(tmp_path, content):
         expected = "DatasetFormatError", f"{path}:1: target_score must be a finite number, got NaN"
     kind = TaskKind.parse("regression")
     for written in (None, {}):
-        loaded = _outcome(lambda: [s.to_record() for s in load_dataset(path, "fix", kind,
-                                                                       written=written)])
+        loaded = _outcome(lambda: [record(s) for s in load_dataset(path, "fix", kind,
+                                                                   written=written)])
         assert loaded == expected
         assert not written  # a load adds nothing to the mapping
 
@@ -289,7 +290,7 @@ def test_sample_writer_lines_equal_json_dumps(tmp_path):
     ]
     path = tmp_path / "new_dir" / "d.jsonl"
     save_samples(iter(samples), path)
-    expected = "".join(json.dumps(s.to_record(), sort_keys=True) + "\n" for s in samples)
+    expected = "".join(json.dumps(record(s), sort_keys=True) + "\n" for s in samples)
     assert path.read_bytes() == expected.encode("utf-8")
 
 
@@ -330,14 +331,14 @@ def test_a_write_stores_its_samples_only_when_a_decode_would_give_them(tmp_path,
     save_samples(samples, path, written=written)
     exact = changes in ({}, {**_EVERY_KEY, "gold_rank": 1})
     assert len(written) == exact
-    records = lambda mapping: [s.to_record() for s in load_dataset(path, "fix", task_kind,
-                                                                   written=mapping)]
+    records = lambda mapping: [record(s) for s in load_dataset(path, "fix", task_kind,
+                                                               written=mapping)]
     expected = _outcome(lambda: records(None))
     decodes.clear()
     assert _outcome(lambda: records(written)) == expected
     assert len(decodes) == (not exact)
     if exact:
-        assert expected == ("ok", json.dumps([s.to_record() for s in samples], sort_keys=True))
+        assert expected == ("ok", json.dumps([record(s) for s in samples], sort_keys=True))
 
 
 SHAPE = {"name": str, "count": data.NATURAL, "files": {str: data.FILE_NAME},

@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 
 from mixtask.data import SamplePair
-from mixtask.featurize import (
-    CHUNK_ROWS,
-    FeatureCache,
-    N_STATS,
-    SourceSpec,
-    featurize,
-    featurize_pairs,
-)
+from mixtask.featurize import CHUNK_ROWS, FeatureCache, N_STATS, SourceSpec, featurize
 from mixtask.toydata import make_nli, make_qa, make_rqe
 
 from conftest import make_dataset
+from reference import featurize_dense
 
 # The package re-exports the function `featurize` under its module's name.
 featurize_module = importlib.import_module("mixtask.featurize")
@@ -24,7 +18,12 @@ featurize_module = importlib.import_module("mixtask.featurize")
 
 def featurize_rows(dataset, source):
     """A dataset's feature matrix, featurized afresh in sample order."""
-    return featurize_pairs([(s.text_a, s.text_b) for s in dataset], [source])[0]
+    return featurize_dense([(s.text_a, s.text_b) for s in dataset], [source])[0]
+
+
+def pair_row(text_a, text_b, source):
+    """The dense feature row of one text pair."""
+    return featurize_dense([(text_a, text_b)], [source])[0][0]
 
 
 # Reference featurizer: the original one-pair, one-token-at-a-time loop.
@@ -86,8 +85,8 @@ def random_texts(rng, n):
 
 def test_featurize_deterministic_and_shaped():
     src = SourceSpec("fam", 42, 64)
-    v1 = featurize("alpha beta gamma", "beta delta", src)
-    v2 = featurize("alpha beta gamma", "beta delta", src)
+    v1 = pair_row("alpha beta gamma", "beta delta", src)
+    v2 = pair_row("alpha beta gamma", "beta delta", src)
     assert v1.shape == (64,)
     assert np.array_equal(v1, v2)
     assert np.all(np.isfinite(v1))
@@ -99,8 +98,8 @@ def test_sources_differ_on_fixture_corpus():
     b = SourceSpec("fam_b", 2, 96)
     differing = 0
     for text_a, text_b in random_texts(rng, 100):
-        va = featurize(text_a, text_b, a)
-        vb = featurize(text_a, text_b, b)
+        va = pair_row(text_a, text_b, a)
+        vb = pair_row(text_a, text_b, b)
         # overlap statistics are source-independent, the hashed bag is not
         assert np.array_equal(va[:N_STATS], vb[:N_STATS])
         if not np.array_equal(va[N_STATS:], vb[N_STATS:]):
@@ -110,31 +109,31 @@ def test_sources_differ_on_fixture_corpus():
 
 def test_overlap_statistics_reflect_shared_words():
     src = SourceSpec("fam", 3, 32)
-    none = featurize("aaa bbb", "ccc ddd", src)
-    some = featurize("aaa bbb ccc", "ccc bbb eee", src)
+    none = pair_row("aaa bbb", "ccc ddd", src)
+    some = pair_row("aaa bbb ccc", "ccc bbb eee", src)
     assert none[0] == 0.0 and none[1] == 0.0
     assert some[0] > 0 and some[1] > 0
 
 
 def test_hashed_bag_is_unit_norm():
     src = SourceSpec("fam", 3, 48)
-    vec = featurize("one two three", "four five", src)
+    vec = pair_row("one two three", "four five", src)
     assert abs(np.linalg.norm(vec[N_STATS:]) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [3, 256])
 @pytest.mark.parametrize("seed", [101, 202])
-def test_featurize_pairs_matches_reference_bit_for_bit(seed, dim):
+def test_featurize_matches_reference_bit_for_bit(seed, dim):
     pairs = _toy_pairs()
     assert len(pairs) > CHUNK_ROWS  # crosses a chunk boundary
     src = SourceSpec(f"fam{seed}", seed, dim)
     expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
-    assert featurize_pairs(pairs, [src])[0].tobytes() == expected.tobytes()
-    assert featurize(*pairs[-3], src).tobytes() == expected[-3].tobytes()  # zero-norm bag
+    assert featurize_dense(pairs, [src])[0].tobytes() == expected.tobytes()
+    assert pair_row(*pairs[-3], src).tobytes() == expected[-3].tobytes()  # zero-norm bag
     assert not expected[-3].any()
 
 
-def test_featurize_pairs_of_several_sources_matches_reference_bit_for_bit():
+def test_featurize_of_several_sources_matches_reference_bit_for_bit():
     """One call featurizes every source; each matrix equals the oracle's."""
     sources = [SourceSpec("small", 11, 3), SourceSpec("mid", 12, 40), SourceSpec("big", 13, 256)]
     # A pair whose two tokens cancel in the one bucket of the dim-3 source.
@@ -142,13 +141,14 @@ def test_featurize_pairs_of_several_sources_matches_reference_bit_for_bit():
                       if not reference_featurize(f"w{i}", "w0", sources[0])[N_STATS:].any())
     pairs = ([("", ""), cancelling] + _toy_pairs() * 2)[:333]
     assert len(pairs) == 333 > CHUNK_ROWS
-    matrices = featurize_pairs(pairs, sources)
+    matrices = featurize_dense(pairs, sources)
     assert len(matrices) == len(sources)
     for src, matrix in zip(sources, matrices):
         expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
         assert matrix.tobytes() == expected.tobytes()
     assert not matrices[0][:2, N_STATS:].any() and matrices[1][1, N_STATS:].any()
-    assert [m.shape for m in featurize_pairs([], sources)] == [(0, 3), (0, 40), (0, 256)]
+    assert [m.shape for m in featurize_dense([], sources)] == [(0, 3), (0, 40), (0, 256)]
+    assert featurize(pairs, []) == []
 
 
 def test_featurize_dataset_order_and_cache():
@@ -157,7 +157,7 @@ def test_featurize_dataset_order_and_cache():
     mat = featurize_rows(ds, src)
     assert mat.shape == (12, 40)
     for row, sample in enumerate(ds):
-        assert np.array_equal(mat[row], featurize(sample.text_a, sample.text_b, src))
+        assert np.array_equal(mat[row], pair_row(sample.text_a, sample.text_b, src))
     cache = FeatureCache([src])
     table = cache.lookup(ds, src)
     assert np.array_equal(table, mat)
@@ -168,7 +168,7 @@ def test_featurize_dataset_order_and_cache():
 
 def test_cache_featurizes_each_row_once_per_content(monkeypatch):
     calls = []
-    real = featurize_module.featurize_sparse
+    real = featurize_module.featurize
 
     def counting(pairs, sources, **memo):
         calls.append((len(pairs), [s.name for s in sources]))
@@ -177,7 +177,7 @@ def test_cache_featurizes_each_row_once_per_content(monkeypatch):
     ds = make_dataset(30, name="d")
     src, other = SourceSpec("fam", 7, 40), SourceSpec("fam2", 8, 40)
     expected = featurize_rows(ds, other)
-    monkeypatch.setattr(featurize_module, "featurize_sparse", counting)
+    monkeypatch.setattr(featurize_module, "featurize", counting)
     cache = FeatureCache([src, other])
     full = cache.lookup(ds, src)
     reloaded = ds.with_samples([s.copy() for s in ds])
@@ -222,7 +222,7 @@ def test_split_reusing_a_train_id_gets_its_own_features():
     cache = FeatureCache([src])
     train_mat = cache.lookup(train, src)
     dev_mat = cache.lookup(dev, src)
-    assert np.array_equal(dev_mat[0], featurize("dev premise words", "dev hypothesis", src))
+    assert np.array_equal(dev_mat[0], pair_row("dev premise words", "dev hypothesis", src))
     assert not np.array_equal(dev_mat[0], train_mat[-1])
 
 
@@ -246,7 +246,7 @@ def test_saved_store_reloads_the_same_rows_without_featurizing(tmp_path, monkeyp
     def no_featurizing(pairs, sources, **memo):
         raise AssertionError(f"featurized {len(pairs)} rows")
 
-    monkeypatch.setattr(featurize_module, "featurize_sparse", no_featurizing)
+    monkeypatch.setattr(featurize_module, "featurize", no_featurizing)
     loaded = FeatureCache.load(tmp_path, entry, [src])
     for ds, rows in zip((train, fold, dev), expected):
         got = loaded.lookup(ds, src)
@@ -372,11 +372,11 @@ def _fuzz_pairs(seed, n):
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_featurize_pairs_matches_reference_on_fuzzed_texts(seed):
+def test_featurize_matches_reference_on_fuzzed_texts(seed):
     pairs = _fuzz_pairs(seed, 2 * CHUNK_ROWS + 77)
     sources = [SourceSpec("tiny", 31, 3), SourceSpec("mid", 32, 29), SourceSpec("big", 33, 256)]
     codes = featurize_module.KeyCodes(len(sources))
-    matrices = featurize_pairs(pairs, sources, codes=codes)
+    matrices = featurize_dense(pairs, sources, codes=codes)
     for src, matrix in zip(sources, matrices):
         expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
         assert matrix.tobytes() == expected.tobytes()
@@ -387,7 +387,7 @@ def test_featurize_pairs_matches_reference_on_fuzzed_texts(seed):
 def test_split_calls_through_one_memo_give_the_bytes_of_one_call(monkeypatch):
     pairs = _fuzz_pairs(7, 2 * CHUNK_ROWS + 40)
     sources = [SourceSpec("tiny", 31, 3), SourceSpec("big", 33, 256)]
-    whole = featurize_pairs(pairs, sources)
+    whole = featurize_dense(pairs, sources)
     ds = make_dataset(0, name="fuzz")
 
     def samples(prefix):
@@ -418,14 +418,14 @@ def test_a_word_id_past_the_packing_limit_is_refused(monkeypatch):
     codes = featurize_module.KeyCodes(1)
     pairs = [("one two three", "three four"), ("five six one", "six two")]  # ids 0..5
     expected = np.stack([reference_featurize(a, b, src) for a, b in pairs])
-    assert featurize_pairs(pairs, [src], codes=codes)[0].tobytes() == expected.tobytes()
+    assert featurize_dense(pairs, [src], codes=codes)[0].tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="^word id 6 is past the 6 words a token key can pack$"):
-        featurize_pairs([("one seven", "two")], [src], codes=codes)
+        featurize_dense([("one seven", "two")], [src], codes=codes)
     with pytest.raises(ValueError, match="word id 6 is past"):
-        featurize_pairs([("seven", "")], [src], codes=codes)
+        featurize_dense([("seven", "")], [src], codes=codes)
 
 
-def test_lookup_gives_the_bytes_of_featurize_pairs_from_fresh_loaded_and_resaved_stores(tmp_path):
+def test_lookup_gives_the_bytes_of_featurize_from_fresh_loaded_and_resaved_stores(tmp_path):
     """Bit for bit (`tobytes`, so a -0.0 would differ from a 0.0) through a
     fresh store, one saved and loaded, and one loaded, saved and loaded again,
     for a whole dataset and a reordered subset (a CV fold), with a row whose

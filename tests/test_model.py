@@ -8,13 +8,13 @@ from mixtask.featurize import SourceSpec
 from mixtask.model import (
     Checkpoint,
     ToyModel,
-    cross_entropy_loss,
     grad_step,
     load_checkpoint,
-    mse_loss,
     save_checkpoint,
     softmax,
 )
+
+from reference import batch_loss, cross_entropy_loss, mse_loss
 
 CLS = TaskKind.parse("classification:3")
 REG = TaskKind.parse("regression")
@@ -90,6 +90,22 @@ def test_mse_spot_values_and_symmetry():
         assert mse_loss(a, b) == mse_loss(b, a)
 
 
+def test_step_loss_is_the_sum_of_the_per_sample_losses():
+    """loss_and_grads and the reference batch loss both give the sum of the
+    per-sample oracle losses over the batch."""
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        model = random_model(rng)
+        feats, gold, group = batch = random_batch(rng, model, "cls" if trial % 2 else "reg", 4)
+        if group == "cls":
+            losses = [cross_entropy_loss(p, int(y))
+                      for p, y in zip(model.class_probs(feats, group), gold)]
+        else:
+            losses = [mse_loss(s, t) for s, t in zip(model.reg_scores(feats, group), gold)]
+        assert batch_loss(model, *batch) == pytest.approx(math.fsum(losses), rel=1e-12)
+        assert model.loss_and_grads(*batch)[0] == pytest.approx(math.fsum(losses), rel=1e-12)
+
+
 def test_probability_head_sums_to_one_for_any_weights():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -115,9 +131,9 @@ def numeric_gradients(model, batch, eps=1e-6):
             idx = it.multi_index
             original = arr[idx]
             arr[idx] = original + eps
-            up = model.batch_loss(*batch)
+            up = batch_loss(model, *batch)
             arr[idx] = original - eps
-            down = model.batch_loss(*batch)
+            down = batch_loss(model, *batch)
             arr[idx] = original
             g[idx] = (up - down) / (2 * eps)
             it.iternext()
@@ -158,9 +174,9 @@ def test_single_sample_step_decreases_loss():
         model = random_model(rng)
         kind = "cls" if rng.integers(2) else "reg"
         batch = random_batch(rng, model, kind, batch_size=1)
-        before = model.batch_loss(*batch)
+        before = batch_loss(model, *batch)
         grad_step(model, *batch, 1e-3)
-        after = model.batch_loss(*batch)
+        after = batch_loss(model, *batch)
         if before > 1e-12:  # already-minimal losses cannot strictly decrease
             assert after < before
 

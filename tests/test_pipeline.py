@@ -96,7 +96,7 @@ def test_trainer_executes_the_audited_epoch_plan(toy_corpus_dir, toy_run_dir, mo
     from mixtask import training
     from mixtask.featurize import FeatureCache
     from mixtask.pipeline import StageRun
-    from mixtask.scheduler import load_plan
+    from reference import load_plan
 
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
     real_step = training.grad_step
@@ -274,7 +274,7 @@ def test_a_diverging_step_fails_train_naming_the_member_and_the_dataset(
     import numpy as np
 
     from mixtask.model import ToyModel
-    from mixtask.scheduler import load_plan
+    from reference import load_plan
 
     run = _copy_run(toy_run_dir, tmp_path)
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
@@ -423,6 +423,48 @@ def test_mini_batch_ids_are_read_only_by_the_audit_plan():
     assert found == ["scheduler.save_plan"]
 
 
+# Library functions nothing in the library refers to, each with why it stays.
+PINNED_BY_PERFBENCH = {
+    "scheduler.MixtureConfig.batch_size_for": "perfbench/checks.py counts sample-epochs with it",
+}
+
+
+def test_every_library_function_is_referred_to_in_the_library():
+    """Each function and method defined in src/mixtask/ is referred to, by
+    name or attribute name, somewhere in src/mixtask/ outside its own
+    definition; one that only tests use belongs in the tests
+    (tests/reference.py). An import does not count, so a name only
+    `mixtask.__all__` exports fails too. Dunders are exempt, and so are the
+    names perfbench pins."""
+    import ast
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(mixtask.__file__).parent.glob("*.py"))}
+    refs = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+    def definitions(node, scope):
+        """(qualified name, node) of each function or method under node."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    yield scope + [child.name], child
+                yield from definitions(child, scope + [child.name])
+
+    unreferred = []
+    for module, tree in trees.items():
+        for scope, node in definitions(tree, [module]):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(ref == name and not (where == module and
+                                            node.lineno <= line <= node.end_lineno)
+                       for where, line, ref in refs):
+                unreferred.append(".".join(scope))
+    assert sorted(unreferred) == sorted(PINNED_BY_PERFBENCH)
+
+
 def test_every_npy_read_refuses_pickles():
     """Every np.load call in the library passes allow_pickle=False, so no
     .npy file it reads can run code."""
@@ -560,7 +602,17 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
     (("mixture", "alpha"), float("inf"), r"mixture: alpha must be finite and >= 0, not inf"),
     (("mixture", "alpha"), -0.5, r"mixture: alpha must be finite and >= 0, not -0\.5"),
     (("mixture", "max_epoch"), float("inf"),
-     r"mixture\.max_epoch: cannot convert float infinity to integer"),
+     r"mixture\.max_epoch must be an integer, got Infinity"),
+    (("mixture", "max_epoch"), 2.5, r"mixture\.max_epoch must be an integer, got 2\.5"),
+    (("cv", "folds"), 3.5, r"cv\.folds must be an integer, got 3\.5"),
+    (("sources", 0, "featurizer_seed"), True,
+     r"sources\[0\]\.featurizer_seed must be an integer, got true"),
+    (("sources", 0, "members"), False, r"sources\[0\]\.members must be an integer, got false"),
+    (("train", "hidden_dim"), 0.0, r"train\.hidden_dim must be >= 1, not 0"),
+    (("master_seed",), True, r"master_seed must be an integer, got true"),
+    (("mixture", "alpha"), True, r"mixture\.alpha must be a number, got true"),
+    (("train", "lr_finetune"), False, r"train\.lr_finetune must be a number, got false"),
+    (("thresholds",), {"toy_nli": True}, r"thresholds\.toy_nli must be a number, got true"),
     (("train", "lr_multitask"), float("nan"),
      r"train: lr_multitask must be finite and > 0, not nan"),
     (("train", "lr_multitask"), float("inf"),
@@ -600,8 +652,10 @@ def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, mes
     alpha or learning rate that is not finite or out of range, a threshold
     that is not finite, an infinite integer, a list or mapping where a number belongs, a string that is no
     number, a source batch size below 1, a negative negatives count and an
-    alpha above MAX_ALPHA each fail parsing (value None deletes the key). A
-    value its key's converter cannot convert names the key path once."""
+    alpha above MAX_ALPHA each fail parsing (value None deletes the key), and
+    so do a bool or a number with a fraction for an integer key and a bool
+    for a float key. A value its key's converter cannot convert names the key
+    path once."""
     import yaml
 
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
@@ -614,6 +668,20 @@ def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, mes
         node[path[-1]] = value
     with pytest.raises(ValueError, match=rf"^{message}$"):
         PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+
+
+def test_integral_floats_and_numeric_strings_parse(toy_corpus_dir):
+    """YAML reads 5e-5 as a string, and 2.0 as a float: both keep parsing,
+    as an integer key's integral float or string of digits does."""
+    import yaml
+
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["mixture"].update(max_epoch=2.0, batch_size="8", alpha="0.25")
+    raw["train"]["lr_multitask"] = yaml.safe_load("5e-5")
+    assert raw["train"]["lr_multitask"] == "5e-5"
+    cfg = PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+    assert (cfg.mixture.max_epoch, cfg.mixture.batch_size, cfg.mixture.alpha) == (2, 8, 0.25)
+    assert type(cfg.mixture.max_epoch) is int and cfg.train.lr_multitask == 5e-5
 
 
 def test_minimal_config_takes_each_default_from_its_one_declaration(toy_corpus_dir):
@@ -751,6 +819,45 @@ def test_cli_run_with_a_misspelled_key_exits_2(toy_corpus_dir, tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_run_with_a_slash_in_a_source_name_exits_2(toy_corpus_dir, tmp_path, capsys):
+    """A source name becomes part of file names (`<name>-m0__*`), so one
+    holding "/" fails parsing, and no file is written."""
+    import yaml
+
+    from mixtask import cli
+
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["manifest"] = str(toy_corpus_dir / "manifest.ini")
+    raw["sources"][0]["name"] = "../evil"
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "[run] sources[0].name must hold no '/', got '../evil'\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["config.yaml"]
+
+
+def test_a_slash_in_a_manifest_section_name_fails_ingest(toy_corpus_dir, tmp_path):
+    """A manifest section name becomes part of file names (`<name>__<split>`),
+    so one holding "/" fails ingest naming the section, and nothing is
+    written outside the stage directory."""
+    import re
+
+    import yaml
+
+    manifest = (toy_corpus_dir / "manifest.ini").read_text().replace("[toy_rqe]", "[../rqe]")
+    manifest = manifest.replace(" = toy_", f" = {toy_corpus_dir}/toy_")
+    (tmp_path / "manifest.ini").write_text(manifest)
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    cfg = PipelineConfig.from_dict(raw, base_dir=tmp_path)
+    out = tmp_path / "run"
+    message = (rf"^\[ingest\] manifest {re.escape(str(tmp_path / 'manifest.ini'))}: "
+               rf"section \[\.\./rqe\] name must hold no '/'$")
+    with pytest.raises(PipelineStageError, match=message):
+        run_stage("ingest", cfg, out)
+    written = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*"))
+    assert written == ["manifest.ini", "run", "run/ingest"]
+
+
 def test_cli_split_with_a_mapping_batch_size_exits_2(toy_corpus_dir, tmp_path, capsys):
     """mixture.batch_size is one integer; the per-dataset mapping it once
     took is a config error naming the key."""
@@ -854,7 +961,7 @@ def test_finetune_and_predict_featurize_only_eval_rows(
     # A file the train index does not list is never read.
     (run / "train" / "features" / "unlisted.npy").write_bytes(b"not an array")
     cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
-    featurized, real = {}, featurize_module.featurize_sparse
+    featurized, real = {}, featurize_module.featurize
     for stage in ("finetune", "predict"):
         rows = featurized.setdefault(stage, [])
 
@@ -862,7 +969,7 @@ def test_finetune_and_predict_featurize_only_eval_rows(
             rows.extend((source.name, pair) for source in sources for pair in pairs)
             return real(pairs, sources, **memo)
 
-        monkeypatch.setattr(featurize_module, "featurize_sparse", counting)
+        monkeypatch.setattr(featurize_module, "featurize", counting)
         run_stage(stage, cfg, run)
     assert featurized["finetune"] == []
 
@@ -1230,6 +1337,7 @@ def test_evaluate_names_a_ranking_task_the_rank_index_lacks(toy_corpus_dir, toy_
     ("split", "random_split", "toy_pagez"),
     ("ensemble", "thresholds", "toy_nil"),
     ("ensemble", "constrained_triples", "toy_nil"),
+    ("rank", "ranking", "toy_nil"),
 ])
 def test_config_name_matching_nothing_is_a_tagged_error(toy_corpus_dir, toy_run_dir, tmp_path,
                                                         stage, key, typo):
@@ -1237,7 +1345,7 @@ def test_config_name_matching_nothing_is_a_tagged_error(toy_corpus_dir, toy_run_
 
     run = _copy_run(toy_run_dir, tmp_path)
     raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
-    if key == "constrained_triples":
+    if key in ("constrained_triples", "ranking"):
         raw[key].append(typo)
     else:
         raw[key][typo] = next(iter(raw[key].values()))
@@ -1246,6 +1354,22 @@ def test_config_name_matching_nothing_is_a_tagged_error(toy_corpus_dir, toy_run_
     message = rf"^\[{stage}\] unknown {kind} '{typo}' in {key}$"
     with pytest.raises(PipelineStageError, match=message):
         run_stage(stage, cfg, run)
+
+
+def test_a_ranking_task_without_question_ids_is_a_config_error(toy_corpus_dir, toy_run_dir,
+                                                               tmp_path):
+    """A task none of whose answers has a question id fails rank naming the
+    `ranking` key, not ensemble; one answer's bad question id blames ensemble
+    (test_artifact_edits)."""
+    import yaml
+
+    run = _copy_run(toy_run_dir, tmp_path)
+    raw = yaml.safe_load((toy_corpus_dir / "config.yaml").read_text())
+    raw["ranking"] = ["toy_rqe"]
+    cfg = PipelineConfig.from_dict(raw, base_dir=toy_corpus_dir)
+    message = r"^\[rank\] task 'toy_rqe' in ranking has answers without question ids$"
+    with pytest.raises(PipelineStageError, match=message):
+        run_stage("rank", cfg, run)
 
 
 def test_finetune_writes_only_models_it_changed(toy_run_dir):

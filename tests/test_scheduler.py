@@ -10,13 +10,13 @@ from mixtask.scheduler import (
     MiniBatch,
     MixtureConfig,
     build_epoch,
-    load_plan,
     partition_batches,
     save_plan,
 )
 from mixtask.seeding import derive_rng
 
 from conftest import make_dataset
+from reference import load_plan
 
 
 def batch_fixtures(n, dataset="ext", n_classes=3):
