@@ -37,6 +37,11 @@ CV_FOLDS = 5
 NEGATIVES_PER_POSITIVE = 2
 DEV_RESHUFFLE_QUESTIONS = 25
 DEV_RESHUFFLE_TAGGED_QUESTIONS = 25
+# The most weights a member's encoder may have: sources[i].dim x
+# train.hidden_dim. 2**26 float64 weights take 512 MiB, and training holds a
+# few arrays of that size. A config above it fails parsing; a smaller model
+# that still does not fit in memory fails train (exit 1).
+MAX_ENCODER_WEIGHTS = 2**26
 
 
 @dataclass
@@ -83,6 +88,11 @@ class PipelineConfig:
         for task, threshold in self.thresholds.items():
             if not math.isfinite(threshold):
                 raise ValueError(f"thresholds.{task} must be finite, not {threshold}")
+        for i, entry in enumerate(self.sources):
+            if entry.spec.dim * self.train.hidden_dim > MAX_ENCODER_WEIGHTS:
+                raise ValueError(f"sources[{i}].dim x train.hidden_dim must be <= "
+                                 f"{MAX_ENCODER_WEIGHTS}, not {entry.spec.dim} x "
+                                 f"{self.train.hidden_dim}")
 
     @property
     def config_hash(self) -> str:
@@ -214,8 +224,9 @@ def _real(key: str, value) -> float:
 
 
 def _name(key: str, value) -> str:
-    """Converter of a name that becomes part of file names: it holds no "/"."""
-    name = _plain(str)(key, value)
+    """Converter of a name that becomes part of file names: a string that
+    holds no "/"."""
+    name = _typed(str, key, value)
     if "/" in name:
         raise ValueError(f"{key} must hold no '/', got {name!r}")
     return name
@@ -252,8 +263,8 @@ _TOP_KEYS = {
     "splits": ("split_recipes", _by_name(partial(_typed, str))),
     "random_split": ("random_split_counts", _by_name(_keys(eval_count=_integer()))),
     "reshuffle": ("reshuffle", _keys("reshuffle_", dev_questions=_integer(0),
-                                     tagged_questions=_integer(0), tag=_plain(str))),
-    "cv": ("cv", _keys("cv_", enabled=partial(_typed, bool), task=_plain(str),
+                                     tagged_questions=_integer(0), tag=partial(_typed, str))),
+    "cv": ("cv", _keys("cv_", enabled=partial(_typed, bool), task=partial(_typed, str),
                        folds=_integer(), finetune_members=partial(_typed, bool))),
     "thresholds": ("thresholds", _by_name(_real)),
     "ranking": ("ranking_tasks", partial(_typed, list, items=str)),

@@ -17,12 +17,17 @@ so every malformed line fails with the message `json.loads` gives.
 
 `save_samples` is the one writer of dataset files: it formats each sample's
 line itself, as the JSON-Lines encoder would, and writes the file in one
-call. Given a mapping from the sha256 of a dataset file's bytes to samples,
-`save_samples` adds the samples it wrote under the sha256 of their bytes
+call. Given a mapping from the sha256 of a dataset file's bytes to what was
+written as them (`Written`), `save_samples` adds the samples it wrote, and
+the task kind of the Dataset it was given, under the sha256 of their bytes
 when decoding those bytes would give equal samples, type for type, and
 `load_dataset` takes the samples of the bytes it reads from the mapping
-instead of decoding them. The samples of a hit are shared with every other
-reader of that mapping; without one, each call returns samples of its own.
+instead of decoding them. It checks them again only when its task kind is
+not the one they were written under. The samples of a hit are shared with
+every other reader of that mapping; without one, each call returns samples
+of its own. A `LineSource` keeps the bytes of the hits one reader took, so
+that its writes copy the line of each of those samples instead of
+formatting it again.
 """
 from __future__ import annotations
 
@@ -33,10 +38,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 
 class DatasetFormatError(ValueError):
@@ -197,25 +205,32 @@ class SamplePair:
     source_tag: Optional[str] = None
 
     def copy(self, **changes) -> "SamplePair":
-        return replace(self, **changes)
+        """A new sample of the same type with the given fields changed; an
+        unknown field raises TypeError."""
+        return type(self)(**{**self.__dict__, **changes})
 
 
 @dataclass
 class Dataset:
-    """A named, ordered collection of sample pairs for one task."""
+    """A named, ordered collection of sample pairs for one task, validated
+    under its task kind when it is built; nothing changes its samples after.
+    `_checked` says that the samples were validated together under this task
+    kind before, so they are not checked again."""
 
     name: str
     task_kind: TaskKind
     role: str = "in_domain"  # in_domain | external
     head_group: str = ""
     samples: list[SamplePair] = field(default_factory=list)
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
         if self.role not in ROLES:
             raise ValueError(f"role must be in_domain or external, got {self.role!r}")
         if not self.head_group:
             self.head_group = self.name
-        self.validate()
+        if not _checked:
+            self.validate()
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -380,28 +395,103 @@ def _decode_samples(raw: bytes, path: str | Path) -> list[SamplePair]:
     return [_parse_record(obj, line_no, where) for line_no, obj in _jsonl_records(raw, Path(path))]
 
 
+class Written(NamedTuple):
+    """What `save_samples` wrote as one file's bytes: the samples, and the
+    task kind of the Dataset they were validated in, or None when it was
+    given bare samples."""
+
+    samples: tuple[SamplePair, ...]
+    task_kind: Optional[TaskKind]
+
+
+class LineSource:
+    """The bytes of the dataset files one reader took from `Written` hits,
+    each with the samples its lines encode, one line per sample in order:
+    the bytes `save_samples` wrote from those very objects. `save_samples`,
+    given one, copies the line of each sample it finds here by identity
+    instead of formatting it again, consecutive rows of one file as one
+    slice. A file's lines are located once, when a write first copies from
+    it. What it keeps is freed with it, so it lives no longer than the
+    reader that fills it."""
+
+    def __init__(self):
+        # id(samples) -> [samples, their file's bytes, its line ends once located]
+        self._files: dict[int, list] = {}
+        self._index: Optional[tuple] = None
+
+    def add(self, samples: tuple[SamplePair, ...], raw: bytes) -> None:
+        if id(samples) not in self._files:
+            self._files[id(samples)] = [samples, raw, None]
+            self._index = None
+
+    def _held(self) -> tuple:
+        """The files held; the ids of all their samples, sorted, with the row
+        of each (rows count on across the files); the first row of each file,
+        and the total."""
+        if self._index is None:
+            files = list(self._files.values())
+            firsts = np.cumsum([0] + [len(samples) for samples, _, _ in files])
+            held = chain.from_iterable(samples for samples, _, _ in files)
+            ids = np.fromiter(map(id, held), np.int64, int(firsts[-1]))
+            rows = np.argsort(ids)
+            self._index = files, ids[rows], rows, firsts
+        return self._index
+
+    def runs(self, samples: tuple[SamplePair, ...]) -> list[tuple[int, int, Optional[memoryview]]]:
+        """samples cut into runs (start, stop, lines): a view of the lines of
+        samples[start:stop] in one file held here, or None for a run of
+        samples that none holds."""
+        files, ids, rows, firsts = self._held()
+        if not len(ids) or not samples:
+            return [(0, len(samples), None)]
+        wanted = np.fromiter(map(id, samples), np.int64, len(samples))
+        at = np.minimum(np.searchsorted(ids, wanted), len(ids) - 1)
+        row = np.where(ids[at] == wanted, rows[at], -1)
+        file = np.searchsorted(firsts, row, side="right") - 1  # -1 where none holds it
+        joined = (file[1:] == file[:-1]) & ((row[1:] == row[:-1] + 1) | (row[1:] < 0))
+        bounds = [0, *(np.flatnonzero(~joined) + 1).tolist(), len(samples)]
+        runs = []
+        for start, stop in zip(bounds, bounds[1:]):
+            f = int(file[start])
+            if f < 0:
+                runs.append((start, stop, None))
+                continue
+            _, raw, ends = held = files[f]
+            if ends is None:
+                ends = held[2] = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n")) + 1
+            first, last = int(row[start] - firsts[f]), int(row[stop - 1] - firsts[f])
+            begin = int(ends[first - 1]) if first else 0
+            runs.append((start, stop, memoryview(raw)[begin:int(ends[last])]))
+        return runs
+
+
 def load_dataset(
     path: str | Path,
     name: str,
     task_kind: TaskKind,
     role: str = "in_domain",
     head_group: str = "",
-    written: Optional[dict[bytes, tuple[SamplePair, ...]]] = None,
+    written: Optional[dict[bytes, Written]] = None,
+    lines: Optional[LineSource] = None,
 ) -> Dataset:
     """Load a dataset from a JSON-Lines file, preserving file order.
 
     Raises DatasetFormatError on malformed records (with line number),
-    duplicate ids, or label/task mismatches. Given the samples `save_samples`
-    wrote, by the sha256 of their bytes, the file's bytes are decoded only
-    when they are not among them; a hit's samples are shared. The Dataset is
-    new and validated under this call's task kind either way.
+    duplicate ids, or label/task mismatches. Given what `save_samples`
+    wrote, by the sha256 of the bytes, the file's bytes are decoded only
+    when they are not among them. A hit's samples are shared, and they are
+    checked again only when this call's task kind is not the one they were
+    written under; given a LineSource, the hit's bytes are added to it. The
+    Dataset is new either way.
     """
     raw = Path(path).read_bytes()
-    samples = written.get(hashlib.sha256(raw).digest()) if written else None
-    if samples is None:
-        samples = _decode_samples(raw, path)
-    return Dataset(name=name, task_kind=task_kind, role=role, head_group=head_group,
-                   samples=list(samples))
+    hit = written.get(hashlib.sha256(raw).digest()) if written else None
+    if hit is None:
+        return Dataset(name, task_kind, role, head_group, _decode_samples(raw, path))
+    if lines is not None:
+        lines.add(hit.samples, raw)
+    return Dataset(name, task_kind, role, head_group, list(hit.samples),
+                   _checked=hit.task_kind == task_kind)
 
 
 # The type _parse_record gives each key's value; every other key's is str.
@@ -452,25 +542,36 @@ def _encode_samples(samples: Iterable[SamplePair]) -> tuple[bytes, bool]:
     return "".join(lines).encode("ascii"), exact
 
 
-def save_samples(samples: Iterable[SamplePair], path: str | Path,
-                 written: Optional[dict[bytes, tuple[SamplePair, ...]]] = None) -> None:
+def save_samples(samples: Dataset | Iterable[SamplePair], path: str | Path,
+                 written: Optional[dict[bytes, Written]] = None,
+                 lines: Optional[LineSource] = None) -> None:
     """Write the samples as JSON-Lines, in one write, creating the parent
     directory: each line is, as `write_jsonl` writes a record, the mapping of
-    the sample's id, texts and every other field that is not None.
+    the sample's id, texts and every other field that is not None. Given a
+    LineSource, the line of each sample it holds is copied from there and
+    only the others are formatted.
 
     Given a mapping, the samples are added to it under the sha256 of the
-    bytes written, unless decoding those bytes would not give equal samples,
-    type for type: a value of another type than a decode gives (a bool
-    label, an int score, a numeric string, a numpy scalar) or one the
-    decoder refuses.
+    bytes written, with the task kind of the Dataset when given one, unless
+    decoding those bytes would not give equal samples, type for type: a
+    value of another type than a decode gives (a bool label, an int score, a
+    numeric string, a numpy scalar) or one the decoder refuses.
     """
+    task_kind = samples.task_kind if isinstance(samples, Dataset) else None
     samples = tuple(samples)
-    raw, exact = _encode_samples(samples)
+    chunks, exact = [], True
+    for start, stop, copied in (lines.runs(samples) if lines is not None
+                                else [(0, len(samples), None)]):
+        if copied is None:
+            copied, formatted_exact = _encode_samples(samples[start:stop])
+            exact = exact and formatted_exact
+        chunks.append(copied)
+    raw = b"".join(chunks)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(raw)
     if written is not None and exact:
-        written[hashlib.sha256(raw).digest()] = samples
+        written[hashlib.sha256(raw).digest()] = Written(samples, task_kind)
 
 
 @dataclass

@@ -10,17 +10,24 @@ and an unreadable one fails the stage with "re-run <producer>". On a run
 only ingest decodes dataset rows: every dataset file a later stage reads is
 one that ingest, transform or split (CV folds included) wrote in the same
 process. `_WRITTEN` maps the sha256 of each file the latest of those stages
-wrote to the samples it wrote as those bytes, and a StageRun takes a file's
-samples from it when the bytes on disk match. run_stage swaps in a stage's
-files when the stage succeeds having written some, ingest empties the
-mapping before it decodes the manifest's files, and it is empty after
-evaluate; so it holds one writing stage's files, plus those of the stage
-running. A hit is exact: it is keyed by the bytes on disk now,
-`save_samples` adds no entry when a decode would not give equal samples,
-and the hit is built into a new Dataset under the reading stage's metadata
-and validated again. Stages never change a SamplePair after building it
-(the same invariant FeatureCache relies on), so sharing the samples is
-safe. A stage run alone (`mixtask <stage>`) decodes everything it reads.
+wrote to the samples it wrote as those bytes and the task kind of the
+Dataset they came from, and a StageRun takes a file's samples from it when
+the bytes on disk match. run_stage swaps in a stage's files when the stage
+succeeds having written some, ingest empties the mapping before it decodes
+the manifest's files, and it is empty after evaluate; so it holds one
+writing stage's files, plus those of the stage running. A hit is exact:
+it is keyed by the bytes on disk now, `save_samples` adds no entry when a
+decode would not give equal samples, and the hit is built into a new
+Dataset under the reading stage's metadata, validated again only when the
+stage reads it under another task kind. So each row is encoded and
+checked once per run: ingest decodes, checks and formats every row;
+transform and split write a row they took from a hit by copying its line
+from the bytes they read (`data.LineSource`, dropped with the StageRun)
+and format only the rows transform creates; rows are checked again only
+where a corpus function builds a Dataset. Stages never change a
+SamplePair after building it (the same invariant FeatureCache relies on),
+so sharing the samples and their lines is safe. A stage run alone
+(`mixtask <stage>`) decodes everything it reads.
 run_stage is the one place that tags a failure with its stage. It writes
 the stage's index.json, the one record of the stage: the config it ran
 with, its payload, and under "inputs" the sha256 of the bytes of each
@@ -45,15 +52,22 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .config import PipelineConfig
-from .corpus import apply_qa_modified_scores, apply_split_recipe, cv_folds, medquad_negative_sample
+from .corpus import (
+    apply_qa_modified_scores,
+    apply_split_recipe,
+    cv_folds,
+    medquad_negative_sample,
+    mednli_merge_dev,
+)
 from .data import (
     ANY,
     FILE_NAME,
     FINITE,
     NATURAL,
     Dataset,
-    SamplePair,
+    LineSource,
     TaskKind,
+    Written,
     check_shape,
     decode_json,
     is_finite_number,
@@ -84,9 +98,9 @@ from .training import TaskData, build_member_epoch_plan, dev_gold, fine_tune_tas
 
 SCHEMA_VERSION = 1
 
-# The samples of the dataset files the latest dataset-writing stage of this
-# run wrote, by the sha256 of each file's bytes; run_stage swaps them in.
-_WRITTEN: dict[bytes, tuple[SamplePair, ...]] = {}
+# What the latest dataset-writing stage of this run wrote as each dataset
+# file, by the sha256 of the file's bytes; run_stage swaps them in.
+_WRITTEN: dict[bytes, Written] = {}
 
 
 class PipelineStageError(RuntimeError):
@@ -108,7 +122,7 @@ def _save_datasets(run: StageRun, bundles: dict[str, dict[str, Dataset]]) -> dic
         splits = {}
         for split in sorted(bundle):
             filename = f"{name}__{split}.jsonl"
-            save_samples(bundle[split].samples, run.dir / filename, written=run.written)
+            save_samples(bundle[split], run.dir / filename, written=run.written, lines=run.lines)
             splits[split] = filename
         entries[name] = {
             "task_kind": str(any_split.task_kind),
@@ -120,11 +134,13 @@ def _save_datasets(run: StageRun, bundles: dict[str, dict[str, Dataset]]) -> dic
 
 
 class StageRun:
-    """One run of one stage: `dir`, where it writes, `written`, the samples of
-    the dataset files it writes there, and the only reader of upstream
+    """One run of one stage: `dir`, where it writes, `written`, what it
+    writes there as each dataset file, and the only reader of upstream
     artifacts. Each index, dataset file and checkpoint is read at most once,
     so members share one Dataset per file. A dataset file's samples come from
-    `_WRITTEN` when the latest dataset-writing stage wrote the same bytes. An
+    `_WRITTEN` when the latest dataset-writing stage wrote the same bytes,
+    and `lines` keeps the bytes of those that `bundles` read for the stage's
+    writes to copy; it goes with the StageRun when the stage ends. An
     index file's one read serves its parse, its shape check and every check
     of its digest; `inputs` maps each index parsed to the sha256 of its
     bytes. A failed read or an index that does not fit its shape fails the
@@ -136,7 +152,8 @@ class StageRun:
         self.stage = stage
         self.dir = out_dir / stage
         self.inputs: dict[str, str] = {}
-        self.written: dict[bytes, tuple[SamplePair, ...]] = {}
+        self.written: dict[bytes, Written] = {}
+        self.lines: Optional[LineSource] = None
         self._index_files: dict[str, tuple[bytes, str]] = {}
         self._indexes: dict[str, dict] = {}
         self._datasets: dict[Path, Dataset] = {}
@@ -191,11 +208,15 @@ class StageRun:
                 kind = TaskKind.parse(entry["task_kind"])
             with self.reading(f"{producer}/{filename}", producer):
                 self._datasets[path] = load_dataset(path, name, kind, entry["role"],
-                                                    entry["head_group"], written=_WRITTEN)
+                                                    entry["head_group"], written=_WRITTEN,
+                                                    lines=self.lines)
         return self._datasets[path]
 
     def bundles(self, producer: str) -> dict[str, dict[str, Dataset]]:
-        """Every dataset split a producer's index lists, by name and split."""
+        """Every dataset split a producer's index lists, by name and split,
+        for the stage to write anew: `lines` keeps the bytes of those taken
+        from `_WRITTEN`."""
+        self.lines = LineSource()
         return {
             name: {split: self._dataset(producer, name, filename)
                    for split, filename in entry["splits"].items()}
@@ -385,17 +406,16 @@ def stage_split(run: StageRun) -> dict:
         if cfg.cv_task not in bundles:
             raise run.error(f"cv task {cfg.cv_task!r} not in manifest")
         bundle = bundles[cfg.cv_task]
-        pool_samples = list(bundle["train"].samples) + list(
-            bundle["dev"].samples if "dev" in bundle else []
-        )
-        pool = bundle["train"].with_samples(pool_samples)
+        pool = bundle["train"]
+        if "dev" in bundle:
+            pool = mednli_merge_dev(pool, bundle["dev"])
         fold_dir = run.dir / "folds"
         fold_dir.mkdir(exist_ok=True)
         for j, (train, dev) in enumerate(cv_folds(pool, cfg.cv_folds)):
             train_file = f"{cfg.cv_task}__fold{j}__train.jsonl"
             dev_file = f"{cfg.cv_task}__fold{j}__dev.jsonl"
-            save_samples(train.samples, fold_dir / train_file, written=run.written)
-            save_samples(dev.samples, fold_dir / dev_file, written=run.written)
+            save_samples(train, fold_dir / train_file, written=run.written, lines=run.lines)
+            save_samples(dev, fold_dir / dev_file, written=run.written, lines=run.lines)
             folds_meta.append(
                 {"fold": j, "train": f"folds/{train_file}", "dev": f"folds/{dev_file}"}
             )

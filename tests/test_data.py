@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -267,6 +268,20 @@ def test_decoder_matches_the_json_loads_reader(tmp_path, content):
         assert not written  # a load adds nothing to the mapping
 
 
+def test_a_copy_keeps_the_subclass_and_refuses_an_unknown_field():
+    @dataclass
+    class Noted(SamplePair):
+        note: str = ""
+
+    sample = Noted("s0", "a", "b", label=1, note="kept")
+    copy = sample.copy(label=0, gold_rank=2)
+    assert type(copy) is Noted and copy is not sample
+    assert copy == Noted("s0", "a", "b", label=0, gold_rank=2, note="kept")
+    assert sample == Noted("s0", "a", "b", label=1, note="kept")
+    with pytest.raises(TypeError, match="labl"):
+        sample.copy(labl=0)
+
+
 # Every optional key, with non-ASCII text and a rank beyond 64 bits.
 _EVERY_KEY = dict(question_id="q-é", page_id="p1", premise_group="g1", gold_relevance=4,
                   gold_rank=2**70, source_tag="alexa")
@@ -339,6 +354,39 @@ def test_a_write_stores_its_samples_only_when_a_decode_would_give_them(tmp_path,
     assert len(decodes) == (not exact)
     if exact:
         assert expected == ("ok", json.dumps([record(s) for s in samples], sort_keys=True))
+
+
+def test_a_write_copies_the_lines_it_holds_and_formats_only_the_rest(tmp_path, monkeypatch):
+    """Given a LineSource filled by loads that hit, save_samples copies the
+    line of every sample it holds, in any order and mixed with new samples
+    and with those of other files, and writes the bytes a write without one
+    writes. Given a Dataset, the mapping records its task kind."""
+    two, regression = TaskKind.parse("classification:2"), TaskKind.parse("regression")
+    written, lines = {}, data.LineSource()
+    save_samples(Dataset("a", two, samples=[SamplePair(f"a{i}", "x", f"é {i}", label=i % 2)
+                                            for i in range(6)]), tmp_path / "a.jsonl",
+                 written=written)
+    save_samples([SamplePair(f"b{i}", "y", "z", target_score=i / 3) for i in range(4)],
+                 tmp_path / "b.jsonl", written=written)
+    assert sorted(map(str, (entry.task_kind for entry in written.values()))) == [
+        "None", "classification:2"]
+    a = load_dataset(tmp_path / "a.jsonl", "a", two, written=written, lines=lines).samples
+    b = load_dataset(tmp_path / "b.jsonl", "b", regression, written=written, lines=lines).samples
+    new = [SamplePair("n0", "new", "row", label=1), SamplePair("n1", "new", "row", label=0)]
+    formatted, real_encode = [], data._encode_samples
+
+    def counting_encode(samples):
+        formatted.append(len(samples))
+        return real_encode(samples)
+
+    monkeypatch.setattr(data, "_encode_samples", counting_encode)
+    copied, fresh = tmp_path / "copied.jsonl", tmp_path / "fresh.jsonl"
+    for mix in (a, a[2:5], a[::-1], b[1:] + a[:2] + new[:1] + a[4:] + new[1:] + b[:1], new, []):
+        formatted.clear()
+        save_samples(mix, copied, lines=lines)
+        assert sum(formatted) == sum(s in new for s in mix)
+        save_samples(mix, fresh)
+        assert copied.read_bytes() == fresh.read_bytes()
 
 
 SHAPE = {"name": str, "count": data.NATURAL, "files": {str: data.FILE_NAME},

@@ -643,6 +643,13 @@ def test_config_validation_errors(toy_corpus_dir, tmp_path):
      r"thresholds\.toy_nli: float\(\) argument must be .+, not 'list'"),
     (("thresholds",), {"toy_nli": float("-inf")}, r"thresholds\.toy_nli must be finite, not -inf"),
     (("mixture", "alpha"), 1e300, r"mixture: alpha must be <= 100, not 1e\+300"),
+    (("sources", 0, "name"), ["a", "b"], r"sources\[0\]\.name must be a string, not list"),
+    (("reshuffle", "tag"), 5, r"reshuffle\.tag must be a string, not int"),
+    (("cv", "task"), 7, r"cv\.task must be a string, not int"),
+    (("train", "hidden_dim"), 10**12,
+     r"sources\[0\]\.dim x train\.hidden_dim must be <= 67108864, not 192 x 1000000000000"),
+    (("sources", 1, "dim"), 10**12,
+     r"sources\[1\]\.dim x train\.hidden_dim must be <= 67108864, not 1000000000000 x 24"),
 ])
 def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, message):
     """A key no section declares, a section that is not a mapping, a source
@@ -651,8 +658,10 @@ def test_config_section_errors_name_the_section(toy_corpus_dir, path, value, mes
     range, a hidden_dim below 1, a negative member or question count, an
     alpha or learning rate that is not finite or out of range, a threshold
     that is not finite, an infinite integer, a list or mapping where a number belongs, a string that is no
-    number, a source batch size below 1, a negative negatives count and an
-    alpha above MAX_ALPHA each fail parsing (value None deletes the key), and
+    number, a source batch size below 1, a negative negatives count, an
+    alpha above MAX_ALPHA, a source name, reshuffle tag or cv task that is
+    not a string and an encoder above MAX_ENCODER_WEIGHTS (sources[i].dim x
+    train.hidden_dim) each fail parsing (value None deletes the key), and
     so do a bool or a number with a fraction for an integer key and a bool
     for a float key. A value its key's converter cannot convert names the key
     path once."""
@@ -1485,6 +1494,108 @@ def test_the_mapping_holds_only_the_latest_writing_stages_files(toy_corpus_dir, 
     assert pipeline._WRITTEN == {}
 
 
+def test_each_row_is_formatted_and_checked_where_it_is_made(toy_corpus_dir, tmp_path,
+                                                           monkeypatch):
+    """On a run only ingest's rows and the rows transform creates are
+    formatted: transform and split copy the line of every row they took from
+    `_WRITTEN`, and split's dataset and fold writes format none. Rows are
+    checked only where ingest decodes the manifest's files and where a corpus
+    function builds a Dataset: a Dataset built from a hit of the kind it was
+    written under is not checked again."""
+    from mixtask import data, pipeline
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    current, formatted, copies, checks = [None], Counter(), Counter(), Counter()
+    real_run_stage, real_encode = pipeline.run_stage, data._encode_samples
+    real_copy, real_validate = data.SamplePair.copy, data.Dataset.validate
+
+    def recording_run_stage(name, *args):
+        current[0] = name
+        return real_run_stage(name, *args)
+
+    def counting_encode(samples):
+        formatted[current[0]] += len(samples)
+        return real_encode(samples)
+
+    def counting_copy(self, **changes):
+        copies[current[0]] += 1
+        return real_copy(self, **changes)
+
+    def recording_validate(self):
+        frames, frame = [], sys._getframe(1)
+        while frame is not None:
+            frames.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+            frame = frame.f_back
+        builder = ("manifest" if ("mixtask.data", "load_manifest_datasets") in frames
+                   else "corpus" if any(module == "mixtask.corpus" for module, _ in frames)
+                   else "other")
+        checks[current[0], builder] += len(self.samples)
+        return real_validate(self)
+
+    monkeypatch.setattr(pipeline, "run_stage", recording_run_stage)
+    monkeypatch.setattr(data, "_encode_samples", counting_encode)
+    monkeypatch.setattr(data.SamplePair, "copy", counting_copy)
+    monkeypatch.setattr(data.Dataset, "validate", recording_validate)
+    run = pipeline.run_pipeline(cfg, tmp_path / "run", quiet=True)
+    ingested = sum(len(path.read_bytes().splitlines())
+                   for path in (run / "ingest").glob("*.jsonl"))
+    assert list(copies) == ["transform"] and list((run / "split" / "folds").glob("*.jsonl"))
+    assert formatted == {"ingest": ingested, "transform": copies["transform"]}
+    assert set(checks) == {("ingest", "manifest"), ("transform", "corpus"), ("split", "corpus")}
+    assert checks["ingest", "manifest"] == ingested
+    assert checks["transform", "corpus"] == copies["transform"]
+
+
+def test_a_run_and_a_write_outside_one_hold_no_rows_after(toy_corpus_dir, tmp_path):
+    """After run_pipeline returns nothing holds a row it read or wrote or the
+    bytes kept to copy lines from; after a save_samples call outside a run
+    (the path perfbench's set-up takes) nothing holds its samples."""
+    import gc
+    import weakref
+    from mixtask import data, pipeline
+
+    def live():
+        gc.collect()
+        objects = gc.get_objects()
+        return (sum(type(o) is data.SamplePair for o in objects),
+                sum(type(o) is data.LineSource for o in objects))
+
+    before = live()
+    pipeline.run_pipeline(PipelineConfig.from_file(toy_corpus_dir / "config.yaml"),
+                          tmp_path / "run", quiet=True)
+    assert pipeline._WRITTEN == {}
+    assert live() == before
+    samples = [data.SamplePair(f"s{i}", "a", "b", label=0) for i in range(3)]
+    kept = [weakref.ref(s) for s in samples]
+    data.save_samples(samples, tmp_path / "d.jsonl")
+    del samples
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * 3
+
+
+def test_a_split_file_read_under_another_kind_is_checked_again(toy_corpus_dir, tmp_path,
+                                                                monkeypatch):
+    """A hit read under another task kind than its writer's Dataset had is
+    validated under the reader's kind: a split index that lists toy_nli as
+    two-class fails schedule on its label 2, though the file is a hit."""
+    from mixtask import data
+
+    cfg = PipelineConfig.from_file(toy_corpus_dir / "config.yaml")
+    run = tmp_path / "run"
+    for stage in STAGES[: STAGES.index("split") + 1]:
+        run_stage(stage, cfg, run)
+    index = read_index(run, "split")
+    index["datasets"]["toy_nli"]["task_kind"] = "classification:2"
+    (run / "split" / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    decodes = []
+    monkeypatch.setattr(data, "_decode_samples", lambda *args: decodes.append(args))
+    message = (r"^\[schedule\] unreadable split/toy_nli__\w+\.jsonl: DatasetFormatError: "
+               r"sample '[^']+': label 2 out of range for 2 classes; re-run split$")
+    with pytest.raises(PipelineStageError, match=message):
+        run_stage("schedule", cfg, run)
+    assert decodes == []
+
+
 def test_loads_without_a_memo_share_no_sample(tmp_path):
     from mixtask.data import TaskKind, load_dataset
 
@@ -1557,9 +1668,9 @@ def test_only_ingest_decodes_a_dataset_row(toy_corpus_dir, tmp_path, monkeypatch
 def test_every_dataset_file_a_stage_writes_decodes_to_the_samples_it_stored(
         toy_corpus_dir, tmp_path, monkeypatch, corpus):
     """Each dataset file ingest, transform and split write (CV folds
-    included) is in the mapping after the stage, with its samples, and
-    decoding the file's bytes gives those samples, field by field and type
-    by type."""
+    included) is in the mapping after the stage, with its samples and the
+    task kind its index lists, and decoding the file's bytes gives those
+    samples, field by field and type by type."""
     from mixtask import data, pipeline
 
     config = _corpus_config(corpus, toy_corpus_dir, tmp_path, monkeypatch)
@@ -1577,8 +1688,20 @@ def test_every_dataset_file_a_stage_writes_decodes_to_the_samples_it_stored(
                for raw in map(Path.read_bytes, sorted((run / stage).rglob("*.jsonl")))}
     assert any((run / "split" / "folds").glob("*.jsonl")) == (corpus == "toy")
     assert written.keys() == stored.keys()
+    kinds = {}
+    for stage in ("ingest", "transform", "split"):
+        index = read_index(run, stage)
+        files = {f"{stage}/{name}": entry["task_kind"]
+                 for entry in index["datasets"].values() for name in entry["splits"].values()}
+        cv_kind = index["datasets"].get(index["config"].get("cv", {}).get("task"), {})
+        files.update({f"{stage}/{fold[part]}": cv_kind["task_kind"]
+                      for fold in index.get("folds", []) for part in ("train", "dev")})
+        kinds.update({hashlib.sha256((run / name).read_bytes()).digest(): kind
+                      for name, kind in files.items()})
+    assert kinds.keys() == written.keys()
     for digest, raw in written.items():
-        assert _fields(data._decode_samples(raw, "stored")) == _fields(stored[digest])
+        assert _fields(data._decode_samples(raw, "stored")) == _fields(stored[digest].samples)
+        assert str(stored[digest].task_kind) == kinds[digest]
 
 
 @pytest.mark.parametrize("corpus", ["toy", "tiny-scaled-train"])
